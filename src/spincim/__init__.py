@@ -56,6 +56,7 @@ from .device import (
     MtjState,
     calibrate,
     parse_pair,
+    sample_columns,
     sample_pair_current,
     sample_single_current,
     trial_rng,

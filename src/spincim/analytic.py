@@ -17,6 +17,7 @@ from .device import (
     MeanShift,
     MtjState,
     PairState,
+    _per_row,
     pair_index,
 )
 
@@ -52,12 +53,6 @@ def pair_exceed_prob(
     return total
 
 
-def _cell_disturbances(disturbance: CellDisturbances):
-    if isinstance(disturbance, tuple):
-        return disturbance
-    return disturbance, disturbance
-
-
 def pair_exceed(
     model: CurrentLevelModel,
     states: PairState,
@@ -76,7 +71,7 @@ def pair_exceed(
         )
     rhos = [
         dist.rho(model.ambient_temp)
-        for state, dist in zip(states, _cell_disturbances(disturbance))
+        for state, dist in zip(states, _per_row(disturbance, 2))
         if state is MtjState.AP and isinstance(dist, Collapse)
     ]
     if not rhos:

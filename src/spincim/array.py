@@ -7,12 +7,19 @@ AND or OR reference, or to the window between them for XOR. All decodes of
 one operation derive from a single current sample per column, so decision
 failures are correlated across the decodes of a shared sense and are never
 resampled.
+
+Each sense samples all columns of its row (or row pair) in one vectorised
+draw from the array's generator, in a fixed order: for each activated row
+whose disturbance is Collapse (first operand first), one uniform per column;
+then one normal per column when the noise sigma is positive. The number of
+draws depends on the operation and the disturbance, never on the stored
+words.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -28,9 +35,7 @@ from .cost import (
 from .device import (
     CurrentLevelModel,
     Disturbance,
-    MtjState,
-    sample_pair_current,
-    sample_single_current,
+    sample_columns,
 )
 from .errors import MappingViolation, OutOfBounds
 
@@ -50,16 +55,6 @@ class CimOp(Enum):
 TWO_ROW_OPS = frozenset(
     {CimOp.CIM_AND, CimOp.CIM_OR, CimOp.CIM_NAND, CimOp.CIM_NOR, CimOp.CIM_XOR}
 )
-
-_OP_CLASS = {
-    CimOp.CIM_NOT: OpClass.CIM_NOT,
-    CimOp.CIM_AND: OpClass.CIM_AND,
-    CimOp.CIM_OR: OpClass.CIM_OR,
-    CimOp.CIM_NAND: OpClass.CIM_NAND,
-    CimOp.CIM_NOR: OpClass.CIM_NOR,
-    CimOp.CIM_XOR: OpClass.CIM_XOR,
-    CimOp.CIM_ADD: OpClass.CIM_ADD,
-}
 
 
 @dataclass(frozen=True)
@@ -83,20 +78,25 @@ class RowAddress:
     row: int
 
 
+def _decoded(bits):
+    """An int for a scalar current, a bool ndarray for an array of currents."""
+    return bits if isinstance(bits, np.ndarray) else int(bits)
+
+
 @dataclass(frozen=True)
 class Threshold:
     ref: float
 
-    def apply(self, current: float) -> int:
-        return int(current > self.ref)
+    def apply(self, current):
+        return _decoded(current > self.ref)
 
 
 @dataclass(frozen=True)
 class InvertedThreshold:
     ref: float
 
-    def apply(self, current: float) -> int:
-        return int(current <= self.ref)
+    def apply(self, current):
+        return _decoded(current <= self.ref)
 
 
 @dataclass(frozen=True)
@@ -104,8 +104,8 @@ class Window:
     low: float
     high: float
 
-    def apply(self, current: float) -> int:
-        return int(self.low < current <= self.high)
+    def apply(self, current):
+        return _decoded((self.low < current) & (current <= self.high))
 
 
 DecodeRule = Union[Threshold, InvertedThreshold, Window]
@@ -122,6 +122,16 @@ class SenseConfig:
     def __post_init__(self):
         if not self.i_ref_read < self.i_ref_or < self.i_ref_and:
             raise ValueError("references must satisfy read < or < and")
+        # built once: every sense looks its rule up here
+        object.__setattr__(self, "_rules", {
+            CimOp.READ: Threshold(self.i_ref_read),
+            CimOp.CIM_NOT: InvertedThreshold(self.i_ref_read),
+            CimOp.CIM_AND: Threshold(self.i_ref_and),
+            CimOp.CIM_NAND: InvertedThreshold(self.i_ref_and),
+            CimOp.CIM_OR: Threshold(self.i_ref_or),
+            CimOp.CIM_NOR: InvertedThreshold(self.i_ref_or),
+            CimOp.CIM_XOR: Window(self.i_ref_or, self.i_ref_and),
+        })
 
     def validate_against(self, model: CurrentLevelModel) -> None:
         """Check each reference sits strictly inside its decision gap."""
@@ -133,32 +143,13 @@ class SenseConfig:
             raise ValueError("AND reference must lie in the upper pair gap")
 
     def decode_rule(self, op: CimOp) -> DecodeRule:
-        rules = {
-            CimOp.READ: Threshold(self.i_ref_read),
-            CimOp.CIM_NOT: InvertedThreshold(self.i_ref_read),
-            CimOp.CIM_AND: Threshold(self.i_ref_and),
-            CimOp.CIM_NAND: InvertedThreshold(self.i_ref_and),
-            CimOp.CIM_OR: Threshold(self.i_ref_or),
-            CimOp.CIM_NOR: InvertedThreshold(self.i_ref_or),
-            CimOp.CIM_XOR: Window(self.i_ref_or, self.i_ref_and),
-        }
-        if op not in rules:
+        rule = self._rules.get(op)
+        if rule is None:
             raise ValueError(f"{op.value} has no single decode rule")
-        return rules[op]
+        return rule
 
     def decode_rules(self) -> dict[CimOp, DecodeRule]:
-        return {
-            op: self.decode_rule(op)
-            for op in (
-                CimOp.READ,
-                CimOp.CIM_NOT,
-                CimOp.CIM_AND,
-                CimOp.CIM_NAND,
-                CimOp.CIM_OR,
-                CimOp.CIM_NOR,
-                CimOp.CIM_XOR,
-            )
-        }
+        return dict(self._rules)
 
 
 @dataclass(frozen=True)
@@ -195,12 +186,15 @@ def validate_mapping(a: RowAddress, b: RowAddress) -> None:
         )
 
 
-def _word_from_bits(bits: Sequence[int]) -> int:
-    word = 0
-    for k, bit in enumerate(bits):
-        if bit:
-            word |= 1 << k
-    return word
+def _unpack(word: int, width: int) -> np.ndarray:
+    """Bits of a word as a 0/1 vector, column 0 first; any width."""
+    raw = np.frombuffer(word.to_bytes((width + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=width, bitorder="little")
+
+
+def _pack(bits) -> int:
+    """Word whose column k is set where ``bits[k]`` is nonzero; any width."""
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
 class CimArray:
@@ -254,7 +248,7 @@ class CimArray:
             raise OutOfBounds(
                 f"bit vector of width {len(bits)} != word width {g.cols_per_row}"
             )
-        return _word_from_bits(bits)
+        return _pack(np.asarray(bits, dtype=bool))
 
     def word(self, addr: RowAddress) -> int:
         """Stored word, bypassing the sense path (exact, noiseless)."""
@@ -264,10 +258,7 @@ class CimArray:
     def snapshot(self) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(bank) for bank in self._words)
 
-    def _cell(self, addr: RowAddress, col: int) -> MtjState:
-        return MtjState.from_bit((self._words[addr.bank][addr.row] >> col) & 1)
-
-    # -- disturbance plumbing ----------------------------------------------
+    # -- sensing -------------------------------------------------------------
 
     def _cell_disturbance(self, op: CimOp, addr: RowAddress) -> Disturbance:
         atk = self.attack
@@ -283,6 +274,17 @@ class CimArray:
             and op is CimOp.CIM_AND
             and atk.matches_op(op)
             and any(atk.row_targeted(a) for a in addrs)
+        )
+
+    def _currents(self, op: CimOp, *addrs: RowAddress) -> np.ndarray:
+        """One current per column for a one-row or two-row activation."""
+        dist = tuple(self._cell_disturbance(op, a) for a in addrs)
+        bits = [_unpack(self._words[a.bank][a.row], self.geometry.cols_per_row)
+                for a in addrs]
+        # a lone row passes its disturbance bare: a MeanShift there leaves
+        # single-cell senses unchanged instead of being rejected as per-cell
+        return sample_columns(
+            bits, self.model, dist if len(dist) > 1 else dist[0], self.rng
         )
 
     # -- host access --------------------------------------------------------
@@ -302,14 +304,7 @@ class CimArray:
         """Sense every column against the read reference; may misread."""
         self._check_addr(addr)
         rule = self.sense.decode_rule(CimOp.READ)
-        dist = self._cell_disturbance(CimOp.READ, addr)
-        bits = []
-        for col in range(self.geometry.cols_per_row):
-            current = sample_single_current(
-                self._cell(addr, col), self.model, dist, self.rng
-            )
-            bits.append(rule.apply(current))
-        word = _word_from_bits(bits)
+        word = _pack(rule.apply(self._currents(CimOp.READ, addr)))
         if self.recorder is not None:
             kind, ones, zeros, cost = word_read_cost(
                 word, self.geometry.cols_per_row, self.cost_table, self.enhanced
@@ -322,42 +317,20 @@ class CimArray:
     def _record_cim(self, op: CimOp, word: int) -> None:
         if self.recorder is None:
             return
+        kind = OpClass(op.value)  # every in-memory CimOp names its cost row
         ones = bin(word).count("1")
-        cost = cost_of(_OP_CLASS[op], self.cost_table, self.enhanced)
+        cost = cost_of(kind, self.cost_table, self.enhanced)
         self.recorder.record(
-            _OP_CLASS[op], cost, Channel.IN_MEMORY,
-            ones, self.geometry.cols_per_row - ones,
+            kind, cost, Channel.IN_MEMORY, ones, self.geometry.cols_per_row - ones
         )
 
     def cim_not(self, a: RowAddress) -> int:
         """Inverted read decode of one row."""
         self._check_addr(a)
         rule = self.sense.decode_rule(CimOp.CIM_NOT)
-        dist = self._cell_disturbance(CimOp.CIM_NOT, a)
-        bits = []
-        for col in range(self.geometry.cols_per_row):
-            current = sample_single_current(
-                self._cell(a, col), self.model, dist, self.rng
-            )
-            bits.append(rule.apply(current))
-        word = _word_from_bits(bits)
+        word = _pack(rule.apply(self._currents(CimOp.CIM_NOT, a)))
         self._record_cim(CimOp.CIM_NOT, word)
         return word
-
-    def _pair_currents(self, op: CimOp, a: RowAddress, b: RowAddress) -> list[float]:
-        """One summed-current sample per column for a two-row activation."""
-        dist = (self._cell_disturbance(op, a), self._cell_disturbance(op, b))
-        currents = []
-        for col in range(self.geometry.cols_per_row):
-            currents.append(
-                sample_pair_current(
-                    (self._cell(a, col), self._cell(b, col)),
-                    self.model,
-                    dist,
-                    self.rng,
-                )
-            )
-        return currents
 
     def cim_two_row(self, op: CimOp, a: RowAddress, b: RowAddress) -> int:
         """Two-row logic sense: AND, OR, NAND, NOR or XOR over all columns."""
@@ -366,11 +339,8 @@ class CimArray:
         self._check_addr(a)
         self._check_addr(b)
         validate_mapping(a, b)
-        rule = self.sense.decode_rule(op)
-        if self._forced(op, a, b):
-            rule = self.sense.decode_rule(CimOp.CIM_OR)
-        currents = self._pair_currents(op, a, b)
-        word = _word_from_bits([rule.apply(i) for i in currents])
+        rule = self.sense.decode_rule(CimOp.CIM_OR if self._forced(op, a, b) else op)
+        word = _pack(rule.apply(self._currents(op, a, b)))
         self._record_cim(op, word)
         return word
 
@@ -419,20 +389,20 @@ class CimArray:
         held in the controller; the result write-back is fault-free and is
         covered by the single add cost row.
         """
-        self._check_addr(dest)
+        for addr in (a, b, dest):
+            self._check_addr(addr)
         validate_mapping(a, b)
-        and_rule = self.sense.decode_rule(CimOp.CIM_AND)
-        or_rule = self.sense.decode_rule(CimOp.CIM_OR)
-        xor_rule = self.sense.decode_rule(CimOp.CIM_XOR)
-        currents = self._pair_currents(CimOp.CIM_ADD, a, b)
+        currents = self._currents(CimOp.CIM_ADD, a, b)
+        xor_bits, and_bits, or_bits = (
+            self.sense.decode_rule(op).apply(currents).tolist()
+            for op in (CimOp.CIM_XOR, CimOp.CIM_AND, CimOp.CIM_OR)
+        )
         carry = 0
-        total = 0
-        for col, current in enumerate(currents):
-            xor_bit = xor_rule.apply(current)
-            and_bit = and_rule.apply(current)
-            or_bit = or_rule.apply(current)
-            total |= (xor_bit ^ carry) << col
-            carry = and_bit | (carry & or_bit)
+        sums = []
+        for xor_bit, and_bit, or_bit in zip(xor_bits, and_bits, or_bits):
+            sums.append(xor_bit ^ carry)
+            carry = int(and_bit | (carry & or_bit))
+        total = _pack(sums)
         self._record_cim(CimOp.CIM_ADD, total)
         self.write_word(dest, total, record=False)
         return carry

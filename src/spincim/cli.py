@@ -50,6 +50,14 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def finite(text: str) -> float:
+    """argparse type: a float that is neither NaN nor infinite."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file overlaying the defaults")
     parser.add_argument("--seed", type=int, help="master seed override")
@@ -69,17 +77,17 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(p)
     p.add_argument("--op", default="CimAND",
                    choices=["CimAND", "CimOR", "CimNAND", "CimNOR", "CimXOR"])
-    p.add_argument("--noise", type=float, help="sense noise sigma override (uA)")
+    p.add_argument("--noise", type=finite, help="sense noise sigma override (uA)")
 
     p = sub.add_parser("mc-failure", help="Monte Carlo AND-decode failure rate")
     _common_flags(p)
     p.add_argument("--pair", default="AP,P", help='pair state, e.g. "AP,P"')
-    p.add_argument("--temp", type=float, default=None, help="zone temperature (C)")
+    p.add_argument("--temp", type=finite, default=None, help="zone temperature (C)")
 
     p = sub.add_parser("auth-attack", help="authentication bypass experiment")
     _common_flags(p)
     p.add_argument("--variant", choices=[v.value for v in AttackVariant])
-    p.add_argument("--temp", type=float, help="zone temperature (C)")
+    p.add_argument("--temp", type=finite, help="zone temperature (C)")
     p.add_argument("--force-flip", action="store_true",
                    help="flip targeted AND senses with probability one")
     p.add_argument("--user-policy", choices=["correct", "random"])
@@ -100,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mitigate", help="reference adaptation before/after rates")
     _common_flags(p)
     p.add_argument("--family", choices=["meanshift", "collapse"], default="collapse")
-    p.add_argument("--temp", type=float, help="zone temperature (C)")
+    p.add_argument("--temp", type=finite, help="zone temperature (C)")
 
     p = sub.add_parser("calibrate", help="fit noise and collapse parameters")
     _common_flags(p)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 from pathlib import Path
 
 from .array import ArrayGeometry, SenseConfig
@@ -116,6 +117,13 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
     return base
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):  # NaN, Infinity, or a literal beyond float range
+        raise ConfigError(f"config values must be finite numbers, got {text}")
+    return value
+
+
 def load_config(path: str | Path | None = None) -> dict:
     """Defaults overlaid with a JSON file; unknown keys are rejected."""
     config = copy.deepcopy(DEFAULT_CONFIG)
@@ -126,7 +134,7 @@ def load_config(path: str | Path | None = None) -> dict:
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_constant=_finite_float, parse_float=_finite_float)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
@@ -135,7 +143,7 @@ def load_config(path: str | Path | None = None) -> dict:
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 # runtime-only keys: they steer execution, never the experiment outcome
 _UNHASHED_KEYS = ("threads", "out_dir")

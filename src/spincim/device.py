@@ -147,7 +147,7 @@ class Collapse:
     """Thermally activated collapse of heated anti-parallel cells.
 
     Each AP cell in the heated zone independently reads at the next level up
-    with probability rho(dT) = exp(a + b*dT), clamped to [0, 1], where dT is
+    with probability rho(dT) = exp(min(0, a + b*dT)), where dT is
     the zone temperature above ambient (floored at zero). Parallel cells are
     stable under heat and never collapse.
     """
@@ -158,7 +158,8 @@ class Collapse:
 
     def rho(self, ambient_temp: float = AMBIENT_TEMP_C) -> float:
         dt = max(0.0, self.zone_temp - ambient_temp)
-        return min(1.0, max(0.0, math.exp(self.a + self.b * dt)))
+        # clamp the exponent, not the result: rho saturates at 1 for any dT
+        return math.exp(min(0.0, self.a + self.b * dt))
 
 
 Disturbance = Union[MeanShift, Collapse, None]
@@ -170,10 +171,55 @@ def trial_rng(master_seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng((master_seed, index))
 
 
-def _require_rng(rng, model: CurrentLevelModel, stochastic: bool):
+def _require_rng(rng, stochastic: bool):
     if rng is None and stochastic:
         raise ValueError("a random generator is required for stochastic sampling")
-    return rng
+
+
+def _per_row(disturbance: CellDisturbances, rows: int) -> tuple[Disturbance, ...]:
+    if isinstance(disturbance, tuple):
+        if any(isinstance(d, MeanShift) for d in disturbance):
+            raise ValueError("mean shift is a pair-level disturbance, not per-cell")
+        return disturbance
+    return (disturbance,) * rows
+
+
+def sample_columns(
+    bits,
+    model: CurrentLevelModel,
+    disturbance: CellDisturbances = None,
+    rng: np.random.Generator | None = None,
+) -> np.ndarray:
+    """Sample one sense current per column, in uA, as an ndarray.
+
+    ``bits`` holds one 0/1 vector per activated row: one row senses single
+    cells against the single levels, two rows sense summed pairs against the
+    pair ladder. A column's level index is its number of parallel cells.
+    ``disturbance`` applies to every row, or is a per-row tuple.
+
+    Draw order: for each row whose disturbance is Collapse, one uniform per
+    column (an AP cell collapses one level up when its uniform is below
+    rho); then one normal per column when sigma > 0. The number of draws
+    never depends on the stored bits. A pair-level MeanShift adds
+    ``shifts[index]``; it has no effect on single-cell senses.
+    """
+    rows = [np.asarray(b) for b in bits]
+    per_row = _per_row(disturbance, len(rows))
+    heated = [(row, d) for row, d in zip(rows, per_row) if isinstance(d, Collapse)]
+    _require_rng(rng, bool(heated) or model.sigma > 0)
+    n = len(rows[0])
+    idx = sum(rows).astype(np.intp)
+    for row, d in heated:
+        idx += (rng.random(n) < d.rho(model.ambient_temp)) & (row == 0)
+    if len(rows) == 1:
+        out = np.array((model.mu_ap, model.mu_p))[idx]
+    else:
+        out = np.array(model.pair_ladder)[idx]
+        if isinstance(disturbance, MeanShift):
+            out += np.array(disturbance.shifts)[idx]
+    if model.sigma > 0:
+        out += rng.normal(0.0, model.sigma, n)
+    return out
 
 
 def sample_single_current(
@@ -187,33 +233,13 @@ def sample_single_current(
 
     Under a Collapse disturbance an AP cell is replaced by the P level with
     probability rho before noise is added; P cells never collapse. A mean
-    shift has no effect on single-cell senses. With ``size`` set, returns an
-    ndarray of independent samples drawn from the same stream.
+    shift has no effect on single-cell senses. Returns a float, or with
+    ``size`` set an ndarray of independent samples; both are drawn by
+    :func:`sample_columns`.
     """
-    collapsing = isinstance(disturbance, Collapse) and state is MtjState.AP
-    _require_rng(rng, model, collapsing or model.sigma > 0)
-    mean = model.single_level(state)
-    if size is None:
-        if collapsing and rng.random() < disturbance.rho(model.ambient_temp):
-            mean = model.mu_p
-        if model.sigma > 0:
-            return mean + rng.normal(0.0, model.sigma)
-        return mean
-    out = np.full(size, mean, dtype=float)
-    if collapsing:
-        hit = rng.random(size) < disturbance.rho(model.ambient_temp)
-        out[hit] = model.mu_p
-    if model.sigma > 0:
-        out += rng.normal(0.0, model.sigma, size)
-    return out
-
-
-def _per_cell(disturbance: CellDisturbances) -> tuple[Disturbance, Disturbance]:
-    if isinstance(disturbance, tuple):
-        if any(isinstance(d, MeanShift) for d in disturbance):
-            raise ValueError("mean shift is a pair-level disturbance, not per-cell")
-        return disturbance
-    return disturbance, disturbance
+    bits = np.full(1 if size is None else size, state.bit)
+    out = sample_columns((bits,), model, disturbance, rng)
+    return float(out[0]) if size is None else out
 
 
 def sample_pair_current(
@@ -230,41 +256,26 @@ def sample_pair_current(
     promotes the pair level one step up the ladder. A pair-level MeanShift
     adds its configured shift to the nominal level. Noise is applied once at
     the sense node. ``disturbance`` may also be a per-cell pair (for senses
-    where only one operand row sits in the heated zone).
+    where only one operand row sits in the heated zone). With ``size`` set,
+    returns an ndarray of independent samples drawn by :func:`sample_columns`.
     """
-    base = pair_index(states)
-    ladder = model.pair_ladder
-    if isinstance(disturbance, MeanShift):
-        mean = ladder[base] + disturbance.shifts[base]
-        d0 = d1 = None
-    else:
-        mean = ladder[base]
-        d0, d1 = _per_cell(disturbance)
-    cell_dist = (d0, d1)
+    if size is not None:
+        bits = [np.full(size, s.bit) for s in states]
+        return sample_columns(bits, model, disturbance, rng)
+    idx = pair_index(states)
     collapsible = [
-        d for s, d in zip(states, cell_dist)
+        d for s, d in zip(states, _per_row(disturbance, 2))
         if s is MtjState.AP and isinstance(d, Collapse)
     ]
-    _require_rng(rng, model, bool(collapsible) or model.sigma > 0)
-    if size is None:
-        idx = base
-        for d in collapsible:
-            if rng.random() < d.rho(model.ambient_temp):
-                idx += 1
-        value = ladder[idx] if not isinstance(disturbance, MeanShift) else mean
-        if model.sigma > 0:
-            return value + rng.normal(0.0, model.sigma)
-        return value
+    _require_rng(rng, bool(collapsible) or model.sigma > 0)
+    for d in collapsible:
+        idx += rng.random() < d.rho(model.ambient_temp)
+    value = model.pair_ladder[idx]
     if isinstance(disturbance, MeanShift):
-        out = np.full(size, mean, dtype=float)
-    else:
-        idx = np.full(size, base, dtype=np.intp)
-        for d in collapsible:
-            idx += rng.random(size) < d.rho(model.ambient_temp)
-        out = np.asarray(ladder, dtype=float)[idx]
+        value += disturbance.shifts[idx]
     if model.sigma > 0:
-        out = out + rng.normal(0.0, model.sigma, size)
-    return out
+        return value + rng.normal(0.0, model.sigma)
+    return value
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,9 @@ from spincim import (
     trial_rng,
     validate_mapping,
 )
+from spincim import analytic
 from spincim.array import InvertedThreshold, Threshold, Window
+from spincim.device import MtjState
 
 from conftest import MASTER_SEED
 
@@ -39,7 +41,9 @@ class TestReadWrite:
     def test_write_all_ones_sets_parallel_states(self, zero_noise_model):
         arr = make_array(zero_noise_model)
         arr.write_word(A, 0xFFFF)
-        assert all(arr._cell(A, col).value == "P" for col in range(16))
+        # every column senses at the parallel (P) single-cell level
+        currents = arr._currents(CimOp.READ, A)
+        assert currents.tolist() == [zero_noise_model.mu_p] * 16
 
     def test_word_width_contract(self, zero_noise_model):
         arr = make_array(zero_noise_model)
@@ -267,6 +271,60 @@ class TestHeatedFailureRates:
         cold_failures = sum(arr.cim_and(cold_a, cold_b) for _ in range(10_000))
         # natural rate 0.5%: 3 binomial sigma at 1e4 trials is ~0.21 pp
         assert abs(cold_failures / 10_000 - 0.005) <= 0.0022
+
+
+    def test_sixteen_columns_with_one_heated_row_follow_per_column_oracle(self, model):
+        # columns cycle through (a, b) = (1,1), (0,1), (1,0), (0,0); only row
+        # a is heated, so a column collapses only where a holds an AP cell
+        from _oracles import binomial_3sigma
+
+        arr = CimArray(model=model, rng=trial_rng(MASTER_SEED, 73))
+        a_word, b_word = 0x5555, 0x3333
+        arr.write_word(A, a_word)
+        arr.write_word(B, b_word)
+        hot = Collapse(zone_temp=100.0)
+        arr.attack = SenseDisturbance(
+            disturbance=hot, rows=frozenset({A}), ops=frozenset({CimOp.CIM_AND})
+        )
+        trials = 10_000
+        ones = np.zeros(16)
+        for _ in range(trials):
+            word = arr.cim_and(A, B)
+            ones += [(word >> k) & 1 for k in range(16)]
+        for k in range(16):
+            states = (MtjState.from_bit(a_word >> k & 1), MtjState.from_bit(b_word >> k & 1))
+            p = analytic.pair_exceed(model, states, arr.sense.i_ref_and, (hot, None))
+            assert abs(ones[k] / trials - p) <= binomial_3sigma(p, trials), k
+
+
+class TestWideWords:
+    @pytest.mark.parametrize("width", [65, 100])
+    def test_zero_noise_ops_exact_beyond_64_columns(self, zero_noise_model, width):
+        geometry = ArrayGeometry(cols_per_row=width)
+        arr = CimArray(geometry=geometry, model=zero_noise_model)
+        mask = geometry.word_mask
+        rng = np.random.default_rng(width)
+        pairs = [(mask, 1), (1 << (width - 1), 1 << (width - 1)), (0, mask)]
+        pairs += [
+            tuple(int.from_bytes(rng.bytes(16), "little") & mask for _ in range(2))
+            for _ in range(20)
+        ]
+        for a, b in pairs:
+            arr.write_word(A, a)
+            arr.write_word(B, b)
+            assert arr.read_word(A) == a
+            assert arr.cim_not(A) == ~a & mask
+            assert arr.cim_and(A, B) == a & b
+            assert arr.cim_or(A, B) == a | b
+            assert arr.cim_xor(A, B) == a ^ b
+            assert arr.cim_add(A, B, C) == (a + b) >> width
+            assert arr.word(C) == (a + b) & mask
+
+    def test_bit_vector_write_at_100_columns(self, zero_noise_model):
+        arr = CimArray(geometry=ArrayGeometry(cols_per_row=100), model=zero_noise_model)
+        bits = [k % 3 == 0 for k in range(100)]
+        arr.write_word(A, bits)
+        assert arr.word(A) == sum(1 << k for k, bit in enumerate(bits) if bit)
 
 
 class TestSenseSharing:

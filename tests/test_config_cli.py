@@ -9,9 +9,12 @@ from spincim.config import (
     build_cost_table,
     build_model,
     build_sense,
+    canonical_json,
     config_hash,
     load_config,
 )
+
+from _oracles import binomial_3sigma, collapse_pair_exceed
 
 class TestConfig:
     def test_defaults_build_shipped_model(self):
@@ -66,6 +69,17 @@ class TestConfig:
         with pytest.raises(ConfigError):
             build_cost_table(load_config(path))
 
+    def test_non_finite_config_value_rejected(self, tmp_path):
+        path = tmp_path / "bad.json"
+        for constant in ("NaN", "Infinity", "-Infinity", "1e999"):
+            path.write_text('{"attack": {"zone_temp": %s}}' % constant)
+            with pytest.raises(ConfigError, match="finite"):
+                load_config(path)
+
+    def test_canonical_json_refuses_nan(self):
+        with pytest.raises(ValueError):
+            canonical_json({"zone_temp": float("nan")})
+
     def test_hash_ignores_runtime_keys(self):
         base = load_config()
         noisy = load_config()
@@ -116,6 +130,34 @@ class TestCli:
         payload = report["report"]
         assert payload["analytic_rate"] == pytest.approx(0.044, abs=0.002)
         assert abs(payload["rate"] - payload["analytic_rate"]) < 0.012
+
+    @pytest.mark.parametrize("command", ["mc-failure", "auth-attack", "mitigate"])
+    @pytest.mark.parametrize("temp", ["nan", "inf", "-inf"])
+    def test_non_finite_temperature_exits_one(self, capsys, tmp_path, command, temp):
+        assert main([command, f"--temp={temp}", "--out", str(tmp_path)]) == 1
+        assert "must be a finite number" in capsys.readouterr().err
+        assert not (tmp_path / f"{command}.json").exists()
+
+    def test_nan_config_temperature_exits_one(self, capsys, tmp_path):
+        config = tmp_path / "nan.json"
+        config.write_text('{"attack": {"zone_temp": NaN}}')
+        code = main(["mc-failure", "--config", str(config), "--out", str(tmp_path)])
+        assert code == 1
+        assert "finite" in capsys.readouterr().err
+
+    def test_extreme_temperature_saturates_collapse(self, capsys, tmp_path):
+        # rho = exp(a + b*dT) would overflow; it saturates at 1 instead, so
+        # both AP cells always collapse and the pair senses at the P,P level
+        code, report = run_cli(
+            capsys, "mc-failure", "--pair", "AP,AP", "--temp", "20000",
+            "--trials", "2000", "--out", str(tmp_path),
+        )
+        assert code == 0
+        payload = report["report"]
+        model = build_model(load_config())
+        oracle = collapse_pair_exceed(model.pair_ladder, 0, model.sigma, 21.45, 1.0)
+        assert payload["analytic_rate"] == pytest.approx(oracle, rel=1e-12)
+        assert abs(payload["rate"] - oracle) <= binomial_3sigma(oracle, 2000)
 
     def test_reports_byte_identical_across_runs_and_threads(self, capsys, tmp_path):
         args = ["mc-failure", "--pair", "AP,P", "--temp", "100",

@@ -14,6 +14,7 @@ from spincim import (
     NonConvergence,
     calibrate,
     parse_pair,
+    sample_columns,
     sample_pair_current,
     sample_single_current,
     trial_rng,
@@ -121,6 +122,17 @@ class TestPairCurrent:
         ]
         assert got == pytest.approx([17.2, 20.6, 23.3])
 
+    def test_column_draw_count_ignores_stored_bits(self, model):
+        hot = Collapse(zone_temp=100.0)
+
+        def next_draw(bits_a, bits_b):
+            rng = trial_rng(MASTER_SEED, 8)
+            sample_columns((bits_a, bits_b), model, (hot, hot), rng)
+            return rng.random()
+
+        zeros, ones = np.zeros(16, np.uint8), np.ones(16, np.uint8)
+        assert next_draw(zeros, zeros) == next_draw(ones, ones) == next_draw(zeros, ones)
+
     def test_mean_shift_not_valid_per_cell(self, zero_noise_model):
         with pytest.raises(ValueError):
             sample_pair_current(
@@ -190,6 +202,11 @@ class TestValidation:
         # zone below ambient floors dT at zero
         cold = Collapse(a=-2.0, b=0.1, zone_temp=0.0)
         assert cold.rho(20.0) == pytest.approx(math.exp(-2.0))
+
+    def test_collapse_probability_saturates_without_overflow(self):
+        # a + b*dT far beyond the float exponent range still gives rho = 1
+        assert Collapse(zone_temp=20000.0).rho(20.0) == 1.0
+        assert Collapse(a=0.0, b=1e6, zone_temp=1e6).rho(20.0) == 1.0
 
     def test_stochastic_sampling_requires_generator(self, model):
         with pytest.raises(ValueError):
