@@ -50,12 +50,11 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def finite(text: str) -> float:
-    """argparse type: a float that is neither NaN nor infinite."""
-    value = float(text)
-    if not np.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
-    return value
+def _finite(text: str) -> float:
+    try:
+        return cfgmod.finite_number(text)
+    except (ConfigError, ValueError) as exc:
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}") from exc
 
 
 def _common_flags(parser: argparse.ArgumentParser) -> None:
@@ -77,17 +76,17 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(p)
     p.add_argument("--op", default="CimAND",
                    choices=["CimAND", "CimOR", "CimNAND", "CimNOR", "CimXOR"])
-    p.add_argument("--noise", type=finite, help="sense noise sigma override (uA)")
+    p.add_argument("--noise", type=_finite, help="sense noise sigma override (uA)")
 
     p = sub.add_parser("mc-failure", help="Monte Carlo AND-decode failure rate")
     _common_flags(p)
     p.add_argument("--pair", default="AP,P", help='pair state, e.g. "AP,P"')
-    p.add_argument("--temp", type=finite, default=None, help="zone temperature (C)")
+    p.add_argument("--temp", type=_finite, default=None, help="zone temperature (C)")
 
     p = sub.add_parser("auth-attack", help="authentication bypass experiment")
     _common_flags(p)
     p.add_argument("--variant", choices=[v.value for v in AttackVariant])
-    p.add_argument("--temp", type=finite, help="zone temperature (C)")
+    p.add_argument("--temp", type=_finite, help="zone temperature (C)")
     p.add_argument("--force-flip", action="store_true",
                    help="flip targeted AND senses with probability one")
     p.add_argument("--user-policy", choices=["correct", "random"])
@@ -108,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mitigate", help="reference adaptation before/after rates")
     _common_flags(p)
     p.add_argument("--family", choices=["meanshift", "collapse"], default="collapse")
-    p.add_argument("--temp", type=finite, help="zone temperature (C)")
+    p.add_argument("--temp", type=_finite, help="zone temperature (C)")
 
     p = sub.add_parser("calibrate", help="fit noise and collapse parameters")
     _common_flags(p)

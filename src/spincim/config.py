@@ -117,11 +117,11 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
     return base
 
 
-def _finite_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):  # NaN, Infinity, or a literal beyond float range
-        raise ConfigError(f"config values must be finite numbers, got {text}")
-    return value
+def finite_number(text: str, parse=float):
+    """``parse(text)``, refusing NaN, infinities and literals beyond float range."""
+    if not math.isfinite(float(text)):
+        raise ConfigError(f"must be a finite number, got {text}")
+    return parse(text)
 
 
 def load_config(path: str | Path | None = None) -> dict:
@@ -134,7 +134,12 @@ def load_config(path: str | Path | None = None) -> dict:
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
-        data = json.loads(text, parse_constant=_finite_float, parse_float=_finite_float)
+        data = json.loads(
+            text,
+            parse_constant=finite_number,
+            parse_float=finite_number,
+            parse_int=lambda t: finite_number(t, int),
+        )
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):

@@ -212,9 +212,9 @@ def sample_columns(
     for row, d in heated:
         idx += (rng.random(n) < d.rho(model.ambient_temp)) & (row == 0)
     if len(rows) == 1:
-        out = np.array((model.mu_ap, model.mu_p))[idx]
+        out = np.array((model.mu_ap, model.mu_p), dtype=float)[idx]
     else:
-        out = np.array(model.pair_ladder)[idx]
+        out = np.array(model.pair_ladder, dtype=float)[idx]
         if isinstance(disturbance, MeanShift):
             out += np.array(disturbance.shifts)[idx]
     if model.sigma > 0:

@@ -71,7 +71,7 @@ class TestConfig:
 
     def test_non_finite_config_value_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
-        for constant in ("NaN", "Infinity", "-Infinity", "1e999"):
+        for constant in ("NaN", "Infinity", "-Infinity", "1e999", "1" * 400):
             path.write_text('{"attack": {"zone_temp": %s}}' % constant)
             with pytest.raises(ConfigError, match="finite"):
                 load_config(path)
@@ -219,6 +219,19 @@ class TestCli:
         )
         assert code == 0
         assert report["report"]["trials"] == 300
+
+    def test_auth_attack_integer_levels(self, capsys, tmp_path):
+        config = tmp_path / "int.json"
+        config.write_text(json.dumps({"device": {
+            "single_levels": {"AP": 10, "P": 15},
+            "pair_levels": {"AP,AP": 17, "AP,P": 20, "P,P": 23},
+        }}))
+        code, report = run_cli(
+            capsys, "auth-attack", "--config", str(config), "--variant", "XnorLevel",
+            "--temp", "100", "--trials", "50", "--out", str(tmp_path),
+        )
+        assert code == 0
+        assert report["report"]["trials"] == 50
 
     def test_mitigate_smoke(self, capsys, tmp_path):
         code, report = run_cli(

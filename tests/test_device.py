@@ -133,6 +133,18 @@ class TestPairCurrent:
         zeros, ones = np.zeros(16, np.uint8), np.ones(16, np.uint8)
         assert next_draw(zeros, zeros) == next_draw(ones, ones) == next_draw(zeros, ones)
 
+    def test_integer_levels_sample_as_float(self):
+        # JSON configs may give levels as integers; noise still adds in float
+        model = CurrentLevelModel(mu_ap=10, mu_p=15, mu_ap_ap=17, mu_ap_p=20, mu_p_p=23)
+        bits = np.array([0, 1, 0, 1], np.uint8)
+        for rows, dist in [
+            ((bits,), Collapse(zone_temp=100.0)),
+            ((bits, bits[::-1]), Collapse(zone_temp=100.0)),
+            ((bits, bits[::-1]), MeanShift(1, 2, 3)),
+        ]:
+            got = sample_columns(rows, model, dist, trial_rng(MASTER_SEED, 9))
+            assert got.dtype == np.float64 and np.isfinite(got).all()
+
     def test_mean_shift_not_valid_per_cell(self, zero_noise_model):
         with pytest.raises(ValueError):
             sample_pair_current(
