@@ -164,12 +164,13 @@ def run_trials(
         for i in range(lo, hi):
             outcomes[i] = trial_fn(i, trial_rng(seed, i))
 
-    if threads <= 1:
+    workers = min(threads, trials)  # no thread without a trial to run
+    if workers <= 1:
         fill(0, trials)
     else:
-        chunk = (trials + threads - 1) // threads
-        bounds = [(k * chunk, min((k + 1) * chunk, trials)) for k in range(threads)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        chunk = (trials + workers - 1) // workers
+        bounds = [(lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(lambda span: fill(*span), bounds))
     return int(outcomes.sum())
 

@@ -125,7 +125,7 @@ def _resolve(args) -> dict:
         config["threads"] = args.threads
     if args.out is not None:
         config["out_dir"] = args.out
-    return config
+    return cfgmod.validate_run(config)
 
 
 def _emit(config: dict, command: str, payload: dict, extra_files=()) -> dict:

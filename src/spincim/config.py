@@ -124,6 +124,40 @@ def finite_number(text: str, parse=float):
     return parse(text)
 
 
+def _is_sigma(value) -> bool:
+    return type(value) in (int, float) and math.isfinite(value) and value >= 0
+
+
+def _int_at_least(least: int):
+    return (lambda value: type(value) is int and value >= least), f"an integer >= {least}"
+
+
+# leaves a flag or a file sets and an experiment reads as a seed, a count or
+# a noise level: (check, what the value must be)
+_RUN_LEAVES = {
+    ("seed",): _int_at_least(0),
+    ("trials",): _int_at_least(1),
+    ("threads",): _int_at_least(1),
+    ("sca", "samples_per_class"): _int_at_least(1),
+    ("sca", "sigma_duration"): (_is_sigma, "a finite number >= 0"),
+    ("sca", "sweep_sigma_energy"): (
+        lambda value: type(value) in (list, tuple) and all(map(_is_sigma, value)),
+        "a list of finite numbers >= 0",
+    ),
+}
+
+
+def validate_run(config: dict) -> dict:
+    """``config``, once its seed, trial, thread and sca leaves are in range."""
+    for path, (check, want) in _RUN_LEAVES.items():
+        value = config
+        for key in path:
+            value = value[key]
+        if not check(value):
+            raise ConfigError(f"{'.'.join(path)} must be {want}, got {value!r}")
+    return config
+
+
 def load_config(path: str | Path | None = None) -> dict:
     """Defaults overlaid with a JSON file; unknown keys are rejected."""
     config = copy.deepcopy(DEFAULT_CONFIG)

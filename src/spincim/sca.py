@@ -22,6 +22,7 @@ from .cost import (
     cost_of,
     single_word_write_event,
 )
+from .device import trial_rng
 from .errors import MalformedTrace, MissingClass
 
 STANDARD_CLASSES = ("Read1", "Read0", "Write1", "Write0")
@@ -40,19 +41,32 @@ class LabeledObservation:
 
 
 class Dataset:
-    """Immutable feature matrix (duration, energy) with string labels."""
+    """Immutable (N, 2) feature matrix (duration, energy) with class labels.
 
-    def __init__(self, features: np.ndarray, labels: Sequence[str]):
+    ``labels`` are names, or integer codes into ``classes`` when that is given.
+    """
+
+    def __init__(self, features: np.ndarray, labels, classes: Sequence[str] | None = None):
+        if classes is None:
+            classes = tuple(dict.fromkeys(labels))
+            labels = [classes.index(label) for label in labels]
         features = np.asarray(features, dtype=float)
+        codes = np.asarray(labels, dtype=np.intp)
         if features.ndim != 2 or features.shape[1] != 2:
             raise ValueError("features must be an (N, 2) array")
-        if len(labels) != len(features):
+        if codes.shape != (len(features),):
             raise ValueError("labels and features must have equal length")
+        if codes.size and not 0 <= codes.min() <= codes.max() < len(classes):
+            raise ValueError("label codes must index the class names")
         if not np.isfinite(features).all():
             raise ValueError("features must be finite")
-        self.features = features
+        self.features, self.codes, self.classes = features, codes, tuple(classes)
         self.features.setflags(write=False)
-        self.labels = tuple(labels)
+        self.codes.setflags(write=False)
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        return tuple(self.classes[k] for k in self.codes.tolist())
 
     @classmethod
     def from_observations(cls, observations: Iterable[LabeledObservation]) -> "Dataset":
@@ -61,7 +75,7 @@ class Dataset:
         return cls(feats.reshape(-1, 2), [o.label for o in obs])
 
     def __len__(self) -> int:
-        return len(self.labels)
+        return len(self.codes)
 
     def to_csv(self, target) -> None:
         import csv
@@ -93,16 +107,12 @@ def synthesize_dataset(
     rng: np.random.Generator,
 ) -> Dataset:
     """Noisy observations around the cost-table centroids, class by class."""
-    feats = []
-    labels = []
-    for name in classes:
-        centre = class_centroid(name, table, enhanced)
-        noise = rng.normal(
-            0.0, [sigma_duration, sigma_energy], (samples_per_class, 2)
-        )
-        feats.append(np.asarray(centre) + noise)
-        labels.extend([name] * samples_per_class)
-    return Dataset(np.vstack(feats), labels)
+    centres = np.array([class_centroid(name, table, enhanced) for name in classes])
+    codes = np.repeat(np.arange(len(classes)), samples_per_class)
+    # one draw of all rows takes the same normals as one draw per class
+    noise = rng.normal(0.0, [sigma_duration, sigma_energy], (len(codes), 2))
+    feats = np.repeat(centres, samples_per_class, axis=0) + noise
+    return Dataset(feats, codes, classes)
 
 
 @dataclass
@@ -114,8 +124,10 @@ class CentroidClassifier:
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Index of the nearest centroid under the shared diagonal metric."""
         features = np.atleast_2d(np.asarray(features, dtype=float))
-        diff = (features[:, None, :] - self.centroids[None, :, :]) / self.sigma
-        return np.argmin((diff**2).sum(axis=2), axis=1)
+        (c_d, c_e), (s_d, s_e) = self.centroids.T, self.sigma
+        # one expression lets numpy reuse its temporaries: two (N, C) arrays at most
+        dist = ((features[:, :1] - c_d) / s_d) ** 2 + ((features[:, 1:] - c_e) / s_e) ** 2
+        return np.argmin(dist, axis=1)
 
     def predict_labels(self, features: np.ndarray) -> list[str]:
         return [self.classes[i] for i in self.predict(features)]
@@ -141,32 +153,42 @@ class CentroidClassifier:
         return out
 
 
+def _codes_in(dataset: Dataset, classes: Sequence[str]) -> np.ndarray:
+    """Each observation's index into ``classes``; ValueError if one has none."""
+    index = {c: k for k, c in enumerate(classes)}
+    remap = np.array([index.get(c, -1) for c in dataset.classes], dtype=np.intp)
+    codes = remap[dataset.codes]
+    if (codes < 0).any():
+        unknown = dataset.classes[dataset.codes[codes.argmin()]]
+        raise ValueError(f"label {unknown!r} is not one of the classes {list(classes)}")
+    return codes
+
+
 def train(
     dataset: Dataset, classes: Sequence[str] | None = None
 ) -> CentroidClassifier:
     """Fit per-class means and the pooled diagonal deviation.
 
-    Raises MissingClass if an expected class has no observation.
+    Raises MissingClass if an expected class has no observation, and
+    ValueError if an observation belongs to no expected class.
     """
-    present = sorted(set(dataset.labels))
-    expected = sorted(classes) if classes is not None else present
-    missing = [c for c in expected if c not in present]
+    expected = sorted(set(dataset.classes if classes is None else classes))
+    target = _codes_in(dataset, expected)
+    subsets = [dataset.features[target == k] for k in range(len(expected))]
+    missing = [c for c, sub in zip(expected, subsets) if not len(sub)]
     if missing or not expected:
         raise MissingClass(f"no observations for classes: {missing or expected}")
-    labels = np.asarray(dataset.labels)
-    rows = []
-    for c in expected:
-        sub = dataset.features[labels == c]
-        # identical observations average to themselves exactly
-        rows.append(np.where(sub.min(0) == sub.max(0), sub[0], sub.mean(0)))
-    centroids = np.vstack(rows)
-    lookup = {c: k for k, c in enumerate(expected)}
-    resid = dataset.features - centroids[[lookup[l] for l in dataset.labels]]
+    # identical observations average to themselves exactly
+    centroids = np.array(
+        [np.where((sub == sub[0]).all(0), sub[0], sub.mean(0)) for sub in subsets]
+    )
+    resid = dataset.features - centroids.take(target, axis=0)
     dof = max(len(dataset) - len(expected), 1)
     var = (resid**2).sum(axis=0) / dof
-    spread = dataset.features.max(axis=0) - dataset.features.min(axis=0)
+    cols = np.asfortranarray(dataset.features)  # column extremes scan contiguously
+    spread = cols.max(axis=0) - cols.min(axis=0)
     floor = _SIGMA_FLOOR_REL * np.where(
-        spread > 0, spread, np.maximum(np.abs(dataset.features).max(axis=0), 1.0)
+        spread > 0, spread, np.maximum(np.abs(cols).max(axis=0), 1.0)
     )
     sigma = np.maximum(np.sqrt(var), floor)
     return CentroidClassifier(tuple(expected), centroids, sigma)
@@ -176,20 +198,14 @@ def confusion_matrix(
     classifier: CentroidClassifier, test_set: Dataset
 ) -> tuple[np.ndarray, float]:
     """Row-stochastic confusion matrix over true classes, plus accuracy."""
-    lookup = {c: k for k, c in enumerate(classifier.classes)}
-    try:
-        truth = np.asarray([lookup[l] for l in test_set.labels])
-    except KeyError as exc:
-        raise ValueError(f"test label {exc} unknown to the classifier") from exc
+    truth = _codes_in(test_set, classifier.classes)
     pred = classifier.predict(test_set.features)
     n_classes = len(classifier.classes)
-    matrix = np.zeros((n_classes, n_classes), dtype=float)
-    for t, p in zip(truth, pred):
-        matrix[t, p] += 1.0
+    counts = np.bincount(truth * n_classes + pred, minlength=n_classes**2)
+    matrix = counts.reshape(n_classes, n_classes).astype(float)
     row_sums = matrix.sum(axis=1, keepdims=True)
     accuracy = float(np.trace(matrix) / max(len(test_set), 1))
-    with np.errstate(invalid="ignore"):
-        matrix = np.where(row_sums > 0, matrix / row_sums, 0.0)
+    matrix = np.divide(matrix, row_sums, out=np.zeros_like(matrix), where=row_sums > 0)
     return matrix, accuracy
 
 
@@ -261,7 +277,7 @@ def obscuring_experiment(
     composite = np.asarray(composite_window(table))
     results = []
     for level_idx, (sig_d, sig_e) in enumerate(noise_levels):
-        rng = np.random.default_rng((seed, level_idx))
+        rng = trial_rng(seed, level_idx)
         train_set = synthesize_dataset(
             STANDARD_CLASSES, table, False, samples, sig_d, sig_e, rng
         )

@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spincim import ConfigError
 from spincim.cli import main
@@ -212,6 +217,33 @@ class TestCli:
             assert row["enhanced_11_class"] <= row["standard_4_class"]
         assert (tmp_path / "sca.csv").exists()
 
+    def test_sca_report_golden(self, capsys, tmp_path):
+        # captured before labels became integer codes: any change to the
+        # noise stream or the classifier arithmetic moves these digits
+        config = tmp_path / "tiny.json"
+        config.write_text('{"sca": {"samples_per_class": 200}}')
+        code, report = run_cli(
+            capsys, "sca", "--config", str(config), "--seed", "7", "--out", str(tmp_path)
+        )
+        assert code == 0
+        assert report["report"] == {"samples_per_class": 200, "rows": [
+            {"sigma_duration": 0.05, "sigma_energy": 0.5,
+             "standard_4_class": 0.92625, "enhanced_11_class": 0.7186363636363636},
+            {"sigma_duration": 0.05, "sigma_energy": 1.0,
+             "standard_4_class": 0.83125, "enhanced_11_class": 0.6127272727272727},
+            {"sigma_duration": 0.05, "sigma_energy": 2.0,
+             "standard_4_class": 0.79875, "enhanced_11_class": 0.5377272727272727},
+            {"sigma_duration": 0.05, "sigma_energy": 5.0,
+             "standard_4_class": 0.78, "enhanced_11_class": 0.4622727272727273},
+        ]}
+        assert (tmp_path / "sca.csv").read_bytes().decode() == (
+            'sigma_duration,sigma_energy,standard_4_class,enhanced_11_class\r\n'
+            '0.05,0.5,0.92625,0.7186363636363636\r\n'
+            '0.05,1.0,0.83125,0.6127272727272727\r\n'
+            '0.05,2.0,0.79875,0.5377272727272727\r\n'
+            '0.05,5.0,0.78,0.4622727272727273\r\n'
+        )
+
     def test_auth_attack_smoke(self, capsys, tmp_path):
         code, report = run_cli(
             capsys, "auth-attack", "--variant", "XnorLevel", "--temp", "100",
@@ -251,8 +283,68 @@ class TestCli:
         bad.write_text('{"devize": 1}')
         assert main(["margins", "--config", str(bad)]) == 1
 
+    @pytest.mark.parametrize("overlay,flags,key", [
+        ({"seed": 1.5}, [], "seed"),
+        ({"seed": True}, [], "seed"),
+        ({}, ["--seed", "-1"], "seed"),
+        ({"trials": "many"}, [], "trials"),
+        ({}, ["--trials", "0"], "trials"),
+        ({}, ["--threads", "-3"], "threads"),
+        ({"sca": {"samples_per_class": "x"}}, [], "sca.samples_per_class"),
+        ({"sca": {"samples_per_class": 2.5}}, [], "sca.samples_per_class"),
+        ({"sca": {"sigma_duration": -0.1}}, [], "sca.sigma_duration"),
+        ({"sca": {"sweep_sigma_energy": [1.0, -2.0]}}, [], "sca.sweep_sigma_energy"),
+        ({"sca": {"sweep_sigma_energy": "1.0"}}, [], "sca.sweep_sigma_energy"),
+    ])
+    @pytest.mark.parametrize("command", ["mc-failure", "sca"])
+    def test_out_of_range_run_leaf_exits_one(
+        self, capsys, tmp_path, command, overlay, flags, key
+    ):
+        config = tmp_path / "overlay.json"
+        config.write_text(json.dumps(overlay))
+        code = main([command, "--config", str(config), *flags, "--out", str(tmp_path)])
+        assert code == 1
+        assert f"error: {key} must be" in capsys.readouterr().err
+        assert not (tmp_path / f"{command}.json").exists()
+
     def test_experiment_error_exits_two(self, capsys, tmp_path):
         assert main(
             ["isa-run", "--program", str(tmp_path / "absent.cim"),
              "--out", str(tmp_path)]
         ) == 2
+
+
+_LEAF = st.one_of(
+    st.integers(-2, 50), st.floats(-5.0, 50.0), st.booleans(), st.none(), st.text(max_size=2)
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    command=st.sampled_from(["mc-failure", "sca"]),
+    overlay=st.fixed_dictionaries({}, optional={
+        "seed": _LEAF,
+        "trials": _LEAF,
+        "threads": st.one_of(st.integers(-2, 4), st.floats(-1.0, 4.0), st.text(max_size=2)),
+        "sca": st.fixed_dictionaries({}, optional={
+            "samples_per_class": _LEAF,
+            "sigma_duration": _LEAF,
+            "sweep_sigma_energy": st.one_of(_LEAF, st.lists(_LEAF, max_size=3)),
+        }),
+    }),
+    flags=st.lists(st.tuples(
+        st.sampled_from(["--seed", "--trials", "--threads"]), st.integers(-2, 4)
+    ), max_size=2),
+)
+def test_any_run_overlay_exits_cleanly(command, overlay, flags):
+    with tempfile.TemporaryDirectory() as out:
+        config = f"{out}/overlay.json"
+        with open(config, "w") as handle:
+            json.dump(overlay, handle)
+        argv = [command, "--config", config, "--out", out]
+        argv += [str(part) for flag in flags for part in flag]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

@@ -19,6 +19,7 @@ from spincim import (
     sample_single_current,
     trial_rng,
 )
+from spincim import attack
 from spincim.attack import run_trials
 
 from _oracles import binomial_3sigma, collapse_pair_exceed, gaussian_exceed, q
@@ -178,6 +179,36 @@ class TestDeterminism:
             for threads in (1, 2, 5)
         }
         assert len(set(counts.values())) == 1
+
+    @pytest.mark.parametrize("threads,trials", [(8, 3), (2, 5), (5, 5), (4, 1)])
+    def test_pool_capped_at_trial_count(self, monkeypatch, threads, trials):
+        pools = []
+
+        class RecordingPool:  # runs the chunks in this thread, starts none
+            def __init__(self, max_workers):
+                self.workers, self.spans = max_workers, []
+                pools.append(self)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, spans):
+                self.spans = list(spans)
+                return [fn(span) for span in self.spans]
+
+        monkeypatch.setattr(attack, "ThreadPoolExecutor", RecordingPool)
+        count = run_trials(trials, MASTER_SEED, lambda i, _rng: i % 2 == 0, threads)
+        assert count == (trials + 1) // 2
+        workers = min(threads, trials)
+        if workers == 1:
+            assert not pools
+            return
+        (pool,) = pools
+        assert pool.workers == workers and len(pool.spans) <= workers
+        assert [i for lo, hi in pool.spans for i in range(lo, hi)] == list(range(trials))
 
     def test_failures_monotone_in_zone_temperature(self, model):
         # common random numbers per trial: a trial that fails cold also

@@ -161,6 +161,67 @@ class TestConfusion:
             assert np.array_equal(base, pred)
 
 
+class TestIntegerCodes:
+    def test_confusion_matches_per_observation_count(self):
+        rng = trial_rng(MASTER_SEED, 55)
+        data = synthesize_dataset(ENHANCED_CLASSES, TABLE, True, 300, 0.05, 2.0, rng)
+        classifier = train(data, ENHANCED_CLASSES)
+        # shuffled and interleaved test labels, with CimADD never tested
+        names = data.labels
+        kept = [i for i in rng.permutation(len(data)) if names[i] != "CimADD"]
+        test_set = Dataset(data.features[kept], [names[i] for i in kept])
+        assert test_set.classes != data.classes
+        matrix, accuracy = confusion_matrix(classifier, test_set)
+
+        pred = classifier.predict(test_set.features)
+        counts = np.zeros((len(ENHANCED_CLASSES),) * 2)
+        for label, p in zip(test_set.labels, pred):
+            counts[classifier.classes.index(label), p] += 1.0
+        sums = counts.sum(axis=1, keepdims=True)
+        expected = np.where(sums > 0, counts / np.where(sums > 0, sums, 1.0), 0.0)
+        assert np.array_equal(matrix, expected)
+        assert accuracy == np.trace(counts) / len(test_set)
+        absent = classifier.classes.index("CimADD")
+        assert not matrix[absent].any()
+
+    def test_predict_bit_identical_to_broadcast_distance(self):
+        rng = trial_rng(MASTER_SEED, 56)
+        data = synthesize_dataset(ENHANCED_CLASSES, TABLE, True, 200, 0.05, 5.0, rng)
+        classifier = train(data, ENHANCED_CLASSES)
+        cent, sig = classifier.centroids, classifier.sigma
+        # points on the bisector of every centroid pair, where the rounding of
+        # the distance arithmetic decides the argmin
+        i, j = np.triu_indices(len(cent), 1)
+        across = ((cent[j] - cent[i]) / sig)[:, ::-1] * [1.0, -1.0] * sig
+        steps = np.linspace(-3.0, 3.0, 41)[None, :, None]
+        ties = ((cent[i] + cent[j]) / 2)[:, None, :] + steps * across[:, None, :]
+        queries = np.vstack([data.features, cent, ties.reshape(-1, 2)])
+        diff = (queries[:, None, :] - cent[None, :, :]) / sig
+        reference = np.argmin((diff**2).sum(axis=2), axis=1)
+        assert np.array_equal(classifier.predict(queries), reference)
+
+    def test_labels_round_trip(self):
+        labels = ["b", "a", "b", "c", "a"]
+        data = Dataset(np.arange(10.0).reshape(5, 2), labels)
+        assert data.labels == tuple(labels)
+        assert len(data) == 5
+        assert data.classes == ("b", "a", "c")
+        assert data.codes.tolist() == [0, 1, 0, 2, 1]
+        coded = Dataset(data.features, data.codes, data.classes)
+        assert coded.labels == data.labels and len(coded) == len(data)
+        assert len(Dataset(np.zeros((0, 2)), [])) == 0
+
+    @pytest.mark.parametrize("codes", [[0, 2], [-1, 0], [0]])
+    def test_codes_must_index_the_classes(self, codes):
+        with pytest.raises(ValueError):
+            Dataset(np.zeros((2, 2)), codes, ("a", "b"))
+
+    def test_training_label_outside_the_classes_rejected(self):
+        data = zero_noise_dataset(STANDARD_CLASSES, False)
+        with pytest.raises(ValueError, match="Write0"):
+            train(data, classes=("Read1", "Read0", "Write1"))
+
+
 class TestHammingWeight:
     def _write_trace(self, word, width=16, noise=0.0, rng=None):
         trace = ExecutionTrace()
