@@ -125,6 +125,8 @@ def _resolve(args) -> dict:
         config["threads"] = args.threads
     if args.out is not None:
         config["out_dir"] = args.out
+    if getattr(args, "noise", None) is not None:
+        config["device"]["sigma"] = args.noise
     return cfgmod.validate_run(config)
 
 
@@ -151,8 +153,6 @@ def _cmd_margins(args, config) -> dict:
 
 
 def _cmd_truth_table(args, config) -> dict:
-    if args.noise is not None:
-        config["device"]["sigma"] = args.noise
     model = cfgmod.build_model(config)
     sense = cfgmod.build_sense(config)
     rule = sense.decode_rule(CimOp(args.op))

@@ -124,31 +124,64 @@ def finite_number(text: str, parse=float):
     return parse(text)
 
 
+def _is_number(value) -> bool:
+    return type(value) in (int, float) and math.isfinite(value)
+
+
 def _is_sigma(value) -> bool:
-    return type(value) in (int, float) and math.isfinite(value) and value >= 0
+    return _is_number(value) and value >= 0
 
 
 def _int_at_least(least: int):
     return (lambda value: type(value) is int and value >= least), f"an integer >= {least}"
 
 
-# leaves a flag or a file sets and an experiment reads as a seed, a count or
-# a noise level: (check, what the value must be)
+_NUMBER = (_is_number, "a finite number")
+_SIGMA = (_is_sigma, "a finite number >= 0")
+
+# every leaf a flag or a file sets and an experiment reads as a number, a
+# count or a switch: (check, what the value must be)
 _RUN_LEAVES = {
     ("seed",): _int_at_least(0),
     ("trials",): _int_at_least(1),
     ("threads",): _int_at_least(1),
+    **{
+        ("device", levels, name): _NUMBER
+        for levels in ("single_levels", "pair_levels")
+        for name in DEFAULT_CONFIG["device"][levels]
+    },
+    ("device", "sigma"): _SIGMA,
+    ("device", "ambient_temp"): _NUMBER,
+    ("device", "collapse", "a"): _NUMBER,
+    ("device", "collapse", "b"): _NUMBER,
+    ("array", "banks"): _int_at_least(1),
+    ("array", "rows_per_bank"): _int_at_least(1),
+    ("array", "cols_per_row"): _int_at_least(1),
+    ("array", "i_ref_read"): _NUMBER,
+    ("array", "i_ref_or"): _NUMBER,
+    ("array", "i_ref_and"): _NUMBER,
+    ("attack", "zone_temp"): _NUMBER,
+    ("attack", "force_flip"): (lambda value: type(value) is bool, "true or false"),
+    ("attack", "credential_width"): _int_at_least(1),
+    ("attack", "username"): _int_at_least(0),
+    ("attack", "password"): _int_at_least(0),
     ("sca", "samples_per_class"): _int_at_least(1),
-    ("sca", "sigma_duration"): (_is_sigma, "a finite number >= 0"),
+    ("sca", "sigma_duration"): _SIGMA,
     ("sca", "sweep_sigma_energy"): (
         lambda value: type(value) in (list, tuple) and all(map(_is_sigma, value)),
         "a list of finite numbers >= 0",
     ),
+    ("mitigation", "zone_temp"): _NUMBER,
+    **{
+        ("mitigation", estimate, name): _NUMBER
+        for estimate in ("shift_estimate", "collapse_estimate")
+        for name in ("alpha", "beta", "gamma")
+    },
 }
 
 
 def validate_run(config: dict) -> dict:
-    """``config``, once its seed, trial, thread and sca leaves are in range."""
+    """``config``, once every leaf of ``_RUN_LEAVES`` has its type and range."""
     for path, (check, want) in _RUN_LEAVES.items():
         value = config
         for key in path:

@@ -9,10 +9,13 @@ depending on how many of the two cells are parallel.
 All sampling is driven by an explicitly passed numpy Generator; there is no
 module-level random state. Monte Carlo callers derive one independent stream
 per trial with :func:`trial_rng` so results are reproducible under any degree
-of parallelism.
+of parallelism. Trial ``i``'s stream is bit for bit
+``np.random.default_rng((seed, i))``; its seed words are derived for 1024
+trials at a time in one vectorised pass instead of one hash per trial.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -20,6 +23,7 @@ from statistics import NormalDist
 from typing import Mapping, Union
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import NonConvergence
 
@@ -166,9 +170,111 @@ Disturbance = Union[MeanShift, Collapse, None]
 CellDisturbances = Union[Disturbance, tuple[Disturbance, Disturbance]]
 
 
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+INIT_A = 0x43B0D7E5
+MULT_A = 0x931E8875
+INIT_B = 0x8B51F9DD
+MULT_B = 0x58F38DED
+MIX_MULT_L = 0xCA01F9DD
+MIX_MULT_R = 0x4973F715
+XSHIFT = 16
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+STREAM_BLOCK = 1024
+
+
+def _uint32_words(n: int) -> list[int]:
+    """``n``'s little-endian 32-bit words, as SeedSequence splits an int."""
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _hasher(init: int, mult: int):
+    """numpy's ``hashmix`` over uint32 columns; the multiplier advances per call.
+
+    The constant chain does not depend on the data, so it runs as masked
+    Python ints beside the columns and never overflows a numpy scalar.
+    """
+    const = init
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> XSHIFT)
+
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = x * np.uint32(MIX_MULT_L) - y * np.uint32(MIX_MULT_R)
+    return result ^ (result >> XSHIFT)
+
+
+@functools.lru_cache(maxsize=16)
+def _stream_words(seed: int, block: int) -> np.ndarray:
+    """PCG64 seed words of ``SeedSequence((seed, i))`` for the trials of a block.
+
+    Row ``j`` is ``generate_state(4, np.uint64)`` for ``i = 1024*block + j``.
+    Each entropy word is one uint32 column over the block: the seed's words
+    and the index's high words are the same in every row, and so is the
+    index's word count, since blocks are aligned and 1024 divides 2**32.
+    The result is read-only, because every caller shares it.
+    """
+    if seed < 0 or block < 0:
+        raise ValueError("stream seed and index must be non-negative")
+    lo = block * STREAM_BLOCK
+    low = lo & _MASK32
+    entropy = [np.full(STREAM_BLOCK, w, np.uint32) for w in _uint32_words(seed)]
+    entropy.append(np.arange(low, low + STREAM_BLOCK, dtype=np.uint32))
+    entropy += [np.full(STREAM_BLOCK, w, np.uint32) for w in _uint32_words(lo)[1:]]
+
+    # mix_entropy
+    hashmix = _hasher(INIT_A, MULT_A)
+    zero = np.zeros(STREAM_BLOCK, np.uint32)
+    pool = [hashmix(entropy[k] if k < len(entropy) else zero) for k in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+
+    # generate_state(4, np.uint64): eight uint32 words cycling over the pool
+    final = _hasher(INIT_B, MULT_B)
+    state = np.stack([final(pool[k % _POOL_SIZE]) for k in range(8)], axis=1)
+    words = state.astype("<u4").view("<u8").astype(np.uint64)
+    words.flags.writeable = False
+    return words
+
+
+class _Words(ISeedSequence):
+    """A seed sequence that hands PCG64 its precomputed state words."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
 def trial_rng(master_seed: int, index: int) -> np.random.Generator:
-    """Independent per-trial stream derived from (master seed, trial index)."""
-    return np.random.default_rng((master_seed, index))
+    """Independent per-trial stream derived from (master seed, trial index).
+
+    The stream is bit for bit ``np.random.default_rng((master_seed, index))``
+    for any seed and index >= 0; the seed words come from the cached block
+    of :func:`_stream_words` that holds ``index``.
+    """
+    block, row = divmod(index, STREAM_BLOCK)
+    words = _stream_words(master_seed, block)[row]
+    return np.random.Generator(np.random.PCG64(_Words(words)))
 
 
 def _require_rng(rng, stochastic: bool):

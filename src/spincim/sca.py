@@ -218,7 +218,8 @@ def hamming_weight_attack(
     """Recover the count of 1 bits in a written word from its energy.
 
     The trace must hold exactly one word write recorded in bit-resolved
-    accounting mode; a power trace is integrated in full instead.
+    accounting mode; a power trace is integrated in full instead. Raises
+    ValueError when the table's Write1 and Write0 energies are equal.
     """
     table = table or CostTable()
     if isinstance(trace, ExecutionTrace):
@@ -229,6 +230,10 @@ def hamming_weight_attack(
         raise MalformedTrace(f"unsupported trace type {type(trace).__name__}")
     e1 = cost_of(OpClass.WRITE1, table, enhanced).energy_fj
     e0 = cost_of(OpClass.WRITE0, table, enhanced).energy_fj
+    if e1 == e0:
+        raise ValueError(
+            "the Hamming weight cannot be seen when the Write1 and Write0 energies are equal"
+        )
     estimate = math.floor((energy - width * e0) / (e1 - e0) + 0.5)
     return min(max(estimate, 0), width)
 

@@ -1,7 +1,11 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -295,6 +299,23 @@ class TestCli:
         ({"sca": {"sigma_duration": -0.1}}, [], "sca.sigma_duration"),
         ({"sca": {"sweep_sigma_energy": [1.0, -2.0]}}, [], "sca.sweep_sigma_energy"),
         ({"sca": {"sweep_sigma_energy": "1.0"}}, [], "sca.sweep_sigma_energy"),
+        ({"device": {"sigma": "x"}}, [], "device.sigma"),
+        ({"device": {"sigma": -0.5}}, [], "device.sigma"),
+        ({"device": {"single_levels": {"P": "15.5"}}}, [], "device.single_levels.P"),
+        ({"device": {"pair_levels": {"AP,P": None}}}, [], "device.pair_levels.AP,P"),
+        ({"device": {"ambient_temp": True}}, [], "device.ambient_temp"),
+        ({"device": {"collapse": {"b": [0.07]}}}, [], "device.collapse.b"),
+        ({"array": {"cols_per_row": "x"}}, [], "array.cols_per_row"),
+        ({"array": {"banks": 0}}, [], "array.banks"),
+        ({"array": {"rows_per_bank": 64.0}}, [], "array.rows_per_bank"),
+        ({"array": {"i_ref_and": "21.45"}}, [], "array.i_ref_and"),
+        ({"attack": {"zone_temp": "hot"}}, [], "attack.zone_temp"),
+        ({"attack": {"force_flip": 1}}, [], "attack.force_flip"),
+        ({"attack": {"credential_width": 0}}, [], "attack.credential_width"),
+        ({"attack": {"password": -1}}, [], "attack.password"),
+        ({"mitigation": {"zone_temp": "100"}}, [], "mitigation.zone_temp"),
+        ({"mitigation": {"collapse_estimate": {"beta": None}}}, [],
+         "mitigation.collapse_estimate.beta"),
     ])
     @pytest.mark.parametrize("command", ["mc-failure", "sca"])
     def test_out_of_range_run_leaf_exits_one(
@@ -306,6 +327,76 @@ class TestCli:
         assert code == 1
         assert f"error: {key} must be" in capsys.readouterr().err
         assert not (tmp_path / f"{command}.json").exists()
+
+    @pytest.mark.parametrize("argv,overlay,key", [
+        (["isa-run", "--program", "absent.cim"], {"array": {"cols_per_row": "x"}},
+         "array.cols_per_row"),
+        (["auth-attack"], {"attack": {"zone_temp": "hot"}}, "attack.zone_temp"),
+        (["truth-table", "--noise", "-1"], {}, "device.sigma"),
+    ])
+    def test_bad_leaf_exits_one_on_the_command_that_reads_it(
+        self, capsys, tmp_path, argv, overlay, key
+    ):
+        config = tmp_path / "overlay.json"
+        config.write_text(json.dumps(overlay))
+        assert main([*argv, "--config", str(config), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {key} must be" in err and "Traceback" not in err
+
+    def test_golden_mc_failure_and_mitigate_reports(self, capsys, tmp_path):
+        # captured before trial streams were seeded from precomputed blocks:
+        # every trial stream must stay default_rng((seed, i)), and these runs
+        # cross block edges, a two-word seed and two threads
+        cases = [
+            (["mc-failure", "--pair", "AP,P", "--temp", "100", "--trials", "2500"],
+             {"analytic_rate": 0.044094963944199136, "failures": 102, "pair": "AP,P",
+              "rate": 0.0408, "seed": 20240, "trials": 2500,
+              "wilson_95_ci": [0.033723846141628544, 0.04928518707351247],
+              "zone_temp": 100.0}),
+            (["mc-failure", "--pair", "AP,P", "--temp", "50", "--trials", "2500",
+              "--seed", str(2**40 + 5), "--threads", "2"],
+             {"analytic_rate": 0.005999893291382333, "failures": 15, "pair": "AP,P",
+              "rate": 0.006, "seed": 2**40 + 5, "trials": 2500,
+              "wilson_95_ci": [0.0036394868761728013, 0.009876328472868269],
+              "zone_temp": 50.0}),
+            (["mitigate", "--family", "collapse", "--trials", "1500"],
+             {"after": {"analytic_rate": 0.03722573287327257, "failures": 52,
+                        "rate": 0.034666666666666665, "seed": 20240, "trials": 1500,
+                        "wilson_95_ci": [0.026533490787242278, 0.04517716606967329]},
+              "before": {"analytic_rate": 0.044094963944199136, "failures": 61,
+                         "rate": 0.04066666666666666, "seed": 20240, "trials": 1500,
+                         "wilson_95_ci": [0.031788512536601546, 0.05189149115167185]},
+              "family": "collapse", "natural_rate": 0.005000030400268099,
+              "pair": "AP,P", "ref_after": 21.95, "ref_before": 21.45,
+              "zone_temp": 100.0}),
+            (["mitigate", "--family", "meanshift", "--trials", "1500", "--seed", "11"],
+             {"after": {"analytic_rate": 0.00430271770132473, "failures": 11,
+                        "rate": 0.007333333333333333, "seed": 11, "trials": 1500,
+                        "wilson_95_ci": [0.004099723207137281, 0.013083909195814881]},
+              "before": {"analytic_rate": 0.01524388830113826, "failures": 31,
+                         "rate": 0.020666666666666667, "seed": 11, "trials": 1500,
+                         "wilson_95_ci": [0.014597274166911008, 0.029184906750169652]},
+              "family": "meanshift", "natural_rate": 0.005000030400268099,
+              "pair": "AP,P", "ref_after": 21.675, "ref_before": 21.45,
+              "zone_temp": 100.0}),
+        ]
+        for argv, payload in cases:
+            code, report = run_cli(capsys, *argv, "--out", str(tmp_path))
+            assert code == 0
+            assert report["report"] == payload
+
+    def test_python_dash_m_runs_the_cli(self, tmp_path):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
+        )}
+        done = subprocess.run(
+            [sys.executable, "-m", "spincim", "margins", "--out", str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["command"] == "margins"
+        assert (tmp_path / "margins.json").is_file()
 
     def test_experiment_error_exits_two(self, capsys, tmp_path):
         assert main(
@@ -331,6 +422,9 @@ _LEAF = st.one_of(
             "sigma_duration": _LEAF,
             "sweep_sigma_energy": st.one_of(_LEAF, st.lists(_LEAF, max_size=3)),
         }),
+        "device": st.fixed_dictionaries({}, optional={"sigma": _LEAF}),
+        "array": st.fixed_dictionaries({}, optional={"cols_per_row": _LEAF}),
+        "attack": st.fixed_dictionaries({}, optional={"zone_temp": _LEAF}),
     }),
     flags=st.lists(st.tuples(
         st.sampled_from(["--seed", "--trials", "--threads"]), st.integers(-2, 4)

@@ -1,8 +1,10 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spincim import (
@@ -19,7 +21,7 @@ from spincim import (
     sample_single_current,
     trial_rng,
 )
-from spincim import attack
+from spincim import attack, device
 from spincim.attack import run_trials
 
 from _oracles import binomial_3sigma, collapse_pair_exceed, gaussian_exceed, q
@@ -223,6 +225,69 @@ class TestDeterminism:
                 for t, r in ((20.0, rng20), (50.0, rng50), (100.0, rng100))
             ]
             assert f[0] <= f[1] <= f[2]
+
+
+def _reference_state(seed, index):
+    return np.random.default_rng((seed, index)).bit_generator.state
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**130), index=st.integers(0, 2**40))
+@example(seed=0, index=0)
+@example(seed=0, index=1023)
+@example(seed=0, index=1024)
+@example(seed=2**32 - 1, index=2**32 - 1)
+@example(seed=2**32, index=2**32)
+@example(seed=2**130, index=2**40)
+def test_trial_stream_is_default_rng_stream(seed, index):
+    assert trial_rng(seed, index).bit_generator.state == _reference_state(seed, index)
+
+
+class TestTrialStreams:
+    def test_draws_match_reference_across_block_edges(self):
+        for index in (1022, 1023, 1024, 1025, 2047, 2048):
+            want = np.random.default_rng((MASTER_SEED, index)).normal(size=5)
+            assert np.array_equal(trial_rng(MASTER_SEED, index).normal(size=5), want)
+
+    def test_negative_seed_or_index_rejected_like_default_rng(self):
+        for seed, index in ((-1, 0), (0, -1)):
+            with pytest.raises(ValueError):
+                np.random.default_rng((seed, index))
+            with pytest.raises(ValueError):
+                trial_rng(seed, index)
+
+    def test_cached_block_is_read_only(self):
+        words = device._stream_words(MASTER_SEED, 0)
+        assert words.shape == (device.STREAM_BLOCK, 4) and not words.flags.writeable
+
+    def test_two_threads_derive_interleaved_blocks(self):
+        # each thread derives every other block, cold, at the same time
+        device._stream_words.cache_clear()
+        seed, blocks = 2**33 + 7, 24
+        start = threading.Barrier(2)
+        got = {}
+
+        def derive(parity):
+            start.wait()
+            for block in range(parity, blocks, 2):
+                for row in (0, 511, 1023):
+                    index = block * device.STREAM_BLOCK + row
+                    got[index] = trial_rng(seed, index).bit_generator.state
+
+        workers = [threading.Thread(target=derive, args=(p,)) for p in (0, 1)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert len(got) == 3 * blocks
+        for index, state in got.items():
+            assert state == _reference_state(seed, index)
 
 
 class TestValidation:

@@ -11,6 +11,7 @@ from spincim import (
     MalformedTrace,
     MissingClass,
     OpClass,
+    PowerTrace,
     cost_of,
     hamming_weight_attack,
     synthesize_power_trace,
@@ -270,6 +271,13 @@ class TestHammingWeight:
         trace2 = ExecutionTrace()
         trace2.record(OpClass.WRITE0, OpCost(3.3, 0.0), Channel.BUS, 0, 16)
         assert hamming_weight_attack(trace2, 16) == 0
+
+    def test_equal_write_energies_rejected(self):
+        default = CostTable()
+        write0 = cost_of(OpClass.WRITE0, default, enhanced=False)
+        flat = CostTable(standard={**default.standard, OpClass.WRITE1: write0})
+        with pytest.raises(ValueError, match="Write1 and Write0 energies are equal"):
+            hamming_weight_attack(PowerTrace(1.0, np.ones(10)), 16, flat)
 
     def test_recovery_degrades_with_noise(self):
         # rounding survives iff |noise| < half the per-bit energy gap;
