@@ -55,6 +55,7 @@ from .device import (
     MeanShift,
     MtjState,
     calibrate,
+    pair_sampler,
     parse_pair,
     sample_columns,
     sample_pair_current,

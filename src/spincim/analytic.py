@@ -17,7 +17,7 @@ from .device import (
     MeanShift,
     MtjState,
     PairState,
-    _per_row,
+    collapse_rates,
     pair_index,
 )
 
@@ -69,11 +69,7 @@ def pair_exceed(
         return exceed_prob(
             model.pair_ladder[base] + disturbance.shifts[base], model.sigma, ref
         )
-    rhos = [
-        dist.rho(model.ambient_temp)
-        for state, dist in zip(states, _per_row(disturbance, 2))
-        if state is MtjState.AP and isinstance(dist, Collapse)
-    ]
+    rhos = collapse_rates(states, model, disturbance)
     if not rhos:
         return exceed_prob(model.pair_ladder[base], model.sigma, ref)
     total = 0.0

@@ -34,8 +34,8 @@ from .device import (
     Disturbance,
     MtjState,
     PairState,
+    pair_sampler,
     parse_pair,
-    sample_pair_current,
     trial_rng,
 )
 from .errors import MappingViolation
@@ -158,21 +158,17 @@ def run_trials(
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    outcomes = np.zeros(trials, dtype=bool)
 
-    def fill(lo: int, hi: int) -> None:
-        for i in range(lo, hi):
-            outcomes[i] = trial_fn(i, trial_rng(seed, i))
+    def count(lo: int, hi: int) -> int:
+        return sum(trial_fn(i, trial_rng(seed, i)) for i in range(lo, hi))
 
     workers = min(threads, trials)  # no thread without a trial to run
     if workers <= 1:
-        fill(0, trials)
-    else:
-        chunk = (trials + workers - 1) // workers
-        bounds = [(lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda span: fill(*span), bounds))
-    return int(outcomes.sum())
+        return int(count(0, trials))
+    chunk = (trials + workers - 1) // workers
+    bounds = [(lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return int(sum(pool.map(lambda span: count(*span), bounds)))
 
 
 def exceedance_mc(
@@ -185,10 +181,18 @@ def exceedance_mc(
     below: bool = False,
     threads: int = 1,
 ) -> McReport:
-    """Empirical P(pair sample > ref) (or <= ref) with its analytic oracle."""
-    def one(_i: int, rng) -> bool:
-        sample = sample_pair_current(pair, model, disturbance, rng)
-        return (sample <= ref) if below else (sample > ref)
+    """Empirical P(pair sample > ref) (or <= ref) with its analytic oracle.
+
+    The pair sense is set up once per report; each trial only draws from its
+    own stream and compares the sample with ``ref``.
+    """
+    draw = pair_sampler(pair, model, disturbance)
+    if below:
+        def one(_i: int, rng) -> bool:
+            return draw(rng) <= ref
+    else:
+        def one(_i: int, rng) -> bool:
+            return draw(rng) > ref
 
     failures = run_trials(trials, seed, one, threads)
     p = analytic.pair_exceed(model, pair, ref, disturbance)

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from . import config as cfgmod
 from .array import CimArray, CimOp, RowAddress
 from .attack import (
@@ -67,6 +68,7 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="spincim", description=__doc__)
+    parser.add_argument("--version", action="version", version=f"spincim {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("margins", help="report the configured sense margins")
@@ -89,8 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--temp", type=_finite, help="zone temperature (C)")
     p.add_argument("--force-flip", action="store_true",
                    help="flip targeted AND senses with probability one")
-    p.add_argument("--user-policy", choices=["correct", "random"])
-    p.add_argument("--password-policy", choices=["correct", "random"])
+    p.add_argument("--user-policy", choices=cfgmod.POLICY_MODES)
+    p.add_argument("--password-policy", choices=cfgmod.POLICY_MODES)
 
     p = sub.add_parser("isa-run", help="assemble and execute a program")
     _common_flags(p)

@@ -14,6 +14,7 @@ import math
 from pathlib import Path
 
 from .array import ArrayGeometry, SenseConfig
+from .attack import AttackVariant
 from .cost import CostMode, CostTable, OpClass, OpCost
 from .device import (
     DEFAULT_COLLAPSE_A,
@@ -136,8 +137,21 @@ def _int_at_least(least: int):
     return (lambda value: type(value) is int and value >= least), f"an integer >= {least}"
 
 
+def _one_of(*choices: str):
+    return (lambda value: value in choices), "one of " + ", ".join(choices)
+
+
+def _increasing(*names: str):
+    return (
+        lambda value: all(value[lo] < value[hi] for lo, hi in zip(names, names[1:])),
+        "increasing: " + " < ".join(names),
+    )
+
+
 _NUMBER = (_is_number, "a finite number")
 _SIGMA = (_is_sigma, "a finite number >= 0")
+# the credential policies a config or a CLI flag may choose
+POLICY_MODES = ("correct", "random")
 
 # every leaf a flag or a file sets and an experiment reads as a number, a
 # count or a switch: (check, what the value must be)
@@ -150,6 +164,10 @@ _RUN_LEAVES = {
         for levels in ("single_levels", "pair_levels")
         for name in DEFAULT_CONFIG["device"][levels]
     },
+    **{
+        ("device", levels): _increasing(*DEFAULT_CONFIG["device"][levels])
+        for levels in ("single_levels", "pair_levels")
+    },
     ("device", "sigma"): _SIGMA,
     ("device", "ambient_temp"): _NUMBER,
     ("device", "collapse", "a"): _NUMBER,
@@ -160,11 +178,24 @@ _RUN_LEAVES = {
     ("array", "i_ref_read"): _NUMBER,
     ("array", "i_ref_or"): _NUMBER,
     ("array", "i_ref_and"): _NUMBER,
+    ("array",): _increasing("i_ref_read", "i_ref_or", "i_ref_and"),
+    **{
+        ("cost", table, name): (
+            lambda value: type(value) in (list, tuple) and len(value) == 2
+            and all(map(_is_sigma, value)),
+            "two finite numbers >= 0",
+        )
+        for table in ("standard", "enhanced")
+        for name in DEFAULT_CONFIG["cost"][table]
+    },
+    ("attack", "variant"): _one_of(*(variant.value for variant in AttackVariant)),
     ("attack", "zone_temp"): _NUMBER,
     ("attack", "force_flip"): (lambda value: type(value) is bool, "true or false"),
     ("attack", "credential_width"): _int_at_least(1),
     ("attack", "username"): _int_at_least(0),
     ("attack", "password"): _int_at_least(0),
+    ("attack", "policy", "user"): _one_of(*POLICY_MODES),
+    ("attack", "policy", "password"): _one_of(*POLICY_MODES),
     ("sca", "samples_per_class"): _int_at_least(1),
     ("sca", "sigma_duration"): _SIGMA,
     ("sca", "sweep_sigma_energy"): (

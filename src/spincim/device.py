@@ -11,7 +11,10 @@ module-level random state. Monte Carlo callers derive one independent stream
 per trial with :func:`trial_rng` so results are reproducible under any degree
 of parallelism. Trial ``i``'s stream is bit for bit
 ``np.random.default_rng((seed, i))``; its seed words are derived for 1024
-trials at a time in one vectorised pass instead of one hash per trial.
+trials at a time in one vectorised pass instead of one hash per trial. A
+Monte Carlo report sets up its pair sense once with :func:`pair_sampler`
+(level index, collapse rates, level table, sigma), so a trial only draws
+from its own stream.
 """
 from __future__ import annotations
 
@@ -348,6 +351,51 @@ def sample_single_current(
     return float(out[0]) if size is None else out
 
 
+def collapse_rates(
+    states: PairState, model: CurrentLevelModel, disturbance: CellDisturbances = None
+) -> tuple[float, ...]:
+    """Collapse rate rho of each AP cell of a pair under Collapse, in row order."""
+    return tuple(
+        d.rho(model.ambient_temp)
+        for s, d in zip(states, _per_row(disturbance, 2))
+        if s is MtjState.AP and isinstance(d, Collapse)
+    )
+
+
+def pair_sampler(
+    states: PairState,
+    model: CurrentLevelModel,
+    disturbance: CellDisturbances = None,
+):
+    """``draw(rng) -> float``: one summed sense current of a cell pair, in uA.
+
+    The setup that does not depend on the stream is done here, once: the base
+    level index, the collapse rates of the pair's AP cells, the level table
+    (the pair ladder plus a pair-level MeanShift's shift of each level) and
+    sigma. Each ``draw`` then makes one uniform per collapsible cell (each
+    collapse promotes the pair one step up the ladder) and, when sigma > 0,
+    one normal added once at the sense node.
+    """
+    base = pair_index(states)
+    rhos = collapse_rates(states, model, disturbance)
+    levels = model.pair_ladder
+    if isinstance(disturbance, MeanShift):
+        levels = tuple(level + shift for level, shift in zip(levels, disturbance.shifts))
+    sigma = model.sigma
+    stochastic = bool(rhos) or sigma > 0
+
+    def draw(rng: np.random.Generator | None = None) -> float:
+        _require_rng(rng, stochastic)
+        idx = base
+        for rho in rhos:
+            idx += rng.random() < rho
+        if sigma > 0:
+            return levels[idx] + rng.normal(0.0, sigma)
+        return levels[idx]
+
+    return draw
+
+
 def sample_pair_current(
     states: PairState,
     model: CurrentLevelModel,
@@ -362,26 +410,16 @@ def sample_pair_current(
     promotes the pair level one step up the ladder. A pair-level MeanShift
     adds its configured shift to the nominal level. Noise is applied once at
     the sense node. ``disturbance`` may also be a per-cell pair (for senses
-    where only one operand row sits in the heated zone). With ``size`` set,
-    returns an ndarray of independent samples drawn by :func:`sample_columns`.
+    where only one operand row sits in the heated zone). One sample is
+    ``pair_sampler(states, model, disturbance)(rng)``; a caller drawing many
+    samples of one pair builds the sampler once and calls it per draw. With
+    ``size`` set, returns an ndarray of independent samples drawn by
+    :func:`sample_columns`.
     """
     if size is not None:
         bits = [np.full(size, s.bit) for s in states]
         return sample_columns(bits, model, disturbance, rng)
-    idx = pair_index(states)
-    collapsible = [
-        d for s, d in zip(states, _per_row(disturbance, 2))
-        if s is MtjState.AP and isinstance(d, Collapse)
-    ]
-    _require_rng(rng, bool(collapsible) or model.sigma > 0)
-    for d in collapsible:
-        idx += rng.random() < d.rho(model.ambient_temp)
-    value = model.pair_ladder[idx]
-    if isinstance(disturbance, MeanShift):
-        value += disturbance.shifts[idx]
-    if model.sigma > 0:
-        return value + rng.normal(0.0, model.sigma)
-    return value
+    return pair_sampler(states, model, disturbance)(rng)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from spincim.device import Collapse, MeanShift, MtjState, _per_row, pair_index
+
 
 def q(z: float) -> float:
     """Standard normal upper tail."""
@@ -89,3 +91,26 @@ def int_add_oracle(a: int, b: int, width: int) -> tuple[int, int]:
     """Reference unsigned adder: (sum mod 2^width, carry out)."""
     total = a + b
     return total & ((1 << width) - 1), total >> width
+
+
+def scalar_pair_current(states, model, disturbance, rng):
+    """The one-call scalar pair sampler as it stood before per-report setup.
+
+    Kept verbatim (every step redone on each call) as the reference that
+    ``device.pair_sampler`` must match draw for draw and bit for bit.
+    """
+    idx = pair_index(states)
+    collapsible = [
+        d for s, d in zip(states, _per_row(disturbance, 2))
+        if s is MtjState.AP and isinstance(d, Collapse)
+    ]
+    if rng is None and (bool(collapsible) or model.sigma > 0):
+        raise ValueError("a random generator is required for stochastic sampling")
+    for d in collapsible:
+        idx += rng.random() < d.rho(model.ambient_temp)
+    value = model.pair_ladder[idx]
+    if isinstance(disturbance, MeanShift):
+        value += disturbance.shifts[idx]
+    if model.sigma > 0:
+        return value + rng.normal(0.0, model.sigma)
+    return value

@@ -6,6 +6,7 @@ from spincim import (
     AttackVariant,
     AuthDb,
     AuthEntry,
+    Collapse,
     CredentialPolicy,
     RowAddress,
     attack_success_rate,
@@ -14,6 +15,9 @@ from spincim import (
     run_auth,
     trial_rng,
 )
+from spincim import attack
+from spincim.attack import exceedance_mc
+from spincim.device import parse_pair
 
 from _oracles import binomial_3sigma
 from conftest import MASTER_SEED
@@ -119,6 +123,27 @@ class TestMcFailureRate:
         single = mc_failure_rate("AP,P", 100.0, 3000, MASTER_SEED, threads=1)
         pooled = mc_failure_rate("AP,P", 100.0, 3000, MASTER_SEED, threads=4)
         assert single.failures == pooled.failures
+
+    def test_sense_set_up_once_per_report(self, model, monkeypatch):
+        streams, rates = [], []
+        make_rng, rho = attack.trial_rng, Collapse.rho
+        monkeypatch.setattr(
+            attack, "trial_rng", lambda seed, i: streams.append(i) or make_rng(seed, i)
+        )
+        monkeypatch.setattr(
+            Collapse, "rho", lambda self, *args: rates.append(self) or rho(self, *args)
+        )
+        # both AP cells can collapse; their rates are computed once for the
+        # sampler and once for the oracle, however many trials run
+        for trials in (1, 300):
+            streams.clear()
+            rates.clear()
+            exceedance_mc(
+                parse_pair("AP,AP"), Collapse(zone_temp=100.0), 21.45, trials,
+                MASTER_SEED, model,
+            )
+            assert streams == list(range(trials))
+            assert len(rates) == 2 * 2
 
 
 class TestSuccessRate:

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spincim
 from spincim import ConfigError
 from spincim.cli import main
 from spincim.config import (
@@ -177,9 +178,10 @@ class TestCli:
         assert main(args) == 0
         capsys.readouterr()
         assert (tmp_path / "mc-failure.json").read_bytes() == first
-        assert main(args + ["--threads", "4"]) == 0
-        capsys.readouterr()
-        assert (tmp_path / "mc-failure.json").read_bytes() == first
+        for threads in ("2", "3", "4"):
+            assert main(args + ["--threads", threads]) == 0
+            capsys.readouterr()
+            assert (tmp_path / "mc-failure.json").read_bytes() == first
 
     def test_isa_run_compare_lowered(self, capsys, tmp_path):
         program = tmp_path / "add.cim"
@@ -316,6 +318,15 @@ class TestCli:
         ({"mitigation": {"zone_temp": "100"}}, [], "mitigation.zone_temp"),
         ({"mitigation": {"collapse_estimate": {"beta": None}}}, [],
          "mitigation.collapse_estimate.beta"),
+        ({"device": {"pair_levels": {"AP,AP": 30}}}, [], "device.pair_levels"),
+        ({"device": {"single_levels": {"P": 9.5}}}, [], "device.single_levels"),
+        ({"array": {"i_ref_or": 22.0}}, [], "array"),
+        ({"cost": {"standard": {"Write1": ["a", 1]}}}, [], "cost.standard.Write1"),
+        ({"cost": {"enhanced": {"CimAND": [0.55]}}}, [], "cost.enhanced.CimAND"),
+        ({"cost": {"enhanced": {"Read0": [0.67, -1.0]}}}, [], "cost.enhanced.Read0"),
+        ({"attack": {"variant": "Bogus"}}, [], "attack.variant"),
+        ({"attack": {"policy": {"user": "sometimes"}}}, [], "attack.policy.user"),
+        ({"attack": {"policy": {"password": ["random"]}}}, [], "attack.policy.password"),
     ])
     @pytest.mark.parametrize("command", ["mc-failure", "sca"])
     def test_out_of_range_run_leaf_exits_one(
@@ -333,6 +344,10 @@ class TestCli:
          "array.cols_per_row"),
         (["auth-attack"], {"attack": {"zone_temp": "hot"}}, "attack.zone_temp"),
         (["truth-table", "--noise", "-1"], {}, "device.sigma"),
+        (["auth-attack"], {"attack": {"variant": "Bogus"}}, "attack.variant"),
+        (["auth-attack"], {"attack": {"policy": {"user": "sometimes"}}},
+         "attack.policy.user"),
+        (["sca"], {"cost": {"standard": {"Write1": ["a", 1]}}}, "cost.standard.Write1"),
     ])
     def test_bad_leaf_exits_one_on_the_command_that_reads_it(
         self, capsys, tmp_path, argv, overlay, key
@@ -397,6 +412,18 @@ class TestCli:
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout)["command"] == "margins"
         assert (tmp_path / "margins.json").is_file()
+        done = subprocess.run(
+            [sys.executable, "-m", "spincim", "--version"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == f"spincim {spincim.__version__}\n"
+
+    def test_version_flag_needs_no_command(self, capsys):
+        with pytest.raises(SystemExit) as done:
+            main(["--version"])
+        assert done.value.code == 0
+        assert capsys.readouterr().out == f"spincim {spincim.__version__}\n"
 
     def test_experiment_error_exits_two(self, capsys, tmp_path):
         assert main(

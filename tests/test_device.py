@@ -15,6 +15,7 @@ from spincim import (
     MtjState,
     NonConvergence,
     calibrate,
+    pair_sampler,
     parse_pair,
     sample_columns,
     sample_pair_current,
@@ -24,7 +25,13 @@ from spincim import (
 from spincim import attack, device
 from spincim.attack import run_trials
 
-from _oracles import binomial_3sigma, collapse_pair_exceed, gaussian_exceed, q
+from _oracles import (
+    binomial_3sigma,
+    collapse_pair_exceed,
+    gaussian_exceed,
+    q,
+    scalar_pair_current,
+)
 from conftest import MASTER_SEED
 
 FORCED_COLLAPSE = Collapse(a=0.0, b=0.0, zone_temp=100.0)  # rho clamps to 1
@@ -156,6 +163,33 @@ class TestPairCurrent:
                 (MeanShift(0.2, 0.4, 0.6), None),
                 trial_rng(MASTER_SEED, 0),
             )
+
+
+_SAMPLER_DISTURBANCES = [
+    None,
+    Collapse(zone_temp=20.0),
+    Collapse(zone_temp=50.0),
+    Collapse(zone_temp=100.0),
+    Collapse(zone_temp=20000.0),
+    (Collapse(zone_temp=100.0), None),
+    (None, Collapse(zone_temp=100.0)),
+    MeanShift(0.15, 0.2, 0.25),
+]
+
+
+@pytest.mark.parametrize("sigma", [device.DEFAULT_SIGMA, 0.0])
+@pytest.mark.parametrize("disturbance", _SAMPLER_DISTURBANCES, ids=repr)
+@pytest.mark.parametrize("pair", ["AP,AP", "AP,P", "P,AP", "P,P"])
+def test_pair_sampler_draws_as_the_scalar_reference(pair, disturbance, sigma):
+    model = CurrentLevelModel(sigma=sigma)
+    states = parse_pair(pair)
+    draw = pair_sampler(states, model, disturbance)
+    for index in range(3):
+        ours, ref = trial_rng(MASTER_SEED, index), trial_rng(MASTER_SEED, index)
+        got = [draw(ours) for _ in range(50)]
+        want = [scalar_pair_current(states, model, disturbance, ref) for _ in range(50)]
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+        assert ours.bit_generator.state == ref.bit_generator.state
 
 
 class TestDeterminism:
@@ -316,11 +350,17 @@ class TestValidation:
         assert Collapse(zone_temp=20000.0).rho(20.0) == 1.0
         assert Collapse(a=0.0, b=1e6, zone_temp=1e6).rho(20.0) == 1.0
 
-    def test_stochastic_sampling_requires_generator(self, model):
+    def test_stochastic_sampling_requires_generator(self, model, zero_noise_model):
         with pytest.raises(ValueError):
             sample_single_current(MtjState.AP, model)
         with pytest.raises(ValueError):
             sample_pair_current(parse_pair("AP,P"), model)
+        heated = Collapse(zone_temp=100.0)
+        with pytest.raises(ValueError):
+            pair_sampler(parse_pair("AP,P"), zero_noise_model, heated)(None)
+        # nothing to draw: no AP cell can collapse and sigma is zero
+        assert pair_sampler(parse_pair("P,P"), zero_noise_model, heated)() == 22.7
+        assert pair_sampler(parse_pair("AP,P"), zero_noise_model, None)(None) == 20.2
 
 
 class TestCalibrate:

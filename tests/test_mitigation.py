@@ -108,6 +108,22 @@ class TestEvaluate:
             oracle_after, 10_000
         )
 
+    @pytest.mark.parametrize(
+        "disturbance", [Collapse(zone_temp=100.0), MeanShift(0.15, 0.2, 0.25)]
+    )
+    def test_below_counts_complement_above_counts(self, model, sense, disturbance):
+        # the same streams feed both runs and the comparisons are complementary
+        adapted = adapt_references(sense, ShiftEstimate(0.2, 0.4, 0.6), model)
+        above, below = (
+            evaluate_mitigation(
+                disturbance, sense, adapted, 2000, MASTER_SEED, model=model, below=flag
+            )
+            for flag in (False, True)
+        )
+        for hi, lo in ((above.before, below.before), (above.after, below.after)):
+            assert lo.failures == 2000 - hi.failures
+            assert lo.analytic_rate == pytest.approx(1.0 - hi.analytic_rate, abs=1e-15)
+
     def test_analytic_rates_attached(self, model, sense):
         adapted = adapt_references(sense, ShiftEstimate(0.2, 0.4, 0.6), model)
         report = evaluate_mitigation(
