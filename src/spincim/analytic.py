@@ -34,25 +34,6 @@ def exceed_prob(mean: float, sigma: float, ref: float) -> float:
     return normal_tail((ref - mean) / sigma)
 
 
-def pair_exceed_prob(
-    ladder: tuple[float, float, float],
-    base: int,
-    sigma: float,
-    ref: float,
-    rho: float = 0.0,
-    n_heatable: int | None = None,
-) -> float:
-    """P(pair sample > ref) with ``n_heatable`` AP cells collapsing at rate rho."""
-    n = (2 - base) if n_heatable is None else n_heatable
-    if rho <= 0 or n == 0:
-        return exceed_prob(ladder[base], sigma, ref)
-    total = 0.0
-    for k in range(n + 1):
-        weight = math.comb(n, k) * rho**k * (1.0 - rho) ** (n - k)
-        total += weight * exceed_prob(ladder[base + k], sigma, ref)
-    return total
-
-
 def pair_exceed(
     model: CurrentLevelModel,
     states: PairState,

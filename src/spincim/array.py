@@ -29,6 +29,7 @@ from .cost import (
     ExecutionTrace,
     OpClass,
     cost_of,
+    open_target,
     word_read_cost,
     word_write_cost,
 )
@@ -413,9 +414,7 @@ class CimArray:
         """Dump contents, one hex word per line, bank-major row order."""
         g = self.geometry
         nibbles = (g.cols_per_row + 3) // 4
-        own = isinstance(target, (str, bytes))
-        handle = open(target, "w") if own else target
-        try:
+        with open_target(target, "w") as handle:
             handle.write(
                 f"# banks={g.banks} rows_per_bank={g.rows_per_bank} "
                 f"cols_per_row={g.cols_per_row}\n"
@@ -423,24 +422,16 @@ class CimArray:
             for bank in self._words:
                 for word in bank:
                     handle.write(f"{word:0{nibbles}X}\n")
-        finally:
-            if own:
-                handle.close()
 
     def import_hex(self, source) -> None:
         """Load contents from a hex dump; geometry must match."""
-        own = isinstance(source, (str, bytes))
-        handle = open(source) if own else source
-        try:
-            words = []
+        words = []
+        with open_target(source) as handle:
             for line in handle:
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
                 words.append(int(line, 16))
-        finally:
-            if own:
-                handle.close()
         g = self.geometry
         expected = g.banks * g.rows_per_bank
         if len(words) != expected:

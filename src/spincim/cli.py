@@ -317,13 +317,11 @@ def _cmd_mitigate(args, config) -> dict:
     model = cfgmod.build_model(config)
     base = cfgmod.build_sense(config)
     zone = args.temp if args.temp is not None else mit["zone_temp"]
+    est = mit["shift_estimate" if args.family == "meanshift" else "collapse_estimate"]
+    shift = ShiftEstimate(**est)
     if args.family == "meanshift":
-        est = mit["shift_estimate"]
-        shift = ShiftEstimate(est["alpha"], est["beta"], est["gamma"])
-        disturbance = MeanShift(est["alpha"], est["beta"], est["gamma"], zone_temp=zone)
+        disturbance = MeanShift(**est, zone_temp=zone)
     else:
-        est = mit["collapse_estimate"]
-        shift = ShiftEstimate(est["alpha"], est["beta"], est["gamma"])
         disturbance = cfgmod.build_collapse(config, zone_temp=zone)
     adapted = adapt_references(base, shift, model)
     report = evaluate_mitigation(

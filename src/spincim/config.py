@@ -1,13 +1,18 @@
 """Shared JSON experiment configuration: defaults, validation, builders.
 
-The defaults reproduce the shipped calibrated model. Unknown keys anywhere in
-a user file are rejected so a typo cannot silently fall back to a default.
-The device metadata block carries descriptive fabrication parameters only;
-the behavioral simulation never reads it.
+The device, array and cost defaults are read off the model dataclasses
+(``CurrentLevelModel``, ``Collapse``, ``ArrayGeometry``, ``SenseConfig`` and
+``CostTable``), so each shipped value is written once, where the model
+defines it; the calibration constants live in ``device.py``. Unknown keys
+anywhere in a user file are rejected so a typo cannot silently fall back to
+a default, and :func:`validate_run` checks the type and range of every leaf
+but the device metadata, a block of descriptive fabrication parameters that
+the behavioral simulation never reads.
 """
 from __future__ import annotations
 
 import copy
+import dataclasses
 import hashlib
 import json
 import math
@@ -15,23 +20,19 @@ from pathlib import Path
 
 from .array import ArrayGeometry, SenseConfig
 from .attack import AttackVariant
-from .cost import CostMode, CostTable, OpClass, OpCost
-from .device import (
-    DEFAULT_COLLAPSE_A,
-    DEFAULT_COLLAPSE_B,
-    DEFAULT_SIGMA,
-    Collapse,
-    CurrentLevelModel,
-)
+from .cost import CostMode, CostTable
+from .device import Collapse, CurrentLevelModel
 from .errors import ConfigError
+
+_MODEL = CurrentLevelModel()
 
 DEFAULT_CONFIG: dict = {
     "device": {
-        "single_levels": {"AP": 10.0, "P": 15.5},
-        "pair_levels": {"AP,AP": 17.0, "AP,P": 20.2, "P,P": 22.7},
-        "sigma": DEFAULT_SIGMA,
-        "ambient_temp": 20.0,
-        "collapse": {"a": DEFAULT_COLLAPSE_A, "b": DEFAULT_COLLAPSE_B},
+        "single_levels": {state.value: level for state, level in _MODEL.single_levels.items()},
+        "pair_levels": dict(_MODEL.pair_levels),
+        "sigma": _MODEL.sigma,
+        "ambient_temp": _MODEL.ambient_temp,
+        "collapse": {"a": Collapse().a, "b": Collapse().b},
         "metadata": {
             "mtj_surface_length_nm": 40,
             "mtj_surface_width_nm": 40,
@@ -45,36 +46,8 @@ DEFAULT_CONFIG: dict = {
             "temperature_k": 300,
         },
     },
-    "array": {
-        "banks": 1,
-        "rows_per_bank": 64,
-        "cols_per_row": 16,
-        "i_ref_read": 12.75,
-        "i_ref_or": 18.6,
-        "i_ref_and": 21.45,
-    },
-    "cost": {
-        "mode": "PerWord",
-        "standard": {
-            "Read1": [0.6, 8.611],
-            "Read0": [0.6, 7.669],
-            "Write1": [4.4, 233.3],
-            "Write0": [3.3, 191.4],
-        },
-        "enhanced": {
-            "Read1": [0.63, 22.69],
-            "Read0": [0.67, 23.85],
-            "Write1": [4.40, 244.64],
-            "Write0": [3.30, 202.70],
-            "CimNOT": [0.60, 22.20],
-            "CimAND": [0.55, 22.30],
-            "CimOR": [0.53, 22.90],
-            "CimNAND": [0.45, 18.89],
-            "CimNOR": [0.45, 21.00],
-            "CimXOR": [0.53, 26.34],
-            "CimADD": [0.53, 26.32],
-        },
-    },
+    "array": {**dataclasses.asdict(ArrayGeometry()), **dataclasses.asdict(SenseConfig())},
+    "cost": CostTable().as_dict(),
     "attack": {
         "variant": "XnorLevel",
         "zone_temp": 100.0,
@@ -86,7 +59,6 @@ DEFAULT_CONFIG: dict = {
     },
     "sca": {
         "sigma_duration": 0.05,
-        "sigma_energy": 1.0,
         "sweep_sigma_energy": [0.5, 1.0, 2.0, 5.0],
         "samples_per_class": 10000,
     },
@@ -152,9 +124,10 @@ _NUMBER = (_is_number, "a finite number")
 _SIGMA = (_is_sigma, "a finite number >= 0")
 # the credential policies a config or a CLI flag may choose
 POLICY_MODES = ("correct", "random")
+_ESTIMATES = ("shift_estimate", "collapse_estimate")
 
-# every leaf a flag or a file sets and an experiment reads as a number, a
-# count or a switch: (check, what the value must be)
+# every leaf a flag or a file sets, outside the unread device metadata:
+# (check, what the value must be); a section's check follows its leaves
 _RUN_LEAVES = {
     ("seed",): _int_at_least(0),
     ("trials",): _int_at_least(1),
@@ -172,13 +145,10 @@ _RUN_LEAVES = {
     ("device", "ambient_temp"): _NUMBER,
     ("device", "collapse", "a"): _NUMBER,
     ("device", "collapse", "b"): _NUMBER,
-    ("array", "banks"): _int_at_least(1),
-    ("array", "rows_per_bank"): _int_at_least(1),
-    ("array", "cols_per_row"): _int_at_least(1),
-    ("array", "i_ref_read"): _NUMBER,
-    ("array", "i_ref_or"): _NUMBER,
-    ("array", "i_ref_and"): _NUMBER,
-    ("array",): _increasing("i_ref_read", "i_ref_or", "i_ref_and"),
+    **{("array", f.name): _int_at_least(1) for f in dataclasses.fields(ArrayGeometry)},
+    **{("array", f.name): _NUMBER for f in dataclasses.fields(SenseConfig)},
+    ("array",): _increasing(*(f.name for f in dataclasses.fields(SenseConfig))),
+    ("cost", "mode"): _one_of(*(mode.value for mode in CostMode)),
     **{
         ("cost", table, name): (
             lambda value: type(value) in (list, tuple) and len(value) == 2
@@ -205,9 +175,17 @@ _RUN_LEAVES = {
     ("mitigation", "zone_temp"): _NUMBER,
     **{
         ("mitigation", estimate, name): _NUMBER
-        for estimate in ("shift_estimate", "collapse_estimate")
+        for estimate in _ESTIMATES
         for name in ("alpha", "beta", "gamma")
     },
+    **{
+        ("mitigation", estimate): (
+            lambda value: 0 < value["alpha"] < value["beta"] < value["gamma"],
+            "ordered: 0 < alpha < beta < gamma",
+        )
+        for estimate in _ESTIMATES
+    },
+    ("out_dir",): (lambda value: type(value) is str and value != "", "a non-empty string"),
 }
 
 
@@ -273,66 +251,22 @@ def build_model(config: dict) -> CurrentLevelModel:
 def build_collapse(config: dict, zone_temp: float | None = None) -> Collapse:
     dev = config["device"]
     return Collapse(
-        a=dev["collapse"]["a"],
-        b=dev["collapse"]["b"],
-        zone_temp=dev["ambient_temp"] if zone_temp is None else zone_temp,
+        **dev["collapse"], zone_temp=dev["ambient_temp"] if zone_temp is None else zone_temp
     )
+
+
+def _from_fields(cls, section: dict):
+    """``cls`` built from the keys of ``section`` that name its fields."""
+    return cls(**{f.name: section[f.name] for f in dataclasses.fields(cls)})
 
 
 def build_sense(config: dict) -> SenseConfig:
-    arr = config["array"]
-    return SenseConfig(
-        i_ref_read=arr["i_ref_read"],
-        i_ref_or=arr["i_ref_or"],
-        i_ref_and=arr["i_ref_and"],
-    )
+    return _from_fields(SenseConfig, config["array"])
 
 
 def build_geometry(config: dict) -> ArrayGeometry:
-    arr = config["array"]
-    return ArrayGeometry(
-        banks=arr["banks"],
-        rows_per_bank=arr["rows_per_bank"],
-        cols_per_row=arr["cols_per_row"],
-    )
-
-
-def _cost_map(rows: dict) -> dict[OpClass, OpCost]:
-    out = {}
-    for name, pair in rows.items():
-        try:
-            kind = OpClass(name)
-        except ValueError as exc:
-            raise ConfigError(f"unknown cost-table operation: {name}") from exc
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise ConfigError(f"cost row {name} must be [delay_ns, energy_fj]")
-        out[kind] = OpCost(float(pair[0]), float(pair[1]))
-    return out
+    return _from_fields(ArrayGeometry, config["array"])
 
 
 def build_cost_table(config: dict) -> CostTable:
-    cost = config["cost"]
-    try:
-        mode = CostMode(cost["mode"])
-    except ValueError as exc:
-        raise ConfigError(f"unknown cost mode: {cost['mode']}") from exc
-    return CostTable(
-        standard=_cost_map(cost["standard"]),
-        enhanced=_cost_map(cost["enhanced"]),
-        mode=mode,
-    )
-
-
-def dump_cost_table(table: CostTable) -> dict:
-    """Inverse of build_cost_table; defaults round-trip bit-exactly."""
-    return {
-        "mode": table.mode.value,
-        "standard": {
-            kind.value: [cost.delay_ns, cost.energy_fj]
-            for kind, cost in table.standard.items()
-        },
-        "enhanced": {
-            kind.value: [cost.delay_ns, cost.energy_fj]
-            for kind, cost in table.enhanced.items()
-        },
-    }
+    return CostTable.from_dict(config["cost"])

@@ -8,9 +8,11 @@ JSON configuration.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import math
+import os
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping
@@ -78,6 +80,9 @@ ENHANCED_COSTS: Mapping[OpClass, OpCost] = {
 }
 
 
+_SIDES = ("standard", "enhanced")
+
+
 @dataclass(frozen=True)
 class CostTable:
     standard: Mapping[OpClass, OpCost] = field(default_factory=lambda: dict(STANDARD_COSTS))
@@ -87,6 +92,37 @@ class CostTable:
     def side(self, enhanced: bool) -> Mapping[OpClass, OpCost]:
         return self.enhanced if enhanced else self.standard
 
+    def as_dict(self) -> dict:
+        """JSON form: the mode's name and each side's rows as [delay_ns, energy_fj]."""
+        return {
+            "mode": self.mode.value,
+            **{
+                side: {
+                    kind.value: [c.delay_ns, c.energy_fj]
+                    for kind, c in getattr(self, side).items()
+                }
+                for side in _SIDES
+            },
+        }
+
+    @classmethod
+    def from_dict(cls, data: Mapping) -> "CostTable":
+        """Inverse of :meth:`as_dict`; the defaults round-trip bit-exactly.
+
+        An unknown mode or operation name raises ValueError; the shape of
+        each row is checked by ``config.validate_run``, not here.
+        """
+        return cls(
+            mode=CostMode(data["mode"]),
+            **{
+                side: {
+                    OpClass(name): OpCost(float(delay), float(energy))
+                    for name, (delay, energy) in data[side].items()
+                }
+                for side in _SIDES
+            },
+        )
+
 
 def cost_of(kind: OpClass, table: CostTable, enhanced: bool = True) -> OpCost:
     """Table row for one operation class; raises UnknownOp if absent."""
@@ -95,6 +131,17 @@ def cost_of(kind: OpClass, table: CostTable, enhanced: bool = True) -> OpCost:
         which = "enhanced" if enhanced else "standard"
         raise UnknownOp(f"{kind.value} has no row in the {which} cost table")
     return side[kind]
+
+
+def open_target(target, mode: str = "r", **kwargs):
+    """``target`` as a context manager: a path is opened, and closed on exit.
+
+    A str, bytes or os.PathLike target is a path; anything else is taken as
+    an open handle and left open.
+    """
+    if isinstance(target, (str, bytes, os.PathLike)):
+        return open(target, mode, **kwargs)
+    return contextlib.nullcontext(target)
 
 
 def popcount(word: int, width: int) -> int:
@@ -182,14 +229,9 @@ class ExecutionTrace:
     def total_energy(self) -> float:
         return sum(e.energy_fj for e in self.events)
 
-    def total_delay(self) -> float:
-        return sum(e.duration_ns for e in self.events)
-
     def to_csv(self, target) -> None:
         """Write event rows as kind,start_ns,duration_ns,energy_fJ,channel."""
-        own = isinstance(target, (str, bytes))
-        handle = open(target, "w", newline="") if own else target
-        try:
+        with open_target(target, "w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(["kind", "start_ns", "duration_ns", "energy_fJ", "channel"])
             for e in self.events:
@@ -197,9 +239,6 @@ class ExecutionTrace:
                     [e.kind.value, repr(e.start_ns), repr(e.duration_ns),
                      repr(e.energy_fj), e.channel.value]
                 )
-        finally:
-            if own:
-                handle.close()
 
     def to_csv_text(self) -> str:
         buf = io.StringIO()
@@ -231,16 +270,11 @@ class PowerTrace:
         return float(self.power[mask].sum() * dt)
 
     def to_csv(self, target) -> None:
-        own = isinstance(target, (str, bytes))
-        handle = open(target, "w", newline="") if own else target
-        try:
+        with open_target(target, "w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(["t_ns", "power"])
             for t, p in zip(self.times_ns, self.power):
                 writer.writerow([repr(float(t)), repr(float(p))])
-        finally:
-            if own:
-                handle.close()
 
 
 def synthesize_power_trace(

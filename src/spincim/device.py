@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from statistics import NormalDist
 from typing import Mapping, Union
@@ -473,7 +473,7 @@ def calibrate(
     """
     from scipy.optimize import least_squares
 
-    from .analytic import normal_tail, pair_exceed_prob
+    from .analytic import normal_tail, pair_exceed
 
     targets = targets or FailureRateTargets()
     model = model or CurrentLevelModel(sigma=1.0)
@@ -484,7 +484,7 @@ def calibrate(
     half = (model.mu_p_p - model.mu_ap_p) / 2.0
     sigma = half / NormalDist().inv_cdf(1.0 - targets.natural)
     ref = model.mu_ap_p + half
-    ladder = model.pair_ladder
+    fitted_model = replace(model, sigma=sigma)
 
     q_natural = normal_tail(half / sigma)
     solved = {}
@@ -505,22 +505,22 @@ def calibrate(
     )
     a0 = math.log(solved[temps[0]]) - b0 * dts[0]
 
-    rows = [("AP,P", 1, t, r) for t, r in sorted(targets.heated_ap_p.items())]
-    rows += [("AP,AP", 0, t, r) for t, r in sorted(targets.heated_ap_ap.items())]
+    rows = [("AP,P", t, r) for t, r in sorted(targets.heated_ap_p.items())]
+    rows += [("AP,AP", t, r) for t, r in sorted(targets.heated_ap_ap.items())]
 
     def residuals(params):
         a, b = params
-        out = []
-        for _, base, temp, rate in rows:
-            rho = min(1.0, math.exp(a + b * (temp - model.ambient_temp)))
-            out.append(pair_exceed_prob(ladder, base, sigma, ref, rho) - rate)
-        return out
+        return [
+            pair_exceed(fitted_model, parse_pair(name), ref, Collapse(a, b, zone_temp=temp))
+            - rate
+            for name, temp, rate in rows
+        ]
 
     fit = least_squares(residuals, x0=[a0, b0])
     a, b = float(fit.x[0]), float(fit.x[1])
     resid = {}
     fitted = {}
-    for (name, base, temp, rate), r in zip(rows, residuals((a, b))):
+    for (name, temp, rate), r in zip(rows, residuals((a, b))):
         key = f"{name}@{temp:g}C"
         resid[key] = r
         fitted[key] = rate + r

@@ -1,10 +1,11 @@
 """Minimal load/store machine with in-memory compute instructions.
 
 The machine has eight general registers (R0..R7) whose width equals the
-array word width. CPU opcodes operate on registers; Cim opcodes carry only
-row addresses (operands first, destination last) and execute inside the
-memory array. Assembly grammar, one instruction per line, ';' or '#'
-comments:
+array word width. CPU opcodes (:class:`Opcode`) operate on registers.
+In-memory instructions take the array's own :class:`~spincim.array.CimOp` as
+opcode, carry only row addresses (operands first, destination last) and
+execute inside the memory array. Assembly grammar, one instruction per line,
+';' or '#' comments:
 
     LOAD   Rd, @row          load word at row into register
     STORE  Rs, @row          store register to row
@@ -26,8 +27,8 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .array import CimArray, CimOp, RowAddress
-from .cost import ExecutionTrace, count_bus_transfers
+from .array import TWO_ROW_OPS, CimArray, CimOp, RowAddress
+from .cost import ExecutionTrace
 from .errors import ParseError, StepBudgetExceeded
 
 NUM_REGISTERS = 8
@@ -41,32 +42,19 @@ class Opcode(Enum):
     OR = "OR"
     XOR = "XOR"
     NOT = "NOT"
-    CIM_ADD = "CimADD"
-    CIM_AND = "CimAND"
-    CIM_OR = "CimOR"
-    CIM_XOR = "CimXOR"
-    CIM_NOT = "CimNOT"
-    CIM_NAND = "CimNAND"
-    CIM_NOR = "CimNOR"
     HALT = "HALT"
 
 
 CPU_ALU_OPS = frozenset({Opcode.ADD, Opcode.AND, Opcode.OR, Opcode.XOR})
-CIM_TWO_ROW = {
-    Opcode.CIM_AND: CimOp.CIM_AND,
-    Opcode.CIM_OR: CimOp.CIM_OR,
-    Opcode.CIM_XOR: CimOp.CIM_XOR,
-    Opcode.CIM_NAND: CimOp.CIM_NAND,
-    Opcode.CIM_NOR: CimOp.CIM_NOR,
-}
-CIM_OPS = frozenset(CIM_TWO_ROW) | {Opcode.CIM_ADD, Opcode.CIM_NOT}
+# the in-memory instructions: every array operation but the host read and write
+CIM_OPS = TWO_ROW_OPS | {CimOp.CIM_ADD, CimOp.CIM_NOT}
 
-_MNEMONICS = {op.value.upper(): op for op in Opcode}
+_MNEMONICS = {op.value.upper(): op for op in (*Opcode, *CIM_OPS)}
 
 
 @dataclass(frozen=True)
 class Instruction:
-    opcode: Opcode
+    opcode: Opcode | CimOp
     regs: tuple[int, ...] = ()
     addrs: tuple[RowAddress, ...] = ()
 
@@ -114,21 +102,13 @@ def _parse_addr(token: str, line: int, col: int) -> RowAddress:
     return RowAddress(bank=bank, row=int(m.group(2)))
 
 
-_SHAPES: dict[Opcode, str] = {
+_SHAPES: dict[Opcode | CimOp, str] = {
     Opcode.LOAD: "ra",
     Opcode.STORE: "ra",
-    Opcode.ADD: "rrr",
-    Opcode.AND: "rrr",
-    Opcode.OR: "rrr",
-    Opcode.XOR: "rrr",
+    **dict.fromkeys(CPU_ALU_OPS, "rrr"),
     Opcode.NOT: "rr",
-    Opcode.CIM_ADD: "aaa",
-    Opcode.CIM_AND: "aaa",
-    Opcode.CIM_OR: "aaa",
-    Opcode.CIM_XOR: "aaa",
-    Opcode.CIM_NAND: "aaa",
-    Opcode.CIM_NOR: "aaa",
-    Opcode.CIM_NOT: "aa",
+    **dict.fromkeys(CIM_OPS - {CimOp.CIM_NOT}, "aaa"),
+    CimOp.CIM_NOT: "aa",
     Opcode.HALT: "",
 }
 
@@ -231,26 +211,23 @@ def run(program: Program, machine: Machine) -> tuple[ExecStats, ExecutionTrace]:
             elif op is Opcode.NOT:
                 rd, ra = instr.regs
                 regs[rd] = ~regs[ra] & mask
-            elif op is Opcode.CIM_NOT:
+            elif op is CimOp.CIM_NOT:
                 a, dest = instr.addrs
                 machine.array.write_word(dest, machine.array.cim_not(a), record=False)
-            elif op is Opcode.CIM_ADD:
+            elif op is CimOp.CIM_ADD:
                 a, b, dest = instr.addrs
                 machine.array.cim_add(a, b, dest)
             else:
                 a, b, dest = instr.addrs
-                word = machine.array.cim_two_row(CIM_TWO_ROW[op], a, b)
+                word = machine.array.cim_two_row(op, a, b)
                 machine.array.write_word(dest, word, record=False)
     finally:
         machine.array.recorder = previous
     stats = ExecStats(
         instruction_count=executed,
         memory_access_count=len(trace.events),
-        total_delay_ns=trace.total_delay(),
+        total_delay_ns=trace.end_ns,
         total_energy_fj=trace.total_energy(),
-    )
-    assert stats.memory_access_count == count_bus_transfers(trace) + sum(
-        1 for e in trace.events if e.channel.value == "InMemory"
     )
     return stats, trace
 
@@ -260,12 +237,12 @@ _SCRATCH_A = NUM_REGISTERS - 2
 _SCRATCH_B = NUM_REGISTERS - 1
 
 _CIM_TO_ALU = {
-    Opcode.CIM_ADD: Opcode.ADD,
-    Opcode.CIM_AND: Opcode.AND,
-    Opcode.CIM_OR: Opcode.OR,
-    Opcode.CIM_XOR: Opcode.XOR,
-    Opcode.CIM_NAND: Opcode.AND,
-    Opcode.CIM_NOR: Opcode.OR,
+    CimOp.CIM_ADD: Opcode.ADD,
+    CimOp.CIM_AND: Opcode.AND,
+    CimOp.CIM_OR: Opcode.OR,
+    CimOp.CIM_XOR: Opcode.XOR,
+    CimOp.CIM_NAND: Opcode.AND,
+    CimOp.CIM_NOR: Opcode.OR,
 }
 
 
@@ -277,7 +254,7 @@ def lower_to_conventional(program: Program) -> Program:
         if op not in CIM_OPS:
             out.append(instr)
             continue
-        if op is Opcode.CIM_NOT:
+        if op is CimOp.CIM_NOT:
             a, dest = instr.addrs
             out.append(Instruction(Opcode.LOAD, (_SCRATCH_A,), (a,)))
             out.append(Instruction(Opcode.NOT, (_SCRATCH_A, _SCRATCH_A)))
@@ -289,7 +266,7 @@ def lower_to_conventional(program: Program) -> Program:
         out.append(
             Instruction(_CIM_TO_ALU[op], (_SCRATCH_A, _SCRATCH_A, _SCRATCH_B))
         )
-        if op in (Opcode.CIM_NAND, Opcode.CIM_NOR):
+        if op in (CimOp.CIM_NAND, CimOp.CIM_NOR):
             out.append(Instruction(Opcode.NOT, (_SCRATCH_A, _SCRATCH_A)))
         out.append(Instruction(Opcode.STORE, (_SCRATCH_A,), (dest,)))
     return Program(tuple(out))
@@ -308,7 +285,6 @@ def static_fingerprint(machine: Machine) -> str:
     capabilities = sorted(
         op.value for op in (CimOp if array.enhanced else (CimOp.READ, CimOp.WRITE))
     )
-    table = array.cost_table
     description = {
         "geometry": {
             "banks": g.banks,
@@ -322,14 +298,9 @@ def static_fingerprint(machine: Machine) -> str:
             array.sense.i_ref_or,
             array.sense.i_ref_and,
         ],
+        # the accounting mode is how the simulator charges a write, not hardware
         "costs": {
-            side: {
-                kind.value: [cost.delay_ns, cost.energy_fj]
-                for kind, cost in sorted(
-                    getattr(table, side).items(), key=lambda kv: kv[0].value
-                )
-            }
-            for side in ("standard", "enhanced")
+            side: rows for side, rows in array.cost_table.as_dict().items() if side != "mode"
         },
     }
     blob = json.dumps(description, sort_keys=True).encode()

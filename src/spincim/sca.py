@@ -7,6 +7,7 @@ and to run the Hamming-weight write attack.
 """
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -20,6 +21,7 @@ from .cost import (
     OpClass,
     PowerTrace,
     cost_of,
+    open_target,
     single_word_write_event,
 )
 from .device import trial_rng
@@ -78,18 +80,11 @@ class Dataset:
         return len(self.codes)
 
     def to_csv(self, target) -> None:
-        import csv
-
-        own = isinstance(target, (str, bytes))
-        handle = open(target, "w", newline="") if own else target
-        try:
+        with open_target(target, "w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(["duration_ns", "energy_fJ", "label"])
             for (d, e), label in zip(self.features, self.labels):
                 writer.writerow([repr(float(d)), repr(float(e)), label])
-        finally:
-            if own:
-                handle.close()
 
 
 def class_centroid(name: str, table: CostTable, enhanced: bool) -> tuple[float, float]:

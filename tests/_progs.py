@@ -6,20 +6,20 @@ import numpy as np
 from spincim import (
     ArrayGeometry,
     CimArray,
+    CimOp,
     Instruction,
     Machine,
-    Opcode,
     Program,
     RowAddress,
 )
 
 CIM_THREE = (
-    Opcode.CIM_ADD,
-    Opcode.CIM_AND,
-    Opcode.CIM_OR,
-    Opcode.CIM_XOR,
-    Opcode.CIM_NAND,
-    Opcode.CIM_NOR,
+    CimOp.CIM_ADD,
+    CimOp.CIM_AND,
+    CimOp.CIM_OR,
+    CimOp.CIM_XOR,
+    CimOp.CIM_NAND,
+    CimOp.CIM_NOR,
 )
 
 
@@ -34,7 +34,7 @@ def random_cim_program(
             a = int(rng.integers(0, rows))
             dest = int(rng.integers(0, rows))
             instructions.append(
-                Instruction(Opcode.CIM_NOT, (), (RowAddress(0, a), RowAddress(0, dest)))
+                Instruction(CimOp.CIM_NOT, (), (RowAddress(0, a), RowAddress(0, dest)))
             )
             continue
         opcode = CIM_THREE[int(rng.integers(0, len(CIM_THREE)))]

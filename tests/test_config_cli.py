@@ -14,9 +14,13 @@ from hypothesis import strategies as st
 import spincim
 from spincim import ConfigError
 from spincim.cli import main
+from spincim import ArrayGeometry, Collapse, CostTable, CurrentLevelModel, SenseConfig
 from spincim.config import (
+    _RUN_LEAVES,
     DEFAULT_CONFIG,
+    build_collapse,
     build_cost_table,
+    build_geometry,
     build_model,
     build_sense,
     canonical_json,
@@ -99,6 +103,34 @@ class TestConfig:
         changed = load_config()
         changed["seed"] = 1
         assert config_hash(changed) != config_hash(base)
+
+    def test_builders_equal_dataclass_defaults(self):
+        config = load_config()
+        assert build_model(config) == CurrentLevelModel()
+        assert build_sense(config) == SenseConfig()
+        assert build_geometry(config) == ArrayGeometry()
+        assert build_collapse(config) == Collapse()
+        assert build_cost_table(config) == CostTable()
+
+    def test_default_config_hash_pinned(self):
+        # moved only by removing the unread sca.sigma_energy leaf
+        assert config_hash(load_config()) == (
+            "f4b257df4870f797ec3025760da650f0f96bd93e92745f27f139d2584ea61a71"
+        )
+
+    def test_every_leaf_is_checked(self):
+        def leaves(node, path=()):
+            if not isinstance(node, dict):
+                yield path
+                return
+            for key, value in node.items():
+                yield from leaves(value, (*path, key))
+
+        unchecked = [
+            path for path in leaves(DEFAULT_CONFIG)
+            if path[:2] != ("device", "metadata") and path not in _RUN_LEAVES
+        ]
+        assert unchecked == []
 
 
 def run_cli(capsys, *argv) -> tuple[int, dict | None]:
@@ -327,6 +359,13 @@ class TestCli:
         ({"attack": {"variant": "Bogus"}}, [], "attack.variant"),
         ({"attack": {"policy": {"user": "sometimes"}}}, [], "attack.policy.user"),
         ({"attack": {"policy": {"password": ["random"]}}}, [], "attack.policy.password"),
+        ({"cost": {"mode": "Bogus"}}, [], "cost.mode"),
+        ({"mitigation": {"collapse_estimate": {"alpha": 0.5}}}, [],
+         "mitigation.collapse_estimate"),
+        ({"mitigation": {"collapse_estimate": {"alpha": 0}}}, [],
+         "mitigation.collapse_estimate"),
+        ({"mitigation": {"shift_estimate": {"gamma": 0.2}}}, [],
+         "mitigation.shift_estimate"),
     ])
     @pytest.mark.parametrize("command", ["mc-failure", "sca"])
     def test_out_of_range_run_leaf_exits_one(
@@ -348,6 +387,9 @@ class TestCli:
         (["auth-attack"], {"attack": {"policy": {"user": "sometimes"}}},
          "attack.policy.user"),
         (["sca"], {"cost": {"standard": {"Write1": ["a", 1]}}}, "cost.standard.Write1"),
+        (["mitigate"], {"cost": {"mode": "Bogus"}}, "cost.mode"),
+        (["mitigate"], {"mitigation": {"collapse_estimate": {"alpha": 0.5}}},
+         "mitigation.collapse_estimate"),
     ])
     def test_bad_leaf_exits_one_on_the_command_that_reads_it(
         self, capsys, tmp_path, argv, overlay, key
@@ -357,6 +399,23 @@ class TestCli:
         assert main([*argv, "--config", str(config), "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert f"error: {key} must be" in err and "Traceback" not in err
+
+    # --out overrides out_dir, so these run without it, from an empty directory
+    @pytest.mark.parametrize("overlay,flags", [
+        ({"out_dir": 5}, []),
+        ({"out_dir": None}, []),
+        ({}, ["--out", ""]),
+    ])
+    @pytest.mark.parametrize("command", ["margins", "sca"])
+    def test_bad_out_dir_exits_one(
+        self, capsys, tmp_path, monkeypatch, command, overlay, flags
+    ):
+        monkeypatch.chdir(tmp_path)
+        Path("overlay.json").write_text(json.dumps(overlay))
+        assert main([command, "--config", "overlay.json", *flags]) == 1
+        err = capsys.readouterr().err
+        assert "error: out_dir must be" in err and "Traceback" not in err
+        assert sorted(os.listdir()) == ["overlay.json"]
 
     def test_golden_mc_failure_and_mitigate_reports(self, capsys, tmp_path):
         # captured before trial streams were seeded from precomputed blocks:

@@ -3,12 +3,17 @@ import io
 import pytest
 
 from spincim import (
+    ArrayGeometry,
     Channel,
+    CimArray,
     CostMode,
     CostTable,
+    Dataset,
     ExecutionTrace,
+    LabeledObservation,
     OpClass,
     OpCost,
+    RowAddress,
     UnknownOp,
     cost_of,
     count_bus_transfers,
@@ -17,7 +22,7 @@ from spincim import (
     word_read_cost,
     word_write_cost,
 )
-from spincim.config import build_cost_table, dump_cost_table, load_config
+from spincim.config import build_cost_table, load_config
 
 PER_BIT = CostTable(mode=CostMode.PER_BIT_WRITES)
 
@@ -78,7 +83,7 @@ class TestTrace:
         ends = [e.start_ns + e.duration_ns for e in trace.events]
         assert all(s2 >= e1 for e1, s2 in zip(ends, starts[1:]))
         assert trace.total_energy() == pytest.approx(8.611 + 191.4 + 26.32)
-        assert trace.total_delay() == pytest.approx(0.6 + 3.3 + 0.53)
+        assert trace.end_ns == pytest.approx(0.6 + 3.3 + 0.53)
 
     def test_bus_transfer_counting(self):
         trace = ExecutionTrace()
@@ -140,10 +145,29 @@ class TestPowerSynthesis:
         assert buf.getvalue().splitlines()[0] == "t_ns,power"
 
 
+def test_writers_accept_path_objects(tmp_path):
+    trace = ExecutionTrace()
+    trace.record(OpClass.READ1, OpCost(0.6, 8.611), Channel.BUS)
+    trace.to_csv(tmp_path / "trace.csv")
+    assert (tmp_path / "trace.csv").read_bytes() == trace.to_csv_text().encode()
+    synthesize_power_trace(trace, sample_rate=10.0).to_csv(tmp_path / "power.csv")
+    assert (tmp_path / "power.csv").read_text().startswith("t_ns,power\n")
+    Dataset.from_observations([LabeledObservation(0.6, 8.611, "Read1")]).to_csv(
+        tmp_path / "data.csv"
+    )
+    assert (tmp_path / "data.csv").read_text().splitlines()[1].endswith("Read1")
+    array = CimArray(geometry=ArrayGeometry(rows_per_bank=4))
+    array.write_word(RowAddress(0, 2), 0xBEEF)
+    array.export_hex(tmp_path / "words.hex")
+    copy = CimArray(geometry=ArrayGeometry(rows_per_bank=4))
+    copy.import_hex(tmp_path / "words.hex")
+    assert copy.snapshot() == array.snapshot()
+
+
 class TestDefaultsRoundTrip:
     def test_tables_round_trip_bit_exactly(self):
         table = CostTable()
-        rebuilt = build_cost_table({"cost": dump_cost_table(table)})
+        rebuilt = build_cost_table({"cost": table.as_dict()})
         for enhanced in (False, True):
             side, rebuilt_side = table.side(enhanced), rebuilt.side(enhanced)
             assert set(side) == set(rebuilt_side)
@@ -154,4 +178,4 @@ class TestDefaultsRoundTrip:
     def test_config_defaults_equal_shipped_tables(self):
         table = build_cost_table(load_config())
         shipped = CostTable()
-        assert dump_cost_table(table) == dump_cost_table(shipped)
+        assert table.as_dict() == shipped.as_dict()

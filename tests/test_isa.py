@@ -5,7 +5,12 @@ from hypothesis import strategies as st
 
 from spincim import (
     Channel,
+    CimArray,
+    CimOp,
+    CostMode,
+    CostTable,
     Instruction,
+    Machine,
     Opcode,
     ParseError,
     Program,
@@ -38,7 +43,7 @@ class TestAssembler:
         program = assemble("CimADD @1, @2, @3")
         assert len(program) == 1
         instr = program.instructions[0]
-        assert instr.opcode is Opcode.CIM_ADD
+        assert instr.opcode is CimOp.CIM_ADD
         assert instr.addrs == (RowAddress(0, 1), RowAddress(0, 2), RowAddress(0, 3))
 
     def test_empty_source(self):
@@ -50,6 +55,11 @@ class TestAssembler:
             assemble("LOAD R1, @0\nFROB R1, @0\n")
         assert err.value.line == 2
         assert err.value.column >= 1
+
+    @pytest.mark.parametrize("source", ["Read @0, @1", "WRITE @0, @1"])
+    def test_array_host_ops_are_not_mnemonics(self, source):
+        with pytest.raises(ParseError, match="unknown mnemonic"):
+            assemble(source)
 
     def test_operand_count_checked(self):
         with pytest.raises(ParseError):
@@ -68,7 +78,7 @@ class TestAssembler:
         assert program.instructions[0].addrs[0] == RowAddress(1, 3)
 
     def test_case_insensitive_mnemonics(self):
-        assert assemble("cimadd @0, @1, @2").instructions[0].opcode is Opcode.CIM_ADD
+        assert assemble("cimadd @0, @1, @2").instructions[0].opcode is CimOp.CIM_ADD
 
 
 _reg = st.integers(min_value=0, max_value=7)
@@ -88,12 +98,12 @@ def _instruction_strategy():
         st.builds(
             lambda op, a: Instruction(op, (), tuple(a)),
             st.sampled_from(
-                [Opcode.CIM_ADD, Opcode.CIM_AND, Opcode.CIM_OR,
-                 Opcode.CIM_XOR, Opcode.CIM_NAND, Opcode.CIM_NOR]
+                [CimOp.CIM_ADD, CimOp.CIM_AND, CimOp.CIM_OR,
+                 CimOp.CIM_XOR, CimOp.CIM_NAND, CimOp.CIM_NOR]
             ),
             st.tuples(_addr, _addr, _addr),
         ),
-        st.builds(lambda a: Instruction(Opcode.CIM_NOT, (), tuple(a)), st.tuples(_addr, _addr)),
+        st.builds(lambda a: Instruction(CimOp.CIM_NOT, (), tuple(a)), st.tuples(_addr, _addr)),
         st.just(Instruction(Opcode.HALT)),
     )
 
@@ -223,3 +233,14 @@ class TestFingerprint:
         m2 = machine_with_memory(zero_noise_model)
         m2.array.enhanced = False
         assert static_fingerprint(m1) != static_fingerprint(m2)
+
+    @pytest.mark.parametrize("mode", list(CostMode))
+    @pytest.mark.parametrize("enhanced,digest", [
+        (True, "3d7fc3d9250bafb89006d40de4eaa5921f935437ee75edb3cf7f90bc48150092"),
+        (False, "2daebb1d52ab9f98ee3346d60d4b925f74721e91eaa7343c708199649d1ffbc7"),
+    ])
+    def test_default_digests_pinned(self, enhanced, digest, mode):
+        # captured before the cost rows were dumped by CostTable.as_dict; the
+        # accounting mode is left out of the digest
+        array = CimArray(enhanced=enhanced, cost_table=CostTable(mode=mode))
+        assert static_fingerprint(Machine(array)) == digest
