@@ -14,9 +14,16 @@ whose disturbance is Collapse (first operand first), one uniform per column;
 then one normal per column when the noise sigma is positive. The number of
 draws depends on the operation and the disturbance, never on the stored
 words.
+
+An attack heats a sense it matches with its disturbance bare when every
+activated row is in its zone (a MeanShift shifts the pair levels and leaves
+single cells alone), else per row, which a MeanShift cannot be: a pair sense
+with one of its rows heated by a MeanShift raises ValueError. Row bits come
+from a bounded cache of read-only vectors, so a word is unpacked once.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Union
@@ -36,6 +43,7 @@ from .cost import (
 from .device import (
     CurrentLevelModel,
     Disturbance,
+    MeanShift,
     sample_columns,
 )
 from .errors import MappingViolation, OutOfBounds
@@ -56,6 +64,9 @@ class CimOp(Enum):
 TWO_ROW_OPS = frozenset(
     {CimOp.CIM_AND, CimOp.CIM_OR, CimOp.CIM_NAND, CimOp.CIM_NOR, CimOp.CIM_XOR}
 )
+
+# every in-memory operation names its cost row
+_COST_CLASS = {op: OpClass(op.value) for op in CimOp if op not in (CimOp.READ, CimOp.WRITE)}
 
 
 @dataclass(frozen=True)
@@ -187,10 +198,13 @@ def validate_mapping(a: RowAddress, b: RowAddress) -> None:
         )
 
 
+@functools.lru_cache(maxsize=1024)
 def _unpack(word: int, width: int) -> np.ndarray:
-    """Bits of a word as a 0/1 vector, column 0 first; any width."""
+    """Bits of a word as a read-only 0/1 vector, column 0 first; any width."""
     raw = np.frombuffer(word.to_bytes((width + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, count=width, bitorder="little")
+    bits = np.unpackbits(raw, count=width, bitorder="little")
+    bits.flags.writeable = False
+    return bits
 
 
 def _pack(bits) -> int:
@@ -261,12 +275,6 @@ class CimArray:
 
     # -- sensing -------------------------------------------------------------
 
-    def _cell_disturbance(self, op: CimOp, addr: RowAddress) -> Disturbance:
-        atk = self.attack
-        if atk is not None and atk.matches_op(op) and atk.row_targeted(addr):
-            return atk.disturbance
-        return None
-
     def _forced(self, op: CimOp, *addrs: RowAddress) -> bool:
         atk = self.attack
         return (
@@ -279,14 +287,20 @@ class CimArray:
 
     def _currents(self, op: CimOp, *addrs: RowAddress) -> np.ndarray:
         """One current per column for a one-row or two-row activation."""
-        dist = tuple(self._cell_disturbance(op, a) for a in addrs)
-        bits = [_unpack(self._words[a.bank][a.row], self.geometry.cols_per_row)
-                for a in addrs]
-        # a lone row passes its disturbance bare: a MeanShift there leaves
-        # single-cell senses unchanged instead of being rejected as per-cell
-        return sample_columns(
-            bits, self.model, dist if len(dist) > 1 else dist[0], self.rng
-        )
+        width = self.geometry.cols_per_row
+        bits = [_unpack(self._words[a.bank][a.row], width) for a in addrs]
+        dist = None
+        atk = self.attack
+        if atk is not None and atk.disturbance is not None and atk.matches_op(op):
+            heated = [atk.row_targeted(a) for a in addrs]
+            if all(heated):
+                dist = atk.disturbance
+            elif any(heated):
+                if isinstance(atk.disturbance, MeanShift):
+                    raise ValueError("a mean shift heats a pair sense only "
+                                     "with both operand rows in the heated zone")
+                dist = tuple(atk.disturbance if h else None for h in heated)
+        return sample_columns(bits, self.model, dist, self.rng)
 
     # -- host access --------------------------------------------------------
 
@@ -318,8 +332,8 @@ class CimArray:
     def _record_cim(self, op: CimOp, word: int) -> None:
         if self.recorder is None:
             return
-        kind = OpClass(op.value)  # every in-memory CimOp names its cost row
-        ones = bin(word).count("1")
+        kind = _COST_CLASS[op]
+        ones = word.bit_count()
         cost = cost_of(kind, self.cost_table, self.enhanced)
         self.recorder.record(
             kind, cost, Channel.IN_MEMORY, ones, self.geometry.cols_per_row - ones

@@ -7,10 +7,14 @@ rows so that targeted CimAND senses read like CimOR, either probabilistically
 (collapse model at a zone temperature) or forced with probability one.
 
 Monte Carlo trials derive one random stream per (seed, trial index), so
-failure counts are reproducible under any thread count.
+failure counts are reproducible under any thread count. A Monte Carlo
+authentication run reuses one array per worker thread: each trial rewrites
+every row it senses before sensing it, and no draw depends on stored words.
 """
 from __future__ import annotations
 
+import functools
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -225,25 +229,20 @@ def mc_failure_rate(
 
 # -- authentication protocol -------------------------------------------------
 
-_ROW_U_DB, _ROW_P_DB, _ROW_U_TYPED, _ROW_P_TYPED = 0, 1, 2, 3
-_ROW_SCRATCH = (4, 5)
-_ROW_MATCH_U, _ROW_MATCH_P = 6, 7
+_ROWS = {
+    "u_db": RowAddress(0, 0),
+    "p_db": RowAddress(0, 1),
+    "u_typed": RowAddress(0, 2),
+    "p_typed": RowAddress(0, 3),
+    "scratch": (RowAddress(0, 4), RowAddress(0, 5)),
+    "match_u": RowAddress(0, 6),
+    "match_p": RowAddress(0, 7),
+}
 
 
-def _auth_rows(bank: int = 0) -> dict[str, RowAddress]:
-    return {
-        "u_db": RowAddress(bank, _ROW_U_DB),
-        "p_db": RowAddress(bank, _ROW_P_DB),
-        "u_typed": RowAddress(bank, _ROW_U_TYPED),
-        "p_typed": RowAddress(bank, _ROW_P_TYPED),
-        "scratch": (RowAddress(bank, _ROW_SCRATCH[0]), RowAddress(bank, _ROW_SCRATCH[1])),
-        "match_u": RowAddress(bank, _ROW_MATCH_U),
-        "match_p": RowAddress(bank, _ROW_MATCH_P),
-    }
-
-
+@functools.lru_cache(maxsize=64)
 def _scenario_attack(
-    scenario: AttackScenario, rows: dict[str, RowAddress], model: CurrentLevelModel
+    scenario: AttackScenario, model: CurrentLevelModel
 ) -> SenseDisturbance | None:
     if scenario.variant is AttackVariant.NONE:
         return None
@@ -253,10 +252,10 @@ def _scenario_attack(
         zone = scenario.targeted_rows
     elif scenario.variant is AttackVariant.XNOR_LEVEL:
         zone = frozenset(
-            {rows["u_db"], rows["p_db"], rows["u_typed"], rows["p_typed"]}
+            {_ROWS["u_db"], _ROWS["p_db"], _ROWS["u_typed"], _ROWS["p_typed"]}
         )
     else:
-        zone = frozenset({rows["match_u"], rows["match_p"]})
+        zone = frozenset({_ROWS["match_u"], _ROWS["match_p"]})
     disturbance = None if scenario.force_flip else scenario.collapse_at_zone()
     return SenseDisturbance(
         disturbance=disturbance,
@@ -294,27 +293,24 @@ def run_auth(
         array = CimArray(geometry, model, sense, rng=rng, recorder=trace)
     else:
         if array.geometry.cols_per_row != db.width:
-            raise MappingViolation(
-                "array word width must equal the credential width"
-            )
+            raise MappingViolation("array word width must equal the credential width")
         array.recorder = trace
         if rng is not None:
             array.rng = rng
-    rows = _auth_rows()
     mask = array.geometry.word_mask
 
-    array.write_word(rows["u_db"], stored.username)
-    array.write_word(rows["p_db"], stored.password)
-    array.write_word(rows["u_typed"], u_typed)
-    array.write_word(rows["p_typed"], p_typed)
+    array.write_word(_ROWS["u_db"], stored.username)
+    array.write_word(_ROWS["p_db"], stored.password)
+    array.write_word(_ROWS["u_typed"], u_typed)
+    array.write_word(_ROWS["p_typed"], p_typed)
 
-    array.attack = _scenario_attack(scenario, rows, model)
+    array.attack = _scenario_attack(scenario, model)
     try:
-        xnor_u = array.cim_xnor(rows["u_typed"], rows["u_db"], rows["scratch"])
-        xnor_p = array.cim_xnor(rows["p_typed"], rows["p_db"], rows["scratch"])
-        array.write_word(rows["match_u"], 1 if xnor_u == mask else 0)
-        array.write_word(rows["match_p"], 1 if xnor_p == mask else 0)
-        decision = array.cim_two_row(CimOp.CIM_AND, rows["match_u"], rows["match_p"])
+        xnor_u = array.cim_xnor(_ROWS["u_typed"], _ROWS["u_db"], _ROWS["scratch"])
+        xnor_p = array.cim_xnor(_ROWS["p_typed"], _ROWS["p_db"], _ROWS["scratch"])
+        array.write_word(_ROWS["match_u"], 1 if xnor_u == mask else 0)
+        array.write_word(_ROWS["match_p"], 1 if xnor_p == mask else 0)
+        decision = array.cim_two_row(CimOp.CIM_AND, _ROWS["match_u"], _ROWS["match_p"])
     finally:
         array.attack = None
     return bool(decision & 1), trace
@@ -437,11 +433,15 @@ def attack_success_rate(
     """Empirical acceptance rate under a credential policy, with oracle."""
     model = model or CurrentLevelModel()
     sense = sense or SenseConfig()
+    worker = threading.local()
 
     def one(_i: int, rng) -> bool:
         u_t, p_t = policy.draw(db.entries[entry], db.width, rng)
+        if not hasattr(worker, "array"):
+            worker.array = CimArray(ArrayGeometry(cols_per_row=db.width), model, sense)
         accept, _ = run_auth(
-            db, u_t, p_t, scenario, entry=entry, model=model, sense=sense, rng=rng
+            db, u_t, p_t, scenario, entry=entry, model=model, sense=sense, rng=rng,
+            array=worker.array,
         )
         return accept
 

@@ -12,8 +12,6 @@ import csv
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from . import config as cfgmod
 from .array import CimArray, CimOp, RowAddress

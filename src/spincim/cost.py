@@ -15,7 +15,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -126,11 +126,11 @@ class CostTable:
 
 def cost_of(kind: OpClass, table: CostTable, enhanced: bool = True) -> OpCost:
     """Table row for one operation class; raises UnknownOp if absent."""
-    side = table.side(enhanced)
-    if kind not in side:
+    row = table.side(enhanced).get(kind)
+    if row is None:
         which = "enhanced" if enhanced else "standard"
         raise UnknownOp(f"{kind.value} has no row in the {which} cost table")
-    return side[kind]
+    return row
 
 
 def open_target(target, mode: str = "r", **kwargs):
@@ -145,12 +145,7 @@ def open_target(target, mode: str = "r", **kwargs):
 
 
 def popcount(word: int, width: int) -> int:
-    return bin(word & ((1 << width) - 1)).count("1")
-
-
-def _majority_class(one_kind: OpClass, zero_kind: OpClass, ones: int, zeros: int) -> OpClass:
-    # ties resolve to the `1` class
-    return one_kind if ones >= zeros else zero_kind
+    return (word & ((1 << width) - 1)).bit_count()
 
 
 def word_write_cost(
@@ -158,12 +153,13 @@ def word_write_cost(
 ) -> tuple[OpClass, int, int, OpCost]:
     """Cost of writing one word, honouring the table's accounting mode.
 
-    PerWord charges the majority-bit table row once; PerBitWrites sums the
-    per-bit rows with duration equal to the slowest bit (parallel bit-lines).
+    PerWord charges the majority-bit table row once (a tie charges the `1`
+    row); PerBitWrites sums the per-bit rows with duration equal to the
+    slowest bit (parallel bit-lines).
     """
     ones = popcount(word, width)
     zeros = width - ones
-    kind = _majority_class(OpClass.WRITE1, OpClass.WRITE0, ones, zeros)
+    kind = OpClass.WRITE1 if ones >= zeros else OpClass.WRITE0
     if table.mode is CostMode.PER_WORD:
         return kind, ones, zeros, cost_of(kind, table, enhanced)
     c1 = cost_of(OpClass.WRITE1, table, enhanced)
@@ -179,12 +175,11 @@ def word_read_cost(
     """Cost of reading one word: the majority-bit row, in either mode."""
     ones = popcount(word, width)
     zeros = width - ones
-    kind = _majority_class(OpClass.READ1, OpClass.READ0, ones, zeros)
+    kind = OpClass.READ1 if ones >= zeros else OpClass.READ0
     return kind, ones, zeros, cost_of(kind, table, enhanced)
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     kind: OpClass
     ones: int
     zeros: int
@@ -210,13 +205,7 @@ class ExecutionTrace:
         zeros: int = 0,
     ) -> TraceEvent:
         event = TraceEvent(
-            kind=kind,
-            ones=ones,
-            zeros=zeros,
-            start_ns=self._cursor,
-            duration_ns=cost.delay_ns,
-            energy_fj=cost.energy_fj,
-            channel=channel,
+            kind, ones, zeros, self._cursor, cost.delay_ns, cost.energy_fj, channel
         )
         self.events.append(event)
         self._cursor += cost.delay_ns

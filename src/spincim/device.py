@@ -14,7 +14,8 @@ of parallelism. Trial ``i``'s stream is bit for bit
 trials at a time in one vectorised pass instead of one hash per trial. A
 Monte Carlo report sets up its pair sense once with :func:`pair_sampler`
 (level index, collapse rates, level table, sigma), so a trial only draws
-from its own stream.
+from its own stream. :func:`sample_columns` reads the level tables that a
+model builds once, on first use, as read-only float arrays.
 """
 from __future__ import annotations
 
@@ -111,6 +112,14 @@ class CurrentLevelModel:
     @property
     def pair_levels(self) -> Mapping[str, float]:
         return dict(zip(PAIR_NAMES, self.pair_ladder))
+
+    @functools.cached_property
+    def level_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """Single and pair level means as read-only float arrays, built once."""
+        tables = np.array((self.mu_ap, self.mu_p), float), np.array(self.pair_ladder, float)
+        for table in tables:
+            table.flags.writeable = False
+        return tables
 
     def single_level(self, state: MtjState) -> float:
         return self.mu_p if state is MtjState.P else self.mu_ap
@@ -301,32 +310,41 @@ def sample_columns(
 ) -> np.ndarray:
     """Sample one sense current per column, in uA, as an ndarray.
 
-    ``bits`` holds one 0/1 vector per activated row: one row senses single
-    cells against the single levels, two rows sense summed pairs against the
-    pair ladder. A column's level index is its number of parallel cells.
-    ``disturbance`` applies to every row, or is a per-row tuple.
+    ``bits`` holds one 0/1 vector per activated row, all of one width: one
+    row senses single cells against the single levels, two rows sense summed
+    pairs against the pair ladder. A column's level index is its number of
+    parallel cells. ``disturbance`` applies to every row, or is a tuple with
+    one entry per row; any other row count, tuple length or mix of widths
+    raises ValueError.
 
     Draw order: for each row whose disturbance is Collapse, one uniform per
     column (an AP cell collapses one level up when its uniform is below
     rho); then one normal per column when sigma > 0. The number of draws
-    never depends on the stored bits. A pair-level MeanShift adds
-    ``shifts[index]``; it has no effect on single-cell senses.
+    never depends on the stored bits. A pair-level MeanShift, passed bare,
+    adds ``shifts[index]``; it has no effect on single-cell senses, and in a
+    per-row tuple it raises ValueError.
     """
-    rows = [np.asarray(b) for b in bits]
-    per_row = _per_row(disturbance, len(rows))
-    heated = [(row, d) for row, d in zip(rows, per_row) if isinstance(d, Collapse)]
-    _require_rng(rng, bool(heated) or model.sigma > 0)
-    n = len(rows[0])
-    idx = sum(rows).astype(np.intp)
-    for row, d in heated:
-        idx += (rng.random(n) < d.rho(model.ambient_temp)) & (row == 0)
-    if len(rows) == 1:
-        out = np.array((model.mu_ap, model.mu_p), dtype=float)[idx]
-    else:
-        out = np.array(model.pair_ladder, dtype=float)[idx]
-        if isinstance(disturbance, MeanShift):
-            out += np.array(disturbance.shifts)[idx]
+    rows = len(bits)
+    if rows not in (1, 2) or len(bits[0]) != len(bits[-1]):
+        widths = [len(b) for b in bits]
+        raise ValueError(f"a sense activates one row or two of one width, not {widths}")
+    if isinstance(disturbance, tuple) and len(disturbance) != rows:
+        raise ValueError(f"{len(disturbance)} per-row disturbances for {rows} rows")
+    n = len(bits[0])
+    singles, pairs = model.level_tables
+    idx = np.array(bits[0], dtype=np.intp)
+    if rows == 2:
+        np.add(idx, bits[1], out=idx, casting="unsafe")
+    for row, d in zip(bits, _per_row(disturbance, rows)):
+        if isinstance(d, Collapse):
+            _require_rng(rng, True)
+            # true where the cell is AP and its uniform fell below rho
+            idx += (rng.random(n) < d.rho(model.ambient_temp)) > row
+    out = (singles if rows == 1 else pairs)[idx]
+    if rows == 2 and isinstance(disturbance, MeanShift):
+        out += np.array(disturbance.shifts)[idx]
     if model.sigma > 0:
+        _require_rng(rng, True)
         out += rng.normal(0.0, model.sigma, n)
     return out
 

@@ -9,7 +9,6 @@ import sys
 import time
 
 import numpy as np
-import pytest
 
 from spincim import (
     ArrayGeometry,

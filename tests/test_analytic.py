@@ -16,7 +16,7 @@ from spincim import (
     synthesize_power_trace,
     wilson_interval,
 )
-from spincim.device import CurrentLevelModel, parse_pair, sample_single_current, trial_rng
+from spincim.device import parse_pair, sample_single_current, trial_rng
 
 from _oracles import binomial_3sigma, q
 from conftest import MASTER_SEED

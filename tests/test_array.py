@@ -11,10 +11,12 @@ from spincim import (
     CimOp,
     Collapse,
     MappingViolation,
+    MeanShift,
     OutOfBounds,
     RowAddress,
     SenseConfig,
     SenseDisturbance,
+    sample_pair_current,
     trial_rng,
     validate_mapping,
 )
@@ -417,6 +419,36 @@ class TestAttackHook:
         )
         # the AP cell in row A collapses; pair reads at the top level
         assert arr.cim_and(A, B) & 1 == 1
+
+    @pytest.mark.parametrize("words", [(0x0000, 0x0000), (0xFFFF, 0x0000), (0xFFFF, 0xFFFF)])
+    def test_fully_heated_mean_shift_senses_as_the_pair_sampler(self, model, words):
+        shift = MeanShift(0.5, 1.0, 1.5)
+        arr = CimArray(model=model, rng=trial_rng(MASTER_SEED, 12))
+        arr.write_word(A, words[0])
+        arr.write_word(B, words[1])
+        arr.attack = SenseDisturbance(disturbance=shift)
+        got = arr.cim_two_row(CimOp.CIM_AND, A, B)
+
+        ref = trial_rng(MASTER_SEED, 12)
+        pair = tuple(MtjState.from_bit(w & 1) for w in words)
+        currents = sample_pair_current(pair, model, shift, ref, size=16)
+        want = sum(1 << k for k, bit in enumerate(currents > arr.sense.i_ref_and) if bit)
+        assert got == want
+        assert arr.rng.bit_generator.state == ref.bit_generator.state
+
+    def test_mean_shift_on_one_operand_row_is_rejected(self, model):
+        arr = CimArray(model=model, rng=trial_rng(MASTER_SEED, 13))
+        arr.write_word(A, 0x00FF)
+        arr.write_word(B, 0x0F0F)
+        arr.attack = SenseDisturbance(
+            disturbance=MeanShift(0.5, 1.0, 1.5),
+            rows=frozenset({A}),
+            ops=frozenset({CimOp.CIM_AND}),
+        )
+        with pytest.raises(ValueError, match="both operand rows"):
+            arr.cim_and(A, B)
+        arr.cim_or(A, B)  # the attack does not match OR senses
+        arr.cim_not(A)    # a lone heated row is fully heated: single cells unchanged
 
 
 class TestHexDump:

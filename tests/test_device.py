@@ -362,6 +362,24 @@ class TestValidation:
         assert pair_sampler(parse_pair("P,P"), zero_noise_model, heated)() == 22.7
         assert pair_sampler(parse_pair("AP,P"), zero_noise_model, None)(None) == 20.2
 
+    @pytest.mark.parametrize("bits,disturbance", [
+        ((), None),
+        ((np.zeros(4),) * 3, None),
+        ((np.zeros(4), np.zeros(3)), None),
+        ((np.zeros(4), np.zeros(4)), (Collapse(),)),
+        ((np.zeros(4),), (Collapse(),) * 3),
+        ((np.zeros(4),), (Collapse(), Collapse())),
+    ], ids=["no rows", "three rows", "unequal widths", "short tuple", "long tuple",
+            "pair tuple for one row"])
+    def test_sample_columns_rejects_bad_shapes(self, model, bits, disturbance):
+        with pytest.raises(ValueError):
+            sample_columns(bits, model, disturbance, trial_rng(MASTER_SEED, 0))
+
+    def test_sample_columns_accepts_matching_shapes(self, model):
+        rng = trial_rng(MASTER_SEED, 0)
+        hot = Collapse(zone_temp=100.0)
+        assert sample_columns((np.zeros(4),), model, (hot,), rng).shape == (4,)
+        assert sample_columns((np.zeros(4), np.ones(4)), model, (hot, None), rng).shape == (4,)
 
 class TestCalibrate:
     def test_sigma_inverts_natural_rate(self):

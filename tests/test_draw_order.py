@@ -1,0 +1,179 @@
+"""Draw-order contract of a column sense, and array reuse in the auth Monte Carlo.
+
+The contract (``array`` and ``device.sample_columns`` docstrings): for each
+activated row whose disturbance is Collapse, first operand first, one uniform
+per column; then one normal per column when sigma > 0. Nothing else is drawn,
+and the number of draws never depends on the stored words.
+"""
+import math
+
+import numpy as np
+import pytest
+
+from spincim import (
+    AttackScenario,
+    AttackVariant,
+    AuthDb,
+    AuthEntry,
+    CimArray,
+    CimOp,
+    Collapse,
+    CredentialPolicy,
+    CurrentLevelModel,
+    MeanShift,
+    RowAddress,
+    SenseDisturbance,
+    attack_success_rate,
+    run_auth,
+    sample_columns,
+    trial_rng,
+)
+from spincim.attack import run_trials
+
+from conftest import MASTER_SEED
+
+A, B, DEST = RowAddress(0, 0), RowAddress(0, 1), RowAddress(0, 2)
+HALF = Collapse(a=math.log(0.5), b=0.0, zone_temp=100.0)  # rho = 1/2
+SHIFT = MeanShift(0.5, 1.0, 1.5)
+WIDTH = 16
+
+
+class LoggedRng:
+    """A Generator that logs each ``random``/``normal`` call with its size."""
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+        self.calls: list[tuple[str, int]] = []
+
+    def random(self, size=None):
+        self.calls.append(("random", size))
+        return self.rng.random(size)
+
+    def normal(self, loc=0.0, scale=1.0, size=None):
+        self.calls.append(("normal", size))
+        return self.rng.normal(loc, scale, size)
+
+
+def expected_calls(per_row, sigma: float, n: int = WIDTH) -> list[tuple[str, int]]:
+    calls = [("random", n) for d in per_row if isinstance(d, Collapse)]
+    return calls + ([("normal", n)] if sigma > 0 else [])
+
+
+def reference(bits, model, disturbance, rng) -> list[float]:
+    """The documented order, drawn up front and applied column by column."""
+    rows, n = len(bits), len(bits[0])
+    per_row = disturbance if isinstance(disturbance, tuple) else (disturbance,) * rows
+    uniforms = [rng.random(n) if isinstance(d, Collapse) else None for d in per_row]
+    noise = rng.normal(0.0, model.sigma, n) if model.sigma > 0 else np.zeros(n)
+    levels = (model.mu_ap, model.mu_p) if rows == 1 else model.pair_ladder
+    out = []
+    for col in range(n):
+        idx = sum(int(row[col]) for row in bits)
+        for row, d, u in zip(bits, per_row, uniforms):
+            if u is not None and not row[col] and u[col] < d.rho(model.ambient_temp):
+                idx += 1
+        level = levels[idx]
+        if rows == 2 and isinstance(disturbance, MeanShift):
+            level += disturbance.shifts[idx]
+        out.append(level + noise[col])
+    return out
+
+
+_BITS = {
+    # one row: AP and P columns; two rows: every pair state, AP cells in both
+    1: (np.tile([0, 1], WIDTH // 2),),
+    2: (np.tile([0, 0, 1, 1], WIDTH // 4), np.tile([0, 1, 0, 1], WIDTH // 4)),
+}
+_DISTURBANCES = {
+    1: [None, HALF, (HALF,), (None,), SHIFT],
+    2: [None, HALF, (HALF, None), (None, HALF), (HALF, Collapse(zone_temp=100.0)), SHIFT],
+}
+_CASES = [(rows, d) for rows in (1, 2) for d in _DISTURBANCES[rows]]
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.485281])
+@pytest.mark.parametrize("rows,disturbance", _CASES, ids=repr)
+def test_sample_columns_draws_in_the_documented_order(rows, disturbance, sigma):
+    model = CurrentLevelModel(sigma=sigma)
+    bits = _BITS[rows]
+    per_row = disturbance if isinstance(disturbance, tuple) else (disturbance,) * rows
+    for index in range(4):
+        logged = LoggedRng(trial_rng(MASTER_SEED, index))
+        twin = trial_rng(MASTER_SEED, index)
+        got = sample_columns(bits, model, disturbance, logged)
+        want = reference(bits, model, disturbance, twin)
+        assert logged.calls == expected_calls(per_row, sigma)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+        assert logged.rng.bit_generator.state == twin.bit_generator.state
+
+
+def _attacked_array(sigma: float, attack: SenseDisturbance | None):
+    rng = LoggedRng(trial_rng(MASTER_SEED, 11))
+    arr = CimArray(model=CurrentLevelModel(sigma=sigma), rng=rng)
+    arr.write_word(A, 0x3C5A)
+    arr.write_word(B, 0x0FF0)
+    arr.attack = attack
+    return arr, rng
+
+
+_ATTACKS = {
+    "none": None,
+    "collapse everywhere": SenseDisturbance(disturbance=HALF),
+    "collapse on the first operand": SenseDisturbance(disturbance=HALF, rows=frozenset({A})),
+    "collapse on the second operand": SenseDisturbance(disturbance=HALF, rows=frozenset({B})),
+    "collapse on AND only": SenseDisturbance(disturbance=HALF, ops=frozenset({CimOp.CIM_AND})),
+    "mean shift everywhere": SenseDisturbance(disturbance=SHIFT),
+    "forced flip": SenseDisturbance(rows=frozenset({A, B}), force_flip=True),
+}
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.485281])
+@pytest.mark.parametrize("name", list(_ATTACKS))
+def test_array_senses_draw_in_the_documented_order(name, sigma):
+    attack = _ATTACKS[name]
+    senses = [
+        ("read", lambda arr: arr.read_word(A), CimOp.READ, (A,)),
+        ("not", lambda arr: arr.cim_not(B), CimOp.CIM_NOT, (B,)),
+        ("and", lambda arr: arr.cim_and(A, B), CimOp.CIM_AND, (A, B)),
+        ("xor", lambda arr: arr.cim_xor(B, A), CimOp.CIM_XOR, (B, A)),
+        ("add", lambda arr: arr.cim_add(A, B, DEST), CimOp.CIM_ADD, (A, B)),
+    ]
+    for label, sense, op, addrs in senses:
+        arr, rng = _attacked_array(sigma, attack)
+        sense(arr)
+        matched = attack is not None and attack.matches_op(op)
+        per_row = [
+            attack.disturbance if matched and attack.row_targeted(a) else None
+            for a in addrs
+        ]
+        assert rng.calls == expected_calls(per_row, sigma), label
+
+
+def test_stored_words_do_not_change_the_draws():
+    calls = []
+    for a, b in [(0x0000, 0x0000), (0xFFFF, 0xFFFF), (0x1234, 0xFEDC)]:
+        arr, rng = _attacked_array(0.485281, _ATTACKS["collapse everywhere"])
+        arr.write_word(A, a)
+        arr.write_word(B, b)
+        arr.cim_and(A, B)
+        calls.append((rng.calls, rng.rng.bit_generator.state))
+    assert calls[0] == calls[1] == calls[2]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("scenario", [
+    AttackScenario(AttackVariant.XNOR_LEVEL, zone_temp=140.0),
+    AttackScenario(AttackVariant.GATE_LEVEL, zone_temp=130.0),
+    AttackScenario(AttackVariant.GATE_LEVEL, force_flip=True),
+], ids=lambda s: f"{s.variant.value}-{s.zone_temp:g}C-forced{s.force_flip}")
+def test_reused_arrays_count_as_fresh_ones(scenario, threads):
+    db = AuthDb(entries=(AuthEntry(0xBEEF, 0x1234),))
+    policy = CredentialPolicy(user="correct", password="random")
+    trials = 150
+
+    def fresh(_i, rng) -> bool:
+        u_t, p_t = policy.draw(db.entries[0], db.width, rng)
+        return run_auth(db, u_t, p_t, scenario, rng=rng)[0]
+
+    report = attack_success_rate(db, policy, scenario, trials, MASTER_SEED, threads=threads)
+    assert report.failures == run_trials(trials, MASTER_SEED, fresh)
