@@ -60,6 +60,8 @@ class CimOp(Enum):
     CIM_XOR = "CimXOR"
     CIM_ADD = "CimADD"
 
+    __hash__ = object.__hash__  # by identity, as members compare: no Python frame
+
 
 TWO_ROW_OPS = frozenset(
     {CimOp.CIM_AND, CimOp.CIM_OR, CimOp.CIM_NAND, CimOp.CIM_NOR, CimOp.CIM_XOR}
@@ -67,6 +69,7 @@ TWO_ROW_OPS = frozenset(
 
 # every in-memory operation names its cost row
 _COST_CLASS = {op: OpClass(op.value) for op in CimOp if op not in (CimOp.READ, CimOp.WRITE)}
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 
 @dataclass(frozen=True)
@@ -438,23 +441,30 @@ class CimArray:
                     handle.write(f"{word:0{nibbles}X}\n")
 
     def import_hex(self, source) -> None:
-        """Load contents from a hex dump; geometry must match."""
+        """Load contents from a hex dump; geometry must match.
+
+        Word lines hold plain hex digits only, as ``export_hex`` writes them; a
+        bad or too-wide word raises OutOfBounds naming its line.
+        """
+        g = self.geometry
         words = []
         with open_target(source) as handle:
-            for line in handle:
+            for lineno, line in enumerate(handle, start=1):
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
-                words.append(int(line, 16))
-        g = self.geometry
+                if not _HEX_DIGITS.issuperset(line):
+                    raise OutOfBounds(f"hex dump line {lineno}: {line!r} is not a hex word")
+                word = int(line, 16)
+                if word > g.word_mask:
+                    raise OutOfBounds(f"hex dump line {lineno}: word 0x{word:X} "
+                                      f"wider than {g.cols_per_row} bits")
+                words.append(word)
         expected = g.banks * g.rows_per_bank
         if len(words) != expected:
             raise OutOfBounds(
                 f"hex dump has {len(words)} rows, geometry needs {expected}"
             )
-        for word in words:
-            if word > g.word_mask:
-                raise OutOfBounds(f"word 0x{word:X} wider than {g.cols_per_row} bits")
         for bank in range(g.banks):
             for row in range(g.rows_per_bank):
                 self._words[bank][row] = words[bank * g.rows_per_bank + row]

@@ -37,6 +37,8 @@ class OpClass(Enum):
     CIM_XOR = "CimXOR"
     CIM_ADD = "CimADD"
 
+    __hash__ = object.__hash__  # by identity, as members compare: no Python frame
+
 
 class Channel(Enum):
     BUS = "Bus"

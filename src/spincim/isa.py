@@ -44,6 +44,8 @@ class Opcode(Enum):
     NOT = "NOT"
     HALT = "HALT"
 
+    __hash__ = object.__hash__  # by identity, as members compare: no Python frame
+
 
 CPU_ALU_OPS = frozenset({Opcode.ADD, Opcode.AND, Opcode.OR, Opcode.XOR})
 # the in-memory instructions: every array operation but the host read and write
@@ -83,6 +85,7 @@ class ExecStats:
         }
 
 
+_COMMENT_RE = re.compile(r"[;#]")
 _REG_RE = re.compile(r"^R([0-9]+)$", re.IGNORECASE)
 _ADDR_RE = re.compile(r"^@(?:([0-9]+):)?([0-9]+)$")
 
@@ -114,10 +117,14 @@ _SHAPES: dict[Opcode | CimOp, str] = {
 
 
 def assemble(text: str) -> Program:
-    """Assemble source text; raises ParseError with line and column."""
+    """Assemble source text; raises ParseError with line and column.
+
+    Operands are memoised per call by (kind, token), parsed at first use only.
+    """
     instructions = []
+    operands: dict[tuple[str, str], int | RowAddress] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = re.split(r"[;#]", raw, maxsplit=1)[0].strip()
+        line = _COMMENT_RE.split(raw, maxsplit=1)[0].strip()
         if not line:
             continue
         parts = line.split(None, 1)
@@ -134,14 +141,13 @@ def assemble(text: str) -> Program:
                 lineno,
                 raw.find(mnemonic) + 1,
             )
-        regs: list[int] = []
-        addrs: list[RowAddress] = []
+        regs, addrs = [], []
         for kind, token in zip(shape, tokens):
-            col = raw.find(token) + 1
-            if kind == "r":
-                regs.append(_parse_reg(token, lineno, col))
-            else:
-                addrs.append(_parse_addr(token, lineno, col))
+            value = operands.get((kind, token))
+            if value is None:
+                parse = _parse_reg if kind == "r" else _parse_addr
+                value = operands[kind, token] = parse(token, lineno, raw.find(token) + 1)
+            (regs if kind == "r" else addrs).append(value)
         instructions.append(Instruction(opcode, tuple(regs), tuple(addrs)))
     return Program(tuple(instructions))
 

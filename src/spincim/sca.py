@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -33,6 +33,7 @@ ENHANCED_CLASSES = tuple(op.value for op in OpClass)
 # relative floor keeps zero-variance training sets classifiable and preserves
 # scale consistency (the floor tracks the data scale)
 _SIGMA_FLOOR_REL = 1e-9
+PREDICT_BLOCK = 4096  # rows per predict block: (block, C) distances stay cache-sized
 
 
 @dataclass(frozen=True)
@@ -101,12 +102,17 @@ def synthesize_dataset(
     sigma_energy: float,
     rng: np.random.Generator,
 ) -> Dataset:
-    """Noisy observations around the cost-table centroids, class by class."""
+    """Noisy observations around the cost-table centroids, class by class.
+
+    Built in place: scaled standard normals plus each class centre, the bits
+    of ``centre + rng.normal(0, sigma)``, which draws the same normals.
+    """
     centres = np.array([class_centroid(name, table, enhanced) for name in classes])
     codes = np.repeat(np.arange(len(classes)), samples_per_class)
-    # one draw of all rows takes the same normals as one draw per class
-    noise = rng.normal(0.0, [sigma_duration, sigma_energy], (len(codes), 2))
-    feats = np.repeat(centres, samples_per_class, axis=0) + noise
+    feats = rng.standard_normal((len(codes), 2))
+    feats *= (sigma_duration, sigma_energy)
+    blocks = feats.reshape(len(classes), samples_per_class, 2)
+    blocks += centres.reshape(-1, 1, 2)
     return Dataset(feats, codes, classes)
 
 
@@ -117,35 +123,39 @@ class CentroidClassifier:
     sigma: np.ndarray              # (2,) shared diagonal deviations
 
     def predict(self, features: np.ndarray) -> np.ndarray:
-        """Index of the nearest centroid under the shared diagonal metric."""
+        """Index of the nearest centroid under the shared diagonal metric.
+
+        Runs in blocks of ``PREDICT_BLOCK`` rows: two (block, C) temporaries at most.
+        """
         features = np.atleast_2d(np.asarray(features, dtype=float))
         (c_d, c_e), (s_d, s_e) = self.centroids.T, self.sigma
-        # one expression lets numpy reuse its temporaries: two (N, C) arrays at most
-        dist = ((features[:, :1] - c_d) / s_d) ** 2 + ((features[:, 1:] - c_e) / s_e) ** 2
-        return np.argmin(dist, axis=1)
+        out = np.empty(len(features), dtype=np.intp)
+        for lo in range(0, len(features), PREDICT_BLOCK):
+            rows = features[lo:lo + PREDICT_BLOCK]
+            dist = ((rows[:, :1] - c_d) / s_d) ** 2 + ((rows[:, 1:] - c_e) / s_e) ** 2
+            dist.argmin(axis=1, out=out[lo:lo + PREDICT_BLOCK])
+        return out
 
     def predict_labels(self, features: np.ndarray) -> list[str]:
         return [self.classes[i] for i in self.predict(features)]
 
+    def _pairs(self) -> list[tuple[str, str, float]]:
+        """Every class pair, in order, with its centroids' Euclidean distance."""
+        return [
+            (a, b, float(np.linalg.norm(self.centroids[i] - self.centroids[j])))
+            for i, a in enumerate(self.classes)
+            for j, b in enumerate(self.classes[i + 1:], start=i + 1)
+        ]
+
     def min_centroid_distance(self) -> tuple[float, tuple[str, str]]:
         """Smallest pairwise Euclidean distance between class centroids."""
-        best = (math.inf, (self.classes[0], self.classes[0]))
-        for i in range(len(self.classes)):
-            for j in range(i + 1, len(self.classes)):
-                d = float(np.linalg.norm(self.centroids[i] - self.centroids[j]))
-                if d < best[0]:
-                    best = (d, (self.classes[i], self.classes[j]))
-        return best
+        a, b, d = min(self._pairs(), key=lambda p: p[2],
+                      default=(self.classes[0], self.classes[0], math.inf))
+        return d, (a, b)
 
     def ill_separated_pairs(self, min_distance: float) -> list[tuple[str, str, float]]:
         """Class pairs whose centroids sit closer than ``min_distance``."""
-        out = []
-        for i in range(len(self.classes)):
-            for j in range(i + 1, len(self.classes)):
-                d = float(np.linalg.norm(self.centroids[i] - self.centroids[j]))
-                if d < min_distance:
-                    out.append((self.classes[i], self.classes[j], d))
-        return out
+        return [p for p in self._pairs() if p[2] < min_distance]
 
 
 def _codes_in(dataset: Dataset, classes: Sequence[str]) -> np.ndarray:
@@ -164,23 +174,32 @@ def train(
 ) -> CentroidClassifier:
     """Fit per-class means and the pooled diagonal deviation.
 
-    Raises MissingClass if an expected class has no observation, and
-    ValueError if an observation belongs to no expected class.
+    Column by column, one stable sort groups each class's rows in their order.
+    Sums add rows in order (``np.add.accumulate``) like numpy's axis-0 sum of a
+    C-contiguous (n, 2) array; the reports' bytes depend on it (a 1-D ``sum``
+    adds pairwise). Identical rows average to themselves exactly. Raises
+    MissingClass for an expected class without rows, ValueError for a row
+    of no expected class.
     """
     expected = sorted(set(dataset.classes if classes is None else classes))
     target = _codes_in(dataset, expected)
-    subsets = [dataset.features[target == k] for k in range(len(expected))]
-    missing = [c for c, sub in zip(expected, subsets) if not len(sub)]
+    counts = np.bincount(target, minlength=len(expected))
+    missing = [c for c, n in zip(expected, counts) if not n]
     if missing or not expected:
         raise MissingClass(f"no observations for classes: {missing or expected}")
-    # identical observations average to themselves exactly
-    centroids = np.array(
-        [np.where((sub == sub[0]).all(0), sub[0], sub.mean(0)) for sub in subsets]
-    )
-    resid = dataset.features - centroids.take(target, axis=0)
-    dof = max(len(dataset) - len(expected), 1)
-    var = (resid**2).sum(axis=0) / dof
-    cols = np.asfortranarray(dataset.features)  # column extremes scan contiguously
+    order = np.argsort(target, kind="stable")
+    bounds = list(zip((counts.cumsum() - counts).tolist(), counts.cumsum().tolist()))
+    cols = np.asfortranarray(dataset.features)
+    centroids, var = np.empty((len(expected), 2)), np.empty(2)
+    for j, col in enumerate(cols.T):
+        grouped = col.take(order)
+        for k, (lo, hi) in enumerate(bounds):
+            sub = grouped[lo:hi]
+            same = sub[-1] == sub[0] and (sub == sub[0]).all()
+            centroids[k, j] = sub[0] if same else np.add.accumulate(sub)[-1] / (hi - lo)
+        resid = col - centroids[:, j].take(target)
+        var[j] = np.add.accumulate(resid * resid)[-1]
+    var /= max(len(dataset) - len(expected), 1)
     spread = cols.max(axis=0) - cols.min(axis=0)
     floor = _SIGMA_FLOOR_REL * np.where(
         spread > 0, spread, np.maximum(np.abs(cols).max(axis=0), 1.0)
@@ -251,14 +270,7 @@ class ObscuringResult:
     wilson_95_ci: tuple[float, float]
 
     def as_dict(self) -> dict:
-        return {
-            "sigma_duration": self.sigma_duration,
-            "sigma_energy": self.sigma_energy,
-            "samples": self.samples,
-            "labeled_write1": self.labeled_write1,
-            "rate": self.rate,
-            "wilson_95_ci": list(self.wilson_95_ci),
-        }
+        return {**asdict(self), "wilson_95_ci": list(self.wilson_95_ci)}
 
 
 def obscuring_experiment(

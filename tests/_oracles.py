@@ -114,3 +114,105 @@ def scalar_pair_current(states, model, disturbance, rng):
     if model.sigma > 0:
         return value + rng.normal(0.0, model.sigma)
     return value
+
+
+# -- side-channel classifier and assembler as they stood before the row-block
+# kernels and the operand memo: the rewritten versions must match them bit
+# for bit (features, centroids, sigma, predictions, programs, parse errors)
+
+def synthesize_dataset(classes, table, enhanced, samples_per_class, sigma_d, sigma_e, rng):
+    """Features and codes of ``sca.synthesize_dataset``, one full-size copy."""
+    from spincim.sca import class_centroid
+
+    centres = np.array([class_centroid(name, table, enhanced) for name in classes])
+    codes = np.repeat(np.arange(len(classes)), samples_per_class)
+    noise = rng.normal(0.0, [sigma_d, sigma_e], (len(codes), 2))
+    return np.repeat(centres, samples_per_class, axis=0) + noise, codes
+
+
+def train(features, codes, dataset_classes, classes=None):
+    """(classes, centroids, sigma) of ``sca.train``: one mask per class."""
+    from spincim.errors import MissingClass
+
+    expected = sorted(set(dataset_classes if classes is None else classes))
+    index = {c: k for k, c in enumerate(expected)}
+    remap = np.array([index.get(c, -1) for c in dataset_classes], dtype=np.intp)
+    target = remap[codes]
+    if (target < 0).any():
+        raise ValueError("label is not one of the classes")
+    subsets = [features[target == k] for k in range(len(expected))]
+    missing = [c for c, sub in zip(expected, subsets) if not len(sub)]
+    if missing or not expected:
+        raise MissingClass(f"no observations for classes: {missing or expected}")
+    centroids = np.array(
+        [np.where((sub == sub[0]).all(0), sub[0], sub.mean(0)) for sub in subsets]
+    )
+    resid = features - centroids.take(target, axis=0)
+    var = (resid**2).sum(axis=0) / max(len(features) - len(expected), 1)
+    cols = np.asfortranarray(features)
+    spread = cols.max(axis=0) - cols.min(axis=0)
+    floor = 1e-9 * np.where(spread > 0, spread, np.maximum(np.abs(cols).max(axis=0), 1.0))
+    return tuple(expected), centroids, np.maximum(np.sqrt(var), floor)
+
+
+def predict(centroids, sigma, features):
+    """Nearest centroid of ``CentroidClassifier.predict`` over all rows at once."""
+    features = np.atleast_2d(np.asarray(features, dtype=float))
+    (c_d, c_e), (s_d, s_e) = centroids.T, sigma
+    dist = ((features[:, :1] - c_d) / s_d) ** 2 + ((features[:, 1:] - c_e) / s_e) ** 2
+    return np.argmin(dist, axis=1)
+
+
+def assemble(text):
+    """``isa.assemble`` with a regex split per line and a parse per operand."""
+    import re
+
+    from spincim.array import RowAddress
+    from spincim.errors import ParseError
+    from spincim.isa import _MNEMONICS, _SHAPES, NUM_REGISTERS, Instruction, Program
+
+    def parse_reg(token, line, col):
+        m = re.match(r"^R([0-9]+)$", token, re.IGNORECASE)
+        if not m or not 0 <= int(m.group(1)) < NUM_REGISTERS:
+            raise ParseError(
+                f"expected register R0..R{NUM_REGISTERS - 1}, got {token!r}", line, col
+            )
+        return int(m.group(1))
+
+    def parse_addr(token, line, col):
+        m = re.match(r"^@(?:([0-9]+):)?([0-9]+)$", token)
+        if not m:
+            raise ParseError(
+                f"expected row address @row or @bank:row, got {token!r}", line, col
+            )
+        bank = int(m.group(1)) if m.group(1) is not None else 0
+        return RowAddress(bank=bank, row=int(m.group(2)))
+
+    instructions = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = re.split(r"[;#]", raw, maxsplit=1)[0].strip()
+        if not line:
+            continue
+        parts = line.split(None, 1)
+        mnemonic = parts[0]
+        opcode = _MNEMONICS.get(mnemonic.upper())
+        if opcode is None:
+            raise ParseError(f"unknown mnemonic {mnemonic!r}", lineno, raw.find(mnemonic) + 1)
+        operand_text = parts[1] if len(parts) > 1 else ""
+        tokens = [t.strip() for t in operand_text.split(",")] if operand_text.strip() else []
+        shape = _SHAPES[opcode]
+        if len(tokens) != len(shape):
+            raise ParseError(
+                f"{opcode.value} takes {len(shape)} operand(s), got {len(tokens)}",
+                lineno,
+                raw.find(mnemonic) + 1,
+            )
+        regs, addrs = [], []
+        for kind, token in zip(shape, tokens):
+            col = raw.find(token) + 1
+            if kind == "r":
+                regs.append(parse_reg(token, lineno, col))
+            else:
+                addrs.append(parse_addr(token, lineno, col))
+        instructions.append(Instruction(opcode, tuple(regs), tuple(addrs)))
+    return Program(tuple(instructions))

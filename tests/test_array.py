@@ -473,3 +473,8 @@ class TestHexDump:
         lines = "\n".join(["0000"] * 63 + ["10000"])
         with pytest.raises(OutOfBounds):
             arr.import_hex(io.StringIO(lines + "\n"))
+
+    def test_wide_word_names_its_line_before_the_row_count(self, zero_noise_model):
+        arr = make_array(zero_noise_model)
+        with pytest.raises(OutOfBounds, match=r"^hex dump line 3: word 0x1FFFF wider than 16 bits$"):
+            arr.import_hex(io.StringIO("# header\n0000\n1ffff\n"))

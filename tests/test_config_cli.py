@@ -490,6 +490,20 @@ class TestCli:
              "--out", str(tmp_path)]
         ) == 2
 
+    @pytest.mark.parametrize("word", ["-1", "zz", "0x1F", "+7", "1_0"])
+    def test_bad_hex_word_exits_two_naming_its_line(self, capsys, tmp_path, word):
+        (tmp_path / "p.cim").write_text("LOAD R1, @0\n")
+        dump = ["# banks=1 rows_per_bank=64 cols_per_row=16", word] + ["0000"] * 63
+        (tmp_path / "dump.hex").write_text("\n".join(dump) + "\n")
+        code = main(
+            ["isa-run", "--program", str(tmp_path / "p.cim"), "--init-hex",
+             str(tmp_path / "dump.hex"), "--zero-noise", "--out", str(tmp_path)]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"experiment error: hex dump line 2: {word!r} is not a hex word\n"
+        assert "Traceback" not in err
+
 
 _LEAF = st.one_of(
     st.integers(-2, 50), st.floats(-5.0, 50.0), st.booleans(), st.none(), st.text(max_size=2)

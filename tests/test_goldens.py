@@ -1,8 +1,9 @@
-"""Pinned report payloads of the sense-heavy commands: auth-attack and isa-run.
+"""Pinned report payloads of the sense-heavy commands and of a large sca sweep.
 
-Captured before the array sense path dropped its per-call setup: every sense
-must keep its draws, in the same order, so these payloads and trace files
-stay byte for byte what they were.
+The auth-attack and isa-run payloads were captured before the array sense
+path dropped its per-call setup: every sense must keep its draws, in the same
+order, so these payloads and trace files stay byte for byte what they were.
+The sca payload was captured before the classifier ran in row blocks.
 """
 import hashlib
 import json
@@ -90,3 +91,26 @@ def test_noisy_isa_run_compare_lowered(capsys, tmp_path, monkeypatch):
         "isa-run-lowered-trace.csv":
             "7d172517e2d2bd7f5a5e2beb2c83019eecf1d5bbb45719812ee01d2dde8291f9",
     }
+
+
+def test_multi_block_sca_report(capsys, tmp_path):
+    # 33 000 rows in the 11-class set: many predict blocks and large class
+    # subsets, so block edges and the class split are both exercised
+    (tmp_path / "big.json").write_text('{"sca": {"samples_per_class": 3000}}')
+    report = run_cli(
+        capsys, "sca", "--config", str(tmp_path / "big.json"), "--seed", "7",
+        "--out", str(tmp_path),
+    )
+    assert report == {"samples_per_class": 3000, "rows": [
+        {"sigma_duration": 0.05, "sigma_energy": 0.5,
+         "standard_4_class": 0.9095833333333333, "enhanced_11_class": 0.7154545454545455},
+        {"sigma_duration": 0.05, "sigma_energy": 1.0,
+         "standard_4_class": 0.84175, "enhanced_11_class": 0.6176363636363637},
+        {"sigma_duration": 0.05, "sigma_energy": 2.0,
+         "standard_4_class": 0.7958333333333333, "enhanced_11_class": 0.5283636363636364},
+        {"sigma_duration": 0.05, "sigma_energy": 5.0,
+         "standard_4_class": 0.76425, "enhanced_11_class": 0.45815151515151514},
+    ]}
+    assert hashlib.sha256((tmp_path / "sca.csv").read_bytes()).hexdigest() == (
+        "cd36e1b911c9d26e846cd68d8285a52aa542e18cdfe72aa29983f1c1e3a247d8"
+    )

@@ -11,6 +11,7 @@ from spincim import (
     CostTable,
     Instruction,
     Machine,
+    OpClass,
     Opcode,
     ParseError,
     Program,
@@ -24,6 +25,7 @@ from spincim import (
     static_fingerprint,
 )
 
+import _oracles
 from _progs import machine_with_memory, random_cim_program
 
 ADD_CONVENTIONAL = """
@@ -36,6 +38,57 @@ HALT
 """
 
 ADD_CIM = "CimADD @0, @1, @2\n"
+
+
+def _test_programs():
+    """Every random program the ISA tests draw, in their draw order."""
+    programs = []
+    for seed, count, size in ((43, 100, 50), (23, 20, 30)):
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            programs.append(random_cim_program(rng, rows=8, max_instructions=size))
+            rng.integers(0, 256, size=16)  # each test's initial words
+    programs.append(random_cim_program(np.random.default_rng(31), rows=8, max_instructions=50))
+    return programs
+
+
+class TestAssembleAgainstOracle:
+    """The memoising assembler against a parse of every operand."""
+
+    def test_every_test_program_and_its_lowering(self):
+        for program in _test_programs():
+            for prog in (program, lower_to_conventional(program)):
+                text = disassemble(prog)
+                assert assemble(text) == _oracles.assemble(text) == prog
+
+    def test_comments_case_banks_and_spacing(self):
+        text = (
+            "; header\n  load r1 , @1:3  # trailing\nLOAD R1, @1:3\n"
+            "cimxor @0,@1,  @0:2\nCimNOT @7, @7 ; same row twice\n\nstore R1,@0\nHALT\n"
+        )
+        assert assemble(text) == _oracles.assemble(text)
+
+    @pytest.mark.parametrize("source", [
+        "LOAD R1, @0\nLOAD R9, @0\n",            # bad register after good uses
+        "LOAD R1, @0\nADD @0, R1, R2\n",         # a good address token used as a register
+        "CimNOT @1, @2\nLOAD R1, R1\n",          # column of the first 'R1' on the line
+        "LOAD R1, @0\nLOAD R2, @0\nSTORE R2, 0\n",
+        "NOT R1, R2\nNOT R2, R1\nNOT R3, r8\n",
+    ])
+    def test_parse_error_names_the_same_line_and_column(self, source):
+        with pytest.raises(ParseError) as new:
+            assemble(source)
+        with pytest.raises(ParseError) as old:
+            _oracles.assemble(source)
+        assert (new.value.line, new.value.column, str(new.value)) == (
+            old.value.line, old.value.column, str(old.value)
+        )
+
+
+@pytest.mark.parametrize("enum", [CimOp, OpClass, Opcode])
+def test_hot_enums_hash_by_identity(enum):
+    assert enum.__hash__ is object.__hash__
+    assert all(hash(member) == object.__hash__(member) for member in enum)
 
 
 class TestAssembler:

@@ -20,7 +20,9 @@ from spincim import (
 )
 from spincim.sca import (
     ENHANCED_CLASSES,
+    PREDICT_BLOCK,
     STANDARD_CLASSES,
+    CentroidClassifier,
     Dataset,
     LabeledObservation,
     composite_window,
@@ -30,6 +32,7 @@ from spincim.sca import (
     train,
 )
 
+import _oracles
 from _oracles import binomial_3sigma, nearest_centroid_accuracy_by_integration, q
 from conftest import MASTER_SEED
 
@@ -221,6 +224,87 @@ class TestIntegerCodes:
         data = zero_noise_dataset(STANDARD_CLASSES, False)
         with pytest.raises(ValueError, match="Write0"):
             train(data, classes=("Read1", "Read0", "Write1"))
+
+
+def _assert_trains_like_oracle(data, classes=None):
+    classifier = train(data, classes)
+    names, centroids, sigma = _oracles.train(data.features, data.codes, data.classes, classes)
+    assert classifier.classes == names
+    assert np.array_equal(classifier.centroids, centroids)
+    assert np.array_equal(classifier.sigma, sigma)
+    return classifier
+
+
+class TestAgainstFrozenKernels:
+    """In-place synthesis, sort-based train and row-block predict, bit for bit
+    against the whole-array versions they replaced."""
+
+    @pytest.mark.parametrize("classes,enhanced", [
+        (STANDARD_CLASSES, False), (ENHANCED_CLASSES, True), (("CimADD",), True),
+    ])
+    @pytest.mark.parametrize("per_class", [0, 1, 7, 3000])
+    @pytest.mark.parametrize("sigmas", [(0.05, 2.0), (0.0, 0.0), (0.3, 0.0)])
+    def test_synthesize_dataset(self, classes, enhanced, per_class, sigmas):
+        data = synthesize_dataset(
+            classes, TABLE, enhanced, per_class, *sigmas, trial_rng(MASTER_SEED, 60)
+        )
+        feats, codes = _oracles.synthesize_dataset(
+            classes, TABLE, enhanced, per_class, *sigmas, trial_rng(MASTER_SEED, 60)
+        )
+        assert np.array_equal(data.features, feats)
+        assert np.array_equal(data.codes, codes)
+        assert data.classes == tuple(classes)
+
+    def test_train_on_shuffled_and_interleaved_codes(self):
+        rng = trial_rng(MASTER_SEED, 61)
+        data = synthesize_dataset(ENHANCED_CLASSES, TABLE, True, 2000, 0.05, 2.0, rng)
+        shuffled = rng.permutation(len(data))
+        _assert_trains_like_oracle(Dataset(data.features[shuffled], data.codes[shuffled],
+                                           data.classes), ENHANCED_CLASSES)
+        # codes cycle through the classes, listed out of sorted order
+        interleaved = Dataset(data.features, np.arange(len(data)) % 5, ("e", "c", "a", "d", "b"))
+        _assert_trains_like_oracle(interleaved)
+        _assert_trains_like_oracle(interleaved, ("a", "b", "c", "d", "e", "e"))
+
+    def test_train_with_identical_rows_and_a_one_row_class(self):
+        rng = np.random.default_rng(62)
+        feats = rng.normal([3.0, 40.0], [0.1, 2.0], (900, 2))
+        codes = np.arange(900) % 3
+        feats[codes == 0] = [0.1, 0.7]         # every row of class 0 identical
+        feats[codes == 1, 0] = 1.0 / 3.0       # one identical column in class 1
+        codes[5] = 3                           # class 3 has one row
+        data = Dataset(feats, codes, ("p", "q", "r", "s"))
+        classifier = _assert_trains_like_oracle(data)
+        assert tuple(classifier.centroids[0]) == (0.1, 0.7)
+        assert classifier.centroids[1, 0] == 1.0 / 3.0
+        assert tuple(classifier.centroids[3]) == tuple(feats[5])
+
+    @pytest.mark.parametrize("rows", [
+        0, 1, PREDICT_BLOCK - 1, PREDICT_BLOCK, PREDICT_BLOCK + 1, 3 * PREDICT_BLOCK + 17,
+    ])
+    def test_predict_over_block_edges(self, rows):
+        rng = trial_rng(MASTER_SEED, 63)
+        data = synthesize_dataset(ENHANCED_CLASSES, TABLE, True, 400, 0.05, 2.0, rng)
+        classifier = train(data, ENHANCED_CLASSES)
+        queries = synthesize_dataset(
+            ENHANCED_CLASSES, TABLE, True, rows // len(ENHANCED_CLASSES) + 1, 0.05, 2.0, rng
+        ).features[:rows]
+        pred = classifier.predict(queries)
+        assert pred.dtype == np.intp and pred.shape == (rows,)
+        assert np.array_equal(
+            pred, _oracles.predict(classifier.centroids, classifier.sigma, queries)
+        )
+
+    def test_predict_one_observation_and_ties(self):
+        classifier = CentroidClassifier(
+            ("a", "b", "c"), np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 1.0]]), np.array([0.5, 2.0])
+        )
+        for point in ([1.0, 1.0], [0.5, 0.5], [0.0, 0.0], [7.0, -3.0]):
+            pred = classifier.predict(np.array(point))
+            assert np.array_equal(
+                pred, _oracles.predict(classifier.centroids, classifier.sigma, point)
+            )
+        assert classifier.predict(np.array([1.0, 1.0])).tolist() == [1]
 
 
 class TestHammingWeight:
