@@ -216,10 +216,7 @@ def _pack(bits) -> int:
 
 
 class CimArray:
-    """Single-owner mutable array; operations are serialized by the caller.
-
-    Read-only snapshots may be shared across threads for analysis.
-    """
+    """Single-owner mutable array; operations are serialized by the caller."""
 
     def __init__(
         self,

@@ -6,16 +6,15 @@ fault-free controller-side all-ones check. Attack scenarios heat targeted
 rows so that targeted CimAND senses read like CimOR, either probabilistically
 (collapse model at a zone temperature) or forced with probability one.
 
-Monte Carlo trials derive one random stream per (seed, trial index), so
-failure counts are reproducible under any thread count. A Monte Carlo
-authentication run reuses one array per worker thread: each trial rewrites
-every row it senses before sensing it, and no draw depends on stored words.
+Monte Carlo trials run serially, each on its own random stream derived from
+(seed, trial index), so a failure count depends only on the seed. A Monte
+Carlo authentication run reuses one array for every trial: each trial
+rewrites every row it senses before sensing it, and no draw depends on
+stored words.
 """
 from __future__ import annotations
 
 import functools
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -150,29 +149,12 @@ def make_report(failures: int, trials: int, analytic_rate: float, seed: int) -> 
 
 
 def run_trials(
-    trials: int,
-    seed: int,
-    trial_fn: Callable[[int, np.random.Generator], bool],
-    threads: int = 1,
+    trials: int, seed: int, trial_fn: Callable[[np.random.Generator], bool]
 ) -> int:
-    """Count successes of trial_fn over independent per-trial streams.
-
-    The outcome of trial i depends only on (seed, i), so the count is
-    identical for any thread count.
-    """
+    """Count successes of trial_fn, run serially on trial i's stream (seed, i)."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
-
-    def count(lo: int, hi: int) -> int:
-        return sum(trial_fn(i, trial_rng(seed, i)) for i in range(lo, hi))
-
-    workers = min(threads, trials)  # no thread without a trial to run
-    if workers <= 1:
-        return int(count(0, trials))
-    chunk = (trials + workers - 1) // workers
-    bounds = [(lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return int(sum(pool.map(lambda span: count(*span), bounds)))
+    return int(sum(trial_fn(trial_rng(seed, i)) for i in range(trials)))
 
 
 def exceedance_mc(
@@ -183,24 +165,19 @@ def exceedance_mc(
     seed: int,
     model: CurrentLevelModel,
     below: bool = False,
-    threads: int = 1,
 ) -> McReport:
     """Empirical P(pair sample > ref) (or <= ref) with its analytic oracle.
 
     The pair sense is set up once per report; each trial only draws from its
-    own stream and compares the sample with ``ref``.
+    own stream and compares the sample with ``ref``. A finite draw not above
+    ``ref`` is at or below it, so ``below`` counts the complement.
     """
     draw = pair_sampler(pair, model, disturbance)
-    if below:
-        def one(_i: int, rng) -> bool:
-            return draw(rng) <= ref
-    else:
-        def one(_i: int, rng) -> bool:
-            return draw(rng) > ref
-
-    failures = run_trials(trials, seed, one, threads)
+    above = run_trials(trials, seed, lambda rng: draw(rng) > ref)
     p = analytic.pair_exceed(model, pair, ref, disturbance)
-    return make_report(failures, trials, (1.0 - p) if below else p, seed)
+    if below:
+        return make_report(trials - above, trials, 1.0 - p, seed)
+    return make_report(above, trials, p, seed)
 
 
 def mc_failure_rate(
@@ -211,7 +188,6 @@ def mc_failure_rate(
     model: CurrentLevelModel | None = None,
     sense: SenseConfig | None = None,
     collapse: Collapse | None = None,
-    threads: int = 1,
 ) -> McReport:
     """Rate of sensing a pair above the AND reference at a zone temperature."""
     model = model or CurrentLevelModel()
@@ -222,9 +198,7 @@ def mc_failure_rate(
         raise ValueError("zone temperature cannot be below ambient")
     base = collapse or Collapse()
     disturbance = Collapse(a=base.a, b=base.b, zone_temp=temperature)
-    return exceedance_mc(
-        pair, disturbance, sense.i_ref_and, trials, seed, model, threads=threads
-    )
+    return exceedance_mc(pair, disturbance, sense.i_ref_and, trials, seed, model)
 
 
 # -- authentication protocol -------------------------------------------------
@@ -275,26 +249,26 @@ def run_auth(
     sense: SenseConfig | None = None,
     rng: np.random.Generator | None = None,
     array: CimArray | None = None,
-    recorder: ExecutionTrace | None = None,
-) -> tuple[bool, ExecutionTrace]:
+) -> tuple[bool, ExecutionTrace | None]:
     """Run one authentication: accept iff both credential words match.
 
     Each XNOR word reduces to a match bit controller-side; the two match bits
     are written back and combined by one in-array AND sense. Scenario
-    disturbance applies only to CimAND senses on its targeted rows.
+    disturbance applies only to CimAND senses on its targeted rows. The run
+    records into the recorder of ``array`` (None records nothing); an array
+    built here records into a fresh trace. Returns the decision and that
+    recorder.
     """
     scenario = scenario or AttackScenario()
     model = model or CurrentLevelModel()
     sense = sense or SenseConfig()
-    trace = recorder if recorder is not None else ExecutionTrace()
     stored = db.entries[entry]
     if array is None:
         geometry = ArrayGeometry(cols_per_row=db.width)
-        array = CimArray(geometry, model, sense, rng=rng, recorder=trace)
+        array = CimArray(geometry, model, sense, rng=rng, recorder=ExecutionTrace())
     else:
         if array.geometry.cols_per_row != db.width:
             raise MappingViolation("array word width must equal the credential width")
-        array.recorder = trace
         if rng is not None:
             array.rng = rng
     mask = array.geometry.word_mask
@@ -313,7 +287,7 @@ def run_auth(
         decision = array.cim_two_row(CimOp.CIM_AND, _ROWS["match_u"], _ROWS["match_p"])
     finally:
         array.attack = None
-    return bool(decision & 1), trace
+    return bool(decision & 1), array.recorder
 
 
 # -- closed-form composition ---------------------------------------------------
@@ -428,23 +402,22 @@ def attack_success_rate(
     entry: int = 0,
     model: CurrentLevelModel | None = None,
     sense: SenseConfig | None = None,
-    threads: int = 1,
 ) -> McReport:
-    """Empirical acceptance rate under a credential policy, with oracle."""
+    """Empirical acceptance rate under a credential policy, with oracle.
+
+    Every trial runs on one unrecorded array.
+    """
     model = model or CurrentLevelModel()
     sense = sense or SenseConfig()
-    worker = threading.local()
+    array = CimArray(ArrayGeometry(cols_per_row=db.width), model, sense)
 
-    def one(_i: int, rng) -> bool:
+    def one(rng) -> bool:
         u_t, p_t = policy.draw(db.entries[entry], db.width, rng)
-        if not hasattr(worker, "array"):
-            worker.array = CimArray(ArrayGeometry(cols_per_row=db.width), model, sense)
-        accept, _ = run_auth(
+        return run_auth(
             db, u_t, p_t, scenario, entry=entry, model=model, sense=sense, rng=rng,
-            array=worker.array,
-        )
-        return accept
+            array=array,
+        )[0]
 
-    successes = run_trials(trials, seed, one, threads)
+    successes = run_trials(trials, seed, one)
     oracle = auth_accept_probability(db, policy, scenario, entry, model, sense)
     return make_report(successes, trials, oracle, seed)

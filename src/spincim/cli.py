@@ -2,8 +2,9 @@
 
 Reports embed the seed and a hash of the fully resolved configuration and are
 written as canonical JSON (sorted keys), so identical inputs produce byte
-identical outputs regardless of thread count. Exit codes: 0 success, 1 usage
-or configuration error, 2 experiment error.
+identical outputs. Trials run serially; --threads is accepted and has no
+effect. Exit codes: 0 success, 1 usage or configuration error, 2 experiment
+error.
 """
 from __future__ import annotations
 
@@ -27,6 +28,7 @@ from .attack import (
 from .device import (
     FailureRateTargets,
     MeanShift,
+    MtjState,
     calibrate,
     parse_pair,
     sample_pair_current,
@@ -56,11 +58,24 @@ def _finite(text: str) -> float:
         raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}") from exc
 
 
+def _pair(text: str) -> str:
+    try:
+        parse_pair(text)
+    except ValueError as exc:
+        states = ", ".join(state.value for state in MtjState)
+        raise argparse.ArgumentTypeError(
+            f"must be two states of {states} joined by a comma, got {text!r}"
+        ) from exc
+    return text
+
+
 def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file overlaying the defaults")
     parser.add_argument("--seed", type=int, help="master seed override")
     parser.add_argument("--trials", type=int, help="Monte Carlo trials override")
-    parser.add_argument("--threads", type=int, help="worker threads for trials")
+    parser.add_argument("--threads", type=int,
+                        help="accepted for compatibility; trials run serially, "
+                             "so the value has no effect")
     parser.add_argument("--out", help="output directory override")
 
 
@@ -80,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mc-failure", help="Monte Carlo AND-decode failure rate")
     _common_flags(p)
-    p.add_argument("--pair", default="AP,P", help='pair state, e.g. "AP,P"')
+    p.add_argument("--pair", type=_pair, default="AP,P", help='pair state, e.g. "AP,P"')
     p.add_argument("--temp", type=_finite, default=None, help="zone temperature (C)")
 
     p = sub.add_parser("auth-attack", help="authentication bypass experiment")
@@ -185,7 +200,6 @@ def _cmd_mc_failure(args, config) -> dict:
         model=model,
         sense=sense,
         collapse=cfgmod.build_collapse(config),
-        threads=config["threads"],
     )
     payload = {"pair": args.pair, "zone_temp": temp, **report.as_dict()}
     return _emit(config, "mc-failure", payload)
@@ -213,8 +227,7 @@ def _cmd_auth_attack(args, config) -> dict:
         collapse=cfgmod.build_collapse(config),
     )
     report = attack_success_rate(
-        db, policy, scenario, config["trials"], config["seed"],
-        model=model, sense=sense, threads=config["threads"],
+        db, policy, scenario, config["trials"], config["seed"], model=model, sense=sense
     )
     payload = {
         "variant": variant.value,
@@ -323,8 +336,7 @@ def _cmd_mitigate(args, config) -> dict:
         disturbance = cfgmod.build_collapse(config, zone_temp=zone)
     adapted = adapt_references(base, shift, model)
     report = evaluate_mitigation(
-        disturbance, base, adapted, config["trials"], config["seed"],
-        model=model, threads=config["threads"],
+        disturbance, base, adapted, config["trials"], config["seed"], model=model
     )
     payload = {"family": args.family, "zone_temp": zone, **report.as_dict()}
     return _emit(config, "mitigate", payload)
@@ -335,9 +347,9 @@ def _cmd_calibrate(args, config) -> dict:
     result = calibrate(FailureRateTargets(), model=model)
     dev = config["device"]
     shipped = {"sigma": dev["sigma"], "a": dev["collapse"]["a"], "b": dev["collapse"]["b"]}
-    deltas = {
-        key: abs(getattr(result, key) - shipped[key]) / abs(shipped[key])
-        for key in ("sigma", "a", "b")
+    deltas = {  # null where the shipped value is 0 and has no relative delta
+        key: abs(getattr(result, key) - value) / abs(value) if value else None
+        for key, value in shipped.items()
     }
     payload = {**result.as_dict(), "shipped": shipped, "relative_delta": deltas}
     return _emit(config, "calibrate", payload)

@@ -166,6 +166,11 @@ _RUN_LEAVES = {
     ("attack", "password"): _int_at_least(0),
     ("attack", "policy", "user"): _one_of(*POLICY_MODES),
     ("attack", "policy", "password"): _one_of(*POLICY_MODES),
+    ("attack",): (
+        lambda value: max(value["username"], value["password"]).bit_length()
+        <= value["credential_width"],
+        "username and password of at most credential_width bits",
+    ),
     ("sca", "samples_per_class"): _int_at_least(1),
     ("sca", "sigma_duration"): _SIGMA,
     ("sca", "sweep_sigma_energy"): (

@@ -83,7 +83,6 @@ def evaluate_mitigation(
     pair: PairState | str = "AP,P",
     model: CurrentLevelModel | None = None,
     below: bool = False,
-    threads: int = 1,
 ) -> MitigationReport:
     """Failure rates against the base and adapted AND references.
 
@@ -99,12 +98,10 @@ def evaluate_mitigation(
         pair_states = pair
         pair_name = f"{pair[0].value},{pair[1].value}"
     before = exceedance_mc(
-        pair_states, disturbance, base.i_ref_and, trials, seed, model,
-        below=below, threads=threads,
+        pair_states, disturbance, base.i_ref_and, trials, seed, model, below=below
     )
     after = exceedance_mc(
-        pair_states, disturbance, adapted.i_ref_and, trials, seed, model,
-        below=below, threads=threads,
+        pair_states, disturbance, adapted.i_ref_and, trials, seed, model, below=below
     )
     natural = analytic.pair_exceed(model, pair_states, base.i_ref_and, None)
     if below:

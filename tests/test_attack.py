@@ -8,6 +8,7 @@ from spincim import (
     AuthEntry,
     Collapse,
     CredentialPolicy,
+    ExecutionTrace,
     RowAddress,
     attack_success_rate,
     auth_accept_probability,
@@ -120,8 +121,8 @@ class TestMcFailureRate:
             mc_failure_rate("AP,P", 10.0, 10, MASTER_SEED)
 
     def test_thread_count_invariant(self, model):
-        single = mc_failure_rate("AP,P", 100.0, 3000, MASTER_SEED, threads=1)
-        pooled = mc_failure_rate("AP,P", 100.0, 3000, MASTER_SEED, threads=4)
+        single = mc_failure_rate("AP,P", 100.0, 3000, MASTER_SEED)
+        pooled = mc_failure_rate("AP,P", 100.0, 3000, MASTER_SEED)
         assert single.failures == pooled.failures
 
     def test_sense_set_up_once_per_report(self, model, monkeypatch):
@@ -221,9 +222,18 @@ class TestSuccessRate:
     def test_thread_count_invariant(self, model):
         scenario = AttackScenario(variant=AttackVariant.XNOR_LEVEL, zone_temp=100.0)
         policy = CredentialPolicy("correct", "random")
-        a = attack_success_rate(DB16, policy, scenario, 600, MASTER_SEED, threads=1)
-        b = attack_success_rate(DB16, policy, scenario, 600, MASTER_SEED, threads=3)
+        a = attack_success_rate(DB16, policy, scenario, 600, MASTER_SEED)
+        b = attack_success_rate(DB16, policy, scenario, 600, MASTER_SEED)
         assert a.failures == b.failures
+
+    def test_success_rate_records_nothing(self, monkeypatch):
+        records = []
+        monkeypatch.setattr(ExecutionTrace, "record", lambda *args: records.append(args))
+        scenario = AttackScenario(variant=AttackVariant.XNOR_LEVEL, zone_temp=100.0)
+        attack_success_rate(DB16, CredentialPolicy(), scenario, 50, MASTER_SEED)
+        assert records == []
+        run_auth(DB16, 0xA5A5, 0x5AC3, scenario)  # a standalone run still records
+        assert len(records) == 11
 
 
 class TestAuthDbValidation:

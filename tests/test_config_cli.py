@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 import spincim
 from spincim import ConfigError
-from spincim.cli import main
+from spincim.cli import build_parser, main
 from spincim import ArrayGeometry, Collapse, CostTable, CurrentLevelModel, SenseConfig
 from spincim.config import (
     _RUN_LEAVES,
@@ -240,6 +241,22 @@ class TestCli:
         deltas = report["report"]["relative_delta"]
         assert all(delta < 0.01 for delta in deltas.values())
 
+    @pytest.mark.parametrize("overlay,key", [
+        ({"device": {"sigma": 0}}, "sigma"),
+        ({"device": {"collapse": {"b": 0}}}, "b"),
+    ])
+    def test_calibrate_zero_shipped_value_has_null_delta(
+        self, capsys, tmp_path, overlay, key
+    ):
+        config = tmp_path / "overlay.json"
+        config.write_text(json.dumps(overlay))
+        code = main(["calibrate", "--config", str(config), "--out", str(tmp_path)])
+        out, err = capsys.readouterr()
+        assert code == 0 and "Traceback" not in err
+        deltas = json.loads(out)["report"]["relative_delta"]
+        assert deltas[key] is None
+        assert all(value is not None for name, value in deltas.items() if name != key)
+
     def test_sca_sweep(self, capsys, tmp_path):
         config = tmp_path / "small.json"
         config.write_text(
@@ -312,6 +329,39 @@ class TestCli:
         payload = report["report"]
         assert payload["after"]["rate"] < payload["before"]["rate"]
 
+    @pytest.mark.parametrize("pair", ["AP,X", "AP", "P,P,P", ""])
+    def test_bad_pair_is_a_usage_error(self, capsys, tmp_path, pair):
+        assert main(["mc-failure", "--pair", pair, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: argument --pair: ") and "AP, P" in err
+        assert not (tmp_path / "mc-failure.json").exists()
+
+    @pytest.mark.parametrize("pair", ["P,AP", " P , AP"])
+    def test_pair_echoed_as_typed(self, capsys, tmp_path, pair):
+        code, report = run_cli(
+            capsys, "mc-failure", "--pair", pair, "--trials", "20", "--out", str(tmp_path)
+        )
+        assert code == 0 and report["report"]["pair"] == pair
+
+    @pytest.mark.parametrize("argv", [
+        ["mc-failure", "--pair", "AP,P", "--temp", "100"],
+        ["auth-attack", "--variant", "XnorLevel", "--temp", "100"],
+        ["mitigate", "--family", "collapse"],
+    ])
+    def test_threads_flag_starts_no_thread(self, capsys, tmp_path, monkeypatch, argv):
+        def refuse(_thread):
+            raise AssertionError("a Monte Carlo run started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        blobs = []
+        for threads in ("1", "1000000"):
+            code = main([*argv, "--trials", "40", "--threads", threads,
+                         "--out", str(tmp_path)])
+            assert code == 0, capsys.readouterr().err
+            capsys.readouterr()
+            blobs.append((tmp_path / f"{argv[0]}.json").read_bytes())
+        assert blobs[0] == blobs[1]
+
     def test_usage_error_exits_one(self, capsys):
         assert main(["mc-failure", "--no-such-flag"]) == 1
         assert main([]) == 1
@@ -366,6 +416,7 @@ class TestCli:
          "mitigation.collapse_estimate"),
         ({"mitigation": {"shift_estimate": {"gamma": 0.2}}}, [],
          "mitigation.shift_estimate"),
+        ({"attack": {"credential_width": 4}}, [], "attack"),
     ])
     @pytest.mark.parametrize("command", ["mc-failure", "sca"])
     def test_out_of_range_run_leaf_exits_one(
@@ -542,3 +593,16 @@ def test_any_run_overlay_exits_cleanly(command, overlay, flags):
             code = main(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+def _readme_cli_examples() -> list[list[str]]:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [line.split("#", 1)[0].split() for line in block.splitlines()
+            if line.startswith("spincim ")]
+
+
+@pytest.mark.parametrize("line", _readme_cli_examples(), ids=" ".join)
+def test_readme_cli_example_parses(line):
+    args = build_parser().parse_args(line[1:])
+    assert args.command == line[1]

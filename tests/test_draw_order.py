@@ -160,20 +160,19 @@ def test_stored_words_do_not_change_the_draws():
     assert calls[0] == calls[1] == calls[2]
 
 
-@pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("scenario", [
     AttackScenario(AttackVariant.XNOR_LEVEL, zone_temp=140.0),
     AttackScenario(AttackVariant.GATE_LEVEL, zone_temp=130.0),
     AttackScenario(AttackVariant.GATE_LEVEL, force_flip=True),
 ], ids=lambda s: f"{s.variant.value}-{s.zone_temp:g}C-forced{s.force_flip}")
-def test_reused_arrays_count_as_fresh_ones(scenario, threads):
+def test_reused_arrays_count_as_fresh_ones(scenario):
     db = AuthDb(entries=(AuthEntry(0xBEEF, 0x1234),))
     policy = CredentialPolicy(user="correct", password="random")
     trials = 150
 
-    def fresh(_i, rng) -> bool:
+    def fresh(rng) -> bool:
         u_t, p_t = policy.draw(db.entries[0], db.width, rng)
         return run_auth(db, u_t, p_t, scenario, rng=rng)[0]
 
-    report = attack_success_rate(db, policy, scenario, trials, MASTER_SEED, threads=threads)
+    report = attack_success_rate(db, policy, scenario, trials, MASTER_SEED)
     assert report.failures == run_trials(trials, MASTER_SEED, fresh)
