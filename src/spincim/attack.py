@@ -15,7 +15,7 @@ stored words.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Callable
 
@@ -37,6 +37,7 @@ from .device import (
     Disturbance,
     MtjState,
     PairState,
+    heated,
     pair_sampler,
     parse_pair,
     trial_rng,
@@ -66,9 +67,8 @@ class AttackScenario:
     targeted_rows: frozenset[RowAddress] | None = None
     collapse: Collapse | None = None
 
-    def collapse_at_zone(self) -> Collapse:
-        base = self.collapse or Collapse()
-        return Collapse(a=base.a, b=base.b, zone_temp=self.zone_temp)
+    def collapse_at_zone(self, model: CurrentLevelModel) -> Collapse:
+        return heated(self.collapse or Collapse(), self.zone_temp, model)
 
 
 @dataclass(frozen=True)
@@ -102,7 +102,7 @@ class CredentialPolicy:
         if mode == "correct":
             return stored
         if mode == "random":
-            return int(rng.integers(0, 1 << width))
+            return int(rng.integers(0, 1 << width, dtype=np.uint64))
         if mode == "fixed":
             if fixed is None:
                 raise ValueError("fixed credential mode needs a fixed word")
@@ -126,15 +126,7 @@ class McReport:
     analytic_rate: float
     seed: int
 
-    def as_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "failures": self.failures,
-            "rate": self.rate,
-            "wilson_95_ci": list(self.wilson_95_ci),
-            "analytic_rate": self.analytic_rate,
-            "seed": self.seed,
-        }
+    as_dict = asdict
 
 
 def make_report(failures: int, trials: int, analytic_rate: float, seed: int) -> McReport:
@@ -194,10 +186,7 @@ def mc_failure_rate(
     sense = sense or SenseConfig()
     if isinstance(pair, str):
         pair = parse_pair(pair)
-    if temperature < model.ambient_temp:
-        raise ValueError("zone temperature cannot be below ambient")
-    base = collapse or Collapse()
-    disturbance = Collapse(a=base.a, b=base.b, zone_temp=temperature)
+    disturbance = heated(collapse or Collapse(), temperature, model)
     return exceedance_mc(pair, disturbance, sense.i_ref_and, trials, seed, model)
 
 
@@ -220,8 +209,7 @@ def _scenario_attack(
 ) -> SenseDisturbance | None:
     if scenario.variant is AttackVariant.NONE:
         return None
-    if scenario.zone_temp < model.ambient_temp:
-        raise ValueError("zone temperature cannot be below ambient")
+    heat = scenario.collapse_at_zone(model)  # even when forced: a cold zone raises
     if scenario.targeted_rows is not None:
         zone = scenario.targeted_rows
     elif scenario.variant is AttackVariant.XNOR_LEVEL:
@@ -230,9 +218,8 @@ def _scenario_attack(
         )
     else:
         zone = frozenset({_ROWS["match_u"], _ROWS["match_p"]})
-    disturbance = None if scenario.force_flip else scenario.collapse_at_zone()
     return SenseDisturbance(
-        disturbance=disturbance,
+        disturbance=None if scenario.force_flip else heat,
         rows=zone,
         ops=frozenset({CimOp.CIM_AND}),
         force_flip=scenario.force_flip,
@@ -309,7 +296,7 @@ def _xnor_bit_one_prob(
     if attacked and scenario.force_flip:
         p_and = analytic.pair_exceed(model, pair, sense.i_ref_or, None)
     else:
-        dist = scenario.collapse_at_zone() if attacked else None
+        dist = scenario.collapse_at_zone(model) if attacked else None
         p_and = analytic.pair_exceed(model, pair, sense.i_ref_and, dist)
     p_or = analytic.pair_exceed(model, pair, sense.i_ref_or, None)
     return 1.0 - (1.0 - p_and) * p_or
@@ -355,7 +342,7 @@ def _outer_accept_prob(
         if scenario.force_flip:
             return analytic.pair_exceed(model, pair, sense.i_ref_or, None)
         return analytic.pair_exceed(
-            model, pair, sense.i_ref_and, scenario.collapse_at_zone()
+            model, pair, sense.i_ref_and, scenario.collapse_at_zone(model)
         )
     return analytic.pair_exceed(model, pair, sense.i_ref_and, None)
 

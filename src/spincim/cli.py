@@ -9,13 +9,12 @@ error.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from pathlib import Path
 
 from . import __version__
 from . import config as cfgmod
-from .array import CimArray, CimOp, RowAddress
+from .array import TWO_ROW_OPS, CimArray, CimOp, RowAddress
 from .attack import (
     AttackScenario,
     AttackVariant,
@@ -25,11 +24,12 @@ from .attack import (
     attack_success_rate,
     mc_failure_rate,
 )
+from .cost import write_csv
 from .device import (
     FailureRateTargets,
-    MeanShift,
     MtjState,
     calibrate,
+    heated,
     parse_pair,
     sample_pair_current,
     trial_rng,
@@ -90,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("truth-table", help="decode table of one two-row operation")
     _common_flags(p)
     p.add_argument("--op", default="CimAND",
-                   choices=["CimAND", "CimOR", "CimNAND", "CimNOR", "CimXOR"])
+                   choices=[op.value for op in CimOp if op in TWO_ROW_OPS])
     p.add_argument("--noise", type=_finite, help="sense noise sigma override (uA)")
 
     p = sub.add_parser("mc-failure", help="Monte Carlo AND-decode failure rate")
@@ -156,8 +156,7 @@ def _emit(config: dict, command: str, payload: dict, extra_files=()) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / f"{command}.json").write_text(cfgmod.canonical_json(report))
     for name, write_fn in extra_files:
-        with open(out_dir / name, "w", newline="") as handle:
-            write_fn(handle)
+        write_fn(out_dir / name)
     sys.stdout.write(cfgmod.canonical_json(report))
     return report
 
@@ -309,18 +308,11 @@ def _cmd_sca(args, config) -> dict:
             _, accuracy = confusion_matrix(classifier, test_set)
             accs[tag] = accuracy
         rows.append({"sigma_duration": sig_d, "sigma_energy": sig_e, **accs})
-
-    def write_csv(handle):
-        writer = csv.writer(handle)
-        writer.writerow(["sigma_duration", "sigma_energy",
-                         "standard_4_class", "enhanced_11_class"])
-        for row in rows:
-            writer.writerow([repr(row["sigma_duration"]), repr(row["sigma_energy"]),
-                             repr(row["standard_4_class"]),
-                             repr(row["enhanced_11_class"])])
-
+    header = ["sigma_duration", "sigma_energy", "standard_4_class", "enhanced_11_class"]
+    cells = [[repr(row[key]) for key in header] for row in rows]
     payload = {"samples_per_class": n, "rows": rows}
-    return _emit(config, "sca", payload, [("sca.csv", write_csv)])
+    return _emit(config, "sca", payload,
+                 [("sca.csv", lambda path: write_csv(path, header, cells))])
 
 
 def _cmd_mitigate(args, config) -> dict:
@@ -330,10 +322,8 @@ def _cmd_mitigate(args, config) -> dict:
     zone = args.temp if args.temp is not None else mit["zone_temp"]
     est = mit["shift_estimate" if args.family == "meanshift" else "collapse_estimate"]
     shift = ShiftEstimate(**est)
-    if args.family == "meanshift":
-        disturbance = MeanShift(**est, zone_temp=zone)
-    else:
-        disturbance = cfgmod.build_collapse(config, zone_temp=zone)
+    unheated = shift if args.family == "meanshift" else cfgmod.build_collapse(config)
+    disturbance = heated(unheated, zone, model)
     adapted = adapt_references(base, shift, model)
     report = evaluate_mitigation(
         disturbance, base, adapted, config["trials"], config["seed"], model=model

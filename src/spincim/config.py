@@ -161,7 +161,9 @@ _RUN_LEAVES = {
     ("attack", "variant"): _one_of(*(variant.value for variant in AttackVariant)),
     ("attack", "zone_temp"): _NUMBER,
     ("attack", "force_flip"): (lambda value: type(value) is bool, "true or false"),
-    ("attack", "credential_width"): _int_at_least(1),
+    ("attack", "credential_width"): (
+        lambda value: type(value) is int and 1 <= value <= 64, "an integer from 1 to 64"
+    ),
     ("attack", "username"): _int_at_least(0),
     ("attack", "password"): _int_at_least(0),
     ("attack", "policy", "user"): _one_of(*POLICY_MODES),
@@ -253,11 +255,9 @@ def build_model(config: dict) -> CurrentLevelModel:
     )
 
 
-def build_collapse(config: dict, zone_temp: float | None = None) -> Collapse:
+def build_collapse(config: dict) -> Collapse:
     dev = config["device"]
-    return Collapse(
-        **dev["collapse"], zone_temp=dev["ambient_temp"] if zone_temp is None else zone_temp
-    )
+    return Collapse(**dev["collapse"], zone_temp=dev["ambient_temp"])
 
 
 def _from_fields(cls, section: dict):

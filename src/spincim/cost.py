@@ -15,7 +15,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -146,6 +146,18 @@ def open_target(target, mode: str = "r", **kwargs):
     return contextlib.nullcontext(target)
 
 
+def write_csv(target, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write ``header`` and then ``rows`` as CSV to a path or an open handle.
+
+    Every CSV file of the package goes through here. Cells are written as
+    given, so callers format floats themselves (``repr`` round-trips them).
+    """
+    with open_target(target, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def popcount(word: int, width: int) -> int:
     return (word & ((1 << width) - 1)).bit_count()
 
@@ -222,14 +234,11 @@ class ExecutionTrace:
 
     def to_csv(self, target) -> None:
         """Write event rows as kind,start_ns,duration_ns,energy_fJ,channel."""
-        with open_target(target, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["kind", "start_ns", "duration_ns", "energy_fJ", "channel"])
-            for e in self.events:
-                writer.writerow(
-                    [e.kind.value, repr(e.start_ns), repr(e.duration_ns),
-                     repr(e.energy_fj), e.channel.value]
-                )
+        write_csv(target, ["kind", "start_ns", "duration_ns", "energy_fJ", "channel"], (
+            [e.kind.value, repr(e.start_ns), repr(e.duration_ns), repr(e.energy_fj),
+             e.channel.value]
+            for e in self.events
+        ))
 
     def to_csv_text(self) -> str:
         buf = io.StringIO()
@@ -261,11 +270,9 @@ class PowerTrace:
         return float(self.power[mask].sum() * dt)
 
     def to_csv(self, target) -> None:
-        with open_target(target, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["t_ns", "power"])
-            for t, p in zip(self.times_ns, self.power):
-                writer.writerow([repr(float(t)), repr(float(p))])
+        write_csv(target, ["t_ns", "power"], (
+            [repr(float(t)), repr(float(p))] for t, p in zip(self.times_ns, self.power)
+        ))
 
 
 def synthesize_power_trace(

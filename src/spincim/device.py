@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from statistics import NormalDist
 from typing import Mapping, Union
@@ -29,7 +29,7 @@ from typing import Mapping, Union
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .errors import NonConvergence
+from .errors import InvalidShift, NonConvergence
 
 AMBIENT_TEMP_C = 20.0
 
@@ -141,7 +141,8 @@ class MeanShift:
     """Heating model that raises each pair level by a fixed amount.
 
     The shifts apply to the three pair levels in ladder order and must satisfy
-    0 < alpha < beta < gamma. Single-cell senses are unaffected.
+    0 < alpha < beta < gamma, else InvalidShift. Single-cell senses are
+    unaffected. The same type carries a mitigation's estimate of the shifts.
     """
 
     alpha: float
@@ -151,7 +152,8 @@ class MeanShift:
 
     def __post_init__(self):
         if not 0 < self.alpha < self.beta < self.gamma:
-            raise ValueError("mean shift requires 0 < alpha < beta < gamma")
+            raise InvalidShift("shifts must satisfy 0 < alpha < beta < gamma, got "
+                               f"{self.shifts}")
 
     @property
     def shifts(self) -> tuple[float, float, float]:
@@ -180,6 +182,15 @@ class Collapse:
 
 Disturbance = Union[MeanShift, Collapse, None]
 CellDisturbances = Union[Disturbance, tuple[Disturbance, Disturbance]]
+
+
+def heated(disturbance: MeanShift | Collapse, zone_temp: float, model: CurrentLevelModel):
+    """``disturbance`` moved to ``zone_temp``: the one rule that turns a zone
+    temperature into a heated disturbance. A zone below the model's ambient
+    is a ValueError; :meth:`Collapse.rho` still floors dT at zero."""
+    if zone_temp < model.ambient_temp:
+        raise ValueError("zone temperature cannot be below ambient")
+    return replace(disturbance, zone_temp=zone_temp)
 
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
@@ -467,14 +478,7 @@ class CalibrationResult:
     residuals: dict[str, float]
     fitted_rates: dict[str, float]
 
-    def as_dict(self) -> dict:
-        return {
-            "sigma": self.sigma,
-            "a": self.a,
-            "b": self.b,
-            "residuals": dict(self.residuals),
-            "fitted_rates": dict(self.fitted_rates),
-        }
+    as_dict = asdict
 
 
 def calibrate(

@@ -42,8 +42,9 @@ class MalformedTrace(SpinCimError):
     """Trace does not contain the event structure an analysis expects."""
 
 
-class InvalidShift(SpinCimError):
-    """Level-shift estimate violates the required ordering."""
+class InvalidShift(SpinCimError, ValueError):
+    """Level shifts not ordered 0 < alpha < beta < gamma, or adapted references
+    outside their shifted gaps; a ValueError like any other bad model value."""
 
 
 class ConfigError(SpinCimError):

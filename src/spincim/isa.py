@@ -24,7 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from enum import Enum
 
 from .array import TWO_ROW_OPS, CimArray, CimOp, RowAddress
@@ -76,13 +76,7 @@ class ExecStats:
     total_delay_ns: float
     total_energy_fj: float
 
-    def as_dict(self) -> dict:
-        return {
-            "instruction_count": self.instruction_count,
-            "memory_access_count": self.memory_access_count,
-            "total_delay_ns": self.total_delay_ns,
-            "total_energy_fj": self.total_energy_fj,
-        }
+    as_dict = asdict
 
 
 _COMMENT_RE = re.compile(r"[;#]")
@@ -287,23 +281,14 @@ def static_fingerprint(machine: Machine) -> str:
     what they run hash identically.
     """
     array = machine.array
-    g = array.geometry
     capabilities = sorted(
         op.value for op in (CimOp if array.enhanced else (CimOp.READ, CimOp.WRITE))
     )
     description = {
-        "geometry": {
-            "banks": g.banks,
-            "rows_per_bank": g.rows_per_bank,
-            "cols_per_row": g.cols_per_row,
-        },
+        "geometry": asdict(array.geometry),
         "registers": NUM_REGISTERS,
         "capabilities": capabilities,
-        "sense_refs": [
-            array.sense.i_ref_read,
-            array.sense.i_ref_or,
-            array.sense.i_ref_and,
-        ],
+        "sense_refs": list(astuple(array.sense)),
         # the accounting mode is how the simulator charges a write, not hardware
         "costs": {
             side: rows for side, rows in array.cost_table.as_dict().items() if side != "mode"

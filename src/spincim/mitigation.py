@@ -1,35 +1,24 @@
 """Disturbance-aware sense references: adapt and evaluate.
 
 Given an estimate of how much heating raises each pair level, the references
-move to the midpoints of the shifted adjacent levels. Estimates are supplied
-externally (perfect-knowledge or noisy-sensor values); no estimator is
-modelled.
+move to the midpoints of the shifted adjacent levels. An estimate is a
+:class:`~spincim.device.MeanShift` (exported here as ``ShiftEstimate``), so
+it is ordered 0 < alpha < beta < gamma by construction. Estimates are
+supplied externally (perfect-knowledge or noisy-sensor values); no estimator
+is modelled.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import analytic
 from .array import SenseConfig
 from .attack import McReport, exceedance_mc
-from .device import CurrentLevelModel, Disturbance, PairState, parse_pair
+from .device import CurrentLevelModel, Disturbance, MeanShift, PairState, parse_pair
 from .errors import InvalidShift
 
-
-@dataclass(frozen=True)
-class ShiftEstimate:
-    """Estimated current increases of the three pair levels under heat."""
-
-    alpha: float
-    beta: float
-    gamma: float
-
-    def __post_init__(self):
-        if not 0 < self.alpha < self.beta < self.gamma:
-            raise InvalidShift(
-                f"shift estimate must satisfy 0 < alpha < beta < gamma, got "
-                f"({self.alpha}, {self.beta}, {self.gamma})"
-            )
+# an estimate of the pair-level shifts under heat is a mean shift
+ShiftEstimate = MeanShift
 
 
 def adapt_references(
@@ -63,15 +52,7 @@ class MitigationReport:
     before: McReport
     after: McReport
 
-    def as_dict(self) -> dict:
-        return {
-            "pair": self.pair,
-            "ref_before": self.ref_before,
-            "ref_after": self.ref_after,
-            "natural_rate": self.natural_rate,
-            "before": self.before.as_dict(),
-            "after": self.after.as_dict(),
-        }
+    as_dict = asdict
 
 
 def evaluate_mitigation(

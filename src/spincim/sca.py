@@ -7,7 +7,6 @@ and to run the Hamming-weight write attack.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
@@ -16,18 +15,19 @@ import numpy as np
 
 from . import analytic
 from .cost import (
+    STANDARD_COSTS,
     CostTable,
     ExecutionTrace,
     OpClass,
     PowerTrace,
     cost_of,
-    open_target,
     single_word_write_event,
+    write_csv,
 )
 from .device import trial_rng
 from .errors import MalformedTrace, MissingClass
 
-STANDARD_CLASSES = ("Read1", "Read0", "Write1", "Write0")
+STANDARD_CLASSES = tuple(kind.value for kind in STANDARD_COSTS)
 ENHANCED_CLASSES = tuple(op.value for op in OpClass)
 
 # relative floor keeps zero-variance training sets classifiable and preserves
@@ -81,11 +81,10 @@ class Dataset:
         return len(self.codes)
 
     def to_csv(self, target) -> None:
-        with open_target(target, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["duration_ns", "energy_fJ", "label"])
-            for (d, e), label in zip(self.features, self.labels):
-                writer.writerow([repr(float(d)), repr(float(e)), label])
+        write_csv(target, ["duration_ns", "energy_fJ", "label"], (
+            [repr(float(d)), repr(float(e)), label]
+            for (d, e), label in zip(self.features, self.labels)
+        ))
 
 
 def class_centroid(name: str, table: CostTable, enhanced: bool) -> tuple[float, float]:
@@ -269,8 +268,7 @@ class ObscuringResult:
     rate: float
     wilson_95_ci: tuple[float, float]
 
-    def as_dict(self) -> dict:
-        return {**asdict(self), "wilson_95_ci": list(self.wilson_95_ci)}
+    as_dict = asdict
 
 
 def obscuring_experiment(

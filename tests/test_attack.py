@@ -175,6 +175,20 @@ class TestSuccessRate:
         with pytest.raises(ValueError):
             CredentialPolicy(user="fixed").draw(AuthEntry(1, 2), 16, trial_rng(0, 0))
 
+    @pytest.mark.parametrize("width", [1, 8, 16, 31, 32, 33, 48, 63])
+    def test_random_draw_keeps_its_stream_below_64_bits(self, width):
+        policy = CredentialPolicy(user="random", password="random")
+        for i in range(25):
+            drawn = policy.draw(AuthEntry(0, 0), width, trial_rng(3, i))
+            rng = trial_rng(3, i)
+            assert drawn == tuple(int(rng.integers(0, 1 << width)) for _ in range(2))
+
+    def test_random_draw_spans_64_bits(self):
+        policy = CredentialPolicy(user="random", password="random")
+        words = [w for i in range(40) for w in policy.draw(AuthEntry(0, 0), 64, trial_rng(5, i))]
+        assert all(0 <= w < 1 << 64 for w in words)
+        assert any(w >= 1 << 63 for w in words)
+
     def test_report_matches_composition_under_heat(self, model):
         scenario = AttackScenario(variant=AttackVariant.XNOR_LEVEL, zone_temp=100.0)
         report = attack_success_rate(

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -15,10 +16,14 @@ from hypothesis import strategies as st
 import spincim
 from spincim import ConfigError
 from spincim.cli import build_parser, main
-from spincim import ArrayGeometry, Collapse, CostTable, CurrentLevelModel, SenseConfig
+from spincim import ArrayGeometry, CimOp, Collapse, CostTable, CurrentLevelModel, SenseConfig
+from spincim.analytic import binomial_stderr
+from spincim.array import TWO_ROW_OPS
+from spincim.attack import AttackVariant
 from spincim.config import (
     _RUN_LEAVES,
     DEFAULT_CONFIG,
+    POLICY_MODES,
     build_collapse,
     build_cost_table,
     build_geometry,
@@ -417,6 +422,8 @@ class TestCli:
         ({"mitigation": {"shift_estimate": {"gamma": 0.2}}}, [],
          "mitigation.shift_estimate"),
         ({"attack": {"credential_width": 4}}, [], "attack"),
+        ({"attack": {"credential_width": 65}}, [], "attack.credential_width"),
+        ({"attack": {"credential_width": 10**12}}, [], "attack.credential_width"),
     ])
     @pytest.mark.parametrize("command", ["mc-failure", "sca"])
     def test_out_of_range_run_leaf_exits_one(
@@ -534,6 +541,58 @@ class TestCli:
             main(["--version"])
         assert done.value.code == 0
         assert capsys.readouterr().out == f"spincim {spincim.__version__}\n"
+
+    @pytest.mark.parametrize("argv,overlay", [
+        (["mc-failure", "--temp", "10"], {}),
+        (["mc-failure"], {"attack": {"zone_temp": 19.5}}),
+        (["auth-attack", "--temp", "10"], {}),
+        (["auth-attack"], {"attack": {"zone_temp": 19.5}}),
+        (["mitigate", "--family", "collapse", "--temp", "10"], {}),
+        (["mitigate", "--family", "collapse"], {"mitigation": {"zone_temp": 19.5}}),
+        (["mitigate", "--family", "meanshift", "--temp", "10"], {}),
+        (["mitigate", "--family", "meanshift"], {"mitigation": {"zone_temp": 19.5}}),
+        (["mitigate"], {"mitigation": {"zone_temp": 50.0}, "device": {"ambient_temp": 60.0}}),
+    ])
+    def test_zone_below_ambient_exits_two(self, capsys, tmp_path, argv, overlay):
+        config = tmp_path / "overlay.json"
+        config.write_text(json.dumps(overlay))
+        out = tmp_path / "out"
+        code = main([*argv, "--config", str(config), "--trials", "10", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "experiment error: zone temperature cannot be below ambient\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_credential_width_64_tracks_oracle(self, capsys, tmp_path):
+        config = tmp_path / "wide.json"
+        config.write_text(json.dumps({"attack": {
+            "credential_width": 64, "username": 2**64 - 1, "password": 2**63 + 5,
+            "policy": {"user": "correct", "password": "random"},
+        }}))
+        code, report = run_cli(capsys, "auth-attack", "--config", str(config),
+                               "--trials", "200", "--out", str(tmp_path))
+        assert code == 0
+        payload = report["report"]
+        p, n = payload["analytic_rate"], payload["trials"]
+        assert abs(payload["rate"] - p) <= 6 * binomial_stderr(p, n) + 36 / (3 * n)
+
+    def test_choices_come_from_their_sources(self):
+        commands = next(
+            action.choices for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+
+        def choices(command, flag):
+            return next(action.choices for action in commands[command]._actions
+                        if flag in action.option_strings)
+
+        assert choices("truth-table", "--op") == [
+            op.value for op in CimOp if op in TWO_ROW_OPS
+        ]
+        assert choices("auth-attack", "--variant") == [v.value for v in AttackVariant]
+        assert choices("auth-attack", "--user-policy") == POLICY_MODES
+        assert choices("auth-attack", "--password-policy") == POLICY_MODES
 
     def test_experiment_error_exits_two(self, capsys, tmp_path):
         assert main(

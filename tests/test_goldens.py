@@ -11,8 +11,10 @@ import json
 import numpy as np
 import pytest
 
-from spincim import CimArray, RowAddress, disassemble
+from spincim import CimArray, PowerTrace, RowAddress, disassemble
 from spincim.cli import main
+from spincim.config import canonical_json
+from spincim.sca import Dataset, obscuring_experiment
 
 from _progs import random_cim_program
 
@@ -114,3 +116,65 @@ def test_multi_block_sca_report(capsys, tmp_path):
     assert hashlib.sha256((tmp_path / "sca.csv").read_bytes()).hexdigest() == (
         "cd36e1b911c9d26e846cd68d8285a52aa542e18cdfe72aa29983f1c1e3a247d8"
     )
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+# each command's arguments at tiny sizes; every file it writes is hashed
+_WRITER_RUNS = {
+    "margins": ["margins"],
+    "truth-table": ["truth-table", "--op", "CimXOR", "--noise", "0.9", "--seed", "3"],
+    "calibrate": ["calibrate"],
+    "mc-failure": ["mc-failure", "--pair", "AP,P", "--temp", "100", "--trials", "200"],
+    "mitigate-collapse": ["mitigate", "--family", "collapse", "--trials", "200"],
+    "mitigate-meanshift": ["mitigate", "--family", "meanshift", "--trials", "200",
+                           "--seed", "11"],
+    "auth-attack": ["auth-attack", "--variant", "XnorLevel", "--temp", "140",
+                    "--trials", "40"],
+}
+
+
+def test_writer_bytes(capsys, tmp_path):
+    """sha256 of every report and CSV writer's bytes, captured before the
+    result types serialised from their own fields and the CSV writers shared
+    one loop."""
+    digests = {}
+    for tag, argv in _WRITER_RUNS.items():
+        out = tmp_path / tag
+        assert main([*argv, "--out", str(out)]) == 0, capsys.readouterr().err
+        capsys.readouterr()
+        for path in sorted(out.iterdir()):
+            digests[f"{tag}/{path.name}"] = _sha(path.read_bytes())
+    power = PowerTrace(sample_rate=2.0, power=np.array([0.0, 1.5, 1 / 3, 2e-17, 42.0]))
+    power.to_csv(tmp_path / "power.csv")
+    digests["power.csv"] = _sha((tmp_path / "power.csv").read_bytes())
+    dataset = Dataset([[0.6, 8.611], [4.4, 1 / 3], [0.1 + 0.2, 1e300]],
+                      ["Read1", "Write1", "Read1"])
+    dataset.to_csv(tmp_path / "dataset.csv")
+    digests["dataset.csv"] = _sha((tmp_path / "dataset.csv").read_bytes())
+    result = obscuring_experiment([(0.05, 2.0)], samples=300, seed=9)[0]
+    digests["obscuring.json"] = _sha(canonical_json(result.as_dict()).encode())
+    assert digests == {
+        "margins/margins.json":
+            "caf281c8eadcb68743a2123c339433fe74c6882f615108b9dd761c5813fb69f5",
+        "truth-table/truth-table.json":
+            "2e3ae49c9e413522304ea71faa2ee4ef3920e31d13c1e60853f946b5439790e0",
+        "calibrate/calibrate.json":
+            "375da6944160c2ce30ace14d68b5c3340d61b5b2e00ddae565978b9d847ab235",
+        "mc-failure/mc-failure.json":
+            "08b2f9585529a90206dbb02cd0c5396635b1288a7b53344f94172990f0d6c84c",
+        "mitigate-collapse/mitigate.json":
+            "8ef8298ee0f89b595317bd7761a9b464cc2ac8c2f9981c6aed4ad80d255e4917",
+        "mitigate-meanshift/mitigate.json":
+            "291a36a11132ac6ed69570396e577599f2f6652f8afd54eabe68b8eeb4995deb",
+        "auth-attack/auth-attack.json":
+            "1834774d4a82fe67534a64c5a6f87c9a4c1ec6602f0d483b728859dc5b94477c",
+        "power.csv":
+            "049ff12b4bb0c08a0c8786be64f4fead60bb125a21ec244d6a142fff6042d367",
+        "dataset.csv":
+            "3813c5a04227e85aaab355f0925dab998ad630d510bdec0f426998f81023ebd0",
+        "obscuring.json":
+            "621f83c3cf4e86cdc4fec8f1b8b7addf589c8335d309b1d24a6a7cd77e002856",
+    }
