@@ -207,9 +207,9 @@ _ROWS = {
 def _scenario_attack(
     scenario: AttackScenario, model: CurrentLevelModel
 ) -> SenseDisturbance | None:
+    heat = scenario.collapse_at_zone(model)  # a cold zone raises, whatever the variant
     if scenario.variant is AttackVariant.NONE:
         return None
-    heat = scenario.collapse_at_zone(model)  # even when forced: a cold zone raises
     if scenario.targeted_rows is not None:
         zone = scenario.targeted_rows
     elif scenario.variant is AttackVariant.XNOR_LEVEL:
@@ -363,6 +363,7 @@ def auth_accept_probability(
     """
     model = model or CurrentLevelModel()
     sense = sense or SenseConfig()
+    scenario.collapse_at_zone(model)  # a cold zone raises, whatever the variant
     stored = db.entries[entry]
     p_mu = _word_match_prob(
         policy.user, policy.fixed_user, stored.username, db.width,

@@ -367,9 +367,6 @@ def main(argv=None) -> int:
         return 1
     try:
         _HANDLERS[args.command](args, config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (SpinCimError, OSError, ValueError) as exc:
         print(f"experiment error: {exc}", file=sys.stderr)
         return 2

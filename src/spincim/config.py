@@ -1,13 +1,13 @@
 """Shared JSON experiment configuration: defaults, validation, builders.
 
-The device, array and cost defaults are read off the model dataclasses
-(``CurrentLevelModel``, ``Collapse``, ``ArrayGeometry``, ``SenseConfig`` and
-``CostTable``), so each shipped value is written once, where the model
-defines it; the calibration constants live in ``device.py``. Unknown keys
+The device, array and cost defaults, the credential width and the credential
+policy are read off the model dataclasses (``CurrentLevelModel``,
+``Collapse``, ``ArrayGeometry``, ``SenseConfig``, ``CostTable``, ``AuthDb``
+and ``CredentialPolicy``), so each shipped value is written once, where the
+model defines it; the calibration constants live in ``device.py``. Unknown keys
 anywhere in a user file are rejected so a typo cannot silently fall back to
-a default, and :func:`validate_run` checks the type and range of every leaf
-but the device metadata, a block of descriptive fabrication parameters that
-the behavioral simulation never reads.
+a default. One schema declares each leaf once, with its default and its
+check, and :func:`validate_run` checks the type and range of every leaf.
 """
 from __future__ import annotations
 
@@ -19,59 +19,13 @@ import math
 from pathlib import Path
 
 from .array import ArrayGeometry, SenseConfig
-from .attack import AttackVariant
+from .attack import AttackVariant, AuthDb, CredentialPolicy
 from .cost import CostMode, CostTable
 from .device import Collapse, CurrentLevelModel
 from .errors import ConfigError
 
 _MODEL = CurrentLevelModel()
-
-DEFAULT_CONFIG: dict = {
-    "device": {
-        "single_levels": {state.value: level for state, level in _MODEL.single_levels.items()},
-        "pair_levels": dict(_MODEL.pair_levels),
-        "sigma": _MODEL.sigma,
-        "ambient_temp": _MODEL.ambient_temp,
-        "collapse": {"a": Collapse().a, "b": Collapse().b},
-        "metadata": {
-            "mtj_surface_length_nm": 40,
-            "mtj_surface_width_nm": 40,
-            "spin_hall_angle": 0.3,
-            "resistance_area_product_ohm_m2": 1e-12,
-            "oxide_barrier_thickness_nm": 0.82,
-            "tmr_percent": 100,
-            "saturation_field_a_per_m": 1e6,
-            "gilbert_damping": 0.03,
-            "perpendicular_anisotropy_a_per_m": 4.5e5,
-            "temperature_k": 300,
-        },
-    },
-    "array": {**dataclasses.asdict(ArrayGeometry()), **dataclasses.asdict(SenseConfig())},
-    "cost": CostTable().as_dict(),
-    "attack": {
-        "variant": "XnorLevel",
-        "zone_temp": 100.0,
-        "force_flip": False,
-        "credential_width": 16,
-        "username": 0xA5A5,
-        "password": 0x5AC3,
-        "policy": {"user": "correct", "password": "random"},
-    },
-    "sca": {
-        "sigma_duration": 0.05,
-        "sweep_sigma_energy": [0.5, 1.0, 2.0, 5.0],
-        "samples_per_class": 10000,
-    },
-    "mitigation": {
-        "shift_estimate": {"alpha": 0.15, "beta": 0.2, "gamma": 0.25},
-        "collapse_estimate": {"alpha": 0.2, "beta": 0.4, "gamma": 0.6},
-        "zone_temp": 100.0,
-    },
-    "seed": 20240,
-    "trials": 10000,
-    "threads": 1,
-    "out_dir": "results",
-}
+_COSTS = CostTable().as_dict()
 
 
 def _merge(base: dict, override: dict, path: str = "") -> dict:
@@ -124,86 +78,129 @@ _NUMBER = (_is_number, "a finite number")
 _SIGMA = (_is_sigma, "a finite number >= 0")
 # the credential policies a config or a CLI flag may choose
 POLICY_MODES = ("correct", "random")
-_ESTIMATES = ("shift_estimate", "collapse_estimate")
+_COST_ROW = (
+    lambda value: type(value) in (list, tuple) and len(value) == 2
+    and all(map(_is_sigma, value)),
+    "two finite numbers >= 0",
+)
+_ORDERED = (
+    lambda value: 0 < value["alpha"] < value["beta"] < value["gamma"],
+    "ordered: 0 < alpha < beta < gamma",
+)
 
-# every leaf a flag or a file sets, outside the unread device metadata:
-# (check, what the value must be); a section's check follows its leaves
-_RUN_LEAVES = {
-    ("seed",): _int_at_least(0),
-    ("trials",): _int_at_least(1),
-    ("threads",): _int_at_least(1),
-    **{
-        ("device", levels, name): _NUMBER
-        for levels in ("single_levels", "pair_levels")
-        for name in DEFAULT_CONFIG["device"][levels]
-    },
-    **{
-        ("device", levels): _increasing(*DEFAULT_CONFIG["device"][levels])
-        for levels in ("single_levels", "pair_levels")
-    },
-    ("device", "sigma"): _SIGMA,
-    ("device", "ambient_temp"): _NUMBER,
-    ("device", "collapse", "a"): _NUMBER,
-    ("device", "collapse", "b"): _NUMBER,
-    **{("array", f.name): _int_at_least(1) for f in dataclasses.fields(ArrayGeometry)},
-    **{("array", f.name): _NUMBER for f in dataclasses.fields(SenseConfig)},
-    ("array",): _increasing(*(f.name for f in dataclasses.fields(SenseConfig))),
-    ("cost", "mode"): _one_of(*(mode.value for mode in CostMode)),
-    **{
-        ("cost", table, name): (
-            lambda value: type(value) in (list, tuple) and len(value) == 2
-            and all(map(_is_sigma, value)),
-            "two finite numbers >= 0",
-        )
-        for table in ("standard", "enhanced")
-        for name in DEFAULT_CONFIG["cost"][table]
-    },
-    ("attack", "variant"): _one_of(*(variant.value for variant in AttackVariant)),
-    ("attack", "zone_temp"): _NUMBER,
-    ("attack", "force_flip"): (lambda value: type(value) is bool, "true or false"),
-    ("attack", "credential_width"): (
-        lambda value: type(value) is int and 1 <= value <= 64, "an integer from 1 to 64"
-    ),
-    ("attack", "username"): _int_at_least(0),
-    ("attack", "password"): _int_at_least(0),
-    ("attack", "policy", "user"): _one_of(*POLICY_MODES),
-    ("attack", "policy", "password"): _one_of(*POLICY_MODES),
-    ("attack",): (
+
+def _leaves(defaults: dict, rule) -> dict:
+    """Schema entries giving each of ``defaults`` the same rule."""
+    return {key: (default, rule) for key, default in defaults.items()}
+
+
+def _levels(levels: dict):
+    """A section of finite-number levels that increase in their listed order."""
+    return _leaves(levels, _NUMBER), _increasing(*levels)
+
+
+# every config key once: a leaf is (default, (check, what it must be)); a
+# section is (its entries, its relation or None), the relation checked once
+# the section's own entries pass
+_SCHEMA = {
+    "device": ({
+        "single_levels": _levels(
+            {state.value: level for state, level in _MODEL.single_levels.items()}
+        ),
+        "pair_levels": _levels(dict(_MODEL.pair_levels)),
+        "sigma": (_MODEL.sigma, _SIGMA),
+        "ambient_temp": (_MODEL.ambient_temp, _NUMBER),
+        "collapse": (_leaves({"a": Collapse().a, "b": Collapse().b}, _NUMBER), None),
+        # descriptive fabrication parameters the behavioral simulation never reads
+        "metadata": (_leaves({
+            "mtj_surface_length_nm": 40,
+            "mtj_surface_width_nm": 40,
+            "spin_hall_angle": 0.3,
+            "resistance_area_product_ohm_m2": 1e-12,
+            "oxide_barrier_thickness_nm": 0.82,
+            "tmr_percent": 100,
+            "saturation_field_a_per_m": 1e6,
+            "gilbert_damping": 0.03,
+            "perpendicular_anisotropy_a_per_m": 4.5e5,
+            "temperature_k": 300,
+        }, _NUMBER), None),
+    }, None),
+    "array": ({
+        **_leaves(dataclasses.asdict(ArrayGeometry()), _int_at_least(1)),
+        **_leaves(dataclasses.asdict(SenseConfig()), _NUMBER),
+    }, _increasing(*(f.name for f in dataclasses.fields(SenseConfig)))),
+    "cost": ({
+        "mode": (_COSTS["mode"], _one_of(*(mode.value for mode in CostMode))),
+        "standard": (_leaves(_COSTS["standard"], _COST_ROW), None),
+        "enhanced": (_leaves(_COSTS["enhanced"], _COST_ROW), None),
+    }, None),
+    "attack": ({
+        "variant": ("XnorLevel", _one_of(*(variant.value for variant in AttackVariant))),
+        "zone_temp": (100.0, _NUMBER),
+        "force_flip": (False, (lambda value: type(value) is bool, "true or false")),
+        "credential_width": (AuthDb.width, (
+            lambda value: type(value) is int and 1 <= value <= 64, "an integer from 1 to 64"
+        )),
+        "username": (0xA5A5, _int_at_least(0)),
+        "password": (0x5AC3, _int_at_least(0)),
+        "policy": (_leaves({
+            "user": CredentialPolicy.user, "password": CredentialPolicy.password
+        }, _one_of(*POLICY_MODES)), None),
+    }, (
         lambda value: max(value["username"], value["password"]).bit_length()
         <= value["credential_width"],
         "username and password of at most credential_width bits",
-    ),
-    ("sca", "samples_per_class"): _int_at_least(1),
-    ("sca", "sigma_duration"): _SIGMA,
-    ("sca", "sweep_sigma_energy"): (
-        lambda value: type(value) in (list, tuple) and all(map(_is_sigma, value)),
-        "a list of finite numbers >= 0",
-    ),
-    ("mitigation", "zone_temp"): _NUMBER,
-    **{
-        ("mitigation", estimate, name): _NUMBER
-        for estimate in _ESTIMATES
-        for name in ("alpha", "beta", "gamma")
-    },
-    **{
-        ("mitigation", estimate): (
-            lambda value: 0 < value["alpha"] < value["beta"] < value["gamma"],
-            "ordered: 0 < alpha < beta < gamma",
-        )
-        for estimate in _ESTIMATES
-    },
-    ("out_dir",): (lambda value: type(value) is str and value != "", "a non-empty string"),
+    )),
+    "sca": ({
+        "sigma_duration": (0.05, _SIGMA),
+        "sweep_sigma_energy": ([0.5, 1.0, 2.0, 5.0], (
+            lambda value: type(value) in (list, tuple) and all(map(_is_sigma, value)),
+            "a list of finite numbers >= 0",
+        )),
+        "samples_per_class": (10000, _int_at_least(1)),
+    }, None),
+    "mitigation": ({
+        "shift_estimate": (
+            _leaves({"alpha": 0.15, "beta": 0.2, "gamma": 0.25}, _NUMBER), _ORDERED
+        ),
+        "collapse_estimate": (
+            _leaves({"alpha": 0.2, "beta": 0.4, "gamma": 0.6}, _NUMBER), _ORDERED
+        ),
+        "zone_temp": (100.0, _NUMBER),
+    }, None),
+    "seed": (20240, _int_at_least(0)),
+    "trials": (10000, _int_at_least(1)),
+    "threads": (1, _int_at_least(1)),
+    "out_dir": ("results", (
+        lambda value: type(value) is str and value != "", "a non-empty string"
+    )),
 }
 
 
+def _defaults(schema: dict) -> dict:
+    return {
+        key: _defaults(default) if isinstance(default, dict) else default
+        for key, (default, _) in schema.items()
+    }
+
+
+DEFAULT_CONFIG: dict = _defaults(_SCHEMA)
+
+
+def _check(schema: dict, section: dict, path: str = "") -> None:
+    for key, (default, rule) in schema.items():
+        here = f"{path}.{key}" if path else key
+        value = section[key]
+        if isinstance(default, dict):
+            _check(default, value, here)
+        if rule is not None and not rule[0](value):
+            raise ConfigError(f"{here} must be {rule[1]}, got {value!r}")
+
+
 def validate_run(config: dict) -> dict:
-    """``config``, once every leaf of ``_RUN_LEAVES`` has its type and range."""
-    for path, (check, want) in _RUN_LEAVES.items():
-        value = config
-        for key in path:
-            value = value[key]
-        if not check(value):
-            raise ConfigError(f"{'.'.join(path)} must be {want}, got {value!r}")
+    """``config``, once each leaf of ``_SCHEMA`` has its type and range and each
+    section, after its leaves, its relation."""
+    _check(_SCHEMA, config)
     return config
 
 

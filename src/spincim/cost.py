@@ -45,6 +45,10 @@ class Channel(Enum):
     IN_MEMORY = "InMemory"
 
 
+# each event field's CSV text, read once instead of through ``.value`` per event
+_CSV_NAMES = {member: member.value for enum in (OpClass, Channel) for member in enum}
+
+
 class CostMode(Enum):
     PER_WORD = "PerWord"
     PER_BIT_WRITES = "PerBitWrites"
@@ -235,8 +239,8 @@ class ExecutionTrace:
     def to_csv(self, target) -> None:
         """Write event rows as kind,start_ns,duration_ns,energy_fJ,channel."""
         write_csv(target, ["kind", "start_ns", "duration_ns", "energy_fJ", "channel"], (
-            [e.kind.value, repr(e.start_ns), repr(e.duration_ns), repr(e.energy_fj),
-             e.channel.value]
+            [_CSV_NAMES[e.kind], repr(e.start_ns), repr(e.duration_ns), repr(e.energy_fj),
+             _CSV_NAMES[e.channel]]
             for e in self.events
         ))
 

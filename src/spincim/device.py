@@ -8,8 +8,8 @@ depending on how many of the two cells are parallel.
 
 All sampling is driven by an explicitly passed numpy Generator; there is no
 module-level random state. Monte Carlo callers derive one independent stream
-per trial with :func:`trial_rng` so results are reproducible under any degree
-of parallelism. Trial ``i``'s stream is bit for bit
+per trial with :func:`trial_rng`, so a result depends only on the seed.
+Trial ``i``'s stream is bit for bit
 ``np.random.default_rng((seed, i))``; its seed words are derived for 1024
 trials at a time in one vectorised pass instead of one hash per trial. A
 Monte Carlo report sets up its pair sense once with :func:`pair_sampler`

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 from . import analytic
 from .array import SenseConfig
 from .attack import McReport, exceedance_mc
-from .device import CurrentLevelModel, Disturbance, MeanShift, PairState, parse_pair
+from .device import CurrentLevelModel, Disturbance, MeanShift, parse_pair
 from .errors import InvalidShift
 
 # an estimate of the pair-level shifts under heat is a mean shift
@@ -61,7 +61,7 @@ def evaluate_mitigation(
     adapted: SenseConfig,
     trials: int,
     seed: int,
-    pair: PairState | str = "AP,P",
+    pair: str = "AP,P",
     model: CurrentLevelModel | None = None,
     below: bool = False,
 ) -> MitigationReport:
@@ -72,12 +72,7 @@ def evaluate_mitigation(
     measures the opposite decode error (sensing at or under the reference).
     """
     model = model or CurrentLevelModel()
-    if isinstance(pair, str):
-        pair_states = parse_pair(pair)
-        pair_name = pair
-    else:
-        pair_states = pair
-        pair_name = f"{pair[0].value},{pair[1].value}"
+    pair_states = parse_pair(pair)
     before = exceedance_mc(
         pair_states, disturbance, base.i_ref_and, trials, seed, model, below=below
     )
@@ -88,7 +83,7 @@ def evaluate_mitigation(
     if below:
         natural = 1.0 - natural
     return MitigationReport(
-        pair=pair_name,
+        pair=pair,
         ref_before=base.i_ref_and,
         ref_after=adapted.i_ref_and,
         natural_rate=natural,

@@ -21,7 +21,6 @@ from spincim.analytic import binomial_stderr
 from spincim.array import TWO_ROW_OPS
 from spincim.attack import AttackVariant
 from spincim.config import (
-    _RUN_LEAVES,
     DEFAULT_CONFIG,
     POLICY_MODES,
     build_collapse,
@@ -32,6 +31,7 @@ from spincim.config import (
     canonical_json,
     config_hash,
     load_config,
+    validate_run,
 )
 
 from _oracles import binomial_3sigma, collapse_pair_exceed
@@ -127,16 +127,21 @@ class TestConfig:
     def test_every_leaf_is_checked(self):
         def leaves(node, path=()):
             if not isinstance(node, dict):
-                yield path
+                yield path, node
                 return
             for key, value in node.items():
                 yield from leaves(value, (*path, key))
 
-        unchecked = [
-            path for path in leaves(DEFAULT_CONFIG)
-            if path[:2] != ("device", "metadata") and path not in _RUN_LEAVES
-        ]
-        assert unchecked == []
+        validate_run(load_config())  # the defaults pass
+        for path, default in leaves(DEFAULT_CONFIG):
+            config = load_config()
+            section = config
+            for key in path[:-1]:
+                section = section[key]
+            section[path[-1]] = 5 if isinstance(default, str) else "x"
+            with pytest.raises(ConfigError) as raised:
+                validate_run(config)
+            assert str(raised.value).startswith(f"{'.'.join(path)} must be ")
 
 
 def run_cli(capsys, *argv) -> tuple[int, dict | None]:
@@ -552,6 +557,8 @@ class TestCli:
         (["mitigate", "--family", "meanshift", "--temp", "10"], {}),
         (["mitigate", "--family", "meanshift"], {"mitigation": {"zone_temp": 19.5}}),
         (["mitigate"], {"mitigation": {"zone_temp": 50.0}, "device": {"ambient_temp": 60.0}}),
+        (["auth-attack", "--variant", "None", "--temp", "10"], {}),
+        (["auth-attack"], {"attack": {"variant": "None", "zone_temp": 19.5}}),
     ])
     def test_zone_below_ambient_exits_two(self, capsys, tmp_path, argv, overlay):
         config = tmp_path / "overlay.json"

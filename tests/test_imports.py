@@ -1,10 +1,13 @@
-"""Every name a module imports is used in it (package ``__init__`` re-exports aside)."""
+"""Every name a module imports is used in it (package ``__init__`` re-exports aside),
+and every private module-level name of the package is read somewhere in it."""
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = sorted((ROOT / "src" / "spincim").glob("*.py"))
 MODULES = sorted(
     p for p in [*(ROOT / "src" / "spincim").glob("*.py"), *(ROOT / "tests").glob("*.py")]
     if p.name != "__init__.py"
@@ -39,3 +42,54 @@ def test_no_unused_imports(path):
 def test_checker_flags_unused_imports_only():
     source = "import os\nimport os.path as osp\nimport sys\nfrom a.b import c\nsys.argv = c\n"
     assert unused_imports(source) == ["line 1: os", "line 2: osp"]
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level ``_name`` functions, classes and assignments no module reads.
+
+    ``sources`` maps a module name to its text. A name is read when some
+    module loads it as a bare name or as an attribute, its own module
+    included; a function's calls to itself do not count, and dunder names
+    are not private.
+    """
+    def reads(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                yield node.id
+            elif isinstance(node, ast.Attribute):
+                yield node.attr
+
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    counts = Counter(name for tree in trees.values() for name in reads(tree))
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+                own = Counter(reads(node))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+                own = Counter()
+            else:
+                continue
+            unread += [f"{module}:{node.lineno}: {name}" for name in names
+                       if name.startswith("_") and not name.endswith("__")
+                       and counts[name] == own[name]]
+    return unread
+
+
+def test_no_unread_private_names():
+    assert unread_private_names({p.name: p.read_text() for p in PACKAGE}) == []
+
+
+def test_checker_flags_unread_private_names_only():
+    sources = {
+        "a.py": "_used = 1\n_unused, _pair = 2, 3\n__all__ = []\n"
+                "def _helper():\n    return _used + _pair\nclass _Gone:\n    pass\n"
+                "_attr: int = 4\ndef _stale(n):\n    return _stale(n - 1)\n",
+        "b.py": "import a\nfrom a import _helper\n_helper(a._attr)\n",
+    }
+    assert unread_private_names(sources) == [
+        "a.py:2: _unused", "a.py:6: _Gone", "a.py:9: _stale",
+    ]
