@@ -481,6 +481,48 @@ class CalibrationResult:
     as_dict = asdict
 
 
+def _levenberg_marquardt(residuals, x0, max_steps: int = 100) -> np.ndarray:
+    """Levenberg-Marquardt least squares (Marquardt, SIAM J. Appl. Math.
+    1963) from ``x0``, with central-difference derivatives.
+
+    Each parameter's damping is its squared Jacobian column, floored at
+    machine epsilon, so a parameter no residual reads cannot make the solve
+    singular. Stops when no damped step lowers the cost or a step lowers it
+    by under 1e-12 of itself; a non-finite residual, or ``max_steps``
+    accepted steps, raise NonConvergence.
+    """
+    def evaluate(x):
+        r = np.asarray(residuals(x), dtype=float)
+        if not np.isfinite(r).all():
+            raise NonConvergence(f"non-finite fit residuals at {x.tolist()}")
+        return r
+
+    x = np.array(x0, dtype=float)
+    r = evaluate(x)
+    lam = 1e-3
+    for _ in range(max_steps):
+        # step ~ eps**(1/3): the central difference's truncation and rounding balance
+        dx = 6e-6 * np.maximum(1.0, np.abs(x))
+        jac = np.column_stack(
+            [(evaluate(x + h) - evaluate(x - h)) / (2.0 * d) for h, d in zip(np.diag(dx), dx)]
+        )
+        jtj, grad = jac.T @ jac, jac.T @ r
+        damping = np.diag(np.maximum(np.diag(jtj), np.finfo(float).eps))
+        while True:
+            step = np.linalg.solve(jtj + lam * damping, -grad)
+            trial = evaluate(x + step)
+            if trial @ trial < r @ r:
+                break
+            lam *= 10.0
+            if lam > 1e10:
+                return x
+        converged = r @ r - trial @ trial <= 1e-12 * (r @ r)
+        x, r, lam = x + step, trial, lam / 10.0
+        if converged:
+            return x
+    raise NonConvergence(f"fit did not converge in {max_steps} steps")
+
+
 def calibrate(
     targets: FailureRateTargets | None = None,
     model: CurrentLevelModel | None = None,
@@ -493,8 +535,6 @@ def calibrate(
     the heated targets. Raises NonConvergence for degenerate targets or when
     any fitted residual exceeds ``max_residual``.
     """
-    from scipy.optimize import least_squares
-
     from .analytic import normal_tail, pair_exceed
 
     targets = targets or FailureRateTargets()
@@ -538,8 +578,7 @@ def calibrate(
             for name, temp, rate in rows
         ]
 
-    fit = least_squares(residuals, x0=[a0, b0])
-    a, b = float(fit.x[0]), float(fit.x[1])
+    a, b = (float(v) for v in _levenberg_marquardt(residuals, [a0, b0]))
     resid = {}
     fitted = {}
     for (name, temp, rate), r in zip(rows, residuals((a, b))):

@@ -381,6 +381,60 @@ class TestCalibrate:
         with pytest.raises(NonConvergence):
             calibrate(FailureRateTargets(heated_ap_p={50.0: 0.001, 100.0: 0.044}))
 
+    @pytest.mark.parametrize("targets,model", [
+        (FailureRateTargets(), CurrentLevelModel()),
+        (FailureRateTargets(), CurrentLevelModel(ambient_temp=60.0)),
+        (FailureRateTargets(natural=0.01,
+                            heated_ap_p={40.0: 0.02, 80.0: 0.06, 120.0: 0.25},
+                            heated_ap_ap={80.0: 0.004, 120.0: 0.05}), CurrentLevelModel()),
+        (FailureRateTargets(heated_ap_p={30.0: 0.0051, 200.0: 0.9}), CurrentLevelModel()),
+    ], ids=["default", "ambient-60", "three-temps", "wide-span"])
+    def test_fit_matches_scipy_least_squares(self, monkeypatch, targets, model):
+        # scipy is a test-only reference: run it on the very residual closure
+        # and initial guess that calibrate hands its own solver
+        from scipy.optimize import least_squares
+
+        seen = {}
+        solver = device._levenberg_marquardt
+
+        def spy(residuals, x0):
+            seen.update(residuals=residuals, x0=x0)
+            return solver(residuals, x0)
+
+        monkeypatch.setattr(device, "_levenberg_marquardt", spy)
+        result = calibrate(targets, model, max_residual=math.inf)
+        reference = least_squares(seen["residuals"], x0=seen["x0"])
+        ssr = sum(r * r for r in result.residuals.values())
+        assert ssr <= 2.0 * reference.cost * (1.0 + 1e-9)
+        assert result.a == pytest.approx(reference.x[0], rel=1e-4)
+        assert result.b == pytest.approx(reference.x[1], rel=1e-4)
+
+    def test_non_finite_target_raises_not_nan(self):
+        with pytest.raises(NonConvergence, match="non-finite"):
+            calibrate(FailureRateTargets(heated_ap_p={50.0: math.nan, 100.0: 0.044}))
+
+    def test_residual_turning_non_finite_mid_fit_raises(self):
+        def residuals(x):
+            return [x[0] - 3.0, math.nan if x[0] > 1.0 else x[1]]
+
+        with pytest.raises(NonConvergence, match="non-finite"):
+            device._levenberg_marquardt(residuals, [0.0, 0.0])
+
+    def test_unread_parameter_is_held_still(self):
+        # the second parameter's Jacobian column is zero: an undamped normal
+        # matrix would be singular
+        x = device._levenberg_marquardt(lambda x: [x[0] - 1.0, x[0] + 1.0], [0.5, 7.0])
+        assert x.tolist() == [pytest.approx(0.0, abs=1e-9), 7.0]
+
+    def test_fit_that_stalls_raises(self):
+        def rosenbrock(x):
+            return [10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]]
+
+        with pytest.raises(NonConvergence, match="did not converge in 2 steps"):
+            device._levenberg_marquardt(rosenbrock, [-1.2, 1.0], max_steps=2)
+        x = device._levenberg_marquardt(rosenbrock, [-1.2, 1.0])
+        assert x.tolist() == [pytest.approx(1.0, abs=1e-6), pytest.approx(1.0, abs=1e-6)]
+
 
 # statistical properties run derandomized: the 3 sigma band is honest only
 # when the sampled streams are fixed from run to run

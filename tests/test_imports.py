@@ -1,6 +1,10 @@
 """Every name a module imports is used in it (package ``__init__`` re-exports aside),
-and every private module-level name of the package is read somewhere in it."""
+every private module-level name of the package is read somewhere in it, and no
+command loads scipy."""
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -93,3 +97,33 @@ def test_checker_flags_unread_private_names_only():
     assert unread_private_names(sources) == [
         "a.py:2: _unused", "a.py:6: _Gone", "a.py:9: _stale",
     ]
+
+
+def test_package_never_imports_scipy():
+    imported = [
+        alias.name if isinstance(node, ast.Import) else node.module
+        for path in PACKAGE for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    ]
+    assert [name for name in imported if name and name.split(".")[0] == "scipy"] == []
+
+
+def test_calibrate_loads_no_scipy(tmp_path):
+    """The calibration fit runs in numpy: a fresh interpreter that runs
+    ``calibrate`` through the CLI has no scipy module loaded afterwards."""
+    code = (
+        "import sys\n"
+        "from spincim.cli import main\n"
+        f"code = main(['calibrate', '--out', {str(tmp_path)!r}])\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "sys.exit(code)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    )}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "calibrate.json").is_file()
+    assert done.stdout.splitlines()[-1] == "[]"
