@@ -481,15 +481,15 @@ class CalibrationResult:
     as_dict = asdict
 
 
-def _levenberg_marquardt(residuals, x0, max_steps: int = 100) -> np.ndarray:
+def _levenberg_marquardt(residuals, x0) -> np.ndarray:
     """Levenberg-Marquardt least squares (Marquardt, SIAM J. Appl. Math.
     1963) from ``x0``, with central-difference derivatives.
 
     Each parameter's damping is its squared Jacobian column, floored at
     machine epsilon, so a parameter no residual reads cannot make the solve
     singular. Stops when no damped step lowers the cost or a step lowers it
-    by under 1e-12 of itself; a non-finite residual, or ``max_steps``
-    accepted steps, raise NonConvergence.
+    by under 1e-12 of itself; a non-finite residual, or 100 accepted
+    steps, raise NonConvergence.
     """
     def evaluate(x):
         r = np.asarray(residuals(x), dtype=float)
@@ -500,7 +500,7 @@ def _levenberg_marquardt(residuals, x0, max_steps: int = 100) -> np.ndarray:
     x = np.array(x0, dtype=float)
     r = evaluate(x)
     lam = 1e-3
-    for _ in range(max_steps):
+    for _ in range(100):
         # step ~ eps**(1/3): the central difference's truncation and rounding balance
         dx = 6e-6 * np.maximum(1.0, np.abs(x))
         jac = np.column_stack(
@@ -520,7 +520,7 @@ def _levenberg_marquardt(residuals, x0, max_steps: int = 100) -> np.ndarray:
         x, r, lam = x + step, trial, lam / 10.0
         if converged:
             return x
-    raise NonConvergence(f"fit did not converge in {max_steps} steps")
+    raise NonConvergence("fit did not converge in 100 steps")
 
 
 def calibrate(

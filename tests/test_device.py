@@ -427,11 +427,15 @@ class TestCalibrate:
         assert x.tolist() == [pytest.approx(0.0, abs=1e-9), 7.0]
 
     def test_fit_that_stalls_raises(self):
+        # exp(-x) has no minimiser: each step moves x by about 1 and cuts the
+        # cost by about 86 %, so the fit neither converges nor turns non-finite
+        with pytest.raises(NonConvergence, match="did not converge in 100 steps"):
+            device._levenberg_marquardt(lambda x: [math.exp(-x[0])], [0.0])
+
+    def test_rosenbrock_converges(self):
         def rosenbrock(x):
             return [10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]]
 
-        with pytest.raises(NonConvergence, match="did not converge in 2 steps"):
-            device._levenberg_marquardt(rosenbrock, [-1.2, 1.0], max_steps=2)
         x = device._levenberg_marquardt(rosenbrock, [-1.2, 1.0])
         assert x.tolist() == [pytest.approx(1.0, abs=1e-6), pytest.approx(1.0, abs=1e-6)]
 
