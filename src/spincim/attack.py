@@ -2,9 +2,11 @@
 
 The authentication check computes (u_t XNOR u_d) AND (p_t XNOR p_d) with
 in-array senses, reducing each XNOR word to a single match bit through a
-fault-free controller-side all-ones check. Attack scenarios heat targeted
-rows so that targeted CimAND senses read like CimOR, either probabilistically
-(collapse model at a zone temperature) or forced with probability one.
+fault-free controller-side all-ones check. The attack variant alone picks the
+heated CimAND senses: XnorLevel heats the AND inside both XNORs, GateLevel
+the outer AND. A heated sense reads like CimOR, either probabilistically
+(collapse model at a zone temperature) or forced with probability one. The
+closed-form oracle reads the same rule through one 2x2 XNOR table.
 
 Monte Carlo trials run serially, each on its own random stream derived from
 (seed, trial index), so a failure count depends only on the seed. A Monte
@@ -42,7 +44,7 @@ from .device import (
     parse_pair,
     trial_rng,
 )
-from .errors import MappingViolation
+from .errors import MappingViolation, OutOfBounds
 
 
 class AttackVariant(Enum):
@@ -56,7 +58,7 @@ class AttackScenario:
     """Which CimAND senses are attacked, and how hard.
 
     GateLevel flips the outer AND of the two match bits; XnorLevel flips the
-    AND senses inside both XNOR expansions. ``force_flip`` decodes targeted
+    AND senses inside both XNOR expansions. ``force_flip`` decodes attacked
     AND senses against the OR reference (probability-one flip) independent of
     any thermal calibration.
     """
@@ -64,7 +66,6 @@ class AttackScenario:
     variant: AttackVariant = AttackVariant.NONE
     zone_temp: float = 20.0
     force_flip: bool = False
-    targeted_rows: frozenset[RowAddress] | None = None
     collapse: Collapse | None = None
 
     def collapse_at_zone(self, model: CurrentLevelModel) -> Collapse:
@@ -98,16 +99,17 @@ class CredentialPolicy:
     fixed_user: int | None = None
     fixed_password: int | None = None
 
+    def __post_init__(self):
+        for mode, fixed in ((self.user, self.fixed_user), (self.password, self.fixed_password)):
+            if mode not in ("correct", "random", "fixed"):
+                raise ValueError(f"unknown credential mode {mode!r}")
+            if mode == "fixed" and fixed is None:
+                raise ValueError("fixed credential mode needs a fixed word")
+
     def _draw_one(self, mode: str, stored: int, fixed: int | None, width, rng) -> int:
-        if mode == "correct":
-            return stored
         if mode == "random":
             return int(rng.integers(0, 1 << width, dtype=np.uint64))
-        if mode == "fixed":
-            if fixed is None:
-                raise ValueError("fixed credential mode needs a fixed word")
-            return fixed
-        raise ValueError(f"unknown credential mode {mode!r}")
+        return stored if mode == "correct" else fixed
 
     def draw(self, entry: AuthEntry, width: int, rng) -> tuple[int, int]:
         u = self._draw_one(self.user, entry.username, self.fixed_user, width, rng)
@@ -203,6 +205,13 @@ _ROWS = {
 }
 
 
+_ZONES = {  # the rows whose CimAND senses each variant heats
+    AttackVariant.XNOR_LEVEL:
+        frozenset(_ROWS[k] for k in ("u_db", "p_db", "u_typed", "p_typed")),
+    AttackVariant.GATE_LEVEL: frozenset((_ROWS["match_u"], _ROWS["match_p"])),
+}
+
+
 @functools.lru_cache(maxsize=64)
 def _scenario_attack(
     scenario: AttackScenario, model: CurrentLevelModel
@@ -210,17 +219,9 @@ def _scenario_attack(
     heat = scenario.collapse_at_zone(model)  # a cold zone raises, whatever the variant
     if scenario.variant is AttackVariant.NONE:
         return None
-    if scenario.targeted_rows is not None:
-        zone = scenario.targeted_rows
-    elif scenario.variant is AttackVariant.XNOR_LEVEL:
-        zone = frozenset(
-            {_ROWS["u_db"], _ROWS["p_db"], _ROWS["u_typed"], _ROWS["p_typed"]}
-        )
-    else:
-        zone = frozenset({_ROWS["match_u"], _ROWS["match_p"]})
     return SenseDisturbance(
         disturbance=None if scenario.force_flip else heat,
-        rows=zone,
+        rows=_ZONES[scenario.variant],
         ops=frozenset({CimOp.CIM_AND}),
         force_flip=scenario.force_flip,
     )
@@ -241,7 +242,7 @@ def run_auth(
 
     Each XNOR word reduces to a match bit controller-side; the two match bits
     are written back and combined by one in-array AND sense. Scenario
-    disturbance applies only to CimAND senses on its targeted rows. The run
+    disturbance applies only to the CimAND senses its variant attacks. The run
     records into the recorder of ``array`` (None records nothing); an array
     built here records into a fresh trace. Returns the decision and that
     recorder.
@@ -279,74 +280,6 @@ def run_auth(
 
 # -- closed-form composition ---------------------------------------------------
 
-def _pair_for_bits(t: int, d: int) -> PairState:
-    return (MtjState.from_bit(t), MtjState.from_bit(d))
-
-
-def _xnor_bit_one_prob(
-    t: int,
-    d: int,
-    model: CurrentLevelModel,
-    sense: SenseConfig,
-    scenario: AttackScenario,
-) -> float:
-    """P(one XNOR column reads 1) for typed bit t against stored bit d."""
-    pair = _pair_for_bits(t, d)
-    attacked = scenario.variant is AttackVariant.XNOR_LEVEL
-    if attacked and scenario.force_flip:
-        p_and = analytic.pair_exceed(model, pair, sense.i_ref_or, None)
-    else:
-        dist = scenario.collapse_at_zone(model) if attacked else None
-        p_and = analytic.pair_exceed(model, pair, sense.i_ref_and, dist)
-    p_or = analytic.pair_exceed(model, pair, sense.i_ref_or, None)
-    return 1.0 - (1.0 - p_and) * p_or
-
-
-def _typed_bit_one_prob(mode: str, stored_bit: int, fixed_bit: int | None) -> float:
-    if mode == "correct":
-        return float(stored_bit)
-    if mode == "random":
-        return 0.5
-    return float(fixed_bit)
-
-
-def _word_match_prob(
-    mode: str,
-    fixed: int | None,
-    stored: int,
-    width: int,
-    model: CurrentLevelModel,
-    sense: SenseConfig,
-    scenario: AttackScenario,
-) -> float:
-    prob = 1.0
-    for col in range(width):
-        d = (stored >> col) & 1
-        fixed_bit = None if fixed is None else (fixed >> col) & 1
-        p1 = _typed_bit_one_prob(mode, d, fixed_bit)
-        p_col = p1 * _xnor_bit_one_prob(1, d, model, sense, scenario)
-        p_col += (1.0 - p1) * _xnor_bit_one_prob(0, d, model, sense, scenario)
-        prob *= p_col
-    return prob
-
-
-def _outer_accept_prob(
-    match_u: int,
-    match_p: int,
-    model: CurrentLevelModel,
-    sense: SenseConfig,
-    scenario: AttackScenario,
-) -> float:
-    pair = _pair_for_bits(match_u, match_p)
-    if scenario.variant is AttackVariant.GATE_LEVEL:
-        if scenario.force_flip:
-            return analytic.pair_exceed(model, pair, sense.i_ref_or, None)
-        return analytic.pair_exceed(
-            model, pair, sense.i_ref_and, scenario.collapse_at_zone(model)
-        )
-    return analytic.pair_exceed(model, pair, sense.i_ref_and, None)
-
-
 def auth_accept_probability(
     db: AuthDb,
     policy: CredentialPolicy,
@@ -358,26 +291,50 @@ def auth_accept_probability(
     """Closed-form acceptance probability of run_auth under a policy.
 
     Columns are independent (independent senses, independent typed bits), so
-    each word-match probability is a product over columns, and acceptance
-    sums the outer-sense probability over the four match-bit combinations.
+    each word-match probability is a product over columns of one 2x2 table,
+    P(XNOR column reads 1) per typed and stored bit, and acceptance sums the
+    outer-sense probability over the four match-bit combinations.
     """
     model = model or CurrentLevelModel()
     sense = sense or SenseConfig()
-    scenario.collapse_at_zone(model)  # a cold zone raises, whatever the variant
-    stored = db.entries[entry]
-    p_mu = _word_match_prob(
-        policy.user, policy.fixed_user, stored.username, db.width,
-        model, sense, scenario,
-    )
-    p_mp = _word_match_prob(
-        policy.password, policy.fixed_password, stored.password, db.width,
-        model, sense, scenario,
-    )
+    heat = scenario.collapse_at_zone(model)  # a cold zone raises, whatever the variant
+
+    def pair(t: int, d: int) -> PairState:
+        return (MtjState.from_bit(t), MtjState.from_bit(d))
+
+    def and_reads_one(t: int, d: int, attacked: bool) -> float:
+        if attacked and scenario.force_flip:
+            return analytic.pair_exceed(model, pair(t, d), sense.i_ref_or, None)
+        dist = heat if attacked else None
+        return analytic.pair_exceed(model, pair(t, d), sense.i_ref_and, dist)
+
+    # XNOR = AND or NOR: the column reads 0 only when AND reads 0 and OR reads 1
+    inner = scenario.variant is AttackVariant.XNOR_LEVEL
+    xnor_one = {
+        (t, d): 1.0 - (1.0 - and_reads_one(t, d, inner))
+        * analytic.pair_exceed(model, pair(t, d), sense.i_ref_or, None)
+        for t in (0, 1) for d in (0, 1)
+    }
+
+    def word_match(mode: str, fixed: int | None, word: int) -> float:
+        typed = word if mode == "correct" else fixed
+        if mode == "fixed" and not 0 <= typed < 1 << db.width:
+            raise OutOfBounds(f"word 0x{typed:X} does not fit in {db.width} columns")
+        prob = 1.0
+        for col in range(db.width):
+            d = (word >> col) & 1
+            p1 = 0.5 if mode == "random" else (typed >> col) & 1
+            prob *= p1 * xnor_one[1, d] + (1.0 - p1) * xnor_one[0, d]
+        return prob
+
+    p_mu = word_match(policy.user, policy.fixed_user, db.entries[entry].username)
+    p_mp = word_match(policy.password, policy.fixed_password, db.entries[entry].password)
+    outer = scenario.variant is AttackVariant.GATE_LEVEL
     total = 0.0
     for mu in (0, 1):
         for mp in (0, 1):
             weight = (p_mu if mu else 1.0 - p_mu) * (p_mp if mp else 1.0 - p_mp)
-            total += weight * _outer_accept_prob(mu, mp, model, sense, scenario)
+            total += weight * and_reads_one(mu, mp, outer)
     return total
 
 

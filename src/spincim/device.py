@@ -557,11 +557,14 @@ def calibrate(
                 f"heated rate {rate} at {temp} C does not exceed the natural rate"
             )
         solved[temp] = rho
-    if len(solved) < 2:
-        raise NonConvergence("need at least two heated temperatures to fit (a, b)")
-
     temps = sorted(solved)
-    dts = [t - model.ambient_temp for t in temps]
+    # dT floored at zero, as in Collapse.rho: b reads only a spread of dT
+    dts = [max(0.0, t - model.ambient_temp) for t in temps]
+    if len(set(dts)) < 2:
+        raise NonConvergence(
+            "cannot fit b: the heated AP,P targets span fewer than two distinct "
+            f"temperatures once floored at ambient_temp {model.ambient_temp:g} C"
+        )
     b0 = (math.log(solved[temps[-1]]) - math.log(solved[temps[0]])) / (
         dts[-1] - dts[0]
     )

@@ -1,5 +1,4 @@
 import argparse
-import ast
 import contextlib
 import io
 import json
@@ -270,23 +269,18 @@ class TestCli:
 
     @pytest.mark.parametrize("ambient", [100, 120])
     def test_calibrate_unfittable_ambient_exits_two(self, capsys, tmp_path, ambient):
-        # every heated target sits at or below ambient, so no residual reads b:
-        # the fit must fail on its residual bound, not on a singular solve
+        # every heated target sits at or below ambient, so every floored dT is
+        # zero and no residual reads b: the fit is refused before it starts
         config = tmp_path / "overlay.json"
         config.write_text(json.dumps({"device": {"ambient_temp": ambient}}))
         out = tmp_path / "out"
         code = main(["calibrate", "--config", str(config), "--out", str(out)])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == "" and not out.exists()
-        prefix = "experiment error: fit residual exceeds bound 0.005: "
-        assert captured.err.startswith(prefix) and captured.err.endswith("}\n")
-        residuals = ast.literal_eval(captured.err[len(prefix):])
-        assert residuals == {
-            "AP,P@50C": pytest.approx(0.0190454, abs=1e-6),
-            "AP,P@100C": pytest.approx(-0.0189546, abs=1e-6),
-            "AP,AP@50C": pytest.approx(0.000606300, abs=1e-7),
-            "AP,AP@100C": pytest.approx(-0.00239370, abs=1e-7),
-        }
+        assert captured.err == (
+            "experiment error: cannot fit b: the heated AP,P targets span fewer than "
+            f"two distinct temperatures once floored at ambient_temp {ambient} C\n"
+        )
 
     def test_sca_sweep(self, capsys, tmp_path):
         config = tmp_path / "small.json"

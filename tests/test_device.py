@@ -409,6 +409,26 @@ class TestCalibrate:
         assert result.a == pytest.approx(reference.x[0], rel=1e-4)
         assert result.b == pytest.approx(reference.x[1], rel=1e-4)
 
+    @pytest.mark.parametrize("targets,ambient", [
+        (FailureRateTargets(heated_ap_p={100.0: 0.044}), 20.0),
+        (FailureRateTargets(), 100.0),
+        (FailureRateTargets(), 120.0),
+        (FailureRateTargets(heated_ap_p={10.0: 0.006, 20.0: 0.044}), 20.0),
+    ], ids=["one-target", "ambient-100", "ambient-120", "all-at-or-below-ambient"])
+    def test_unidentifiable_b_names_ambient(self, targets, ambient):
+        with pytest.raises(NonConvergence, match="cannot fit b: .* ambient_temp"):
+            calibrate(targets, CurrentLevelModel(ambient_temp=ambient))
+
+    def test_initial_guess_floors_dt_at_zero(self, monkeypatch):
+        # at ambient 60 the 50 C target reads as dT = 0, as Collapse.rho has it
+        seen = []
+        monkeypatch.setattr(device, "_levenberg_marquardt", lambda r, x0: seen.append(x0) or x0)
+        calibrate(model=CurrentLevelModel(ambient_temp=60.0), max_residual=math.inf)
+        qn = q(2.5758293035489004)
+        rho50, rho100 = ((rate - qn) / (1 - qn) for rate in (0.006, 0.044))
+        b0 = (math.log(rho100) - math.log(rho50)) / 40.0
+        assert seen[0] == [pytest.approx(math.log(rho50), rel=1e-9), pytest.approx(b0, rel=1e-9)]
+
     def test_non_finite_target_raises_not_nan(self):
         with pytest.raises(NonConvergence, match="non-finite"):
             calibrate(FailureRateTargets(heated_ap_p={50.0: math.nan, 100.0: 0.044}))
