@@ -60,6 +60,7 @@ from .device import (
     sample_columns,
     sample_pair_current,
     sample_single_current,
+    sense_law,
     trial_rng,
 )
 from .errors import (

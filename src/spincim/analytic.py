@@ -3,23 +3,14 @@
 These are the analytic counterparts of the Monte Carlo sampling paths: pure
 arithmetic over Gaussian tails and collapse Bernoullis, never touching a
 random generator. Every reported Monte Carlo rate carries one of these as its
-oracle.
+oracle. Both exceedance oracles read the sampler's own rule,
+:func:`spincim.device.sense_law`, for one cell or a pair.
 """
 from __future__ import annotations
 
 import math
 
-from .device import (
-    Collapse,
-    CellDisturbances,
-    CurrentLevelModel,
-    Disturbance,
-    MeanShift,
-    MtjState,
-    PairState,
-    collapse_rates,
-    pair_index,
-)
+from .device import CellDisturbances, CurrentLevelModel, MtjState, sense_law
 
 
 def normal_tail(z: float) -> float:
@@ -36,36 +27,24 @@ def exceed_prob(mean: float, sigma: float, ref: float) -> float:
 
 def pair_exceed(
     model: CurrentLevelModel,
-    states: PairState,
+    cells: tuple[MtjState, ...],
     ref: float,
     disturbance: CellDisturbances = None,
 ) -> float:
-    """Closed-form P(pair sense current > ref) under a disturbance.
+    """Closed-form P(sense current > ref) of one cell or a pair.
 
-    Per-cell disturbances may carry different collapse rates; each heated AP
-    cell collapses independently at its own rate.
+    A sum over which AP cells of the :func:`~spincim.device.sense_law`
+    collapse: each collapses independently at its own rate and reads one
+    level up.
     """
-    base = pair_index(states)
-    if isinstance(disturbance, MeanShift):
-        return exceed_prob(
-            model.pair_ladder[base] + disturbance.shifts[base], model.sigma, ref
-        )
-    rhos = collapse_rates(states, model, disturbance)
-    if not rhos:
-        return exceed_prob(model.pair_ladder[base], model.sigma, ref)
+    levels, base, rhos = sense_law(cells, model, disturbance)
     total = 0.0
     for mask in range(1 << len(rhos)):
-        weight = 1.0
-        collapsed = 0
+        weight, level = 1.0, base
         for i, rho in enumerate(rhos):
-            if mask >> i & 1:
-                weight *= rho
-                collapsed += 1
-            else:
-                weight *= 1.0 - rho
-        total += weight * exceed_prob(
-            model.pair_ladder[base + collapsed], model.sigma, ref
-        )
+            hit = mask >> i & 1
+            weight, level = weight * (rho if hit else 1.0 - rho), level + hit
+        total += weight * exceed_prob(levels[level], model.sigma, ref)
     return total
 
 
@@ -73,19 +52,10 @@ def single_exceed(
     model: CurrentLevelModel,
     state: MtjState,
     ref: float,
-    disturbance: Disturbance = None,
+    disturbance: CellDisturbances = None,
 ) -> float:
-    """Closed-form P(single-cell sense current > ref) under a disturbance."""
-    mean = model.single_level(state)
-    if (
-        isinstance(disturbance, Collapse)
-        and state is MtjState.AP
-    ):
-        rho = disturbance.rho(model.ambient_temp)
-        return (1.0 - rho) * exceed_prob(mean, model.sigma, ref) + rho * exceed_prob(
-            model.mu_p, model.sigma, ref
-        )
-    return exceed_prob(mean, model.sigma, ref)
+    """Closed-form P(cell sense current > ref): :func:`pair_exceed` of one cell."""
+    return pair_exceed(model, (state,), ref, disturbance)
 
 
 def binomial_stderr(p: float, n: int) -> float:

@@ -93,17 +93,12 @@ class RowAddress:
     row: int
 
 
-def _decoded(bits):
-    """An int for a scalar current, a bool ndarray for an array of currents."""
-    return bits if isinstance(bits, np.ndarray) else int(bits)
-
-
 @dataclass(frozen=True)
 class Threshold:
     ref: float
 
     def apply(self, current):
-        return _decoded(current > self.ref)
+        return current > self.ref
 
 
 @dataclass(frozen=True)
@@ -111,7 +106,7 @@ class InvertedThreshold:
     ref: float
 
     def apply(self, current):
-        return _decoded(current <= self.ref)
+        return current <= self.ref
 
 
 @dataclass(frozen=True)
@@ -120,7 +115,7 @@ class Window:
     high: float
 
     def apply(self, current):
-        return _decoded((self.low < current) & (current <= self.high))
+        return (self.low < current) & (current <= self.high)
 
 
 DecodeRule = Union[Threshold, InvertedThreshold, Window]

@@ -31,7 +31,7 @@ from .device import (
     calibrate,
     heated,
     parse_pair,
-    sample_pair_current,
+    sample_columns,
     trial_rng,
 )
 from .errors import ConfigError, SpinCimError
@@ -169,21 +169,21 @@ def _cmd_margins(args, config) -> dict:
 def _cmd_truth_table(args, config) -> dict:
     model = cfgmod.build_model(config)
     sense = cfgmod.build_sense(config)
-    rule = sense.decode_rule(CimOp(args.op))
+    logic = ((0, 0), (0, 1), (1, 0), (1, 1))
+    # the four pairs are the columns of one two-row sense
     rng = trial_rng(config["seed"], 0)
-    rows = []
-    for bits in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        pair = parse_pair(",".join("P" if b else "AP" for b in bits))
-        current = sample_pair_current(pair, model, None, rng)
-        rows.append(
-            {
-                "logic": list(bits),
-                "states": f"{pair[0].value},{pair[1].value}",
-                "nominal_current_ua": model.pair_level(pair),
-                "sensed_current_ua": current,
-                "output": rule.apply(current),
-            }
-        )
+    currents = sample_columns(tuple(zip(*logic)), model, None, rng)
+    outputs = sense.decode_rule(CimOp(args.op)).apply(currents)
+    rows = [
+        {
+            "logic": list(bits),
+            "states": ",".join(MtjState.from_bit(b).value for b in bits),
+            "nominal_current_ua": model.pair_ladder[sum(bits)],
+            "sensed_current_ua": current,
+            "output": int(output),
+        }
+        for bits, current, output in zip(logic, currents.tolist(), outputs)
+    ]
     return _emit(config, "truth-table", {"op": args.op, "rows": rows})
 
 

@@ -6,16 +6,20 @@ current) state encodes logic 1, the anti-parallel state logic 0. Two-cell
 senses see the summed bit-line current, which takes one of three levels
 depending on how many of the two cells are parallel.
 
+Heat moves a sense up its level ladder: :func:`sense_law` states that rule
+once, for one cell or a pair, and the pair sampler and both closed-form
+oracles of :mod:`spincim.analytic` read it. A per-row disturbance tuple has
+one entry per sensed row, and every law parameter is finite, else ValueError.
+
 All sampling is driven by an explicitly passed numpy Generator; there is no
 module-level random state. Monte Carlo callers derive one independent stream
 per trial with :func:`trial_rng`, so a result depends only on the seed.
 Trial ``i``'s stream is bit for bit
 ``np.random.default_rng((seed, i))``; its seed words are derived for 1024
 trials at a time in one vectorised pass instead of one hash per trial. A
-Monte Carlo report sets up its pair sense once with :func:`pair_sampler`
-(level index, collapse rates, level table, sigma), so a trial only draws
-from its own stream. :func:`sample_columns` reads the level tables that a
-model builds once, on first use, as read-only float arrays.
+Monte Carlo report sets up its pair sense once with :func:`pair_sampler`,
+so a trial only draws from its own stream. :func:`sample_columns` reads the
+level tables that a model builds once, on first use, as read-only float arrays.
 """
 from __future__ import annotations
 
@@ -70,11 +74,6 @@ def parse_pair(name: str) -> PairState:
     return MtjState(parts[0]), MtjState(parts[1])
 
 
-def pair_index(states: PairState) -> int:
-    """Number of parallel cells in the pair: 0, 1 or 2 (orders equivalent)."""
-    return states[0].bit + states[1].bit
-
-
 @dataclass(frozen=True)
 class CurrentLevelModel:
     """Nominal sense-current levels and shared Gaussian sense noise.
@@ -97,8 +96,8 @@ class CurrentLevelModel:
             raise ValueError("single levels must satisfy mu_ap < mu_p")
         if not self.mu_ap_ap < self.mu_ap_p < self.mu_p_p:
             raise ValueError("pair levels must be strictly increasing")
-        if self.sigma < 0:
-            raise ValueError("sigma must be non-negative")
+        if not (0 <= self.sigma < math.inf and math.isfinite(self.ambient_temp)):
+            raise ValueError("sigma must be finite and >= 0, ambient_temp finite")
 
     @property
     def single_levels(self) -> Mapping[MtjState, float]:
@@ -120,12 +119,6 @@ class CurrentLevelModel:
         for table in tables:
             table.flags.writeable = False
         return tables
-
-    def single_level(self, state: MtjState) -> float:
-        return self.mu_p if state is MtjState.P else self.mu_ap
-
-    def pair_level(self, states: PairState) -> float:
-        return self.pair_ladder[pair_index(states)]
 
     def margins(self) -> dict[str, float]:
         """Read margin and the two pair margins, in uA."""
@@ -165,14 +158,18 @@ class Collapse:
     """Thermally activated collapse of heated anti-parallel cells.
 
     Each AP cell in the heated zone independently reads at the next level up
-    with probability rho(dT) = exp(min(0, a + b*dT)), where dT is
-    the zone temperature above ambient (floored at zero). Parallel cells are
-    stable under heat and never collapse.
+    with probability rho(dT) = exp(min(0, a + b*dT)), where dT is the zone
+    temperature above ambient (floored at zero). Parallel cells are stable
+    under heat and never collapse. A non-finite parameter raises ValueError.
     """
 
     a: float = DEFAULT_COLLAPSE_A
     b: float = DEFAULT_COLLAPSE_B
     zone_temp: float = AMBIENT_TEMP_C
+
+    def __post_init__(self):
+        if not all(map(math.isfinite, (self.a, self.b, self.zone_temp))):
+            raise ValueError(f"collapse parameters must be finite, got {self}")
 
     def rho(self, ambient_temp: float = AMBIENT_TEMP_C) -> float:
         dt = max(0.0, self.zone_temp - ambient_temp)
@@ -306,11 +303,35 @@ def _require_rng(rng, stochastic: bool):
 
 
 def _per_row(disturbance: CellDisturbances, rows: int) -> tuple[Disturbance, ...]:
-    if isinstance(disturbance, tuple):
-        if any(isinstance(d, MeanShift) for d in disturbance):
-            raise ValueError("mean shift is a pair-level disturbance, not per-cell")
-        return disturbance
-    return (disturbance,) * rows
+    """One disturbance per row; a tuple needs one entry per row and no MeanShift."""
+    if not isinstance(disturbance, tuple):
+        return (disturbance,) * rows
+    if len(disturbance) != rows:
+        raise ValueError(f"{len(disturbance)} per-row disturbances for {rows} rows")
+    if any(isinstance(d, MeanShift) for d in disturbance):
+        raise ValueError("mean shift is a pair-level disturbance, not per-cell")
+    return disturbance
+
+
+def sense_law(cells, model: CurrentLevelModel, disturbance: CellDisturbances = None):
+    """``(levels, base, rhos)``: the one rule a sense of one cell or a pair reads.
+
+    ``levels`` is the level table the sense reads: the single levels for one
+    cell, the pair ladder for a pair, plus a bare MeanShift's shift of each
+    pair level. ``base`` is the number of P cells, the level index of the
+    cold sense. ``rhos`` is the collapse rate of each AP cell under Collapse,
+    in row order; each collapse reads one level up.
+    """
+    rows = len(cells)
+    if rows not in (1, 2):
+        raise ValueError(f"a sense reads one cell or two, not {rows}")
+    per_row = _per_row(disturbance, rows)
+    levels = (model.mu_ap, model.mu_p) if rows == 1 else model.pair_ladder
+    if rows == 2 and isinstance(disturbance, MeanShift):
+        levels = tuple(level + shift for level, shift in zip(levels, disturbance.shifts))
+    rhos = tuple([d.rho(model.ambient_temp) for cell, d in zip(cells, per_row)
+                  if cell is MtjState.AP and isinstance(d, Collapse)])
+    return levels, sum([cell is MtjState.P for cell in cells]), rhos
 
 
 def sample_columns(
@@ -325,8 +346,8 @@ def sample_columns(
     row senses single cells against the single levels, two rows sense summed
     pairs against the pair ladder. A column's level index is its number of
     parallel cells. ``disturbance`` applies to every row, or is a tuple with
-    one entry per row; any other row count, tuple length or mix of widths
-    raises ValueError.
+    one entry per row (see :func:`_per_row`); any other row count or mix of
+    widths raises ValueError.
 
     Draw order: for each row whose disturbance is Collapse, one uniform per
     column (an AP cell collapses one level up when its uniform is below
@@ -339,8 +360,6 @@ def sample_columns(
     if rows not in (1, 2) or len(bits[0]) != len(bits[-1]):
         widths = [len(b) for b in bits]
         raise ValueError(f"a sense activates one row or two of one width, not {widths}")
-    if isinstance(disturbance, tuple) and len(disturbance) != rows:
-        raise ValueError(f"{len(disturbance)} per-row disturbances for {rows} rows")
     n = len(bits[0])
     singles, pairs = model.level_tables
     idx = np.array(bits[0], dtype=np.intp)
@@ -380,17 +399,6 @@ def sample_single_current(
     return float(out[0]) if size is None else out
 
 
-def collapse_rates(
-    states: PairState, model: CurrentLevelModel, disturbance: CellDisturbances = None
-) -> tuple[float, ...]:
-    """Collapse rate rho of each AP cell of a pair under Collapse, in row order."""
-    return tuple(
-        d.rho(model.ambient_temp)
-        for s, d in zip(states, _per_row(disturbance, 2))
-        if s is MtjState.AP and isinstance(d, Collapse)
-    )
-
-
 def pair_sampler(
     states: PairState,
     model: CurrentLevelModel,
@@ -398,18 +406,12 @@ def pair_sampler(
 ):
     """``draw(rng) -> float``: one summed sense current of a cell pair, in uA.
 
-    The setup that does not depend on the stream is done here, once: the base
-    level index, the collapse rates of the pair's AP cells, the level table
-    (the pair ladder plus a pair-level MeanShift's shift of each level) and
-    sigma. Each ``draw`` then makes one uniform per collapsible cell (each
-    collapse promotes the pair one step up the ladder) and, when sigma > 0,
-    one normal added once at the sense node.
+    The pair's :func:`sense_law` and sigma are read once, here. Each ``draw``
+    then makes one uniform per collapsible cell (each collapse promotes the
+    pair one step up the ladder) and, when sigma > 0, one normal added once
+    at the sense node.
     """
-    base = pair_index(states)
-    rhos = collapse_rates(states, model, disturbance)
-    levels = model.pair_ladder
-    if isinstance(disturbance, MeanShift):
-        levels = tuple(level + shift for level, shift in zip(levels, disturbance.shifts))
+    levels, base, rhos = sense_law(states, model, disturbance)
     sigma = model.sigma
     stochastic = bool(rhos) or sigma > 0
 
@@ -552,6 +554,8 @@ def calibrate(
     solved = {}
     for temp, rate in targets.heated_ap_p.items():
         rho = (rate - q_natural) / (1.0 - q_natural)
+        if not math.isfinite(rho):
+            raise NonConvergence(f"non-finite heated rate {rate} at {temp} C")
         if rho <= 0:
             raise NonConvergence(
                 f"heated rate {rate} at {temp} C does not exceed the natural rate"

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from spincim.device import Collapse, MeanShift, MtjState, _per_row, pair_index
+from spincim.device import Collapse, MeanShift, MtjState
 
 
 def q(z: float) -> float:
@@ -97,11 +97,14 @@ def scalar_pair_current(states, model, disturbance, rng):
     """The one-call scalar pair sampler as it stood before per-report setup.
 
     Kept verbatim (every step redone on each call) as the reference that
-    ``device.pair_sampler`` must match draw for draw and bit for bit.
+    ``device.pair_sampler`` must match draw for draw and bit for bit. The
+    level index and the per-row split are derived here, not imported, so the
+    reference shares no code with the sampler it checks.
     """
-    idx = pair_index(states)
+    idx = sum(1 for s in states if s is MtjState.P)
+    per_row = disturbance if isinstance(disturbance, tuple) else (disturbance, disturbance)
     collapsible = [
-        d for s, d in zip(states, _per_row(disturbance, 2))
+        d for s, d in zip(states, per_row)
         if s is MtjState.AP and isinstance(d, Collapse)
     ]
     if rng is None and (bool(collapsible) or model.sigma > 0):

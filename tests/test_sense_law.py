@@ -1,0 +1,146 @@
+"""``device.sense_law`` and the rules that every reader of the law shares.
+
+Per-row disturbance tuples must have one entry per sensed row wherever a
+sense is described (samplers and oracles alike), a one-cell per-row tuple
+heats the cell in the oracle as in the sampler, and every law parameter must
+be finite.
+"""
+import math
+
+import numpy as np
+import pytest
+
+from spincim import (
+    Collapse,
+    CurrentLevelModel,
+    MeanShift,
+    MtjState,
+    SenseConfig,
+    pair_exceed,
+    pair_sampler,
+    sample_columns,
+    sample_pair_current,
+    sample_single_current,
+    sense_law,
+    single_exceed,
+    trial_rng,
+)
+
+from _oracles import binomial_3sigma, gaussian_exceed
+from conftest import MASTER_SEED
+
+AP, P = MtjState.AP, MtjState.P
+HOT = Collapse(zone_temp=100.0)
+MODEL = CurrentLevelModel()
+
+
+def _rng():
+    return trial_rng(MASTER_SEED, 0)
+
+
+# every public reader of a pair sense, called with a per-row tuple
+PAIR_READERS = {
+    "sense_law": lambda t: sense_law((AP, AP), MODEL, t),
+    "pair_exceed": lambda t: pair_exceed(MODEL, (AP, AP), 21.45, t),
+    "pair_sampler": lambda t: pair_sampler((AP, AP), MODEL, t)(_rng()),
+    "sample_pair_current": lambda t: sample_pair_current((AP, AP), MODEL, t, _rng()),
+    "sample_pair_current size": lambda t: sample_pair_current((AP, AP), MODEL, t, _rng(), 4),
+    "sample_columns": lambda t: sample_columns((np.zeros(4),) * 2, MODEL, t, _rng()),
+}
+SINGLE_READERS = {
+    "sense_law": lambda t: sense_law((AP,), MODEL, t),
+    "single_exceed": lambda t: single_exceed(MODEL, AP, 12.75, t),
+    "sample_single_current": lambda t: sample_single_current(AP, MODEL, t, _rng()),
+    "sample_single_current size": lambda t: sample_single_current(AP, MODEL, t, _rng(), 4),
+    "sample_columns": lambda t: sample_columns((np.zeros(4),), MODEL, t, _rng()),
+}
+
+
+@pytest.mark.parametrize("length", [1, 3])
+@pytest.mark.parametrize("reader", PAIR_READERS.values(), ids=PAIR_READERS)
+def test_pair_readers_refuse_a_tuple_of_the_wrong_length(reader, length):
+    with pytest.raises(ValueError, match=f"{length} per-row disturbances for 2 rows"):
+        reader((HOT,) * length)
+
+
+@pytest.mark.parametrize("length", [2, 3])
+@pytest.mark.parametrize("reader", SINGLE_READERS.values(), ids=SINGLE_READERS)
+def test_single_readers_refuse_a_tuple_of_the_wrong_length(reader, length):
+    with pytest.raises(ValueError, match=f"{length} per-row disturbances for 1 rows"):
+        reader((HOT,) * length)
+
+
+@pytest.mark.parametrize("readers", [PAIR_READERS, SINGLE_READERS], ids=["pair", "single"])
+def test_readers_accept_a_tuple_of_the_right_length(readers):
+    rows = 2 if readers is PAIR_READERS else 1
+    for reader in readers.values():
+        reader((HOT,) + (None,) * (rows - 1))
+
+
+def test_one_cell_tuple_heats_the_oracle_as_it_heats_the_sampler():
+    ref, n = SenseConfig().i_ref_read, 200_000
+    per_row = single_exceed(MODEL, AP, ref, (HOT,))
+    assert per_row == single_exceed(MODEL, AP, ref, HOT)
+    rho = HOT.rho(MODEL.ambient_temp)
+    cold, warm = (gaussian_exceed(mean, MODEL.sigma, ref) for mean in (MODEL.mu_ap, MODEL.mu_p))
+    assert per_row == pytest.approx((1 - rho) * cold + rho * warm, rel=1e-12)
+    samples = sample_single_current(AP, MODEL, (HOT,), trial_rng(MASTER_SEED, 1), size=n)
+    assert abs(float(np.mean(samples > ref)) - per_row) < binomial_3sigma(per_row, n)
+
+
+class TestLaw:
+    def test_single_cell_reads_the_single_levels(self):
+        levels, base, rhos = sense_law((AP,), MODEL, HOT)
+        assert (levels, base, rhos) == ((MODEL.mu_ap, MODEL.mu_p), 0, (HOT.rho(20.0),))
+        # a mean shift moves pair levels only; P cells never collapse
+        assert sense_law((P,), MODEL, MeanShift(0.1, 0.2, 0.3)) == (
+            (MODEL.mu_ap, MODEL.mu_p), 1, ())
+        assert sense_law((P,), MODEL, HOT)[2] == ()
+
+    def test_pair_reads_the_ladder_shifted_by_a_bare_mean_shift(self):
+        shift = MeanShift(0.1, 0.2, 0.3)
+        levels, base, rhos = sense_law((AP, P), MODEL, shift)
+        assert levels == tuple(m + s for m, s in zip(MODEL.pair_ladder, shift.shifts))
+        assert (base, rhos) == (1, ())
+        assert sense_law((P, AP), MODEL, None) == (MODEL.pair_ladder, 1, ())
+
+    def test_rates_follow_row_order_of_the_ap_cells(self):
+        half = Collapse(a=math.log(0.5), b=0.0)
+        assert sense_law((AP, AP), MODEL, (HOT, half))[2] == (HOT.rho(20.0), 0.5)
+        assert sense_law((AP, AP), MODEL, (None, half))[2] == (0.5,)
+        assert sense_law((P, AP), MODEL, (HOT, half)) == (MODEL.pair_ladder, 1, (0.5,))
+
+    @pytest.mark.parametrize("cells", [(), (AP, AP, AP)], ids=["none", "three"])
+    def test_a_sense_reads_one_cell_or_two(self, cells):
+        with pytest.raises(ValueError, match="one cell or two"):
+            sense_law(cells, MODEL)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Collapse(a=math.nan),
+    lambda: Collapse(b=math.nan, zone_temp=50.0),
+    lambda: Collapse(zone_temp=math.inf),
+    lambda: CurrentLevelModel(sigma=math.nan),
+    lambda: CurrentLevelModel(sigma=math.inf),
+    lambda: CurrentLevelModel(ambient_temp=math.nan),
+    lambda: CurrentLevelModel(ambient_temp=-math.inf),
+], ids=["a nan", "b nan", "zone inf", "sigma nan", "sigma inf", "ambient nan",
+        "ambient -inf"])
+def test_non_finite_law_parameter_raises(make):
+    with pytest.raises(ValueError, match="finite"):
+        make()
+
+
+@pytest.mark.parametrize("sigma", [MODEL.sigma, 1.7, 0.0])
+@pytest.mark.parametrize("seed", range(5))
+def test_four_pair_columns_draw_as_four_scalar_pair_senses(seed, sigma):
+    # truth-table senses its four logic pairs as the columns of one two-row sense
+    model = CurrentLevelModel(sigma=sigma)
+    logic = ((0, 0), (0, 1), (1, 0), (1, 1))
+    ours, ref = trial_rng(seed, 0), trial_rng(seed, 0)
+    got = sample_columns(tuple(zip(*logic)), model, None, ours).tolist()
+    want = [
+        pair_sampler(tuple(map(MtjState.from_bit, bits)), model)(ref) for bits in logic
+    ]
+    assert [v.hex() for v in got] == [float(v).hex() for v in want]
+    assert ours.bit_generator.state == ref.bit_generator.state
