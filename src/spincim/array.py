@@ -24,6 +24,7 @@ from a bounded cache of read-only vectors, so a word is unpacked once.
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Union
@@ -70,6 +71,9 @@ TWO_ROW_OPS = frozenset(
 # every in-memory operation names its cost row
 _COST_CLASS = {op: OpClass(op.value) for op in CimOp if op not in (CimOp.READ, CimOp.WRITE)}
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+# the geometry line that export_hex writes first, and its pattern
+_HEX_HEADER = "# banks={} rows_per_bank={} cols_per_row={}"
+_HEX_HEADER_RE = re.compile(_HEX_HEADER.replace("{}", "([0-9]+)"))
 
 
 @dataclass(frozen=True)
@@ -145,11 +149,12 @@ class SenseConfig:
 
     def validate_against(self, model: CurrentLevelModel) -> None:
         """Check each reference sits strictly inside its decision gap."""
-        if not model.mu_ap < self.i_ref_read < model.mu_p:
+        (ap, p), (ap_ap, ap_p, p_p) = model.single_levels, model.pair_levels
+        if not ap < self.i_ref_read < p:
             raise ValueError("read reference must lie between the single levels")
-        if not model.mu_ap_ap < self.i_ref_or < model.mu_ap_p:
+        if not ap_ap < self.i_ref_or < ap_p:
             raise ValueError("OR reference must lie in the lower pair gap")
-        if not model.mu_ap_p < self.i_ref_and < model.mu_p_p:
+        if not ap_p < self.i_ref_and < p_p:
             raise ValueError("AND reference must lie in the upper pair gap")
 
     def decode_rule(self, op: CimOp) -> DecodeRule:
@@ -424,10 +429,7 @@ class CimArray:
         g = self.geometry
         nibbles = (g.cols_per_row + 3) // 4
         with open_target(target, "w") as handle:
-            handle.write(
-                f"# banks={g.banks} rows_per_bank={g.rows_per_bank} "
-                f"cols_per_row={g.cols_per_row}\n"
-            )
+            handle.write(_HEX_HEADER.format(g.banks, g.rows_per_bank, g.cols_per_row) + "\n")
             for bank in self._words:
                 for word in bank:
                     handle.write(f"{word:0{nibbles}X}\n")
@@ -436,13 +438,21 @@ class CimArray:
         """Load contents from a hex dump; geometry must match.
 
         Word lines hold plain hex digits only, as ``export_hex`` writes them; a
-        bad or too-wide word raises OutOfBounds naming its line.
+        bad or too-wide word raises OutOfBounds naming its line. A comment
+        line is skipped, unless it is ``export_hex``'s geometry header and
+        names another geometry: that raises OutOfBounds naming both.
         """
         g = self.geometry
+        shape = [g.banks, g.rows_per_bank, g.cols_per_row]
         words = []
         with open_target(source) as handle:
             for lineno, line in enumerate(handle, start=1):
                 line = line.strip()
+                header = _HEX_HEADER_RE.fullmatch(line)
+                if header and [int(n) for n in header.groups()] != shape:
+                    raise OutOfBounds(
+                        f"hex dump line {lineno}: dump geometry {line[2:]} does not "
+                        f"match the array's {_HEX_HEADER.format(*shape)[2:]}")
                 if not line or line.startswith("#"):
                     continue
                 if not _HEX_DIGITS.issuperset(line):

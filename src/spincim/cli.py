@@ -178,7 +178,7 @@ def _cmd_truth_table(args, config) -> dict:
         {
             "logic": list(bits),
             "states": ",".join(MtjState.from_bit(b).value for b in bits),
-            "nominal_current_ua": model.pair_ladder[sum(bits)],
+            "nominal_current_ua": model.pair_levels[sum(bits)],
             "sensed_current_ua": current,
             "output": int(output),
         }

@@ -4,7 +4,9 @@ The device, array and cost defaults, the credential width and the credential
 policy are read off the model dataclasses (``CurrentLevelModel``,
 ``Collapse``, ``ArrayGeometry``, ``SenseConfig``, ``CostTable``, ``AuthDb``
 and ``CredentialPolicy``), so each shipped value is written once, where the
-model defines it; the calibration constants live in ``device.py``. Unknown keys
+model defines it; the calibration constants live in ``device.py``. The level
+sections ``device.single_levels`` and ``device.pair_levels`` are the model's
+two ladders keyed by state name, read in ladder order. Unknown keys
 anywhere in a user file are rejected so a typo cannot silently fall back to
 a default. One schema declares each leaf once, with its default and its
 check, and :func:`validate_run` checks the type and range of every leaf.
@@ -21,7 +23,7 @@ from pathlib import Path
 from .array import ArrayGeometry, SenseConfig
 from .attack import AttackVariant, AuthDb, CredentialPolicy
 from .cost import CostMode, CostTable
-from .device import Collapse, CurrentLevelModel
+from .device import LADDERS, Collapse, CurrentLevelModel
 from .errors import ConfigError
 
 _MODEL = CurrentLevelModel()
@@ -104,10 +106,8 @@ def _levels(levels: dict):
 # the section's own entries pass
 _SCHEMA = {
     "device": ({
-        "single_levels": _levels(
-            {state.value: level for state, level in _MODEL.single_levels.items()}
-        ),
-        "pair_levels": _levels(dict(_MODEL.pair_levels)),
+        **{key: _levels(dict(zip(names, getattr(_MODEL, key))))
+           for key, names in LADDERS.items()},
         "sigma": (_MODEL.sigma, _SIGMA),
         "ambient_temp": (_MODEL.ambient_temp, _NUMBER),
         "collapse": (_leaves({"a": Collapse().a, "b": Collapse().b}, _NUMBER), None),
@@ -242,13 +242,8 @@ def config_hash(config: dict) -> str:
 def build_model(config: dict) -> CurrentLevelModel:
     dev = config["device"]
     return CurrentLevelModel(
-        mu_ap=dev["single_levels"]["AP"],
-        mu_p=dev["single_levels"]["P"],
-        mu_ap_ap=dev["pair_levels"]["AP,AP"],
-        mu_ap_p=dev["pair_levels"]["AP,P"],
-        mu_p_p=dev["pair_levels"]["P,P"],
-        sigma=dev["sigma"],
-        ambient_temp=dev["ambient_temp"],
+        **{key: [dev[key][name] for name in names] for key, names in LADDERS.items()},
+        sigma=dev["sigma"], ambient_temp=dev["ambient_temp"],
     )
 
 

@@ -4,7 +4,9 @@ Currents are in microamps, temperatures in degrees Celsius. A cell stores one
 bit as its free-layer orientation: the parallel (low resistance, high sense
 current) state encodes logic 1, the anti-parallel state logic 0. Two-cell
 senses see the summed bit-line current, which takes one of three levels
-depending on how many of the two cells are parallel.
+depending on how many of the two cells are parallel. A model holds the two
+ladders, ``single_levels`` (AP, P) and ``pair_levels`` (AP,AP, AP,P, P,P),
+each indexed by the number of parallel cells and named as in the config.
 
 Heat moves a sense up its level ladder: :func:`sense_law` states that rule
 once, for one cell or a pair, and the pair sampler and both closed-form
@@ -18,8 +20,9 @@ Trial ``i``'s stream is bit for bit
 ``np.random.default_rng((seed, i))``; its seed words are derived for 1024
 trials at a time in one vectorised pass instead of one hash per trial. A
 Monte Carlo report sets up its pair sense once with :func:`pair_sampler`,
-so a trial only draws from its own stream. :func:`sample_columns` reads the
-level tables that a model builds once, on first use, as read-only float arrays.
+so a trial only draws from its own stream; every other sense, scalar or
+not, is a column sense of :func:`sample_columns`, which reads the level
+tables that a model builds once, on first use, as read-only float arrays.
 """
 from __future__ import annotations
 
@@ -64,6 +67,8 @@ class MtjState(Enum):
 PairState = tuple[MtjState, MtjState]
 
 PAIR_NAMES = ("AP,AP", "AP,P", "P,P")
+# the state names of each level ladder, in order of the number of P cells
+LADDERS = {"single_levels": tuple(state.value for state in MtjState), "pair_levels": PAIR_NAMES}
 
 
 def parse_pair(name: str) -> PairState:
@@ -78,55 +83,42 @@ def parse_pair(name: str) -> PairState:
 class CurrentLevelModel:
     """Nominal sense-current levels and shared Gaussian sense noise.
 
-    Pair levels are independent configuration, not sums of the single-cell
-    levels: the measured pair margins (3.2 and 2.5 uA by default) are smaller
-    than linear current summation would give.
+    Two ladders, indexed by the number of parallel cells: ``single_levels``
+    (AP, P) and ``pair_levels`` (AP,AP, AP,P, P,P), each finite and strictly
+    increasing, else ValueError. Pair levels are not sums of single levels:
+    the measured pair margins (3.2 and 2.5 uA by default) are smaller than
+    linear current summation would give.
     """
 
-    mu_ap: float = 10.0
-    mu_p: float = 15.5
-    mu_ap_ap: float = 17.0
-    mu_ap_p: float = 20.2
-    mu_p_p: float = 22.7
+    single_levels: tuple[float, float] = (10.0, 15.5)
+    pair_levels: tuple[float, float, float] = (17.0, 20.2, 22.7)
     sigma: float = DEFAULT_SIGMA
     ambient_temp: float = AMBIENT_TEMP_C
 
     def __post_init__(self):
-        if not self.mu_ap < self.mu_p:
-            raise ValueError("single levels must satisfy mu_ap < mu_p")
-        if not self.mu_ap_ap < self.mu_ap_p < self.mu_p_p:
-            raise ValueError("pair levels must be strictly increasing")
+        for name, names in LADDERS.items():
+            ladder = tuple(getattr(self, name))  # a tuple keeps the model hashable
+            object.__setattr__(self, name, ladder)
+            if not (len(ladder) == len(names) and all(map(math.isfinite, ladder))
+                    and all(lo < hi for lo, hi in zip(ladder, ladder[1:]))):
+                raise ValueError(f"{name} must be {len(names)} finite, strictly "
+                                 f"increasing levels, got {ladder}")
         if not (0 <= self.sigma < math.inf and math.isfinite(self.ambient_temp)):
             raise ValueError("sigma must be finite and >= 0, ambient_temp finite")
 
-    @property
-    def single_levels(self) -> Mapping[MtjState, float]:
-        return {MtjState.AP: self.mu_ap, MtjState.P: self.mu_p}
-
-    @property
-    def pair_ladder(self) -> tuple[float, float, float]:
-        """Pair level means indexed by the number of parallel cells."""
-        return (self.mu_ap_ap, self.mu_ap_p, self.mu_p_p)
-
-    @property
-    def pair_levels(self) -> Mapping[str, float]:
-        return dict(zip(PAIR_NAMES, self.pair_ladder))
-
     @functools.cached_property
     def level_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """Single and pair level means as read-only float arrays, built once."""
-        tables = np.array((self.mu_ap, self.mu_p), float), np.array(self.pair_ladder, float)
+        """Single and pair ladders as read-only float arrays, built once."""
+        tables = np.array(self.single_levels, float), np.array(self.pair_levels, float)
         for table in tables:
             table.flags.writeable = False
         return tables
 
     def margins(self) -> dict[str, float]:
-        """Read margin and the two pair margins, in uA."""
-        return {
-            "read": round(self.mu_p - self.mu_ap, 9),
-            "pair_lower": round(self.mu_ap_p - self.mu_ap_ap, 9),
-            "pair_upper": round(self.mu_p_p - self.mu_ap_p, 9),
-        }
+        """Read margin and the two pair margins, in uA: each ladder's steps."""
+        steps = [round(hi - lo, 9) for ladder in (self.single_levels, self.pair_levels)
+                 for lo, hi in zip(ladder, ladder[1:])]
+        return dict(zip(("read", "pair_lower", "pair_upper"), steps))
 
 
 @dataclass(frozen=True)
@@ -144,6 +136,8 @@ class MeanShift:
     zone_temp: float = AMBIENT_TEMP_C
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (*self.shifts, self.zone_temp))):
+            raise InvalidShift(f"mean shift parameters must be finite, got {self}")
         if not 0 < self.alpha < self.beta < self.gamma:
             raise InvalidShift("shifts must satisfy 0 < alpha < beta < gamma, got "
                                f"{self.shifts}")
@@ -171,7 +165,7 @@ class Collapse:
         if not all(map(math.isfinite, (self.a, self.b, self.zone_temp))):
             raise ValueError(f"collapse parameters must be finite, got {self}")
 
-    def rho(self, ambient_temp: float = AMBIENT_TEMP_C) -> float:
+    def rho(self, ambient_temp: float) -> float:
         dt = max(0.0, self.zone_temp - ambient_temp)
         # clamp the exponent, not the result: rho saturates at 1 for any dT
         return math.exp(min(0.0, self.a + self.b * dt))
@@ -326,7 +320,7 @@ def sense_law(cells, model: CurrentLevelModel, disturbance: CellDisturbances = N
     if rows not in (1, 2):
         raise ValueError(f"a sense reads one cell or two, not {rows}")
     per_row = _per_row(disturbance, rows)
-    levels = (model.mu_ap, model.mu_p) if rows == 1 else model.pair_ladder
+    levels = model.single_levels if rows == 1 else model.pair_levels
     if rows == 2 and isinstance(disturbance, MeanShift):
         levels = tuple(level + shift for level, shift in zip(levels, disturbance.shifts))
     rhos = tuple([d.rho(model.ambient_temp) for cell, d in zip(cells, per_row)
@@ -379,6 +373,13 @@ def sample_columns(
     return out
 
 
+def _sample_cells(states, model, disturbance, rng, size):
+    """A column sense of ``states``: a float, or ``size`` samples as an ndarray."""
+    bits = [np.full(1 if size is None else size, state.bit) for state in states]
+    out = sample_columns(bits, model, disturbance, rng)
+    return float(out[0]) if size is None else out
+
+
 def sample_single_current(
     state: MtjState,
     model: CurrentLevelModel,
@@ -391,12 +392,29 @@ def sample_single_current(
     Under a Collapse disturbance an AP cell is replaced by the P level with
     probability rho before noise is added; P cells never collapse. A mean
     shift has no effect on single-cell senses. Returns a float, or with
-    ``size`` set an ndarray of independent samples; both are drawn by
-    :func:`sample_columns`.
+    ``size`` set an ndarray of independent samples; both are a one-row
+    column sense (:func:`sample_columns`).
     """
-    bits = np.full(1 if size is None else size, state.bit)
-    out = sample_columns((bits,), model, disturbance, rng)
-    return float(out[0]) if size is None else out
+    return _sample_cells((state,), model, disturbance, rng, size)
+
+
+def sample_pair_current(
+    states: PairState,
+    model: CurrentLevelModel,
+    disturbance: CellDisturbances = None,
+    rng: np.random.Generator | None = None,
+    size: int | None = None,
+):
+    """Sample the summed sense current of a cell pair, in uA.
+
+    (AP, P) and (P, AP) share one level. Under Collapse, each AP cell
+    collapses independently with probability rho, one step up the ladder
+    each; a pair-level MeanShift adds its shift to the nominal level; noise
+    is added once at the sense node. ``disturbance`` may also be per cell.
+    Returns a float, or with ``size`` set an ndarray of independent samples;
+    both are a two-row column sense (:func:`sample_columns`).
+    """
+    return _sample_cells(states, model, disturbance, rng, size)
 
 
 def pair_sampler(
@@ -406,10 +424,10 @@ def pair_sampler(
 ):
     """``draw(rng) -> float``: one summed sense current of a cell pair, in uA.
 
-    The pair's :func:`sense_law` and sigma are read once, here. Each ``draw``
-    then makes one uniform per collapsible cell (each collapse promotes the
-    pair one step up the ladder) and, when sigma > 0, one normal added once
-    at the sense node.
+    The Monte Carlo driver's per-trial draw. The pair's :func:`sense_law`
+    and sigma are read once, here. Each ``draw`` then makes one uniform per
+    collapsible cell (each collapse promotes the pair one step up the
+    ladder) and, when sigma > 0, one normal added once at the sense node.
     """
     levels, base, rhos = sense_law(states, model, disturbance)
     sigma = model.sigma
@@ -425,32 +443,6 @@ def pair_sampler(
         return levels[idx]
 
     return draw
-
-
-def sample_pair_current(
-    states: PairState,
-    model: CurrentLevelModel,
-    disturbance: CellDisturbances = None,
-    rng: np.random.Generator | None = None,
-    size: int | None = None,
-):
-    """Sample the summed sense current of a cell pair, in uA.
-
-    (AP, P) and (P, AP) share one level. Under Collapse, each AP cell in the
-    pair collapses independently with probability rho, and each collapse
-    promotes the pair level one step up the ladder. A pair-level MeanShift
-    adds its configured shift to the nominal level. Noise is applied once at
-    the sense node. ``disturbance`` may also be a per-cell pair (for senses
-    where only one operand row sits in the heated zone). One sample is
-    ``pair_sampler(states, model, disturbance)(rng)``; a caller drawing many
-    samples of one pair builds the sampler once and calls it per draw. With
-    ``size`` set, returns an ndarray of independent samples drawn by
-    :func:`sample_columns`.
-    """
-    if size is not None:
-        bits = [np.full(size, s.bit) for s in states]
-        return sample_columns(bits, model, disturbance, rng)
-    return pair_sampler(states, model, disturbance)(rng)
 
 
 @dataclass(frozen=True)
@@ -545,9 +537,10 @@ def calibrate(
         raise NonConvergence(
             "degenerate targets: natural failure rate must lie in (0, 0.5)"
         )
-    half = (model.mu_p_p - model.mu_ap_p) / 2.0
+    _, ap_p, p_p = model.pair_levels
+    half = (p_p - ap_p) / 2.0
     sigma = half / NormalDist().inv_cdf(1.0 - targets.natural)
-    ref = model.mu_ap_p + half
+    ref = ap_p + half
     fitted_model = replace(model, sigma=sigma)
 
     q_natural = normal_tail(half / sigma)

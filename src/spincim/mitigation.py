@@ -29,11 +29,12 @@ def adapt_references(
     The read reference is unchanged. Raises InvalidShift if the adapted
     references do not sit strictly between the shifted adjacent levels.
     """
-    new_or = (model.mu_ap_ap + model.mu_ap_p + shift.alpha + shift.beta) / 2.0
-    new_and = (model.mu_ap_p + model.mu_p_p + shift.beta + shift.gamma) / 2.0
-    if not (model.mu_ap_ap + shift.alpha) < new_or < (model.mu_ap_p + shift.beta):
+    ap_ap, ap_p, p_p = model.pair_levels
+    new_or = (ap_ap + ap_p + shift.alpha + shift.beta) / 2.0
+    new_and = (ap_p + p_p + shift.beta + shift.gamma) / 2.0
+    if not (ap_ap + shift.alpha) < new_or < (ap_p + shift.beta):
         raise InvalidShift("adapted OR reference leaves the shifted lower gap")
-    if not (model.mu_ap_p + shift.beta) < new_and < (model.mu_p_p + shift.gamma):
+    if not (ap_p + shift.beta) < new_and < (p_p + shift.gamma):
         raise InvalidShift("adapted AND reference leaves the shifted upper gap")
     try:
         return SenseConfig(

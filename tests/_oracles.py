@@ -111,7 +111,7 @@ def scalar_pair_current(states, model, disturbance, rng):
         raise ValueError("a random generator is required for stochastic sampling")
     for d in collapsible:
         idx += rng.random() < d.rho(model.ambient_temp)
-    value = model.pair_ladder[idx]
+    value = model.pair_levels[idx]
     if isinstance(disturbance, MeanShift):
         value += disturbance.shifts[idx]
     if model.sigma > 0:

@@ -122,7 +122,7 @@ def test_criterion_02_oracle_equivalence_matrix():
                 )
                 base = parse_pair(pair_name)[0].bit + parse_pair(pair_name)[1].bit
                 oracle = collapse_pair_exceed(
-                    model.pair_ladder, base, model.sigma, ref,
+                    model.pair_levels, base, model.sigma, ref,
                     disturbance.rho(model.ambient_temp),
                 )
                 crit.check(

@@ -75,7 +75,7 @@ class TestPairExceedPerCell:
         hot = Collapse(a=math.log(0.3), b=0.0, zone_temp=20.0)
         warm = Collapse(a=math.log(0.1), b=0.0, zone_temp=20.0)
         got = pair_exceed(model, parse_pair("AP,AP"), 21.45, (hot, warm))
-        lad, s = model.pair_ladder, model.sigma
+        lad, s = model.pair_levels, model.sigma
         expected = (
             0.7 * 0.9 * q((21.45 - lad[0]) / s)
             + (0.3 * 0.9 + 0.7 * 0.1) * q((21.45 - lad[1]) / s)

@@ -45,7 +45,7 @@ class TestReadWrite:
         arr.write_word(A, 0xFFFF)
         # every column senses at the parallel (P) single-cell level
         currents = arr._currents(CimOp.READ, A)
-        assert currents.tolist() == [zero_noise_model.mu_p] * 16
+        assert currents.tolist() == [zero_noise_model.single_levels[1]] * 16
 
     def test_word_width_contract(self, zero_noise_model):
         arr = make_array(zero_noise_model)
@@ -251,8 +251,8 @@ class TestHeatedFailureRates:
         trials = 10_000
         flips = sum(arr.cim_xnor(a, b, scratch) for _ in range(trials))
         rho = Collapse(zone_temp=100.0).rho(model.ambient_temp)
-        p_and = collapse_pair_exceed(model.pair_ladder, 1, model.sigma, 21.45, rho)
-        p_or = gaussian_exceed(model.mu_ap_p, model.sigma, 18.6)
+        p_and = collapse_pair_exceed(model.pair_levels, 1, model.sigma, 21.45, rho)
+        p_or = gaussian_exceed(model.pair_levels[1], model.sigma, 18.6)
         oracle = 1.0 - (1.0 - p_and) * p_or
         assert abs(flips / trials - oracle) <= binomial_3sigma(oracle, trials)
 
@@ -478,3 +478,26 @@ class TestHexDump:
         arr = make_array(zero_noise_model)
         with pytest.raises(OutOfBounds, match=r"^hex dump line 3: word 0x1FFFF wider than 16 bits$"):
             arr.import_hex(io.StringIO("# header\n0000\n1ffff\n"))
+
+    @pytest.mark.parametrize("source,target", [
+        (ArrayGeometry(banks=2, rows_per_bank=32), ArrayGeometry(banks=1, rows_per_bank=64)),
+        (ArrayGeometry(cols_per_row=16), ArrayGeometry(cols_per_row=8)),
+    ], ids=["2x32 into 1x64", "16 columns into 8"])
+    def test_header_of_another_geometry_rejected(self, zero_noise_model, source, target):
+        # every word is zero, so it fits both geometries: only the header differs
+        dump = io.StringIO()
+        make_array(zero_noise_model, geometry=source).export_hex(dump)
+        header = dump.getvalue().splitlines()[0][2:]
+        with pytest.raises(OutOfBounds, match=(
+            rf"^hex dump line 1: dump geometry {header} does not match the array's "
+            rf"banks={target.banks} rows_per_bank={target.rows_per_bank} "
+            rf"cols_per_row={target.cols_per_row}$"
+        )):
+            make_array(zero_noise_model, geometry=target).import_hex(io.StringIO(dump.getvalue()))
+
+    def test_matching_header_and_other_comments_load(self, zero_noise_model):
+        arr = make_array(zero_noise_model, geometry=ArrayGeometry(rows_per_bank=2))
+        arr.import_hex(io.StringIO(
+            "# banks=1 rows_per_bank=2 cols_per_row=16\n# banks=9\n00FF\nABCD\n"
+        ))
+        assert arr.snapshot() == ((0x00FF, 0xABCD),)

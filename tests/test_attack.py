@@ -284,7 +284,7 @@ class TestOracleDigest:
         (replace(CurrentLevelModel(), sigma=0.0), None),
         (replace(CurrentLevelModel(), sigma=0.9, ambient_temp=25.0), Collapse(a=-4.0, b=0.05)),
         (
-            CurrentLevelModel(mu_ap_ap=16.0, mu_ap_p=19.0, mu_p_p=23.5, sigma=0.7),
+            CurrentLevelModel(pair_levels=(16.0, 19.0, 23.5), sigma=0.7),
             Collapse(a=-6.0, b=0.09),
         ),
     )

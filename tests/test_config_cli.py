@@ -16,7 +16,10 @@ from hypothesis import strategies as st
 import spincim
 from spincim import ConfigError
 from spincim.cli import build_parser, main
-from spincim import ArrayGeometry, CimOp, Collapse, CostTable, CurrentLevelModel, SenseConfig
+from spincim import (
+    ArrayGeometry, CimOp, Collapse, CostTable, CurrentLevelModel, MtjState, SenseConfig,
+    sense_law,
+)
 from spincim.analytic import binomial_stderr
 from spincim.array import TWO_ROW_OPS
 from spincim.attack import AttackVariant
@@ -43,6 +46,20 @@ class TestConfig:
         assert model.margins() == {"read": 5.5, "pair_lower": 3.2, "pair_upper": 2.5}
         sense = build_sense(config)
         sense.validate_against(model)
+
+    @pytest.mark.parametrize("order", [list, reversed], ids=["listed", "reversed"])
+    def test_level_overlay_in_any_key_order_reaches_the_law(self, tmp_path, order):
+        levels = {"single_levels": {"AP": 9.5, "P": 15.0},
+                  "pair_levels": {"AP,AP": 16.5, "AP,P": 19.5, "P,P": 23.0}}
+        overlay = {key: dict(order(list(section.items()))) for key, section in levels.items()}
+        path = tmp_path / "levels.json"
+        path.write_text(json.dumps({"device": overlay}))
+        model = build_model(load_config(path))
+        assert model == CurrentLevelModel(single_levels=(9.5, 15.0),
+                                          pair_levels=(16.5, 19.5, 23.0))
+        assert model.margins() == {"read": 5.5, "pair_lower": 3.0, "pair_upper": 3.5}
+        assert sense_law((MtjState.P, MtjState.AP), model) == ((16.5, 19.5, 23.0), 1, ())
+        assert sense_law((MtjState.AP,), model) == ((9.5, 15.0), 0, ())
 
     def test_unknown_top_level_key_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -208,7 +225,7 @@ class TestCli:
         assert code == 0
         payload = report["report"]
         model = build_model(load_config())
-        oracle = collapse_pair_exceed(model.pair_ladder, 0, model.sigma, 21.45, 1.0)
+        oracle = collapse_pair_exceed(model.pair_levels, 0, model.sigma, 21.45, 1.0)
         assert payload["analytic_rate"] == pytest.approx(oracle, rel=1e-12)
         assert abs(payload["rate"] - oracle) <= binomial_3sigma(oracle, 2000)
 
@@ -634,6 +651,24 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 2
         assert err == f"experiment error: hex dump line 2: {word!r} is not a hex word\n"
+        assert "Traceback" not in err
+
+    def test_hex_dump_of_another_geometry_exits_two(self, capsys, tmp_path):
+        (tmp_path / "p.cim").write_text("LOAD R1, @0\n")
+        # 2 x 32 words of 16 bits fit the default 1 x 64 array but for the header
+        dump = ["# banks=2 rows_per_bank=32 cols_per_row=16"] + ["0000"] * 64
+        (tmp_path / "dump.hex").write_text("\n".join(dump) + "\n")
+        code = main(
+            ["isa-run", "--program", str(tmp_path / "p.cim"), "--init-hex",
+             str(tmp_path / "dump.hex"), "--zero-noise", "--out", str(tmp_path)]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == (
+            "experiment error: hex dump line 1: dump geometry banks=2 rows_per_bank=32 "
+            "cols_per_row=16 does not match the array's banks=1 rows_per_bank=64 "
+            "cols_per_row=16\n"
+        )
         assert "Traceback" not in err
 
 

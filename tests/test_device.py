@@ -22,7 +22,8 @@ from spincim import (
     sample_single_current,
     trial_rng,
 )
-from spincim import device
+from spincim import attack, device
+from spincim.attack import AttackScenario, AttackVariant
 
 from _oracles import (
     binomial_3sigma,
@@ -44,19 +45,19 @@ class TestSingleCurrent:
     def test_forced_collapse_reads_parallel_level(self, zero_noise_model):
         rng = trial_rng(MASTER_SEED, 0)
         got = sample_single_current(MtjState.AP, zero_noise_model, FORCED_COLLAPSE, rng)
-        assert got == zero_noise_model.mu_p
+        assert got == zero_noise_model.single_levels[1]
 
     def test_parallel_cells_never_collapse(self, zero_noise_model):
         rng = trial_rng(MASTER_SEED, 0)
         got = sample_single_current(MtjState.P, zero_noise_model, FORCED_COLLAPSE, rng)
-        assert got == zero_noise_model.mu_p
+        assert got == zero_noise_model.single_levels[1]
 
     def test_sample_mean_matches_level(self, model):
         # law of large numbers: the mean of 1e6 draws sits within
         # 3*sigma/sqrt(1e6) of the AP level
         rng = trial_rng(MASTER_SEED, 1)
         samples = sample_single_current(MtjState.AP, model, None, rng, size=1_000_000)
-        assert abs(float(samples.mean()) - model.mu_ap) < 3 * model.sigma / 1000.0
+        assert abs(float(samples.mean()) - model.single_levels[0]) < 3 * model.sigma / 1000.0
 
     def test_read_misreads_are_vanishing_at_defaults(self, model):
         # AP against the read reference: Q(2.75/sigma) ~ 7e-9, so 1e6 draws
@@ -144,7 +145,7 @@ class TestPairCurrent:
 
     def test_integer_levels_sample_as_float(self):
         # JSON configs may give levels as integers; noise still adds in float
-        model = CurrentLevelModel(mu_ap=10, mu_p=15, mu_ap_ap=17, mu_ap_p=20, mu_p_p=23)
+        model = CurrentLevelModel(single_levels=(10, 15), pair_levels=(17, 20, 23))
         bits = np.array([0, 1, 0, 1], np.uint8)
         for rows, dist in [
             ((bits,), Collapse(zone_temp=100.0)),
@@ -284,11 +285,34 @@ class TestTrialStreams:
 class TestValidation:
     def test_level_ordering_enforced(self):
         with pytest.raises(ValueError):
-            CurrentLevelModel(mu_ap=16.0)
+            CurrentLevelModel(single_levels=(16.0, 15.5))
         with pytest.raises(ValueError):
-            CurrentLevelModel(mu_ap_p=16.9)
+            CurrentLevelModel(pair_levels=(17.0, 16.9, 22.7))
         with pytest.raises(ValueError):
             CurrentLevelModel(sigma=-0.1)
+
+    @pytest.mark.parametrize("levels", [
+        {"single_levels": (10.0,)},
+        {"single_levels": (10.0, 15.5, 17.0)},
+        {"pair_levels": (17.0, 20.2)},
+        {"pair_levels": (17.0, 20.2, 22.7, 25.0)},
+        {"single_levels": (10.0, 10.0)},
+        {"pair_levels": (17.0, 17.0, 22.7)},
+    ], ids=["one single", "three singles", "two pairs", "four pairs", "singles tied",
+            "pairs tied"])
+    def test_ladder_needs_its_length_and_strict_order(self, levels):
+        (name,) = levels
+        with pytest.raises(ValueError, match=f"{name} must be .* strictly increasing"):
+            CurrentLevelModel(**levels)
+
+    def test_list_ladders_build_a_hashable_model(self):
+        model = CurrentLevelModel(single_levels=[10.0, 15.5], pair_levels=[17.0, 20.2, 22.7])
+        assert (model.single_levels, model.pair_levels) == ((10.0, 15.5), (17.0, 20.2, 22.7))
+        assert model == CurrentLevelModel() and hash(model) == hash(CurrentLevelModel())
+        # the attack caches its heated senses per (scenario, model)
+        scenario = AttackScenario(AttackVariant.XNOR_LEVEL, zone_temp=100.0)
+        assert attack._scenario_attack(scenario, model) is attack._scenario_attack(
+            scenario, CurrentLevelModel())
 
     def test_mean_shift_ordering_enforced(self):
         with pytest.raises(ValueError):
@@ -301,6 +325,10 @@ class TestValidation:
         # zone below ambient floors dT at zero
         cold = Collapse(a=-2.0, b=0.1, zone_temp=0.0)
         assert cold.rho(20.0) == pytest.approx(math.exp(-2.0))
+
+    def test_collapse_probability_needs_the_ambient(self):
+        with pytest.raises(TypeError):
+            Collapse(zone_temp=100.0).rho()
 
     def test_collapse_probability_saturates_without_overflow(self):
         # a + b*dT far beyond the float exponent range still gives rho = 1
@@ -481,7 +509,7 @@ def test_mc_exceedance_tracks_closed_form(base, rho, ref_frac, stream):
         parse_pair(pair), model, dist, trial_rng(99, stream), size=n
     )
     emp = float((samples > ref).mean())
-    oracle = collapse_pair_exceed(model.pair_ladder, base, model.sigma, ref, rho)
+    oracle = collapse_pair_exceed(model.pair_levels, base, model.sigma, ref, rho)
     assert abs(emp - oracle) <= binomial_3sigma(oracle, n) + 1e-9
 
 
@@ -504,6 +532,6 @@ def test_mean_shift_exceedance_tracks_closed_form(base, alpha, step, ref_frac, s
     )
     emp = float((samples > ref).mean())
     oracle = gaussian_exceed(
-        model.pair_ladder[base] + shift.shifts[base], model.sigma, ref
+        model.pair_levels[base] + shift.shifts[base], model.sigma, ref
     )
     assert abs(emp - oracle) <= binomial_3sigma(oracle, n) + 1e-9

@@ -65,7 +65,7 @@ def reference(bits, model, disturbance, rng) -> list[float]:
     per_row = disturbance if isinstance(disturbance, tuple) else (disturbance,) * rows
     uniforms = [rng.random(n) if isinstance(d, Collapse) else None for d in per_row]
     noise = rng.normal(0.0, model.sigma, n) if model.sigma > 0 else np.zeros(n)
-    levels = (model.mu_ap, model.mu_p) if rows == 1 else model.pair_ladder
+    levels = model.single_levels if rows == 1 else model.pair_levels
     out = []
     for col in range(n):
         idx = sum(int(row[col]) for row in bits)

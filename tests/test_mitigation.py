@@ -49,10 +49,11 @@ class TestAdaptReferences:
         model = CurrentLevelModel()
         shift = ShiftEstimate(alpha, alpha + d1, alpha + d1 + d2)
         adapted = adapt_references(SenseConfig(), shift, model)
-        lo_or = model.mu_ap_ap + shift.alpha
-        hi_or = model.mu_ap_p + shift.beta
-        lo_and = model.mu_ap_p + shift.beta
-        hi_and = model.mu_p_p + shift.gamma
+        ap_ap, ap_p, p_p = model.pair_levels
+        lo_or = ap_ap + shift.alpha
+        hi_or = ap_p + shift.beta
+        lo_and = ap_p + shift.beta
+        hi_and = p_p + shift.gamma
         assert adapted.i_ref_or == pytest.approx((lo_or + hi_or) / 2)
         assert adapted.i_ref_and == pytest.approx((lo_and + hi_and) / 2)
         assert lo_or < adapted.i_ref_or < hi_or

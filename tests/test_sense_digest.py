@@ -24,9 +24,9 @@ from spincim import (
 MODELS = [
     CurrentLevelModel(),
     CurrentLevelModel(sigma=0.0),
-    CurrentLevelModel(mu_ap=10, mu_p=16, mu_ap_ap=17, mu_ap_p=20, mu_p_p=23, sigma=0.3),
-    CurrentLevelModel(mu_ap=10, mu_p=16, mu_ap_ap=17, mu_ap_p=20, mu_p_p=23, sigma=0.0),
-    CurrentLevelModel(mu_ap_ap=16.5, mu_ap_p=19.8, sigma=0.7, ambient_temp=35.0),
+    CurrentLevelModel(single_levels=(10, 16), pair_levels=(17, 20, 23), sigma=0.3),
+    CurrentLevelModel(single_levels=(10, 16), pair_levels=(17, 20, 23), sigma=0.0),
+    CurrentLevelModel(pair_levels=(16.5, 19.8, 22.7), sigma=0.7, ambient_temp=35.0),
 ]
 BARE = [
     None,

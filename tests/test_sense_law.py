@@ -25,6 +25,7 @@ from spincim import (
     single_exceed,
     trial_rng,
 )
+from spincim.device import heated
 
 from _oracles import binomial_3sigma, gaussian_exceed
 from conftest import MASTER_SEED
@@ -82,7 +83,7 @@ def test_one_cell_tuple_heats_the_oracle_as_it_heats_the_sampler():
     per_row = single_exceed(MODEL, AP, ref, (HOT,))
     assert per_row == single_exceed(MODEL, AP, ref, HOT)
     rho = HOT.rho(MODEL.ambient_temp)
-    cold, warm = (gaussian_exceed(mean, MODEL.sigma, ref) for mean in (MODEL.mu_ap, MODEL.mu_p))
+    cold, warm = (gaussian_exceed(mean, MODEL.sigma, ref) for mean in MODEL.single_levels)
     assert per_row == pytest.approx((1 - rho) * cold + rho * warm, rel=1e-12)
     samples = sample_single_current(AP, MODEL, (HOT,), trial_rng(MASTER_SEED, 1), size=n)
     assert abs(float(np.mean(samples > ref)) - per_row) < binomial_3sigma(per_row, n)
@@ -91,24 +92,24 @@ def test_one_cell_tuple_heats_the_oracle_as_it_heats_the_sampler():
 class TestLaw:
     def test_single_cell_reads_the_single_levels(self):
         levels, base, rhos = sense_law((AP,), MODEL, HOT)
-        assert (levels, base, rhos) == ((MODEL.mu_ap, MODEL.mu_p), 0, (HOT.rho(20.0),))
+        assert (levels, base, rhos) == (MODEL.single_levels, 0, (HOT.rho(20.0),))
         # a mean shift moves pair levels only; P cells never collapse
         assert sense_law((P,), MODEL, MeanShift(0.1, 0.2, 0.3)) == (
-            (MODEL.mu_ap, MODEL.mu_p), 1, ())
+            MODEL.single_levels, 1, ())
         assert sense_law((P,), MODEL, HOT)[2] == ()
 
     def test_pair_reads_the_ladder_shifted_by_a_bare_mean_shift(self):
         shift = MeanShift(0.1, 0.2, 0.3)
         levels, base, rhos = sense_law((AP, P), MODEL, shift)
-        assert levels == tuple(m + s for m, s in zip(MODEL.pair_ladder, shift.shifts))
+        assert levels == tuple(m + s for m, s in zip(MODEL.pair_levels, shift.shifts))
         assert (base, rhos) == (1, ())
-        assert sense_law((P, AP), MODEL, None) == (MODEL.pair_ladder, 1, ())
+        assert sense_law((P, AP), MODEL, None) == (MODEL.pair_levels, 1, ())
 
     def test_rates_follow_row_order_of_the_ap_cells(self):
         half = Collapse(a=math.log(0.5), b=0.0)
         assert sense_law((AP, AP), MODEL, (HOT, half))[2] == (HOT.rho(20.0), 0.5)
         assert sense_law((AP, AP), MODEL, (None, half))[2] == (0.5,)
-        assert sense_law((P, AP), MODEL, (HOT, half)) == (MODEL.pair_ladder, 1, (0.5,))
+        assert sense_law((P, AP), MODEL, (HOT, half)) == (MODEL.pair_levels, 1, (0.5,))
 
     @pytest.mark.parametrize("cells", [(), (AP, AP, AP)], ids=["none", "three"])
     def test_a_sense_reads_one_cell_or_two(self, cells):
@@ -124,8 +125,19 @@ class TestLaw:
     lambda: CurrentLevelModel(sigma=math.inf),
     lambda: CurrentLevelModel(ambient_temp=math.nan),
     lambda: CurrentLevelModel(ambient_temp=-math.inf),
+    lambda: CurrentLevelModel(single_levels=(10.0, math.inf)),
+    lambda: CurrentLevelModel(single_levels=(math.nan, 15.5)),
+    lambda: CurrentLevelModel(pair_levels=(17.0, 20.2, math.inf)),
+    lambda: CurrentLevelModel(pair_levels=(17.0, math.nan, 22.7)),
+    lambda: MeanShift(0.1, 0.2, math.inf),
+    lambda: MeanShift(math.nan, 0.2, 0.3),
+    lambda: MeanShift(0.1, 0.2, 0.3, zone_temp=math.inf),
+    lambda: heated(MeanShift(0.1, 0.2, 0.3), math.nan, MODEL),
+    lambda: heated(Collapse(), math.nan, MODEL),
 ], ids=["a nan", "b nan", "zone inf", "sigma nan", "sigma inf", "ambient nan",
-        "ambient -inf"])
+        "ambient -inf", "single level inf", "single level nan", "pair level inf",
+        "pair level nan", "shift inf", "shift nan", "shift zone inf",
+        "heated shift nan", "heated collapse nan"])
 def test_non_finite_law_parameter_raises(make):
     with pytest.raises(ValueError, match="finite"):
         make()
