@@ -40,7 +40,7 @@ from .mitigation import ShiftEstimate, adapt_references, evaluate_mitigation
 from .sca import (
     ENHANCED_CLASSES,
     STANDARD_CLASSES,
-    confusion_matrix,
+    streamed_confusion_matrix,
     synthesize_dataset,
     train,
 )
@@ -301,12 +301,11 @@ def _cmd_sca(args, config) -> dict:
             ("standard_4_class", STANDARD_CLASSES, False),
             ("enhanced_11_class", ENHANCED_CLASSES, True),
         ):
+            # train, drop the training set, then score a test set drawn block by block
             rng = trial_rng(config["seed"], 1000 + idx)
-            train_set = synthesize_dataset(classes, table, enhanced, n, sig_d, sig_e, rng)
-            test_set = synthesize_dataset(classes, table, enhanced, n, sig_d, sig_e, rng)
-            classifier = train(train_set, classes)
-            _, accuracy = confusion_matrix(classifier, test_set)
-            accs[tag] = accuracy
+            draw = (classes, table, enhanced, n, sig_d, sig_e, rng)
+            classifier = train(synthesize_dataset(*draw), classes)
+            _, accs[tag] = streamed_confusion_matrix(classifier, *draw)
         rows.append({"sigma_duration": sig_d, "sigma_energy": sig_e, **accs})
     header = ["sigma_duration", "sigma_energy", "standard_4_class", "enhanced_11_class"]
     cells = [[repr(row[key]) for key in header] for row in rows]

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import io
 import math
 import os
 from dataclasses import dataclass, field
@@ -243,11 +242,6 @@ class ExecutionTrace:
              _CSV_NAMES[e.channel]]
             for e in self.events
         ))
-
-    def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        self.to_csv(buf)
-        return buf.getvalue()
 
 
 def count_bus_transfers(trace: ExecutionTrace) -> int:

@@ -4,6 +4,10 @@ The attacker is a Gaussian nearest-centroid classifier with a shared diagonal
 covariance: the weakest standard attacker, enough to quantify how much the
 enlarged operation set and composite op+write windows degrade classification,
 and to run the Hamming-weight write attack.
+
+Observations are drawn class by class, ``PREDICT_BLOCK`` rows at a time. A
+training set is held whole (its variance needs the centroids first); a test set
+is drawn and scored block by block, so memory grows with the training set only.
 """
 from __future__ import annotations
 
@@ -33,7 +37,7 @@ ENHANCED_CLASSES = tuple(op.value for op in OpClass)
 # relative floor keeps zero-variance training sets classifiable and preserves
 # scale consistency (the floor tracks the data scale)
 _SIGMA_FLOOR_REL = 1e-9
-PREDICT_BLOCK = 4096  # rows per predict block: (block, C) distances stay cache-sized
+PREDICT_BLOCK = 4096  # rows per drawn or scored block: (block, C) distances stay cache-sized
 
 
 @dataclass(frozen=True)
@@ -92,27 +96,34 @@ def class_centroid(name: str, table: CostTable, enhanced: bool) -> tuple[float, 
     return (cost.delay_ns, cost.energy_fj)
 
 
-def synthesize_dataset(
-    classes: Sequence[str],
-    table: CostTable,
-    enhanced: bool,
-    samples_per_class: int,
-    sigma_duration: float,
-    sigma_energy: float,
-    rng: np.random.Generator,
-) -> Dataset:
-    """Noisy observations around the cost-table centroids, class by class.
+def _observations(classes, table, enhanced, samples_per_class, sigma_duration, sigma_energy, rng):
+    """``synthesize_dataset``'s rows as (class index, at most PREDICT_BLOCK rows):
+    scaled standard normals plus the class centre, the bits of ``centre +
+    rng.normal(0, sigma)`` whatever the block; ValueError for a non-finite row."""
+    for code, name in enumerate(classes):
+        centre = class_centroid(name, table, enhanced)
+        for lo in range(0, samples_per_class, PREDICT_BLOCK):
+            rows = rng.standard_normal((min(PREDICT_BLOCK, samples_per_class - lo), 2))
+            with np.errstate(over="ignore"):
+                rows *= (sigma_duration, sigma_energy)
+                rows += centre
+            if not np.isfinite(rows).all():
+                raise ValueError(f"features must be finite; sigmas {sigma_duration!r}, "
+                                 f"{sigma_energy!r} overflow")
+            yield code, rows
 
-    Built in place: scaled standard normals plus each class centre, the bits
-    of ``centre + rng.normal(0, sigma)``, which draws the same normals.
-    """
-    centres = np.array([class_centroid(name, table, enhanced) for name in classes])
-    codes = np.repeat(np.arange(len(classes)), samples_per_class)
-    feats = rng.standard_normal((len(codes), 2))
-    feats *= (sigma_duration, sigma_energy)
-    blocks = feats.reshape(len(classes), samples_per_class, 2)
-    blocks += centres.reshape(-1, 1, 2)
-    return Dataset(feats, codes, classes)
+
+def synthesize_dataset(
+    classes: Sequence[str], table: CostTable, enhanced: bool, samples_per_class: int,
+    sigma_duration: float, sigma_energy: float, rng: np.random.Generator,
+) -> Dataset:
+    """Noisy observations around the cost-table centroids, class by class."""
+    feats, filled = np.empty((len(classes) * samples_per_class, 2)), 0
+    for _, rows in _observations(classes, table, enhanced, samples_per_class,
+                                 sigma_duration, sigma_energy, rng):
+        feats[filled:filled + len(rows)] = rows
+        filled += len(rows)
+    return Dataset(feats, np.repeat(np.arange(len(classes)), samples_per_class), classes)
 
 
 @dataclass
@@ -124,110 +135,121 @@ class CentroidClassifier:
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Index of the nearest centroid under the shared diagonal metric.
 
-        Runs in blocks of ``PREDICT_BLOCK`` rows: two (block, C) temporaries at most.
+        Takes (N, 2) rows or one (2,) observation; ValueError for any other
+        shape or a non-finite row. Runs in blocks of ``PREDICT_BLOCK`` rows.
         """
-        features = np.atleast_2d(np.asarray(features, dtype=float))
-        (c_d, c_e), (s_d, s_e) = self.centroids.T, self.sigma
+        features = np.asarray(features, dtype=float)
+        features = features[None] if features.shape == (2,) else features
+        if features.ndim != 2 or features.shape[1] != 2:
+            raise ValueError(f"features must be (N, 2) rows, got shape {features.shape}")
+        finite = np.isfinite(features).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"features must be finite; row {int(finite.argmin())} is not")
         out = np.empty(len(features), dtype=np.intp)
         for lo in range(0, len(features), PREDICT_BLOCK):
-            rows = features[lo:lo + PREDICT_BLOCK]
-            dist = ((rows[:, :1] - c_d) / s_d) ** 2 + ((rows[:, 1:] - c_e) / s_e) ** 2
-            dist.argmin(axis=1, out=out[lo:lo + PREDICT_BLOCK])
+            self._nearest(features[lo:lo + PREDICT_BLOCK], out[lo:lo + PREDICT_BLOCK])
         return out
 
-    def predict_labels(self, features: np.ndarray) -> list[str]:
-        return [self.classes[i] for i in self.predict(features)]
-
-    def _pairs(self) -> list[tuple[str, str, float]]:
-        """Every class pair, in order, with its centroids' Euclidean distance."""
-        return [
-            (a, b, float(np.linalg.norm(self.centroids[i] - self.centroids[j])))
-            for i, a in enumerate(self.classes)
-            for j, b in enumerate(self.classes[i + 1:], start=i + 1)
-        ]
-
-    def min_centroid_distance(self) -> tuple[float, tuple[str, str]]:
-        """Smallest pairwise Euclidean distance between class centroids."""
-        a, b, d = min(self._pairs(), key=lambda p: p[2],
-                      default=(self.classes[0], self.classes[0], math.inf))
-        return d, (a, b)
-
-    def ill_separated_pairs(self, min_distance: float) -> list[tuple[str, str, float]]:
-        """Class pairs whose centroids sit closer than ``min_distance``."""
-        return [p for p in self._pairs() if p[2] < min_distance]
+    def _nearest(self, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """``predict`` of one checked block: two (rows, C) temporaries."""
+        (c_d, c_e), (s_d, s_e) = self.centroids.T, self.sigma
+        dist = ((rows[:, :1] - c_d) / s_d) ** 2 + ((rows[:, 1:] - c_e) / s_e) ** 2
+        return dist.argmin(axis=1, out=out)
 
 
-def _codes_in(dataset: Dataset, classes: Sequence[str]) -> np.ndarray:
-    """Each observation's index into ``classes``; ValueError if one has none."""
+def _codes_in(names: Sequence[str], codes: np.ndarray, classes: Sequence[str]) -> np.ndarray:
+    """Each code into ``names`` as an index into ``classes``; ValueError if none."""
     index = {c: k for k, c in enumerate(classes)}
-    remap = np.array([index.get(c, -1) for c in dataset.classes], dtype=np.intp)
-    codes = remap[dataset.codes]
-    if (codes < 0).any():
-        unknown = dataset.classes[dataset.codes[codes.argmin()]]
+    remap = np.array([index.get(c, -1) for c in names], dtype=np.intp)
+    mapped = remap[codes]
+    if (mapped < 0).any():
+        unknown = names[codes[mapped.argmin()]]
         raise ValueError(f"label {unknown!r} is not one of the classes {list(classes)}")
-    return codes
+    return mapped
 
 
-def train(
-    dataset: Dataset, classes: Sequence[str] | None = None
-) -> CentroidClassifier:
+def train(dataset: Dataset, classes: Sequence[str] | None = None) -> CentroidClassifier:
     """Fit per-class means and the pooled diagonal deviation.
 
-    Column by column, one stable sort groups each class's rows in their order.
-    Sums add rows in order (``np.add.accumulate``) like numpy's axis-0 sum of a
-    C-contiguous (n, 2) array; the reports' bytes depend on it (a 1-D ``sum``
-    adds pairwise). Identical rows average to themselves exactly. Raises
-    MissingClass for an expected class without rows, ValueError for a row
-    of no expected class.
+    Column by column, a stable sort (skipped when each class is one run of
+    rows) groups each class's rows in their order. Sums add rows in order
+    (``np.add.accumulate``) like numpy's axis-0 sum of a C-contiguous (n, 2)
+    array, which the reports' bytes depend on. Identical rows average to
+    themselves exactly. Raises MissingClass for an expected class without
+    rows, ValueError for a row of no expected class or a non-finite deviation.
     """
     expected = sorted(set(dataset.classes if classes is None else classes))
-    target = _codes_in(dataset, expected)
+    target = _codes_in(dataset.classes, dataset.codes, expected)
     counts = np.bincount(target, minlength=len(expected))
     missing = [c for c, n in zip(expected, counts) if not n]
     if missing or not expected:
         raise MissingClass(f"no observations for classes: {missing or expected}")
-    order = np.argsort(target, kind="stable")
-    bounds = list(zip((counts.cumsum() - counts).tolist(), counts.cumsum().tolist()))
-    cols = np.asfortranarray(dataset.features)
-    centroids, var = np.empty((len(expected), 2)), np.empty(2)
-    for j, col in enumerate(cols.T):
-        grouped = col.take(order)
-        for k, (lo, hi) in enumerate(bounds):
-            sub = grouped[lo:hi]
-            same = sub[-1] == sub[0] and (sub == sub[0]).all()
-            centroids[k, j] = sub[0] if same else np.add.accumulate(sub)[-1] / (hi - lo)
-        resid = col - centroids[:, j].take(target)
-        var[j] = np.add.accumulate(resid * resid)[-1]
+    starts = np.flatnonzero(target[1:] != target[:-1]) + 1
+    order, lows = None, np.zeros(len(expected), dtype=np.intp)
+    if len(starts) == len(expected) - 1:   # one run per class: grouped as they stand
+        lows[target[starts]] = starts
+    else:
+        order, lows = np.argsort(target, kind="stable"), counts.cumsum() - counts
+    bounds = list(zip(lows.tolist(), (lows + counts).tolist()))
+    col, work = np.empty(len(target)), np.empty(len(target))
+    centroids, var, floor = np.empty((len(expected), 2)), np.empty(2), np.empty(2)
+    for j in range(2):
+        col[:] = dataset.features[:, j]
+        grouped = col if order is None else col.take(order, out=work)
+        with np.errstate(over="ignore"):
+            for k, (lo, hi) in enumerate(bounds):
+                sub = grouped[lo:hi]
+                same = sub[-1] == sub[0] and (sub == sub[0]).all()
+                centroids[k, j] = sub[0] if same else (
+                    np.add.accumulate(sub, out=work[lo:hi])[-1] / (hi - lo))
+            resid = centroids[:, j].take(target, out=work)
+            np.subtract(col, resid, out=resid)
+            np.multiply(resid, resid, out=resid)
+            var[j] = np.add.accumulate(resid, out=resid)[-1]
+            spread = col.max() - col.min()
+        floor[j] = spread if spread > 0 else max(abs(col[0]), 1.0)
     var /= max(len(dataset) - len(expected), 1)
-    spread = cols.max(axis=0) - cols.min(axis=0)
-    floor = _SIGMA_FLOOR_REL * np.where(
-        spread > 0, spread, np.maximum(np.abs(cols).max(axis=0), 1.0)
-    )
-    sigma = np.maximum(np.sqrt(var), floor)
+    sigma = np.maximum(np.sqrt(var), _SIGMA_FLOOR_REL * floor)
+    if not np.isfinite(sigma).all():
+        raise ValueError(f"the pooled deviation is not finite: {sigma.tolist()}")
     return CentroidClassifier(tuple(expected), centroids, sigma)
+
+
+def _confusion(classifier: CentroidClassifier, blocks) -> tuple[np.ndarray, float]:
+    """Confusion matrix and accuracy over checked (true codes, rows) blocks."""
+    n_classes, total = len(classifier.classes), 0
+    counts = np.zeros(n_classes**2, dtype=np.intp)
+    for truth, rows in blocks:
+        counts += np.bincount(truth * n_classes + classifier._nearest(rows),
+                              minlength=n_classes**2)
+        total += len(rows)
+    matrix = counts.reshape(n_classes, n_classes).astype(float)
+    row_sums = matrix.sum(axis=1, keepdims=True)
+    accuracy = float(np.trace(matrix) / max(total, 1))
+    matrix = np.divide(matrix, row_sums, out=np.zeros_like(matrix), where=row_sums > 0)
+    return matrix, accuracy
 
 
 def confusion_matrix(
     classifier: CentroidClassifier, test_set: Dataset
 ) -> tuple[np.ndarray, float]:
     """Row-stochastic confusion matrix over true classes, plus accuracy."""
-    truth = _codes_in(test_set, classifier.classes)
-    pred = classifier.predict(test_set.features)
-    n_classes = len(classifier.classes)
-    counts = np.bincount(truth * n_classes + pred, minlength=n_classes**2)
-    matrix = counts.reshape(n_classes, n_classes).astype(float)
-    row_sums = matrix.sum(axis=1, keepdims=True)
-    accuracy = float(np.trace(matrix) / max(len(test_set), 1))
-    matrix = np.divide(matrix, row_sums, out=np.zeros_like(matrix), where=row_sums > 0)
-    return matrix, accuracy
+    truth = _codes_in(test_set.classes, test_set.codes, classifier.classes)
+    feats = test_set.features
+    blocks = ((truth[lo:lo + PREDICT_BLOCK], feats[lo:lo + PREDICT_BLOCK])
+              for lo in range(0, len(test_set), PREDICT_BLOCK))
+    return _confusion(classifier, blocks)
 
 
-def hamming_weight_attack(
-    trace: ExecutionTrace | PowerTrace,
-    width: int,
-    table: CostTable | None = None,
-    enhanced: bool = False,
-) -> int:
+def streamed_confusion_matrix(classifier: CentroidClassifier, *draw) -> tuple[np.ndarray, float]:
+    """``confusion_matrix`` of ``synthesize_dataset(*draw)``, drawn and scored
+    block by block, so the test set is never held whole."""
+    truth = _codes_in(draw[0], np.arange(len(draw[0])), classifier.classes)
+    return _confusion(classifier, ((truth[code], rows) for code, rows in _observations(*draw)))
+
+
+def hamming_weight_attack(trace: ExecutionTrace | PowerTrace, width: int,
+                          table: CostTable | None = None, enhanced: bool = False) -> int:
     """Recover the count of 1 bits in a written word from its energy.
 
     The trace must hold exactly one word write recorded in bit-resolved
@@ -271,12 +293,8 @@ class ObscuringResult:
     as_dict = asdict
 
 
-def obscuring_experiment(
-    noise_levels: Sequence[tuple[float, float]],
-    samples: int,
-    seed: int,
-    table: CostTable | None = None,
-) -> list[ObscuringResult]:
+def obscuring_experiment(noise_levels: Sequence[tuple[float, float]], samples: int, seed: int,
+                         table: CostTable | None = None) -> list[ObscuringResult]:
     """Rate at which a {Cim op + Write 0} window is read as a Write 1.
 
     For each (sigma_duration, sigma_energy) level, trains the standard
@@ -288,22 +306,11 @@ def obscuring_experiment(
     results = []
     for level_idx, (sig_d, sig_e) in enumerate(noise_levels):
         rng = trial_rng(seed, level_idx)
-        train_set = synthesize_dataset(
-            STANDARD_CLASSES, table, False, samples, sig_d, sig_e, rng
-        )
+        train_set = synthesize_dataset(STANDARD_CLASSES, table, False, samples, sig_d, sig_e, rng)
         classifier = train(train_set, STANDARD_CLASSES)
         windows = composite + rng.normal(0.0, [sig_d, sig_e], (samples, 2))
-        pred = classifier.predict(windows)
-        write1 = classifier.classes.index("Write1")
-        hits = int((pred == write1).sum())
-        results.append(
-            ObscuringResult(
-                sigma_duration=sig_d,
-                sigma_energy=sig_e,
-                samples=samples,
-                labeled_write1=hits,
-                rate=hits / samples,
-                wilson_95_ci=analytic.wilson_interval(hits, samples),
-            )
-        )
+        hits = int((classifier.predict(windows) == classifier.classes.index("Write1")).sum())
+        results.append(ObscuringResult(
+            sigma_duration=sig_d, sigma_energy=sig_e, samples=samples, labeled_write1=hits,
+            rate=hits / samples, wilson_95_ci=analytic.wilson_interval(hits, samples)))
     return results

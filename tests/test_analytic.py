@@ -125,5 +125,9 @@ def test_predict_labels_names_classes(zero_noise_model):
         STANDARD_CLASSES, CostTable(), False, 2, 0.0, 0.0, trial_rng(MASTER_SEED, 81)
     )
     classifier = train(data, STANDARD_CLASSES)
-    assert classifier.predict_labels([[4.4, 233.3]]) == ["Write1"]
-    assert classifier.predict_labels([[0.6, 8.0]]) == ["Read0"]
+
+    def labels(features):
+        return [classifier.classes[i] for i in classifier.predict(features)]
+
+    assert labels([[4.4, 233.3]]) == ["Write1"]
+    assert labels([[0.6, 8.0]]) == ["Read0"]

@@ -7,6 +7,8 @@ import subprocess
 import sys
 import tempfile
 import threading
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
@@ -340,6 +342,36 @@ class TestCli:
             '0.05,2.0,0.79875,0.5377272727272727\r\n'
             '0.05,5.0,0.78,0.4622727272727273\r\n'
         )
+
+    @pytest.mark.parametrize("sigma", [1e160, 1e308])
+    def test_overflowing_sca_sigma_exits_two(self, capsys, tmp_path, sigma):
+        # 1e160 overflows the pooled variance, 1e308 the observations themselves
+        config = tmp_path / "loud.json"
+        config.write_text(json.dumps({"sca": {"sweep_sigma_energy": [sigma]}}))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["sca", "--config", str(config), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("experiment error: ") and "finite" in captured.err
+        assert "Traceback" not in captured.err
+        assert not (out / "sca.json").exists() and not (out / "sca.csv").exists()
+
+    def test_sca_traced_peak_at_most_8_mib(self, capsys, tmp_path):
+        # numpy reports its buffers to tracemalloc, so the peak is a count, not a timing
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            assert main(["sca", "--out", str(tmp_path)]) == 0
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        capsys.readouterr()
+        assert peak <= 8 * 2**20, f"traced peak {peak / 2**20:.2f} MiB"
 
     def test_auth_attack_smoke(self, capsys, tmp_path):
         code, report = run_cli(

@@ -96,8 +96,9 @@ class TestTrace:
     def test_csv_columns(self):
         trace = ExecutionTrace()
         trace.record(OpClass.READ1, OpCost(0.6, 8.611), Channel.BUS, ones=3, zeros=13)
-        text = trace.to_csv_text()
-        lines = text.strip().splitlines()
+        buf = io.StringIO()
+        trace.to_csv(buf)
+        lines = buf.getvalue().strip().splitlines()
         assert lines[0] == "kind,start_ns,duration_ns,energy_fJ,channel"
         assert lines[1].startswith("Read1,0.0,0.6,8.611,Bus")
 
@@ -149,7 +150,9 @@ def test_writers_accept_path_objects(tmp_path):
     trace = ExecutionTrace()
     trace.record(OpClass.READ1, OpCost(0.6, 8.611), Channel.BUS)
     trace.to_csv(tmp_path / "trace.csv")
-    assert (tmp_path / "trace.csv").read_bytes() == trace.to_csv_text().encode()
+    buf = io.StringIO()
+    trace.to_csv(buf)
+    assert (tmp_path / "trace.csv").read_bytes() == buf.getvalue().encode()
     synthesize_power_trace(trace, sample_rate=10.0).to_csv(tmp_path / "power.csv")
     assert (tmp_path / "power.csv").read_text().startswith("t_ns,power\n")
     Dataset.from_observations([LabeledObservation(0.6, 8.611, "Read1")]).to_csv(

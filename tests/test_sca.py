@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spincim import (
     Channel,
@@ -28,9 +30,11 @@ from spincim.sca import (
     composite_window,
     confusion_matrix,
     obscuring_experiment,
+    streamed_confusion_matrix,
     synthesize_dataset,
     train,
 )
+from spincim.config import load_config
 
 import _oracles
 from _oracles import binomial_3sigma, nearest_centroid_accuracy_by_integration, q
@@ -38,6 +42,16 @@ from conftest import MASTER_SEED
 
 TABLE = CostTable()
 PER_BIT = CostTable(mode=CostMode.PER_BIT_WRITES)
+DEFAULT_SCA = load_config()["sca"]
+
+
+def centroid_pairs(classifier):
+    """Every class pair, in order, with its centroids' Euclidean distance."""
+    names, cent = classifier.classes, classifier.centroids
+    return [
+        (names[i], names[j], float(np.linalg.norm(cent[i] - cent[j])))
+        for i in range(len(names)) for j in range(i + 1, len(names))
+    ]
 
 
 def zero_noise_dataset(classes, enhanced, per_class=3):
@@ -68,10 +82,10 @@ class TestTrain:
     def test_duplicate_feature_classes_flagged_ill_separated(self):
         # Read1 and CimNOT sit 0.49 apart: flagged under a 1 uA-scale radius
         classifier = train(zero_noise_dataset(ENHANCED_CLASSES, True), ENHANCED_CLASSES)
-        close = classifier.ill_separated_pairs(1.0)
+        close = [pair for pair in centroid_pairs(classifier) if pair[2] < 1.0]
         names = {frozenset(pair[:2]) for pair in close}
         assert frozenset({"Read1", "CimNOT"}) in names
-        d, _ = classifier.min_centroid_distance()
+        d = min(pair[2] for pair in centroid_pairs(classifier))
         assert d == pytest.approx(math.hypot(0.02, 0.0), abs=0.2)
 
 
@@ -88,9 +102,9 @@ class TestConfusion:
         classifier = train(data, ENHANCED_CLASSES)
         _, accuracy = confusion_matrix(classifier, data)
         assert accuracy == 1.0
-        d11, _ = classifier.min_centroid_distance()
+        d11 = min(pair[2] for pair in centroid_pairs(classifier))
         std = train(zero_noise_dataset(STANDARD_CLASSES, False), STANDARD_CLASSES)
-        d4, _ = std.min_centroid_distance()
+        d4 = min(pair[2] for pair in centroid_pairs(std))
         assert d11 < d4
         # Read1 against CimNOT is one of the near-collisions
         read1 = classifier.centroids[classifier.classes.index("Read1")]
@@ -266,6 +280,34 @@ class TestAgainstFrozenKernels:
         _assert_trains_like_oracle(interleaved)
         _assert_trains_like_oracle(interleaved, ("a", "b", "c", "d", "e", "e"))
 
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sizes=st.lists(st.integers(1, 40), min_size=1, max_size=5),
+        constant_class=st.booleans(),
+        flat_column=st.sampled_from([None, 0, 1]),
+        flat_value=st.sampled_from([0.0, -2.5, 7e5]),
+        shuffle=st.booleans(),
+        scale=st.sampled_from([1e-7, 1.0, 3e4]),
+        named=st.booleans(),
+    )
+    def test_train_matches_oracle(self, seed, sizes, constant_class, flat_column, flat_value,
+                                  shuffle, scale, named):
+        rng = np.random.default_rng(seed)
+        codes = np.repeat(np.arange(len(sizes)), sizes)
+        feats = rng.normal([3.0, 40.0], [0.1 * scale, 2.0 * scale], (len(codes), 2))
+        feats += rng.normal(0.0, scale, (len(sizes), 2))[codes]
+        if constant_class:   # every row of class 0 identical: the exact-centroid branch
+            feats[codes == 0] = feats[0]
+        if flat_column is not None:   # no spread at all: the sigma floor's |max| branch
+            feats[:, flat_column] = flat_value
+        if shuffle:   # otherwise each class is one run of rows and no sort is needed
+            perm = rng.permutation(len(codes))
+            feats, codes = feats[perm], codes[perm]
+        names = ("d", "b", "e", "a", "c")[:len(sizes)]
+        data = Dataset(feats, codes, names)
+        _assert_trains_like_oracle(data, sorted(names) if named else None)
+
     def test_train_with_identical_rows_and_a_one_row_class(self):
         rng = np.random.default_rng(62)
         feats = rng.normal([3.0, 40.0], [0.1, 2.0], (900, 2))
@@ -305,6 +347,77 @@ class TestAgainstFrozenKernels:
                 pred, _oracles.predict(classifier.centroids, classifier.sigma, point)
             )
         assert classifier.predict(np.array([1.0, 1.0])).tolist() == [1]
+
+
+class TestStreamedScoring:
+    """The sweep's test set, drawn and scored block by block, against the
+    whole test set scored by ``confusion_matrix``."""
+
+    @pytest.mark.parametrize("classes,enhanced", [
+        (STANDARD_CLASSES, False), (ENHANCED_CLASSES, True),
+    ])
+    @pytest.mark.parametrize("per_class", [
+        1, PREDICT_BLOCK - 1, PREDICT_BLOCK, PREDICT_BLOCK + 1, 3000,
+    ])
+    @pytest.mark.parametrize("sigmas", [(0.0, 0.0)] + [
+        (DEFAULT_SCA["sigma_duration"], sig_e) for sig_e in DEFAULT_SCA["sweep_sigma_energy"]
+    ])
+    def test_streamed_equals_whole_test_set(self, classes, enhanced, per_class, sigmas):
+        draw = (classes, TABLE, enhanced, per_class, *sigmas)
+        rng = trial_rng(MASTER_SEED, 70)
+        classifier = train(synthesize_dataset(*draw, rng), classes)
+        matrix, accuracy = confusion_matrix(classifier, synthesize_dataset(*draw, rng))
+
+        streamed_rng = trial_rng(MASTER_SEED, 70)
+        synthesize_dataset(*draw, streamed_rng)
+        s_matrix, s_accuracy = streamed_confusion_matrix(classifier, *draw, streamed_rng)
+        assert s_accuracy.hex() == accuracy.hex()
+        assert np.array_equal(s_matrix, matrix)
+        # the same normals were drawn, and no more
+        assert streamed_rng.bit_generator.state == rng.bit_generator.state
+        if sigmas == (0.0, 0.0):
+            assert s_accuracy == 1.0
+
+    def test_overflowing_sigma_refused(self):
+        classifier = train(zero_noise_dataset(STANDARD_CLASSES, False), STANDARD_CLASSES)
+        for call in (
+            lambda rng: synthesize_dataset(STANDARD_CLASSES, TABLE, False, 50, 0.05, 1e308, rng),
+            lambda rng: streamed_confusion_matrix(
+                classifier, STANDARD_CLASSES, TABLE, False, 50, 1e308, 1.0, rng),
+        ):
+            with pytest.raises(ValueError, match="features must be finite"):
+                call(trial_rng(MASTER_SEED, 71))
+
+    def test_overflowing_pooled_deviation_refused(self):
+        data = synthesize_dataset(
+            STANDARD_CLASSES, TABLE, False, 50, 0.05, 1e160, trial_rng(MASTER_SEED, 72)
+        )
+        with pytest.raises(ValueError, match="pooled deviation is not finite"):
+            train(data, STANDARD_CLASSES)
+
+
+class TestPredictInput:
+    CLASSIFIER = CentroidClassifier(
+        ("a", "b"), np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([1.0, 1.0])
+    )
+
+    def test_empty_rows_give_an_empty_result(self):
+        pred = self.CLASSIFIER.predict(np.zeros((0, 2)))
+        assert pred.dtype == np.intp and pred.shape == (0,)
+
+    @pytest.mark.parametrize("features", [
+        [], [[]], np.zeros((3, 3)), np.zeros((2, 2, 2)), np.zeros(3), 1.0,
+    ])
+    def test_other_shapes_refused(self, features):
+        with pytest.raises(ValueError, match="must be \\(N, 2\\) rows, got shape"):
+            self.CLASSIFIER.predict(features)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rows_refused(self, bad):
+        with pytest.raises(ValueError, match="features must be finite; row 1 is not"):
+            self.CLASSIFIER.predict([[0.0, 0.0], [bad, 1.0], [2.0, 2.0]])
+        with pytest.raises(ValueError, match="row 0"):
+            self.CLASSIFIER.predict([1.0, bad])
 
 
 class TestHammingWeight:
