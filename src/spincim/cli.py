@@ -1,5 +1,9 @@
 """Batch command-line front end; every run is reproducible from config+seed.
 
+Each command is declared once in build_parser: its subparser, its flags and
+its runner, run_<command>(config, args) -> (payload, files). A runner writes
+nothing; files lists its companion CSVs as (name, writer) pairs. One emitter
+writes those first, then <command>.json, then the same report to stdout.
 Reports embed the seed and a hash of the fully resolved configuration and are
 written as canonical JSON (sorted keys), so identical inputs produce byte
 identical outputs. Trials run serially; --threads is accepted and has no
@@ -10,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -69,7 +74,9 @@ def _pair(text: str) -> str:
     return text
 
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
+def _command(sub, name: str, run_fn, help: str) -> argparse.ArgumentParser:
+    parser = sub.add_parser(name, help=help)
+    parser.set_defaults(run=run_fn)
     parser.add_argument("--config", help="JSON config file overlaying the defaults")
     parser.add_argument("--seed", type=int, help="master seed override")
     parser.add_argument("--trials", type=int, help="Monte Carlo trials override")
@@ -77,6 +84,7 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
                         help="accepted for compatibility; trials run serially, "
                              "so the value has no effect")
     parser.add_argument("--out", help="output directory override")
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -84,22 +92,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"spincim {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("margins", help="report the configured sense margins")
-    _common_flags(p)
+    _command(sub, "margins", run_margins, "report the configured sense margins")
 
-    p = sub.add_parser("truth-table", help="decode table of one two-row operation")
-    _common_flags(p)
+    p = _command(sub, "truth-table", run_truth_table, "decode table of one two-row operation")
     p.add_argument("--op", default="CimAND",
                    choices=[op.value for op in CimOp if op in TWO_ROW_OPS])
     p.add_argument("--noise", type=_finite, help="sense noise sigma override (uA)")
 
-    p = sub.add_parser("mc-failure", help="Monte Carlo AND-decode failure rate")
-    _common_flags(p)
+    p = _command(sub, "mc-failure", run_mc_failure, "Monte Carlo AND-decode failure rate")
     p.add_argument("--pair", type=_pair, default="AP,P", help='pair state, e.g. "AP,P"')
     p.add_argument("--temp", type=_finite, default=None, help="zone temperature (C)")
 
-    p = sub.add_parser("auth-attack", help="authentication bypass experiment")
-    _common_flags(p)
+    p = _command(sub, "auth-attack", run_auth_attack, "authentication bypass experiment")
     p.add_argument("--variant", choices=[v.value for v in AttackVariant])
     p.add_argument("--temp", type=_finite, help="zone temperature (C)")
     p.add_argument("--force-flip", action="store_true",
@@ -107,8 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--user-policy", choices=cfgmod.POLICY_MODES)
     p.add_argument("--password-policy", choices=cfgmod.POLICY_MODES)
 
-    p = sub.add_parser("isa-run", help="assemble and execute a program")
-    _common_flags(p)
+    p = _command(sub, "isa-run", run_isa_run, "assemble and execute a program")
     p.add_argument("--program", required=True, help="assembly source file")
     p.add_argument("--compare-lowered", action="store_true",
                    help="also run the load/compute/store lowering")
@@ -116,17 +119,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zero-noise", action="store_true",
                    help="run with sense noise disabled")
 
-    p = sub.add_parser("sca", help="operation classification accuracy sweep")
-    _common_flags(p)
+    _command(sub, "sca", run_sca, "operation classification accuracy sweep")
 
-    p = sub.add_parser("mitigate", help="reference adaptation before/after rates")
-    _common_flags(p)
+    p = _command(sub, "mitigate", run_mitigate, "reference adaptation before/after rates")
     p.add_argument("--family", choices=["meanshift", "collapse"], default="collapse")
     p.add_argument("--temp", type=_finite, help="zone temperature (C)")
 
-    p = sub.add_parser("calibrate", help="fit noise and collapse parameters")
-    _common_flags(p)
-
+    _command(sub, "calibrate", run_calibrate, "fit noise and collapse parameters")
     return parser
 
 
@@ -145,28 +144,33 @@ def _resolve(args) -> dict:
     return cfgmod.validate_run(config)
 
 
-def _emit(config: dict, command: str, payload: dict, extra_files=()) -> dict:
-    report = {
+def _flag_or(flag, leaf):
+    """A flag given on the command line wins over its config leaf."""
+    return leaf if flag is None or flag is False else flag
+
+
+def _emit(config: dict, command: str, payload: dict, files) -> None:
+    """Write the companion files, then <command>.json, then stdout, so that a
+    failed write leaves no report that looks complete."""
+    text = cfgmod.canonical_json({
         "command": command,
         "seed": config["seed"],
         "config_hash": cfgmod.config_hash(config),
         "report": payload,
-    }
+    })
     out_dir = Path(config["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / f"{command}.json").write_text(cfgmod.canonical_json(report))
-    for name, write_fn in extra_files:
+    for name, write_fn in files:
         write_fn(out_dir / name)
-    sys.stdout.write(cfgmod.canonical_json(report))
-    return report
+    (out_dir / f"{command}.json").write_text(text)
+    sys.stdout.write(text)
 
 
-def _cmd_margins(args, config) -> dict:
-    model = cfgmod.build_model(config)
-    return _emit(config, "margins", {"margins_ua": model.margins()})
+def run_margins(config, args):
+    return {"margins_ua": cfgmod.build_model(config).margins()}, []
 
 
-def _cmd_truth_table(args, config) -> dict:
+def run_truth_table(config, args):
     model = cfgmod.build_model(config)
     sense = cfgmod.build_sense(config)
     logic = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -184,69 +188,53 @@ def _cmd_truth_table(args, config) -> dict:
         }
         for bits, current, output in zip(logic, currents.tolist(), outputs)
     ]
-    return _emit(config, "truth-table", {"op": args.op, "rows": rows})
+    return {"op": args.op, "rows": rows}, []
 
 
-def _cmd_mc_failure(args, config) -> dict:
-    model = cfgmod.build_model(config)
-    sense = cfgmod.build_sense(config)
-    temp = args.temp if args.temp is not None else config["attack"]["zone_temp"]
+def run_mc_failure(config, args):
+    temp = _flag_or(args.temp, config["attack"]["zone_temp"])
     report = mc_failure_rate(
-        args.pair,
-        temp,
-        config["trials"],
-        config["seed"],
-        model=model,
-        sense=sense,
-        collapse=cfgmod.build_collapse(config),
+        args.pair, temp, config["trials"], config["seed"], model=cfgmod.build_model(config),
+        sense=cfgmod.build_sense(config), collapse=cfgmod.build_collapse(config),
     )
-    payload = {"pair": args.pair, "zone_temp": temp, **report.as_dict()}
-    return _emit(config, "mc-failure", payload)
+    return {"pair": args.pair, "zone_temp": temp, **report.as_dict()}, []
 
 
-def _cmd_auth_attack(args, config) -> dict:
+def run_auth_attack(config, args):
     atk = config["attack"]
-    variant = AttackVariant(args.variant or atk["variant"])
-    zone = args.temp if args.temp is not None else atk["zone_temp"]
-    force = args.force_flip or atk["force_flip"]
     policy = CredentialPolicy(
-        user=args.user_policy or atk["policy"]["user"],
-        password=args.password_policy or atk["policy"]["password"],
+        user=_flag_or(args.user_policy, atk["policy"]["user"]),
+        password=_flag_or(args.password_policy, atk["policy"]["password"]),
     )
-    model = cfgmod.build_model(config)
-    sense = cfgmod.build_sense(config)
     db = AuthDb(
         entries=(AuthEntry(atk["username"], atk["password"]),),
         width=atk["credential_width"],
     )
     scenario = AttackScenario(
-        variant=variant,
-        zone_temp=zone,
-        force_flip=force,
+        variant=AttackVariant(_flag_or(args.variant, atk["variant"])),
+        zone_temp=_flag_or(args.temp, atk["zone_temp"]),
+        force_flip=_flag_or(args.force_flip, atk["force_flip"]),
         collapse=cfgmod.build_collapse(config),
     )
     report = attack_success_rate(
-        db, policy, scenario, config["trials"], config["seed"], model=model, sense=sense
+        db, policy, scenario, config["trials"], config["seed"],
+        model=cfgmod.build_model(config), sense=cfgmod.build_sense(config),
     )
     payload = {
-        "variant": variant.value,
-        "zone_temp": zone,
-        "force_flip": force,
+        "variant": scenario.variant.value,
+        "zone_temp": scenario.zone_temp,
+        "force_flip": scenario.force_flip,
         "policy": {"user": policy.user, "password": policy.password},
         **report.as_dict(),
     }
-    return _emit(config, "auth-attack", payload)
+    return payload, []
 
 
 def _build_machine(config, rng, zero_noise: bool, enhanced: bool) -> Machine:
     model = cfgmod.build_model(config)
-    if zero_noise:
-        from dataclasses import replace
-
-        model = replace(model, sigma=0.0)
     array = CimArray(
         geometry=cfgmod.build_geometry(config),
-        model=model,
+        model=replace(model, sigma=0.0) if zero_noise else model,
         sense=cfgmod.build_sense(config),
         rng=rng,
         cost_table=cfgmod.build_cost_table(config),
@@ -255,9 +243,8 @@ def _build_machine(config, rng, zero_noise: bool, enhanced: bool) -> Machine:
     return Machine(array=array)
 
 
-def _cmd_isa_run(args, config) -> dict:
-    source = Path(args.program).read_text()
-    program = assemble(source)
+def run_isa_run(config, args):
+    program = assemble(Path(args.program).read_text())
     machine = _build_machine(config, trial_rng(config["seed"], 0), args.zero_noise, True)
     if args.init_hex:
         machine.array.import_hex(args.init_hex)
@@ -268,7 +255,7 @@ def _cmd_isa_run(args, config) -> dict:
         "fingerprint": static_fingerprint(machine),
         "direct": stats.as_dict(),
     }
-    extra = [("isa-run-trace.csv", trace.to_csv)]
+    files = [("isa-run-trace.csv", trace.to_csv)]
     if args.compare_lowered:
         lowered = lower_to_conventional(program)
         machine2 = _build_machine(
@@ -285,11 +272,11 @@ def _cmd_isa_run(args, config) -> dict:
         payload["final_memory_equal"] = (
             machine.array.snapshot() == machine2.array.snapshot()
         )
-        extra.append(("isa-run-lowered-trace.csv", trace2.to_csv))
-    return _emit(config, "isa-run", payload, extra)
+        files.append(("isa-run-lowered-trace.csv", trace2.to_csv))
+    return payload, files
 
 
-def _cmd_sca(args, config) -> dict:
+def run_sca(config, args):
     sca_cfg = config["sca"]
     table = cfgmod.build_cost_table(config)
     n = sca_cfg["samples_per_class"]
@@ -310,15 +297,14 @@ def _cmd_sca(args, config) -> dict:
     header = ["sigma_duration", "sigma_energy", "standard_4_class", "enhanced_11_class"]
     cells = [[repr(row[key]) for key in header] for row in rows]
     payload = {"samples_per_class": n, "rows": rows}
-    return _emit(config, "sca", payload,
-                 [("sca.csv", lambda path: write_csv(path, header, cells))])
+    return payload, [("sca.csv", lambda path: write_csv(path, header, cells))]
 
 
-def _cmd_mitigate(args, config) -> dict:
+def run_mitigate(config, args):
     mit = config["mitigation"]
     model = cfgmod.build_model(config)
     base = cfgmod.build_sense(config)
-    zone = args.temp if args.temp is not None else mit["zone_temp"]
+    zone = _flag_or(args.temp, mit["zone_temp"])
     est = mit["shift_estimate" if args.family == "meanshift" else "collapse_estimate"]
     shift = ShiftEstimate(**est)
     unheated = shift if args.family == "meanshift" else cfgmod.build_collapse(config)
@@ -327,45 +313,29 @@ def _cmd_mitigate(args, config) -> dict:
     report = evaluate_mitigation(
         disturbance, base, adapted, config["trials"], config["seed"], model=model
     )
-    payload = {"family": args.family, "zone_temp": zone, **report.as_dict()}
-    return _emit(config, "mitigate", payload)
+    return {"family": args.family, "zone_temp": zone, **report.as_dict()}, []
 
 
-def _cmd_calibrate(args, config) -> dict:
-    model = cfgmod.build_model(config)
-    result = calibrate(FailureRateTargets(), model=model)
+def run_calibrate(config, args):
+    result = calibrate(FailureRateTargets(), model=cfgmod.build_model(config))
     dev = config["device"]
     shipped = {"sigma": dev["sigma"], "a": dev["collapse"]["a"], "b": dev["collapse"]["b"]}
     deltas = {  # null where the shipped value is 0 and has no relative delta
         key: abs(getattr(result, key) - value) / abs(value) if value else None
         for key, value in shipped.items()
     }
-    payload = {**result.as_dict(), "shipped": shipped, "relative_delta": deltas}
-    return _emit(config, "calibrate", payload)
-
-
-_HANDLERS = {
-    "margins": _cmd_margins,
-    "truth-table": _cmd_truth_table,
-    "mc-failure": _cmd_mc_failure,
-    "auth-attack": _cmd_auth_attack,
-    "isa-run": _cmd_isa_run,
-    "sca": _cmd_sca,
-    "mitigate": _cmd_mitigate,
-    "calibrate": _cmd_calibrate,
-}
+    return {**result.as_dict(), "shipped": shipped, "relative_delta": deltas}, []
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         config = _resolve(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        _HANDLERS[args.command](args, config)
+        _emit(config, args.command, *args.run(config, args))
     except (SpinCimError, OSError, ValueError) as exc:
         print(f"experiment error: {exc}", file=sys.stderr)
         return 2

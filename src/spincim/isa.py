@@ -232,7 +232,7 @@ def run(program: Program, machine: Machine) -> tuple[ExecStats, ExecutionTrace]:
     return stats, trace
 
 
-# Lowering clobbers the two highest registers.
+# the lowered Cim instructions compute in the two highest registers
 _SCRATCH_A = NUM_REGISTERS - 2
 _SCRATCH_B = NUM_REGISTERS - 1
 
@@ -247,7 +247,19 @@ _CIM_TO_ALU = {
 
 
 def lower_to_conventional(program: Program) -> Program:
-    """Replace each Cim instruction with an equivalent load/compute/store run."""
+    """Replace each Cim instruction with an equivalent load/compute/store run.
+
+    The runs compute in R6 and R7, so a program with a Cim instruction may not
+    name either register: ``ValueError`` names the first instruction that does.
+    """
+    if any(instr.opcode in CIM_OPS for instr in program.instructions):
+        for index, instr in enumerate(program.instructions):
+            for reg in instr.regs:
+                if reg in (_SCRATCH_A, _SCRATCH_B):
+                    raise ValueError(
+                        f"cannot lower instruction {index} ({instr.opcode.value}): R{reg} "
+                        "is a scratch register of the lowered Cim instructions"
+                    )
     out: list[Instruction] = []
     for instr in program.instructions:
         op = instr.opcode

@@ -264,6 +264,38 @@ class TestCli:
         assert (tmp_path / "isa-run-trace.csv").exists()
         assert (tmp_path / "isa-run-lowered-trace.csv").exists()
 
+    @pytest.mark.parametrize("reg", ["R6", "R7"])
+    def test_compare_lowered_refuses_a_scratch_register(self, capsys, tmp_path, reg):
+        # row 0 differs from AND(row 1, row 2), so a clobbered register would
+        # store the wrong word in row 4
+        program = f"LOAD {reg}, @0\nCimAND @1, @2, @3\nSTORE {reg}, @4\n"
+        (tmp_path / "p.cim").write_text(program)
+        dump = ["# banks=1 rows_per_bank=64 cols_per_row=16", "00ff", "0f0f", "3333"]
+        (tmp_path / "d.hex").write_text("\n".join(dump + ["0000"] * 61) + "\n")
+        out = tmp_path / "out"
+        code = main(
+            ["isa-run", "--program", str(tmp_path / "p.cim"), "--init-hex",
+             str(tmp_path / "d.hex"), "--compare-lowered", "--zero-noise", "--out", str(out)]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == (
+            f"experiment error: cannot lower instruction 0 (LOAD): {reg} is a scratch "
+            "register of the lowered Cim instructions\n"
+        )
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_failed_companion_write_leaves_no_report(self, capsys, tmp_path):
+        (tmp_path / "sca.csv").mkdir()
+        (tmp_path / "tiny.json").write_text('{"sca": {"samples_per_class": 20}}')
+        code = main(["sca", "--config", str(tmp_path / "tiny.json"), "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("experiment error: [Errno 21] Is a directory")
+        assert captured.out == ""
+        assert not (tmp_path / "sca.json").exists()
+
     def test_calibrate_matches_shipped_defaults(self, capsys, tmp_path):
         code, report = run_cli(capsys, "calibrate", "--out", str(tmp_path))
         assert code == 0
@@ -664,6 +696,48 @@ class TestCli:
         assert choices("auth-attack", "--variant") == [v.value for v in AttackVariant]
         assert choices("auth-attack", "--user-policy") == POLICY_MODES
         assert choices("auth-attack", "--password-policy") == POLICY_MODES
+
+        # every flag of every command as (option strings, required, choices,
+        # default), so that none is dropped, renamed or re-defaulted
+        surface = {
+            name: [(a.option_strings, a.required, a.choices, a.default) for a in p._actions]
+            for name, p in commands.items()
+        }
+        common = [(["-h", "--help"], False, None, argparse.SUPPRESS)] + [
+            ([flag], False, None, None)
+            for flag in ("--config", "--seed", "--trials", "--threads", "--out")
+        ]
+        temp = (["--temp"], False, None, None)
+        assert surface == {
+            "margins": common,
+            "truth-table": [
+                *common,
+                (["--op"], False, ["CimAND", "CimOR", "CimNAND", "CimNOR", "CimXOR"],
+                 "CimAND"),
+                (["--noise"], False, None, None),
+            ],
+            "mc-failure": [*common, (["--pair"], False, None, "AP,P"), temp],
+            "auth-attack": [
+                *common,
+                (["--variant"], False, ["None", "GateLevel", "XnorLevel"], None),
+                temp,
+                (["--force-flip"], False, None, False),
+                (["--user-policy"], False, ("correct", "random"), None),
+                (["--password-policy"], False, ("correct", "random"), None),
+            ],
+            "isa-run": [
+                *common,
+                (["--program"], True, None, None),
+                (["--compare-lowered"], False, None, False),
+                (["--init-hex"], False, None, None),
+                (["--zero-noise"], False, None, False),
+            ],
+            "sca": common,
+            "mitigate": [
+                *common, (["--family"], False, ["meanshift", "collapse"], "collapse"), temp,
+            ],
+            "calibrate": common,
+        }
 
     def test_experiment_error_exits_two(self, capsys, tmp_path):
         assert main(

@@ -122,7 +122,8 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-# each command's arguments at tiny sizes; every file it writes is hashed
+# each command's arguments at tiny sizes; every file it writes is hashed. The
+# isa-run paths are relative, since its report echoes --program as typed
 _WRITER_RUNS = {
     "margins": ["margins"],
     "truth-table": ["truth-table", "--op", "CimXOR", "--noise", "0.9", "--seed", "3"],
@@ -133,13 +134,25 @@ _WRITER_RUNS = {
                            "--seed", "11"],
     "auth-attack": ["auth-attack", "--variant", "XnorLevel", "--temp", "140",
                     "--trials", "40"],
+    "isa-run": ["isa-run", "--program", "prog.cim", "--init-hex", "init.hex",
+                "--compare-lowered", "--seed", "5"],
+    "sca": ["sca", "--config", "sca.json", "--seed", "3"],
 }
 
 
-def test_writer_bytes(capsys, tmp_path):
+def test_writer_bytes(capsys, tmp_path, monkeypatch):
     """sha256 of every report and CSV writer's bytes, captured before the
     result types serialised from their own fields and the CSV writers shared
-    one loop; the calibrate digest since the collapse fit runs in numpy."""
+    one loop; the calibrate digest since the collapse fit runs in numpy, the
+    isa-run and sca files before each command became one run function."""
+    monkeypatch.chdir(tmp_path)
+    rng = np.random.default_rng(12)
+    (tmp_path / "prog.cim").write_text(disassemble(random_cim_program(rng, rows=8)))
+    array = CimArray()
+    for row in range(8):
+        array.write_word(RowAddress(0, row), int(rng.integers(0, 1 << 16)))
+    array.export_hex("init.hex")
+    (tmp_path / "sca.json").write_text('{"sca": {"samples_per_class": 200}}')
     digests = {}
     for tag, argv in _WRITER_RUNS.items():
         out = tmp_path / tag
@@ -171,6 +184,16 @@ def test_writer_bytes(capsys, tmp_path):
             "291a36a11132ac6ed69570396e577599f2f6652f8afd54eabe68b8eeb4995deb",
         "auth-attack/auth-attack.json":
             "1834774d4a82fe67534a64c5a6f87c9a4c1ec6602f0d483b728859dc5b94477c",
+        "isa-run/isa-run.json":
+            "2e07faa5562daf35831dae4d6aeb9c68df062d00a0620159aebdd353b78224ff",
+        "isa-run/isa-run-trace.csv":
+            "1e6af4c9d406da31008b747e11411f4dcbff9842f476a4ce92dda94f27aefcb2",
+        "isa-run/isa-run-lowered-trace.csv":
+            "0aee46b07b3e3202cf65115ffb3d285b917af62b7cd2597ba39ca41ab3704b13",
+        "sca/sca.json":
+            "ba0464f3fd5f8a588728fd99a9d23ebdd40d806b84167dbdeaf647986d07c3a0",
+        "sca/sca.csv":
+            "483afcf4b7943056b1adfebcfc260b61604eab58a8908d79f02990bec76d18cf",
         "power.csv":
             "049ff12b4bb0c08a0c8786be64f4fead60bb125a21ec244d6a142fff6042d367",
         "dataset.csv":

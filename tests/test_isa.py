@@ -234,11 +234,23 @@ class TestLowering:
     def test_plain_program_unchanged(self):
         program = assemble(ADD_CONVENTIONAL)
         assert lower_to_conventional(program) == program
+        # with no Cim instruction, R6 and R7 are the program's own
+        program = assemble("LOAD R6, @0\nADD R7, R6, R6\nSTORE R7, @1\n")
+        assert lower_to_conventional(program) == program
 
     def test_cim_add_becomes_four_instructions(self):
         lowered = lower_to_conventional(assemble(ADD_CIM))
         opcodes = [i.opcode for i in lowered.instructions]
         assert opcodes == [Opcode.LOAD, Opcode.LOAD, Opcode.ADD, Opcode.STORE]
+
+    @pytest.mark.parametrize("text,index,reg", [
+        ("LOAD R6, @0\nCimAND @1, @2, @3\nSTORE R6, @4\n", 0, 6),
+        ("CimNOT @0, @1\nADD R1, R2, R7\n", 1, 7),
+    ])
+    def test_scratch_register_beside_a_cim_op_is_refused(self, text, index, reg):
+        message = rf"instruction {index} \(\w+\): R{reg} is a scratch register"
+        with pytest.raises(ValueError, match=message):
+            lower_to_conventional(assemble(text))
 
     def test_cim_xor_differential(self, zero_noise_model):
         program = assemble("CimXOR @0, @1, @2\n")
