@@ -1,33 +1,39 @@
 """Word-addressed MTJ array with sense-amplifier logic operations.
 
-Words are unsigned integers with bit k stored in column k (bit 0 is the
-least significant column). A single-cell sense compares the cell current to
-the read reference; a two-row sense compares the summed pair current to the
-AND or OR reference, or to the window between them for XOR. All decodes of
-one operation derive from a single current sample per column, so decision
-failures are correlated across the decodes of a shared sense and are never
-resampled.
+Words are unsigned integers (a Python int or anything with ``__index__``,
+such as a numpy integer) with bit k stored in column k (bit 0 is the least
+significant column). An operation reads 1 where its sensed current lies in
+its decision window ``(low, high]`` (:meth:`SenseConfig.window`): a
+single-cell sense against the read reference, a two-row sense of the summed
+pair current against the AND or OR reference, or between them for XOR. All
+decodes of one operation derive from a single current sample per column, so
+decision failures are correlated across the decodes of a shared sense and
+are never resampled.
 
 Each sense samples all columns of its row (or row pair) in one vectorised
 draw from the array's generator, in a fixed order: for each activated row
 whose disturbance is Collapse (first operand first), one uniform per column;
 then one normal per column when the noise sigma is positive. The number of
 draws depends on the operation and the disturbance, never on the stored
-words.
+words. There is no default generator: a sense that needs draws raises
+ValueError on an array built without one.
 
-An attack heats a sense it matches with its disturbance bare when every
-activated row is in its zone (a MeanShift shifts the pair levels and leaves
-single cells alone), else per row, which a MeanShift cannot be: a pair sense
-with one of its rows heated by a MeanShift raises ValueError. Row bits come
-from a bounded cache of read-only vectors, so a word is unpacked once.
+The attack is read once per sense. It heats a sense it matches with its
+disturbance bare when every activated row is in its zone (a MeanShift shifts
+the pair levels and leaves single cells alone), else per row, which a
+MeanShift cannot be: a pair sense with one of its rows heated by a MeanShift
+raises ValueError. A force flip decodes a targeted AND in the OR window. Row
+bits come from a bounded cache of read-only vectors, so a word is unpacked
+once.
 """
 from __future__ import annotations
 
 import functools
+import math
+import operator
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Union
 
 import numpy as np
 
@@ -98,36 +104,15 @@ class RowAddress:
 
 
 @dataclass(frozen=True)
-class Threshold:
-    ref: float
-
-    def apply(self, current):
-        return current > self.ref
-
-
-@dataclass(frozen=True)
-class InvertedThreshold:
-    ref: float
-
-    def apply(self, current):
-        return current <= self.ref
-
-
-@dataclass(frozen=True)
-class Window:
-    low: float
-    high: float
-
-    def apply(self, current):
-        return (self.low < current) & (current <= self.high)
-
-
-DecodeRule = Union[Threshold, InvertedThreshold, Window]
-
-
-@dataclass(frozen=True)
 class SenseConfig:
-    """Reference currents and the per-operation decode rules they induce."""
+    """Reference currents and the decision window each operation reads.
+
+    An operation reads 1 where its sensed current lies in its window
+    ``(low, high]``; a threshold op has one infinite bound. READ, AND and OR
+    read 1 above their reference, NOT, NAND and NOR at or below it, and XOR
+    between the OR and AND references. WRITE and ADD have no window: the add
+    decodes the XOR, AND and OR windows of one sense.
+    """
 
     i_ref_read: float = 12.75
     i_ref_or: float = 18.6
@@ -136,15 +121,16 @@ class SenseConfig:
     def __post_init__(self):
         if not self.i_ref_read < self.i_ref_or < self.i_ref_and:
             raise ValueError("references must satisfy read < or < and")
-        # built once: every sense looks its rule up here
-        object.__setattr__(self, "_rules", {
-            CimOp.READ: Threshold(self.i_ref_read),
-            CimOp.CIM_NOT: InvertedThreshold(self.i_ref_read),
-            CimOp.CIM_AND: Threshold(self.i_ref_and),
-            CimOp.CIM_NAND: InvertedThreshold(self.i_ref_and),
-            CimOp.CIM_OR: Threshold(self.i_ref_or),
-            CimOp.CIM_NOR: InvertedThreshold(self.i_ref_or),
-            CimOp.CIM_XOR: Window(self.i_ref_or, self.i_ref_and),
+        # built once: every sense looks its window up here
+        inf = math.inf
+        object.__setattr__(self, "_windows", {
+            CimOp.READ: (self.i_ref_read, inf),
+            CimOp.CIM_NOT: (-inf, self.i_ref_read),
+            CimOp.CIM_AND: (self.i_ref_and, inf),
+            CimOp.CIM_NAND: (-inf, self.i_ref_and),
+            CimOp.CIM_OR: (self.i_ref_or, inf),
+            CimOp.CIM_NOR: (-inf, self.i_ref_or),
+            CimOp.CIM_XOR: (self.i_ref_or, self.i_ref_and),
         })
 
     def validate_against(self, model: CurrentLevelModel) -> None:
@@ -157,14 +143,21 @@ class SenseConfig:
         if not ap_p < self.i_ref_and < p_p:
             raise ValueError("AND reference must lie in the upper pair gap")
 
-    def decode_rule(self, op: CimOp) -> DecodeRule:
-        rule = self._rules.get(op)
-        if rule is None:
-            raise ValueError(f"{op.value} has no single decode rule")
-        return rule
+    def window(self, op: CimOp) -> tuple[float, float]:
+        """The ``(low, high]`` current window in which ``op`` reads 1."""
+        window = self._windows.get(op)
+        if window is None:
+            raise ValueError(f"{op.value} has no single decision window")
+        return window
 
-    def decode_rules(self) -> dict[CimOp, DecodeRule]:
-        return dict(self._rules)
+    def decode(self, op: CimOp, currents):
+        """``low < current <= high`` per current; one comparison per finite bound."""
+        low, high = self.window(op)
+        if high == math.inf:
+            return currents > low
+        if low == -math.inf:
+            return currents <= high
+        return (low < currents) & (currents <= high)
 
 
 @dataclass(frozen=True)
@@ -232,7 +225,7 @@ class CimArray:
         self.model = model or CurrentLevelModel()
         self.sense = sense or SenseConfig()
         self.sense.validate_against(self.model)
-        self.rng = rng if rng is not None else np.random.default_rng(0)
+        self.rng = rng
         self.cost_table = cost_table or CostTable()
         self.recorder = recorder
         self.enhanced = enhanced
@@ -250,21 +243,6 @@ class CimArray:
                 f"{g.banks}x{g.rows_per_bank} array"
             )
 
-    def _coerce_word(self, data) -> int:
-        g = self.geometry
-        if isinstance(data, int):
-            if not 0 <= data <= g.word_mask:
-                raise OutOfBounds(
-                    f"word 0x{data:X} does not fit in {g.cols_per_row} columns"
-                )
-            return data
-        bits = list(data)
-        if len(bits) != g.cols_per_row:
-            raise OutOfBounds(
-                f"bit vector of width {len(bits)} != word width {g.cols_per_row}"
-            )
-        return _pack(np.asarray(bits, dtype=bool))
-
     def word(self, addr: RowAddress) -> int:
         """Stored word, bypassing the sense path (exact, noiseless)."""
         self._check_addr(addr)
@@ -275,39 +253,42 @@ class CimArray:
 
     # -- sensing -------------------------------------------------------------
 
-    def _forced(self, op: CimOp, *addrs: RowAddress) -> bool:
-        atk = self.attack
-        return (
-            atk is not None
-            and atk.force_flip
-            and op is CimOp.CIM_AND
-            and atk.matches_op(op)
-            and any(atk.row_targeted(a) for a in addrs)
-        )
-
-    def _currents(self, op: CimOp, *addrs: RowAddress) -> np.ndarray:
-        """One current per column for a one-row or two-row activation."""
+    def _currents(self, op: CimOp, *addrs: RowAddress) -> tuple[np.ndarray, CimOp]:
+        """One current per column for a one-row or two-row activation, and
+        the op they decode as: OR for an AND that the attack force-flips."""
         width = self.geometry.cols_per_row
         bits = [_unpack(self._words[a.bank][a.row], width) for a in addrs]
         dist = None
         atk = self.attack
-        if atk is not None and atk.disturbance is not None and atk.matches_op(op):
+        if atk is not None and atk.matches_op(op):
             heated = [atk.row_targeted(a) for a in addrs]
+            if atk.force_flip and op is CimOp.CIM_AND and any(heated):
+                op = CimOp.CIM_OR
+            d = atk.disturbance
             if all(heated):
-                dist = atk.disturbance
-            elif any(heated):
-                if isinstance(atk.disturbance, MeanShift):
+                dist = d
+            elif any(heated) and d is not None:
+                if isinstance(d, MeanShift):
                     raise ValueError("a mean shift heats a pair sense only "
                                      "with both operand rows in the heated zone")
-                dist = tuple(atk.disturbance if h else None for h in heated)
-        return sample_columns(bits, self.model, dist, self.rng)
+                dist = tuple(d if h else None for h in heated)
+        return sample_columns(bits, self.model, dist, self.rng), op
+
+    def _sense(self, op: CimOp, *addrs: RowAddress) -> int:
+        """The word one sense of ``op`` over ``addrs`` decodes."""
+        currents, op = self._currents(op, *addrs)
+        return _pack(self.sense.decode(op, currents))
 
     # -- host access --------------------------------------------------------
 
     def write_word(self, addr: RowAddress, data, record: bool = True) -> None:
         """Store a word; writes are fault-free. Records one bus event."""
         self._check_addr(addr)
-        word = self._coerce_word(data)
+        word = operator.index(data)
+        if not 0 <= word <= self.geometry.word_mask:
+            raise OutOfBounds(
+                f"word 0x{word:X} does not fit in {self.geometry.cols_per_row} columns"
+            )
         self._words[addr.bank][addr.row] = word
         if record and self.recorder is not None:
             kind, ones, zeros, cost = word_write_cost(
@@ -318,8 +299,7 @@ class CimArray:
     def read_word(self, addr: RowAddress) -> int:
         """Sense every column against the read reference; may misread."""
         self._check_addr(addr)
-        rule = self.sense.decode_rule(CimOp.READ)
-        word = _pack(rule.apply(self._currents(CimOp.READ, addr)))
+        word = self._sense(CimOp.READ, addr)
         if self.recorder is not None:
             kind, ones, zeros, cost = word_read_cost(
                 word, self.geometry.cols_per_row, self.cost_table, self.enhanced
@@ -342,8 +322,7 @@ class CimArray:
     def cim_not(self, a: RowAddress) -> int:
         """Inverted read decode of one row."""
         self._check_addr(a)
-        rule = self.sense.decode_rule(CimOp.CIM_NOT)
-        word = _pack(rule.apply(self._currents(CimOp.CIM_NOT, a)))
+        word = self._sense(CimOp.CIM_NOT, a)
         self._record_cim(CimOp.CIM_NOT, word)
         return word
 
@@ -354,8 +333,7 @@ class CimArray:
         self._check_addr(a)
         self._check_addr(b)
         validate_mapping(a, b)
-        rule = self.sense.decode_rule(CimOp.CIM_OR if self._forced(op, a, b) else op)
-        word = _pack(rule.apply(self._currents(op, a, b)))
+        word = self._sense(op, a, b)
         self._record_cim(op, word)
         return word
 
@@ -407,9 +385,9 @@ class CimArray:
         for addr in (a, b, dest):
             self._check_addr(addr)
         validate_mapping(a, b)
-        currents = self._currents(CimOp.CIM_ADD, a, b)
+        currents, _ = self._currents(CimOp.CIM_ADD, a, b)
         xor_bits, and_bits, or_bits = (
-            self.sense.decode_rule(op).apply(currents).tolist()
+            self.sense.decode(op, currents).tolist()
             for op in (CimOp.CIM_XOR, CimOp.CIM_AND, CimOp.CIM_OR)
         )
         carry = 0

@@ -245,7 +245,7 @@ def run_auth(
     disturbance applies only to the CimAND senses its variant attacks. The run
     records into the recorder of ``array`` (None records nothing); an array
     built here records into a fresh trace. Returns the decision and that
-    recorder.
+    recorder. A sense that draws needs ``rng`` or an array that holds one.
     """
     scenario = scenario or AttackScenario()
     model = model or CurrentLevelModel()

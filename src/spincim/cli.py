@@ -177,7 +177,7 @@ def run_truth_table(config, args):
     # the four pairs are the columns of one two-row sense
     rng = trial_rng(config["seed"], 0)
     currents = sample_columns(tuple(zip(*logic)), model, None, rng)
-    outputs = sense.decode_rule(CimOp(args.op)).apply(currents)
+    outputs = sense.decode(CimOp(args.op), currents)
     rows = [
         {
             "logic": list(bits),

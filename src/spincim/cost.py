@@ -285,8 +285,10 @@ def synthesize_power_trace(
     Integrating a zero-noise trace across an event recovers its energy to
     within one sample's quantization.
     """
-    if sample_rate <= 0:
-        raise ValueError("sample_rate must be positive")
+    if not 0 < sample_rate < math.inf:
+        raise ValueError("sample_rate must be finite and positive")
+    if not 0 <= noise_sigma < math.inf:
+        raise ValueError("noise_sigma must be finite and non-negative")
     if noise_sigma > 0 and rng is None:
         raise ValueError("a random generator is required for noisy synthesis")
     end = trace.end_ns if duration_ns is None else duration_ns

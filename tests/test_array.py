@@ -1,4 +1,5 @@
 import io
+import math
 
 import numpy as np
 import pytest
@@ -21,13 +22,13 @@ from spincim import (
     validate_mapping,
 )
 from spincim import analytic
-from spincim.array import InvertedThreshold, Threshold, Window
 from spincim.device import MtjState
 
 from conftest import MASTER_SEED
 
 A, B, C, D = (RowAddress(0, r) for r in range(4))
 SCRATCH = (RowAddress(0, 8), RowAddress(0, 9))
+_NO_WINDOW = frozenset({CimOp.WRITE, CimOp.CIM_ADD})
 
 
 def make_array(zero_noise_model, **kwargs):
@@ -44,15 +45,34 @@ class TestReadWrite:
         arr = make_array(zero_noise_model)
         arr.write_word(A, 0xFFFF)
         # every column senses at the parallel (P) single-cell level
-        currents = arr._currents(CimOp.READ, A)
+        currents, op = arr._currents(CimOp.READ, A)
         assert currents.tolist() == [zero_noise_model.single_levels[1]] * 16
+        assert op is CimOp.READ
 
     def test_word_width_contract(self, zero_noise_model):
         arr = make_array(zero_noise_model)
         with pytest.raises(OutOfBounds):
             arr.write_word(A, 1 << 16)
-        with pytest.raises(OutOfBounds):
-            arr.write_word(A, [0, 1, 0])  # 3 bits into 16 columns
+        with pytest.raises(TypeError):
+            arr.write_word(A, [0, 1, 0])  # a word is an integer, not a bit vector
+
+    def test_numpy_integer_words_are_stored_as_python_ints(self, zero_noise_model):
+        arr = make_array(zero_noise_model)
+        for word in (np.uint16(5), np.int64(0xBEEF), np.uint64(0xFFFF)):
+            arr.write_word(A, word)
+            assert type(arr.word(A)) is int and arr.word(A) == int(word)
+            assert arr.read_word(A) == int(word)
+        for word in (np.int64(-1), np.uint32(1 << 16)):
+            with pytest.raises(OutOfBounds):
+                arr.write_word(A, word)
+
+    def test_noisy_sense_without_a_generator_is_refused(self, model):
+        arr = CimArray(model=model)
+        arr.write_word(A, 0xA5A5)
+        arr.write_word(B, 0x0FF0)
+        for sense in (lambda: arr.read_word(A), lambda: arr.cim_and(A, B)):
+            with pytest.raises(ValueError, match="random generator is required"):
+                sense()
 
     def test_out_of_bounds_address(self, zero_noise_model):
         arr = make_array(zero_noise_model)
@@ -322,11 +342,12 @@ class TestWideWords:
             assert arr.cim_add(A, B, C) == (a + b) >> width
             assert arr.word(C) == (a + b) & mask
 
-    def test_bit_vector_write_at_100_columns(self, zero_noise_model):
+    def test_wide_word_write_and_read_at_100_columns(self, zero_noise_model):
         arr = CimArray(geometry=ArrayGeometry(cols_per_row=100), model=zero_noise_model)
-        bits = [k % 3 == 0 for k in range(100)]
-        arr.write_word(A, bits)
-        assert arr.word(A) == sum(1 << k for k, bit in enumerate(bits) if bit)
+        word = sum(1 << k for k in range(0, 100, 3))
+        arr.write_word(A, word)
+        assert arr.word(A) == word
+        assert arr.read_word(A) == word
 
 
 class TestSenseSharing:
@@ -365,24 +386,48 @@ class TestDecodeRules:
     )
     def test_and_decode_implies_or_decode(self, current, or_ref, and_ref):
         sense = SenseConfig(i_ref_or=or_ref, i_ref_and=and_ref)
-        and_bit = sense.decode_rule(CimOp.CIM_AND).apply(current)
-        or_bit = sense.decode_rule(CimOp.CIM_OR).apply(current)
+        and_bit = sense.decode(CimOp.CIM_AND, current)
+        or_bit = sense.decode(CimOp.CIM_OR, current)
         assert not and_bit or or_bit
 
     @settings(max_examples=200)
     @given(current=st.floats(min_value=0.0, max_value=40.0))
     def test_xor_window_equivalence(self, current):
         sense = SenseConfig()
-        xor_bit = sense.decode_rule(CimOp.CIM_XOR).apply(current)
-        or_bit = sense.decode_rule(CimOp.CIM_OR).apply(current)
-        and_bit = sense.decode_rule(CimOp.CIM_AND).apply(current)
+        xor_bit = sense.decode(CimOp.CIM_XOR, current)
+        or_bit = sense.decode(CimOp.CIM_OR, current)
+        and_bit = sense.decode(CimOp.CIM_AND, current)
         assert xor_bit == (or_bit and not and_bit)
 
     def test_rule_table_shapes(self, sense):
-        rules = sense.decode_rules()
-        assert isinstance(rules[CimOp.READ], Threshold)
-        assert isinstance(rules[CimOp.CIM_NOT], InvertedThreshold)
-        assert isinstance(rules[CimOp.CIM_XOR], Window)
+        inf = math.inf
+        read, or_, and_ = sense.i_ref_read, sense.i_ref_or, sense.i_ref_and
+        assert {op: sense.window(op) for op in CimOp if op not in _NO_WINDOW} == {
+            CimOp.READ: (read, inf), CimOp.CIM_NOT: (-inf, read),
+            CimOp.CIM_AND: (and_, inf), CimOp.CIM_NAND: (-inf, and_),
+            CimOp.CIM_OR: (or_, inf), CimOp.CIM_NOR: (-inf, or_),
+            CimOp.CIM_XOR: (or_, and_),
+        }
+
+    @pytest.mark.parametrize("op,ref,bit", [
+        (CimOp.READ, "i_ref_read", 0), (CimOp.CIM_AND, "i_ref_and", 0),
+        (CimOp.CIM_OR, "i_ref_or", 0), (CimOp.CIM_NOT, "i_ref_read", 1),
+        (CimOp.CIM_NAND, "i_ref_and", 1), (CimOp.CIM_NOR, "i_ref_or", 1),
+        (CimOp.CIM_XOR, "i_ref_or", 0), (CimOp.CIM_XOR, "i_ref_and", 1),
+    ])
+    def test_current_at_a_reference_decodes_on_the_closed_side(self, sense, op, ref, bit):
+        # windows are (low, high]: a current exactly at a reference is above
+        # no window's low bound and within every window's high bound
+        current = getattr(sense, ref)
+        assert sense.decode(op, current) == bit
+        assert sense.decode(op, np.array([current, current])).tolist() == [bit, bit]
+
+    @pytest.mark.parametrize("op", sorted(_NO_WINDOW, key=lambda op: op.value))
+    def test_ops_without_a_window_raise(self, sense, op):
+        with pytest.raises(ValueError, match="no single decision window"):
+            sense.window(op)
+        with pytest.raises(ValueError, match="no single decision window"):
+            sense.decode(op, np.array([20.0]))
 
 
 class TestAttackHook:

@@ -1,4 +1,5 @@
 import io
+import math
 
 import pytest
 
@@ -136,6 +137,20 @@ class TestPowerSynthesis:
     def test_sample_rate_positive(self):
         with pytest.raises(ValueError):
             synthesize_power_trace(ExecutionTrace(), 0.0)
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf])
+    def test_sample_rate_finite(self, rate):
+        with pytest.raises(ValueError, match="sample_rate must be finite and positive"):
+            synthesize_power_trace(ExecutionTrace(), rate)
+
+    @pytest.mark.parametrize("sigma", [-1.0, math.nan, math.inf])
+    def test_noise_sigma_finite_and_non_negative(self, sigma):
+        # unchecked, -1 and nan would give a noiseless trace and inf infinite power
+        with pytest.raises(ValueError, match="noise_sigma must be finite and non-negative"):
+            synthesize_power_trace(
+                ExecutionTrace(), 10.0, noise_sigma=sigma, rng=trial_rng(1, 1),
+                duration_ns=5.0,
+            )
 
     def test_power_csv(self):
         trace = ExecutionTrace()
