@@ -46,8 +46,7 @@ from .sca import (
     ENHANCED_CLASSES,
     STANDARD_CLASSES,
     streamed_confusion_matrix,
-    synthesize_dataset,
-    train,
+    streamed_train,
 )
 
 
@@ -288,11 +287,10 @@ def run_sca(config, args):
             ("standard_4_class", STANDARD_CLASSES, False),
             ("enhanced_11_class", ENHANCED_CLASSES, True),
         ):
-            # train, drop the training set, then score a test set drawn block by block
+            # fit one class at a time, then score block by block: neither set is held
             rng = trial_rng(config["seed"], 1000 + idx)
             draw = (classes, table, enhanced, n, sig_d, sig_e, rng)
-            classifier = train(synthesize_dataset(*draw), classes)
-            _, accs[tag] = streamed_confusion_matrix(classifier, *draw)
+            _, accs[tag] = streamed_confusion_matrix(streamed_train(*draw), *draw)
         rows.append({"sigma_duration": sig_d, "sigma_energy": sig_e, **accs})
     header = ["sigma_duration", "sigma_energy", "standard_4_class", "enhanced_11_class"]
     cells = [[repr(row[key]) for key in header] for row in rows]

@@ -292,9 +292,10 @@ def synthesize_power_trace(
     if noise_sigma > 0 and rng is None:
         raise ValueError("a random generator is required for noisy synthesis")
     end = trace.end_ns if duration_ns is None else duration_ns
+    if not 0 <= end < math.inf:
+        raise ValueError(f"duration_ns must be finite and non-negative, got {end!r}")
     n = int(math.ceil(end * sample_rate))
     power = np.zeros(n, dtype=float)
-    dt = 1.0 / sample_rate
     for e in trace.events:
         if e.duration_ns <= 0:
             continue

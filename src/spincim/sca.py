@@ -5,9 +5,9 @@ covariance: the weakest standard attacker, enough to quantify how much the
 enlarged operation set and composite op+write windows degrade classification,
 and to run the Hamming-weight write attack.
 
-Observations are drawn class by class, ``PREDICT_BLOCK`` rows at a time. A
-training set is held whole (its variance needs the centroids first); a test set
-is drawn and scored block by block, so memory grows with the training set only.
+Observations are drawn class by class, ``PREDICT_BLOCK`` rows at a time. The
+sweep fits on one class's rows at a time and scores block by block, so its
+memory grows with one class, not with a training set or the class count.
 """
 from __future__ import annotations
 
@@ -168,51 +168,83 @@ def _codes_in(names: Sequence[str], codes: np.ndarray, classes: Sequence[str]) -
     return mapped
 
 
-def train(dataset: Dataset, classes: Sequence[str] | None = None) -> CentroidClassifier:
-    """Fit per-class means and the pooled diagonal deviation.
+class _PooledFit:
+    """Class means and the pooled diagonal deviation, fitted one class of (2, n)
+    column-major rows at a time. Sums add rows in order (``np.add.accumulate``)
+    like numpy's axis-0 sum of a C-contiguous (n, 2) array, which the reports'
+    bytes depend on; identical rows average to themselves exactly."""
 
-    Column by column, a stable sort (skipped when each class is one run of
-    rows) groups each class's rows in their order. Sums add rows in order
-    (``np.add.accumulate``) like numpy's axis-0 sum of a C-contiguous (n, 2)
-    array, which the reports' bytes depend on. Identical rows average to
-    themselves exactly. Raises MissingClass for an expected class without
-    rows, ValueError for a row of no expected class or a non-finite deviation.
-    """
+    def __init__(self, n_classes: int):
+        self.centroids, self.sum_sq = np.empty((n_classes, 2)), np.zeros(2)
+        self.lo, self.hi = np.full(2, np.inf), np.full(2, -np.inf)
+
+    def centre(self, k: int, cols: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            mean = np.add.accumulate(cols, axis=1)[:, -1] / cols.shape[1]
+        self.centroids[k] = np.where((cols == cols[:, :1]).all(1), cols[:, 0], mean)
+        return self.centroids[k][:, None]
+
+    def pool(self, cols: np.ndarray, centres: np.ndarray) -> None:
+        """Add the squared residuals from (2, 1) or per-row (2, n) centres, in order."""
+        terms = np.hstack((self.sum_sq[:, None], cols))
+        with np.errstate(over="ignore"):
+            np.square(np.subtract(terms[:, 1:], centres, out=terms[:, 1:]), out=terms[:, 1:])
+            self.sum_sq = np.add.accumulate(terms, axis=1, out=terms)[:, -1].copy()
+        self.lo, self.hi = np.minimum(self.lo, cols.min(1)), np.maximum(self.hi, cols.max(1))
+
+    def classifier(self, classes: list[str], n_rows: int) -> CentroidClassifier:
+        var = self.sum_sq / max(n_rows - len(classes), 1)
+        with np.errstate(over="ignore"):
+            spread = self.hi - self.lo
+        # no spread: every row equals the first, so |lo| is its magnitude
+        floor = np.where(spread > 0, spread, np.maximum(np.abs(self.lo), 1.0))
+        sigma = np.maximum(np.sqrt(var), _SIGMA_FLOOR_REL * floor)
+        if not np.isfinite(sigma).all():
+            raise ValueError(f"the pooled deviation is not finite: {sigma.tolist()}")
+        return CentroidClassifier(tuple(classes), self.centroids, sigma)
+
+
+def train(dataset: Dataset, classes: Sequence[str] | None = None) -> CentroidClassifier:
+    """Fit per-class means and the pooled diagonal deviation: run by run when
+    each class is one run of rows, as ``streamed_train`` fits a draw, else over
+    a stable sort, pooling residuals in row order. Raises MissingClass for an
+    expected class without rows, ValueError for a row of no expected class or a
+    non-finite deviation."""
     expected = sorted(set(dataset.classes if classes is None else classes))
     target = _codes_in(dataset.classes, dataset.codes, expected)
     counts = np.bincount(target, minlength=len(expected))
     missing = [c for c, n in zip(expected, counts) if not n]
     if missing or not expected:
         raise MissingClass(f"no observations for classes: {missing or expected}")
-    starts = np.flatnonzero(target[1:] != target[:-1]) + 1
-    order, lows = None, np.zeros(len(expected), dtype=np.intp)
+    starts = (np.flatnonzero(target[1:] != target[:-1]) + 1).tolist()
+    cols, fit = np.ascontiguousarray(dataset.features.T), _PooledFit(len(expected))
     if len(starts) == len(expected) - 1:   # one run per class: grouped as they stand
-        lows[target[starts]] = starts
+        for lo, hi in zip([0, *starts], [*starts, len(target)]):
+            fit.pool(cols[:, lo:hi], fit.centre(target[lo], cols[:, lo:hi]))
     else:
-        order, lows = np.argsort(target, kind="stable"), counts.cumsum() - counts
-    bounds = list(zip(lows.tolist(), (lows + counts).tolist()))
-    col, work = np.empty(len(target)), np.empty(len(target))
-    centroids, var, floor = np.empty((len(expected), 2)), np.empty(2), np.empty(2)
-    for j in range(2):
-        col[:] = dataset.features[:, j]
-        grouped = col if order is None else col.take(order, out=work)
-        with np.errstate(over="ignore"):
-            for k, (lo, hi) in enumerate(bounds):
-                sub = grouped[lo:hi]
-                same = sub[-1] == sub[0] and (sub == sub[0]).all()
-                centroids[k, j] = sub[0] if same else (
-                    np.add.accumulate(sub, out=work[lo:hi])[-1] / (hi - lo))
-            resid = centroids[:, j].take(target, out=work)
-            np.subtract(col, resid, out=resid)
-            np.multiply(resid, resid, out=resid)
-            var[j] = np.add.accumulate(resid, out=resid)[-1]
-            spread = col.max() - col.min()
-        floor[j] = spread if spread > 0 else max(abs(col[0]), 1.0)
-    var /= max(len(dataset) - len(expected), 1)
-    sigma = np.maximum(np.sqrt(var), _SIGMA_FLOOR_REL * floor)
-    if not np.isfinite(sigma).all():
-        raise ValueError(f"the pooled deviation is not finite: {sigma.tolist()}")
-    return CentroidClassifier(tuple(expected), centroids, sigma)
+        grouped = cols.take(np.argsort(target, kind="stable"), axis=1)
+        for k, hi in enumerate(counts.cumsum().tolist()):
+            fit.centre(k, grouped[:, hi - counts[k]:hi])
+        fit.pool(cols, fit.centroids[target].T)
+    return fit.classifier(expected, len(target))
+
+
+def streamed_train(*draw) -> CentroidClassifier:
+    """``train(synthesize_dataset(*draw))``, fitted as drawn: one class's rows
+    are held at a time. ValueError for a class named twice."""
+    classes, per_class = draw[0], draw[3]
+    expected = sorted(set(classes))
+    if len(expected) < len(classes):
+        raise ValueError(f"a class is named twice in {list(classes)}")
+    if not per_class or not expected:
+        raise MissingClass(f"no observations for classes: {expected}")
+    fit, buffer, filled = _PooledFit(len(expected)), np.empty((2, per_class)), 0
+    for code, rows in _observations(*draw):
+        buffer[:, filled:filled + len(rows)] = rows.T
+        filled = (filled + len(rows)) % per_class
+        if not filled:
+            fit.pool(buffer, fit.centre(expected.index(classes[code]), buffer))
+    return fit.classifier(expected, per_class * len(classes))
 
 
 def _confusion(classifier: CentroidClassifier, blocks) -> tuple[np.ndarray, float]:
@@ -306,8 +338,7 @@ def obscuring_experiment(noise_levels: Sequence[tuple[float, float]], samples: i
     results = []
     for level_idx, (sig_d, sig_e) in enumerate(noise_levels):
         rng = trial_rng(seed, level_idx)
-        train_set = synthesize_dataset(STANDARD_CLASSES, table, False, samples, sig_d, sig_e, rng)
-        classifier = train(train_set, STANDARD_CLASSES)
+        classifier = streamed_train(STANDARD_CLASSES, table, False, samples, sig_d, sig_e, rng)
         windows = composite + rng.normal(0.0, [sig_d, sig_e], (samples, 2))
         hits = int((classifier.predict(windows) == classifier.classes.index("Write1")).sum())
         results.append(ObscuringResult(

@@ -3,12 +3,17 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from spincim import CurrentLevelModel, SenseConfig
 
 MASTER_SEED = 20240
+
+# every run draws the same Hypothesis examples and keeps no example database
+settings.register_profile("reproducible", derandomize=True, database=None)
+settings.load_profile("reproducible")
 
 
 @pytest.fixture

@@ -390,20 +390,34 @@ class TestCli:
         assert "Traceback" not in captured.err
         assert not (out / "sca.json").exists() and not (out / "sca.csv").exists()
 
-    def test_sca_traced_peak_at_most_8_mib(self, capsys, tmp_path):
+    @staticmethod
+    def _traced_peak(capsys, *argv) -> int:
         # numpy reports its buffers to tracemalloc, so the peak is a count, not a timing
         tracing = tracemalloc.is_tracing()
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            assert main(["sca", "--out", str(tmp_path)]) == 0
+            assert main(list(argv)) == 0
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             if not tracing:
                 tracemalloc.stop()
         capsys.readouterr()
+        return peak
+
+    def test_sca_traced_peak_at_most_8_mib(self, capsys, tmp_path):
+        peak = self._traced_peak(capsys, "sca", "--out", str(tmp_path))
         assert peak <= 8 * 2**20, f"traced peak {peak / 2**20:.2f} MiB"
+
+    def test_sca_peak_does_not_grow_with_the_class_count(self, capsys, tmp_path):
+        # a whole 11-class training set of 20 000 rows a class would be 3.4 MiB alone;
+        # fitted one class at a time, the sweep holds 20 000 rows at most
+        config = tmp_path / "large.json"
+        config.write_text(json.dumps(
+            {"sca": {"samples_per_class": 20000, "sweep_sigma_energy": [2.0]}}))
+        peak = self._traced_peak(capsys, "sca", "--config", str(config), "--out", str(tmp_path))
+        assert peak < 3 * 2**20, f"traced peak {peak / 2**20:.2f} MiB"
 
     def test_auth_attack_smoke(self, capsys, tmp_path):
         code, report = run_cli(

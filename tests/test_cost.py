@@ -152,6 +152,12 @@ class TestPowerSynthesis:
                 duration_ns=5.0,
             )
 
+    @pytest.mark.parametrize("duration", [math.nan, -1.0, math.inf])
+    def test_duration_finite_and_non_negative(self, duration):
+        # unchecked, nan and -1 died inside numpy and inf with an OverflowError
+        with pytest.raises(ValueError, match="duration_ns must be finite and non-negative"):
+            synthesize_power_trace(ExecutionTrace(), 10.0, duration_ns=duration)
+
     def test_power_csv(self):
         trace = ExecutionTrace()
         trace.record(OpClass.READ1, OpCost(0.6, 8.611), Channel.BUS)

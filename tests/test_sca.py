@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from spincim.sca import (
     confusion_matrix,
     obscuring_experiment,
     streamed_confusion_matrix,
+    streamed_train,
     synthesize_dataset,
     train,
 )
@@ -394,6 +396,54 @@ class TestStreamedScoring:
         )
         with pytest.raises(ValueError, match="pooled deviation is not finite"):
             train(data, STANDARD_CLASSES)
+
+
+class TestStreamedTraining:
+    """The sweep's attacker, fitted class by class as it is drawn, against
+    ``train`` of the whole training set."""
+
+    @pytest.mark.parametrize("classes,enhanced", [
+        (STANDARD_CLASSES, False), (ENHANCED_CLASSES, True), (("CimADD",), True),
+    ])
+    @pytest.mark.parametrize("per_class", [
+        1, 7, PREDICT_BLOCK - 1, PREDICT_BLOCK, PREDICT_BLOCK + 1, 3 * PREDICT_BLOCK + 17,
+    ])
+    # (0.0, 0.0) and (0.3, 0.0) reach the identical-rows means and the sigma floor
+    @pytest.mark.parametrize("sigmas", [(0.05, 2.0), (0.0, 0.0), (0.3, 0.0)])
+    def test_streamed_equals_train_of_the_whole_set(self, classes, enhanced, per_class, sigmas):
+        draw = (classes, TABLE, enhanced, per_class, *sigmas)
+        rng, streamed_rng = trial_rng(MASTER_SEED, 80), trial_rng(MASTER_SEED, 80)
+        whole = train(synthesize_dataset(*draw, rng))
+        streamed = streamed_train(*draw, streamed_rng)
+        assert streamed.classes == whole.classes
+        assert np.array_equal(streamed.centroids, whole.centroids)
+        assert np.array_equal(streamed.sigma, whole.sigma)
+        # the same normals were drawn, and no more
+        assert streamed_rng.bit_generator.state == rng.bit_generator.state
+
+    def test_zero_samples_refused_as_train_refuses_them(self):
+        draw = (STANDARD_CLASSES, TABLE, False, 0, 0.05, 2.0)
+        with pytest.raises(MissingClass):
+            train(synthesize_dataset(*draw, trial_rng(MASTER_SEED, 81)))
+        with pytest.raises(MissingClass):
+            streamed_train(*draw, trial_rng(MASTER_SEED, 81))
+
+    @pytest.mark.parametrize("sigma,message", [
+        (1e160, "pooled deviation is not finite"),   # finite rows, overflowing squares
+        (1e308, "features must be finite"),          # overflowing rows
+    ])
+    def test_overflowing_sigma_refused_without_a_warning(self, sigma, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                streamed_train(STANDARD_CLASSES, TABLE, False, 50, 0.05, sigma,
+                               trial_rng(MASTER_SEED, 82))
+
+    def test_class_named_twice_refused(self):
+        # train would pool both runs of Read1, which a class-at-a-time fit cannot hold
+        with pytest.raises(ValueError, match="named twice"):
+            streamed_train(("Read1", "Write1", "Read1"), TABLE, False, 5, 0.05, 2.0,
+                           trial_rng(MASTER_SEED, 83))
 
 
 class TestPredictInput:
