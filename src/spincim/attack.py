@@ -34,6 +34,7 @@ from .array import (
 )
 from .cost import ExecutionTrace
 from .device import (
+    AMBIENT_TEMP_C,
     Collapse,
     CurrentLevelModel,
     Disturbance,
@@ -64,7 +65,7 @@ class AttackScenario:
     """
 
     variant: AttackVariant = AttackVariant.NONE
-    zone_temp: float = 20.0
+    zone_temp: float = AMBIENT_TEMP_C
     force_flip: bool = False
     collapse: Collapse | None = None
 

@@ -3,10 +3,12 @@
 Each command is declared once in build_parser: its subparser, its flags and
 its runner, run_<command>(config, args) -> (payload, files). A runner writes
 nothing; files lists its companion CSVs as (name, writer) pairs. One emitter
-writes those first, then <command>.json, then the same report to stdout.
-Reports embed the seed and a hash of the fully resolved configuration and are
-written as canonical JSON (sorted keys), so identical inputs produce byte
-identical outputs. Trials run serially; --threads is accepted and has no
+writes those first, then <command>.json, then the same report to stdout. A
+flag that sets a config value names its leaf there and, given, writes it
+before the config is checked and hashed (--zero-noise is device.sigma = 0),
+so runners read such values from the config alone. Reports embed the seed and
+a hash of the resolved config as canonical JSON, so identical inputs produce
+byte identical outputs. Trials run serially; --threads is accepted and has no
 effect. Exit codes: 0 success, 1 usage or configuration error, 2 experiment
 error.
 """
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from functools import reduce
 from pathlib import Path
 
 from . import __version__
@@ -64,25 +66,35 @@ def _finite(text: str) -> float:
 
 def _pair(text: str) -> str:
     try:
-        parse_pair(text)
+        pair = parse_pair(text)
     except ValueError as exc:
         states = ", ".join(state.value for state in MtjState)
         raise argparse.ArgumentTypeError(
             f"must be two states of {states} joined by a comma, got {text!r}"
         ) from exc
-    return text
+    return ",".join(state.value for state in pair)
+
+
+# argparse dest of a flag that writes the config leaf at the dotted path after it
+_LEAF = "config."
+
+
+def _leaf(parser, flag: str, leaf: str, **kwargs) -> None:
+    """Declare ``flag`` as another name for the config leaf at dotted path ``leaf``."""
+    if "action" not in kwargs and "choices" not in kwargs:
+        kwargs["metavar"] = flag[2:].upper()  # usage names the flag, not the dotted dest
+    parser.add_argument(flag, dest=_LEAF + leaf, **kwargs)
 
 
 def _command(sub, name: str, run_fn, help: str) -> argparse.ArgumentParser:
     parser = sub.add_parser(name, help=help)
     parser.set_defaults(run=run_fn)
     parser.add_argument("--config", help="JSON config file overlaying the defaults")
-    parser.add_argument("--seed", type=int, help="master seed override")
-    parser.add_argument("--trials", type=int, help="Monte Carlo trials override")
-    parser.add_argument("--threads", type=int,
-                        help="accepted for compatibility; trials run serially, "
-                             "so the value has no effect")
-    parser.add_argument("--out", help="output directory override")
+    _leaf(parser, "--seed", "seed", type=int, help="master seed override")
+    _leaf(parser, "--trials", "trials", type=int, help="Monte Carlo trials override")
+    _leaf(parser, "--threads", "threads", type=int,
+          help="accepted for compatibility; trials run serially, so the value has no effect")
+    _leaf(parser, "--out", "out_dir", help="output directory override")
     return parser
 
 
@@ -96,56 +108,47 @@ def build_parser() -> argparse.ArgumentParser:
     p = _command(sub, "truth-table", run_truth_table, "decode table of one two-row operation")
     p.add_argument("--op", default="CimAND",
                    choices=[op.value for op in CimOp if op in TWO_ROW_OPS])
-    p.add_argument("--noise", type=_finite, help="sense noise sigma override (uA)")
+    _leaf(p, "--noise", "device.sigma", type=_finite, help="sense noise sigma override (uA)")
 
     p = _command(sub, "mc-failure", run_mc_failure, "Monte Carlo AND-decode failure rate")
     p.add_argument("--pair", type=_pair, default="AP,P", help='pair state, e.g. "AP,P"')
-    p.add_argument("--temp", type=_finite, default=None, help="zone temperature (C)")
+    _leaf(p, "--temp", "attack.zone_temp", type=_finite, help="zone temperature (C)")
 
     p = _command(sub, "auth-attack", run_auth_attack, "authentication bypass experiment")
-    p.add_argument("--variant", choices=[v.value for v in AttackVariant])
-    p.add_argument("--temp", type=_finite, help="zone temperature (C)")
-    p.add_argument("--force-flip", action="store_true",
-                   help="flip targeted AND senses with probability one")
-    p.add_argument("--user-policy", choices=cfgmod.POLICY_MODES)
-    p.add_argument("--password-policy", choices=cfgmod.POLICY_MODES)
+    _leaf(p, "--variant", "attack.variant", choices=[v.value for v in AttackVariant])
+    _leaf(p, "--temp", "attack.zone_temp", type=_finite, help="zone temperature (C)")
+    _leaf(p, "--force-flip", "attack.force_flip", action="store_true",
+          help="flip targeted AND senses with probability one")
+    _leaf(p, "--user-policy", "attack.policy.user", choices=cfgmod.POLICY_MODES)
+    _leaf(p, "--password-policy", "attack.policy.password", choices=cfgmod.POLICY_MODES)
 
     p = _command(sub, "isa-run", run_isa_run, "assemble and execute a program")
     p.add_argument("--program", required=True, help="assembly source file")
     p.add_argument("--compare-lowered", action="store_true",
                    help="also run the load/compute/store lowering")
     p.add_argument("--init-hex", help="hex dump preloading the array")
-    p.add_argument("--zero-noise", action="store_true",
-                   help="run with sense noise disabled")
+    _leaf(p, "--zero-noise", "device.sigma", action="store_const", const=0.0, default=False,
+          help="run with sense noise disabled")
 
     _command(sub, "sca", run_sca, "operation classification accuracy sweep")
 
     p = _command(sub, "mitigate", run_mitigate, "reference adaptation before/after rates")
     p.add_argument("--family", choices=["meanshift", "collapse"], default="collapse")
-    p.add_argument("--temp", type=_finite, help="zone temperature (C)")
+    _leaf(p, "--temp", "mitigation.zone_temp", type=_finite, help="zone temperature (C)")
 
     _command(sub, "calibrate", run_calibrate, "fit noise and collapse parameters")
     return parser
 
 
 def _resolve(args) -> dict:
+    """The config file's values, each given flag written over its leaf, checked.
+    A flag left at its default (None, or False for a switch) leaves the leaf."""
     config = cfgmod.load_config(args.config)
-    if args.seed is not None:
-        config["seed"] = args.seed
-    if args.trials is not None:
-        config["trials"] = args.trials
-    if args.threads is not None:
-        config["threads"] = args.threads
-    if args.out is not None:
-        config["out_dir"] = args.out
-    if getattr(args, "noise", None) is not None:
-        config["device"]["sigma"] = args.noise
+    for dest, value in vars(args).items():
+        if dest.startswith(_LEAF) and value is not None and value is not False:
+            *sections, key = dest[len(_LEAF):].split(".")
+            reduce(dict.__getitem__, sections, config)[key] = value
     return cfgmod.validate_run(config)
-
-
-def _flag_or(flag, leaf):
-    """A flag given on the command line wins over its config leaf."""
-    return leaf if flag is None or flag is False else flag
 
 
 def _emit(config: dict, command: str, payload: dict, files) -> None:
@@ -191,7 +194,7 @@ def run_truth_table(config, args):
 
 
 def run_mc_failure(config, args):
-    temp = _flag_or(args.temp, config["attack"]["zone_temp"])
+    temp = config["attack"]["zone_temp"]
     report = mc_failure_rate(
         args.pair, temp, config["trials"], config["seed"], model=cfgmod.build_model(config),
         sense=cfgmod.build_sense(config), collapse=cfgmod.build_collapse(config),
@@ -201,39 +204,34 @@ def run_mc_failure(config, args):
 
 def run_auth_attack(config, args):
     atk = config["attack"]
-    policy = CredentialPolicy(
-        user=_flag_or(args.user_policy, atk["policy"]["user"]),
-        password=_flag_or(args.password_policy, atk["policy"]["password"]),
-    )
     db = AuthDb(
         entries=(AuthEntry(atk["username"], atk["password"]),),
         width=atk["credential_width"],
     )
     scenario = AttackScenario(
-        variant=AttackVariant(_flag_or(args.variant, atk["variant"])),
-        zone_temp=_flag_or(args.temp, atk["zone_temp"]),
-        force_flip=_flag_or(args.force_flip, atk["force_flip"]),
+        variant=AttackVariant(atk["variant"]),
+        zone_temp=atk["zone_temp"],
+        force_flip=atk["force_flip"],
         collapse=cfgmod.build_collapse(config),
     )
     report = attack_success_rate(
-        db, policy, scenario, config["trials"], config["seed"],
+        db, CredentialPolicy(**atk["policy"]), scenario, config["trials"], config["seed"],
         model=cfgmod.build_model(config), sense=cfgmod.build_sense(config),
     )
     payload = {
         "variant": scenario.variant.value,
         "zone_temp": scenario.zone_temp,
         "force_flip": scenario.force_flip,
-        "policy": {"user": policy.user, "password": policy.password},
+        "policy": atk["policy"],
         **report.as_dict(),
     }
     return payload, []
 
 
-def _build_machine(config, rng, zero_noise: bool, enhanced: bool) -> Machine:
-    model = cfgmod.build_model(config)
+def _build_machine(config, rng, enhanced: bool) -> Machine:
     array = CimArray(
         geometry=cfgmod.build_geometry(config),
-        model=replace(model, sigma=0.0) if zero_noise else model,
+        model=cfgmod.build_model(config),
         sense=cfgmod.build_sense(config),
         rng=rng,
         cost_table=cfgmod.build_cost_table(config),
@@ -244,7 +242,7 @@ def _build_machine(config, rng, zero_noise: bool, enhanced: bool) -> Machine:
 
 def run_isa_run(config, args):
     program = assemble(Path(args.program).read_text())
-    machine = _build_machine(config, trial_rng(config["seed"], 0), args.zero_noise, True)
+    machine = _build_machine(config, trial_rng(config["seed"], 0), True)
     if args.init_hex:
         machine.array.import_hex(args.init_hex)
     initial = machine.array.snapshot()
@@ -257,9 +255,7 @@ def run_isa_run(config, args):
     files = [("isa-run-trace.csv", trace.to_csv)]
     if args.compare_lowered:
         lowered = lower_to_conventional(program)
-        machine2 = _build_machine(
-            config, trial_rng(config["seed"], 1), args.zero_noise, False
-        )
+        machine2 = _build_machine(config, trial_rng(config["seed"], 1), False)
         for bank, words in enumerate(initial):
             for row, word in enumerate(words):
                 machine2.array.write_word(RowAddress(bank, row), word, record=False)
@@ -302,7 +298,7 @@ def run_mitigate(config, args):
     mit = config["mitigation"]
     model = cfgmod.build_model(config)
     base = cfgmod.build_sense(config)
-    zone = _flag_or(args.temp, mit["zone_temp"])
+    zone = mit["zone_temp"]
     est = mit["shift_estimate" if args.family == "meanshift" else "collapse_estimate"]
     shift = ShiftEstimate(**est)
     unheated = shift if args.family == "meanshift" else cfgmod.build_collapse(config)

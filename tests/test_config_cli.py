@@ -26,6 +26,7 @@ from spincim.analytic import binomial_stderr
 from spincim.array import TWO_ROW_OPS
 from spincim.attack import AttackVariant
 from spincim.config import (
+    _SCHEMA,
     DEFAULT_CONFIG,
     POLICY_MODES,
     build_collapse,
@@ -167,6 +168,35 @@ def run_cli(capsys, *argv) -> tuple[int, dict | None]:
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, (json.loads(out) if out.strip() else None)
+
+
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
+    return next(action.choices for action in build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction))
+
+
+def _dotted(overlay: dict) -> str:
+    """The dotted path of the one leaf an overlay sets."""
+    (key, value), = overlay.items()
+    return f"{key}.{_dotted(value)}" if isinstance(value, dict) else key
+
+
+_AUTH = ["auth-attack", "--trials", "20"]
+# every flag that names a config leaf, each as (command, the flag, the overlay
+# giving its leaf the same value); each value differs from the shipped default
+_FLAG_IS_LEAF = [
+    (["mc-failure", "--trials", "20"], ["--seed", "3"], {"seed": 3}),
+    (["mc-failure"], ["--trials", "20"], {"trials": 20}),
+    (["truth-table"], ["--noise", "0.7"], {"device": {"sigma": 0.7}}),
+    (["isa-run", "--program", "p.cim"], ["--zero-noise"], {"device": {"sigma": 0.0}}),
+    (["mc-failure", "--trials", "20"], ["--temp", "140"], {"attack": {"zone_temp": 140.0}}),
+    (_AUTH, ["--temp", "140"], {"attack": {"zone_temp": 140.0}}),
+    (["mitigate", "--trials", "20"], ["--temp", "140"], {"mitigation": {"zone_temp": 140.0}}),
+    (_AUTH, ["--variant", "GateLevel"], {"attack": {"variant": "GateLevel"}}),
+    (_AUTH, ["--force-flip"], {"attack": {"force_flip": True}}),
+    (_AUTH, ["--user-policy", "random"], {"attack": {"policy": {"user": "random"}}}),
+    (_AUTH, ["--password-policy", "correct"], {"attack": {"policy": {"password": "correct"}}}),
+]
 
 
 class TestCli:
@@ -456,12 +486,21 @@ class TestCli:
         assert err.startswith("error: argument --pair: ") and "AP, P" in err
         assert not (tmp_path / "mc-failure.json").exists()
 
-    @pytest.mark.parametrize("pair", ["P,AP", " P , AP"])
-    def test_pair_echoed_as_typed(self, capsys, tmp_path, pair):
+    @pytest.mark.parametrize("pair", ["P,AP", " P , AP", "P ,AP"])
+    def test_pair_echoed_by_its_name_in_the_order_typed(self, capsys, tmp_path, pair):
         code, report = run_cli(
             capsys, "mc-failure", "--pair", pair, "--trials", "20", "--out", str(tmp_path)
         )
-        assert code == 0 and report["report"]["pair"] == pair
+        assert code == 0 and report["report"]["pair"] == "P,AP"
+
+    def test_pair_spellings_write_identical_bytes(self, capsys, tmp_path):
+        blobs = []
+        for pair in ("AP,P", " AP , P"):
+            out = tmp_path / str(len(blobs))
+            assert main(["mc-failure", "--pair", pair, "--trials", "20", "--out", str(out)]) == 0
+            capsys.readouterr()
+            blobs.append((out / "mc-failure.json").read_bytes())
+        assert blobs[0] == blobs[1]
 
     @pytest.mark.parametrize("argv", [
         ["mc-failure", "--pair", "AP,P", "--temp", "100"],
@@ -753,6 +792,61 @@ class TestCli:
             "calibrate": common,
         }
 
+    def test_every_flag_leaf_is_a_schema_leaf(self):
+        declared = set()
+        for command, parser in _subcommands().items():
+            for action in parser._actions:
+                if not action.dest.startswith("config."):
+                    continue
+                leaf = action.dest.removeprefix("config.")
+                node = _SCHEMA
+                for name in leaf.split("."):
+                    assert isinstance(node, dict) and name in node, (command, leaf)
+                    node = node[name][0]
+                assert not isinstance(node, dict), (command, leaf)
+                declared.add((action.option_strings[0], leaf))
+        # test_flag_is_its_leaf runs every one but the two unhashed runtime keys
+        covered = {(flag[0], _dotted(overlay)) for _, flag, overlay in _FLAG_IS_LEAF}
+        assert declared == covered | {("--threads", "threads"), ("--out", "out_dir")}
+
+    def test_usage_lines_name_the_flags(self):
+        usage = {name: " ".join(parser.format_usage().split())
+                 for name, parser in _subcommands().items()}
+        common = ("[-h] [--config CONFIG] [--seed SEED] [--trials TRIALS] "
+                  "[--threads THREADS] [--out OUT]")
+        assert usage == {
+            "margins": f"usage: spincim margins {common}",
+            "truth-table": f"usage: spincim truth-table {common} "
+                           "[--op {CimAND,CimOR,CimNAND,CimNOR,CimXOR}] [--noise NOISE]",
+            "mc-failure": f"usage: spincim mc-failure {common} [--pair PAIR] [--temp TEMP]",
+            "auth-attack": f"usage: spincim auth-attack {common} "
+                           "[--variant {None,GateLevel,XnorLevel}] [--temp TEMP] "
+                           "[--force-flip] [--user-policy {correct,random}] "
+                           "[--password-policy {correct,random}]",
+            "isa-run": f"usage: spincim isa-run {common} --program PROGRAM "
+                       "[--compare-lowered] [--init-hex INIT_HEX] [--zero-noise]",
+            "sca": f"usage: spincim sca {common}",
+            "mitigate": f"usage: spincim mitigate {common} "
+                        "[--family {meanshift,collapse}] [--temp TEMP]",
+            "calibrate": f"usage: spincim calibrate {common}",
+        }
+
+    @pytest.mark.parametrize("argv,flag,overlay", _FLAG_IS_LEAF,
+                             ids=[f"{a[0]} {' '.join(f)}" for a, f, _ in _FLAG_IS_LEAF])
+    def test_flag_is_its_leaf(self, capsys, tmp_path, monkeypatch, argv, flag, overlay):
+        monkeypatch.chdir(tmp_path)
+        Path("p.cim").write_text("CimAND @0, @1, @2\nCimXOR @0, @1, @3\n")
+        Path("overlay.json").write_text(json.dumps(overlay))
+        files = {}
+        for tag, given in (("flag", flag), ("config", ["--config", "overlay.json"])):
+            assert main([*argv, *given, "--out", tag]) == 0, capsys.readouterr().err
+            capsys.readouterr()
+            files[tag] = {path.name: path.read_bytes() for path in Path(tag).iterdir()}
+        assert files["flag"] == files["config"]
+        assert json.loads(files["flag"][f"{argv[0]}.json"])["config_hash"] != (
+            config_hash(DEFAULT_CONFIG)
+        )
+
     def test_experiment_error_exits_two(self, capsys, tmp_path):
         assert main(
             ["isa-run", "--program", str(tmp_path / "absent.cim"),
@@ -813,8 +907,9 @@ _LEAF = st.one_of(
         "array": st.fixed_dictionaries({}, optional={"cols_per_row": _LEAF}),
         "attack": st.fixed_dictionaries({}, optional={"zone_temp": _LEAF}),
     }),
-    flags=st.lists(st.tuples(
-        st.sampled_from(["--seed", "--trials", "--threads"]), st.integers(-2, 4)
+    flags=st.lists(st.one_of(
+        st.tuples(st.sampled_from(["--seed", "--trials", "--threads"]), st.integers(-2, 4)),
+        st.tuples(st.just("--temp"), st.one_of(st.integers(-300, 30000), st.floats())),
     ), max_size=2),
 )
 def test_any_run_overlay_exits_cleanly(command, overlay, flags):
@@ -823,7 +918,7 @@ def test_any_run_overlay_exits_cleanly(command, overlay, flags):
         with open(config, "w") as handle:
             json.dump(overlay, handle)
         argv = [command, "--config", config, "--out", out]
-        argv += [str(part) for flag in flags for part in flag]
+        argv += [f"{flag}={value}" for flag, value in flags]
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(argv)

@@ -144,7 +144,9 @@ def test_writer_bytes(capsys, tmp_path, monkeypatch):
     """sha256 of every report and CSV writer's bytes, captured before the
     result types serialised from their own fields and the CSV writers shared
     one loop; the calibrate digest since the collapse fit runs in numpy, the
-    isa-run and sca files before each command became one run function."""
+    isa-run and sca files before each command became one run function, and the
+    auth-attack report since its --temp 140 is attack.zone_temp in the hashed
+    config (its payload kept its bytes)."""
     monkeypatch.chdir(tmp_path)
     rng = np.random.default_rng(12)
     (tmp_path / "prog.cim").write_text(disassemble(random_cim_program(rng, rows=8)))
@@ -183,7 +185,7 @@ def test_writer_bytes(capsys, tmp_path, monkeypatch):
         "mitigate-meanshift/mitigate.json":
             "291a36a11132ac6ed69570396e577599f2f6652f8afd54eabe68b8eeb4995deb",
         "auth-attack/auth-attack.json":
-            "1834774d4a82fe67534a64c5a6f87c9a4c1ec6602f0d483b728859dc5b94477c",
+            "b2a5b57e6514514c9792a7e1ce92040257845072c8e1bec8e051b77639593c76",
         "isa-run/isa-run.json":
             "2e07faa5562daf35831dae4d6aeb9c68df062d00a0620159aebdd353b78224ff",
         "isa-run/isa-run-trace.csv":
