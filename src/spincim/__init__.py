@@ -97,7 +97,6 @@ from .mitigation import (
 from .sca import (
     CentroidClassifier,
     Dataset,
-    LabeledObservation,
     confusion_matrix,
     hamming_weight_attack,
     obscuring_experiment,

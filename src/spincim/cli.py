@@ -44,12 +44,7 @@ from .device import (
 from .errors import ConfigError, SpinCimError
 from .isa import Machine, assemble, lower_to_conventional, run, static_fingerprint
 from .mitigation import ShiftEstimate, adapt_references, evaluate_mitigation
-from .sca import (
-    ENHANCED_CLASSES,
-    STANDARD_CLASSES,
-    streamed_confusion_matrix,
-    streamed_train,
-)
+from .sca import ENHANCED_CLASSES, STANDARD_CLASSES, score_attackers
 
 
 class _Parser(argparse.ArgumentParser):
@@ -276,19 +271,16 @@ def run_sca(config, args):
     table = cfgmod.build_cost_table(config)
     n = sca_cfg["samples_per_class"]
     sig_d = sca_cfg["sigma_duration"]
+    attackers = {"standard_4_class": (STANDARD_CLASSES, table, False),
+                 "enhanced_11_class": (ENHANCED_CLASSES, table, True)}
     rows = []
     for idx, sig_e in enumerate(sca_cfg["sweep_sigma_energy"]):
-        accs = {}
-        for tag, classes, enhanced in (
-            ("standard_4_class", STANDARD_CLASSES, False),
-            ("enhanced_11_class", ENHANCED_CLASSES, True),
-        ):
-            # fit one class at a time, then score block by block: neither set is held
-            rng = trial_rng(config["seed"], 1000 + idx)
-            draw = (classes, table, enhanced, n, sig_d, sig_e, rng)
-            _, accs[tag] = streamed_confusion_matrix(streamed_train(*draw), *draw)
-        rows.append({"sigma_duration": sig_d, "sigma_energy": sig_e, **accs})
-    header = ["sigma_duration", "sigma_energy", "standard_4_class", "enhanced_11_class"]
+        # both attackers read one stream, and neither holds its training or test set
+        rng = trial_rng(config["seed"], 1000 + idx)
+        scores = score_attackers(attackers.values(), n, sig_d, sig_e, rng)
+        rows.append({"sigma_duration": sig_d, "sigma_energy": sig_e,
+                     **{tag: accuracy for tag, (_, accuracy) in zip(attackers, scores)}})
+    header = ["sigma_duration", "sigma_energy", *attackers]
     cells = [[repr(row[key]) for key in header] for row in rows]
     payload = {"samples_per_class": n, "rows": rows}
     return payload, [("sca.csv", lambda path: write_csv(path, header, cells))]

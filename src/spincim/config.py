@@ -7,9 +7,9 @@ and ``CredentialPolicy``), so each shipped value is written once, where the
 model defines it; the calibration constants live in ``device.py``. The level
 sections ``device.single_levels`` and ``device.pair_levels`` are the model's
 two ladders keyed by state name, read in ladder order. Unknown keys
-anywhere in a user file are rejected so a typo cannot silently fall back to
-a default. One schema declares each leaf once, with its default and its
-check, and :func:`validate_run` checks the type and range of every leaf.
+anywhere in a user file, or in the config a run is given, are rejected so a
+typo cannot silently fall back to a default. One schema declares each leaf
+once, with its default and its check; :func:`validate_run` checks every key.
 """
 from __future__ import annotations
 
@@ -30,18 +30,11 @@ _MODEL = CurrentLevelModel()
 _COSTS = CostTable().as_dict()
 
 
-def _merge(base: dict, override: dict, path: str = "") -> dict:
+def _merge(base: dict, override: dict) -> dict:
     for key, value in override.items():
-        here = f"{path}.{key}" if path else key
-        if key not in base:
-            raise ConfigError(f"unknown configuration key: {here}")
-        if isinstance(base[key], dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"{here} must be an object")
-            _merge(base[key], value, here)
+        if isinstance(base.get(key), dict) and isinstance(value, dict):
+            _merge(base[key], value)
         else:
-            if isinstance(value, dict):
-                raise ConfigError(f"{here} must not be an object")
             base[key] = value
     return base
 
@@ -187,7 +180,13 @@ def _defaults(schema: dict) -> dict:
 DEFAULT_CONFIG: dict = _defaults(_SCHEMA)
 
 
-def _check(schema: dict, section: dict, path: str = "") -> None:
+def _check(schema: dict, section, path: str = "") -> None:
+    if not isinstance(section, dict):
+        raise ConfigError(f"{path or 'the config'} must be an object, got {section!r}")
+    for key in [*section, *schema]:   # an undeclared key first, then a missing one
+        if key not in schema or key not in section:
+            kind = "unknown" if key not in schema else "missing"
+            raise ConfigError(f"{kind} configuration key: {path}{'.' if path else ''}{key}")
     for key, (default, rule) in schema.items():
         here = f"{path}.{key}" if path else key
         value = section[key]
@@ -198,14 +197,14 @@ def _check(schema: dict, section: dict, path: str = "") -> None:
 
 
 def validate_run(config: dict) -> dict:
-    """``config``, once each leaf of ``_SCHEMA`` has its type and range and each
-    section, after its leaves, its relation."""
+    """``config``, once it has exactly the keys of ``_SCHEMA``, each leaf its type
+    and range and each section, after its leaves, its relation."""
     _check(_SCHEMA, config)
     return config
 
 
 def load_config(path: str | Path | None = None) -> dict:
-    """Defaults overlaid with a JSON file; unknown keys are rejected."""
+    """Defaults overlaid with a JSON file, checked by ``validate_run``."""
     config = copy.deepcopy(DEFAULT_CONFIG)
     if path is None:
         return config
@@ -224,7 +223,7 @@ def load_config(path: str | Path | None = None) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
-    return _merge(config, data)
+    return validate_run(_merge(config, data))
 
 
 def canonical_json(obj) -> str:

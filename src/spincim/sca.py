@@ -6,14 +6,14 @@ enlarged operation set and composite op+write windows degrade classification,
 and to run the Hamming-weight write attack.
 
 Observations are drawn class by class, ``PREDICT_BLOCK`` rows at a time. The
-sweep fits on one class's rows at a time and scores block by block, so its
-memory grows with one class, not with a training set or the class count.
+sweep's attackers each read their own prefix of one stream per noise level,
+fit one class at a time and score block by block: its memory grows with one class.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -37,14 +37,7 @@ ENHANCED_CLASSES = tuple(op.value for op in OpClass)
 # relative floor keeps zero-variance training sets classifiable and preserves
 # scale consistency (the floor tracks the data scale)
 _SIGMA_FLOOR_REL = 1e-9
-PREDICT_BLOCK = 4096  # rows per drawn or scored block: (block, C) distances stay cache-sized
-
-
-@dataclass(frozen=True)
-class LabeledObservation:
-    duration_ns: float
-    energy_fj: float
-    label: str
+PREDICT_BLOCK = 4096  # rows per drawn or scored block: (C, block) distances stay cache-sized
 
 
 class Dataset:
@@ -75,12 +68,6 @@ class Dataset:
     def labels(self) -> tuple[str, ...]:
         return tuple(self.classes[k] for k in self.codes.tolist())
 
-    @classmethod
-    def from_observations(cls, observations: Iterable[LabeledObservation]) -> "Dataset":
-        obs = list(observations)
-        feats = np.array([[o.duration_ns, o.energy_fj] for o in obs], dtype=float)
-        return cls(feats.reshape(-1, 2), [o.label for o in obs])
-
     def __len__(self) -> int:
         return len(self.codes)
 
@@ -96,21 +83,26 @@ def class_centroid(name: str, table: CostTable, enhanced: bool) -> tuple[float, 
     return (cost.delay_ns, cost.energy_fj)
 
 
-def _observations(classes, table, enhanced, samples_per_class, sigma_duration, sigma_energy, rng):
-    """``synthesize_dataset``'s rows as (class index, at most PREDICT_BLOCK rows):
-    scaled standard normals plus the class centre, the bits of ``centre +
-    rng.normal(0, sigma)`` whatever the block; ValueError for a non-finite row."""
-    for code, name in enumerate(classes):
-        centre = class_centroid(name, table, enhanced)
-        for lo in range(0, samples_per_class, PREDICT_BLOCK):
-            rows = rng.standard_normal((min(PREDICT_BLOCK, samples_per_class - lo), 2))
+def _normals(segments, per_class, sigma_duration, sigma_energy, rng):
+    """(segment, first row, rows) over ``segments`` runs of ``per_class`` rows:
+    standard normals scaled in place by the sigmas, at most PREDICT_BLOCK rows a
+    block. A stream's first rows do not depend on how many segments it has."""
+    for segment in range(segments):
+        for lo in range(0, per_class, PREDICT_BLOCK):
+            rows = rng.standard_normal((min(PREDICT_BLOCK, per_class - lo), 2))
             with np.errstate(over="ignore"):
                 rows *= (sigma_duration, sigma_energy)
-                rows += centre
-            if not np.isfinite(rows).all():
-                raise ValueError(f"features must be finite; sigmas {sigma_duration!r}, "
-                                 f"{sigma_energy!r} overflow")
-            yield code, rows
+            yield segment, lo, rows
+
+
+def _centred(rows, centre, sigmas, out=None) -> np.ndarray:
+    """``rows + centre`` (into ``out``), the bits of ``centre + rng.normal(0,
+    sigma)``; ValueError for a non-finite row."""
+    with np.errstate(over="ignore"):
+        rows = np.add(rows, centre, out=out)
+    if not np.isfinite(rows).all():
+        raise ValueError("features must be finite; sigmas {!r}, {!r} overflow".format(*sigmas))
+    return rows
 
 
 def synthesize_dataset(
@@ -118,11 +110,12 @@ def synthesize_dataset(
     sigma_duration: float, sigma_energy: float, rng: np.random.Generator,
 ) -> Dataset:
     """Noisy observations around the cost-table centroids, class by class."""
-    feats, filled = np.empty((len(classes) * samples_per_class, 2)), 0
-    for _, rows in _observations(classes, table, enhanced, samples_per_class,
-                                 sigma_duration, sigma_energy, rng):
-        feats[filled:filled + len(rows)] = rows
-        filled += len(rows)
+    sigmas = (sigma_duration, sigma_energy)
+    feats = np.empty((len(classes) * samples_per_class, 2))
+    for code, lo, rows in _normals(len(classes), samples_per_class, *sigmas, rng):
+        at = code * samples_per_class + lo
+        _centred(rows, class_centroid(classes[code], table, enhanced), sigmas,
+                 out=feats[at:at + len(rows)])
     return Dataset(feats, np.repeat(np.arange(len(classes)), samples_per_class), classes)
 
 
@@ -131,6 +124,11 @@ class CentroidClassifier:
     classes: tuple[str, ...]
     centroids: np.ndarray          # (C, 2) per-class feature means
     sigma: np.ndarray              # (2,) shared diagonal deviations
+
+    def __post_init__(self):  # then no distance is NaN, and every row has a least one
+        if not (np.isfinite(self.centroids).all() and np.isfinite(self.sigma).all()
+                and (self.sigma > 0).all()):
+            raise ValueError("centroids must be finite and sigma finite and positive")
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Index of the nearest centroid under the shared diagonal metric.
@@ -145,16 +143,28 @@ class CentroidClassifier:
         finite = np.isfinite(features).all(axis=1)
         if not finite.all():
             raise ValueError(f"features must be finite; row {int(finite.argmin())} is not")
-        out = np.empty(len(features), dtype=np.intp)
+        out, scratch = np.empty(len(features), dtype=np.intp), self._scratch(len(features))
         for lo in range(0, len(features), PREDICT_BLOCK):
-            self._nearest(features[lo:lo + PREDICT_BLOCK], out[lo:lo + PREDICT_BLOCK])
+            self._nearest(features[lo:lo + PREDICT_BLOCK], scratch, out[lo:lo + PREDICT_BLOCK])
         return out
 
-    def _nearest(self, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """``predict`` of one checked block: two (rows, C) temporaries."""
-        (c_d, c_e), (s_d, s_e) = self.centroids.T, self.sigma
-        dist = ((rows[:, :1] - c_d) / s_d) ** 2 + ((rows[:, 1:] - c_e) / s_e) ** 2
-        return dist.argmin(axis=1, out=out)
+    def _scratch(self, rows: int) -> np.ndarray:
+        """Two (C, block) planes for ``_nearest`` of at most ``rows`` rows a block."""
+        return np.empty((2, len(self.classes), min(rows, PREDICT_BLOCK)))
+
+    def _nearest(self, rows: np.ndarray, scratch: np.ndarray, out=None) -> np.ndarray:
+        """``predict`` of one checked block, class-major in ``scratch``: the
+        subtract, divide, square and add of the row-major distances, bit for bit,
+        then the least distance and the lowest class index at it."""
+        dist, work = scratch[..., :len(rows)]
+        (c_d, c_e), (s_d, s_e) = self.centroids.T[..., None], self.sigma
+        np.square(np.divide(np.subtract(rows[:, 0], c_d, out=dist), s_d, out=dist), out=dist)
+        np.square(np.divide(np.subtract(rows[:, 1], c_e, out=work), s_e, out=work), out=work)
+        least = np.minimum.reduce(np.add(dist, work, out=dist), axis=0, out=work[0])
+        # class k ranks C - k where its distance is least: the top rank is the lowest index
+        ranks = np.arange(len(dist), 0, -1, dtype=np.min_scalar_type(len(dist)))[:, None]
+        top = np.multiply(dist == least, ranks).max(axis=0)
+        return np.subtract(len(dist), top, out=out, dtype=np.intp)
 
 
 def _codes_in(names: Sequence[str], codes: np.ndarray, classes: Sequence[str]) -> np.ndarray:
@@ -229,37 +239,72 @@ def train(dataset: Dataset, classes: Sequence[str] | None = None) -> CentroidCla
     return fit.classifier(expected, len(target))
 
 
+def _rates(counts: np.ndarray, n_classes: int) -> tuple[np.ndarray, float]:
+    """Row-stochastic confusion matrix and accuracy of ``true * C + predicted`` counts."""
+    matrix = counts.reshape(n_classes, n_classes).astype(float)
+    row_sums = matrix.sum(axis=1, keepdims=True)
+    accuracy = float(np.trace(matrix) / max(counts.sum(), 1))
+    return np.divide(matrix, row_sums, out=np.zeros_like(matrix), where=row_sums > 0), accuracy
+
+
+class _Attacker:
+    """One attacker over a ``_normals`` stream of 2 C segments: it centres each
+    block on its class, fits on the first C one class at a time in one reused
+    (2, n) buffer, then counts its confusion over the next C."""
+
+    def __init__(self, classes, table, enhanced, per_class: int, sigmas):
+        self.expected = sorted(set(classes))
+        if len(self.expected) < len(classes):
+            raise ValueError(f"a class is named twice in {list(classes)}")
+        if not per_class or not classes:
+            raise MissingClass(f"no observations for classes: {self.expected}")
+        self.centres = [class_centroid(name, table, enhanced) for name in classes]
+        self.codes = [self.expected.index(name) for name in classes]
+        self.sigmas, self.cols = sigmas, np.empty((2, per_class))
+        self.fit, self.counts = _PooledFit(len(classes)), np.zeros(len(classes) ** 2, dtype=np.intp)
+        self.classifier = self.scratch = None   # once the last class is fitted
+
+    def feed(self, segment: int, lo: int, rows: np.ndarray) -> None:
+        n_classes = len(self.codes)
+        if segment >= 2 * n_classes:   # past this attacker's stream
+            return
+        code, hi, training = segment % n_classes, lo + len(rows), segment < n_classes
+        rows = _centred(rows, self.centres[code], self.sigmas,
+                        out=self.cols[:, lo:hi].T if training else None)
+        if not training:
+            nearest = self.classifier._nearest(rows, self.scratch)
+            self.counts += np.bincount(self.codes[code] * n_classes + nearest,
+                                       minlength=n_classes**2)
+        elif hi == self.cols.shape[1]:   # a whole class: fit it, and after the last, classify
+            self.fit.pool(self.cols, self.fit.centre(self.codes[code], self.cols))
+            if code == n_classes - 1:
+                self.classifier = self.fit.classifier(self.expected, hi * n_classes)
+                self.scratch = self.classifier._scratch(hi)
+
+
 def streamed_train(*draw) -> CentroidClassifier:
     """``train(synthesize_dataset(*draw))``, fitted as drawn: one class's rows
     are held at a time. ValueError for a class named twice."""
-    classes, per_class = draw[0], draw[3]
-    expected = sorted(set(classes))
-    if len(expected) < len(classes):
-        raise ValueError(f"a class is named twice in {list(classes)}")
-    if not per_class or not expected:
-        raise MissingClass(f"no observations for classes: {expected}")
-    fit, buffer, filled = _PooledFit(len(expected)), np.empty((2, per_class)), 0
-    for code, rows in _observations(*draw):
-        buffer[:, filled:filled + len(rows)] = rows.T
-        filled = (filled + len(rows)) % per_class
-        if not filled:
-            fit.pool(buffer, fit.centre(expected.index(classes[code]), buffer))
-    return fit.classifier(expected, per_class * len(classes))
+    classes, table, enhanced, per_class, *sigmas, rng = draw
+    attacker = _Attacker(classes, table, enhanced, per_class, sigmas)
+    for block in _normals(len(classes), per_class, *sigmas, rng):
+        attacker.feed(*block)
+    return attacker.classifier
 
 
-def _confusion(classifier: CentroidClassifier, blocks) -> tuple[np.ndarray, float]:
-    """Confusion matrix and accuracy over checked (true codes, rows) blocks."""
-    n_classes, total = len(classifier.classes), 0
-    counts = np.zeros(n_classes**2, dtype=np.intp)
-    for truth, rows in blocks:
-        counts += np.bincount(truth * n_classes + classifier._nearest(rows),
-                              minlength=n_classes**2)
-        total += len(rows)
-    matrix = counts.reshape(n_classes, n_classes).astype(float)
-    row_sums = matrix.sum(axis=1, keepdims=True)
-    accuracy = float(np.trace(matrix) / max(total, 1))
-    matrix = np.divide(matrix, row_sums, out=np.zeros_like(matrix), where=row_sums > 0)
-    return matrix, accuracy
+def score_attackers(attackers, samples_per_class: int, sigma_duration: float, sigma_energy: float,
+                    rng: np.random.Generator) -> list[tuple[np.ndarray, float]]:
+    """``confusion_matrix(train(tr), te)`` of each ``(classes, table, enhanced)``
+    attacker, where ``tr`` and ``te`` are its two ``synthesize_dataset`` draws from
+    ``rng``. Neither set is held: the longest train-then-test stream of normals is
+    drawn and scaled once, and each attacker reads its own prefix of it."""
+    sigmas = (sigma_duration, sigma_energy)
+    states = [_Attacker(*attacker, samples_per_class, sigmas) for attacker in attackers]
+    longest = max((2 * len(state.codes) for state in states), default=0)
+    for block in _normals(longest, samples_per_class, *sigmas, rng):
+        for state in states:
+            state.feed(*block)
+    return [_rates(state.counts, len(state.codes)) for state in states]
 
 
 def confusion_matrix(
@@ -267,17 +312,10 @@ def confusion_matrix(
 ) -> tuple[np.ndarray, float]:
     """Row-stochastic confusion matrix over true classes, plus accuracy."""
     truth = _codes_in(test_set.classes, test_set.codes, classifier.classes)
-    feats = test_set.features
-    blocks = ((truth[lo:lo + PREDICT_BLOCK], feats[lo:lo + PREDICT_BLOCK])
-              for lo in range(0, len(test_set), PREDICT_BLOCK))
-    return _confusion(classifier, blocks)
-
-
-def streamed_confusion_matrix(classifier: CentroidClassifier, *draw) -> tuple[np.ndarray, float]:
-    """``confusion_matrix`` of ``synthesize_dataset(*draw)``, drawn and scored
-    block by block, so the test set is never held whole."""
-    truth = _codes_in(draw[0], np.arange(len(draw[0])), classifier.classes)
-    return _confusion(classifier, ((truth[code], rows) for code, rows in _observations(*draw)))
+    n_classes = len(classifier.classes)
+    counts = np.bincount(truth * n_classes + classifier.predict(test_set.features),
+                         minlength=n_classes**2)
+    return _rates(counts, n_classes)
 
 
 def hamming_weight_attack(trace: ExecutionTrace | PowerTrace, width: int,

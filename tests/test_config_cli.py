@@ -163,6 +163,50 @@ class TestConfig:
                 validate_run(config)
             assert str(raised.value).startswith(f"{'.'.join(path)} must be ")
 
+    @pytest.mark.parametrize("path,value,message", [
+        (("mitigation", "zone_tmp"), 140.0, "unknown configuration key: mitigation.zone_tmp"),
+        (("device", "metadata", "tmr"), 1, "unknown configuration key: device.metadata.tmr"),
+        (("extra",), {}, "unknown configuration key: extra"),
+        (("device", "collapse"), 3, "device.collapse must be an object, got 3"),
+        (("cost", "standard"), [], "cost.standard must be an object, got []"),
+    ], ids=["misspelt_leaf", "nested_extra", "top_level_extra", "number_section", "list_section"])
+    def test_undeclared_key_or_scalar_section_refused(self, path, value, message):
+        config = load_config()
+        section = config
+        for key in path[:-1]:
+            section = section[key]
+        section[path[-1]] = value
+        with pytest.raises(ConfigError) as raised:
+            validate_run(config)
+        assert str(raised.value) == message
+        with pytest.raises(ConfigError, match="^the config must be an object, got \\[\\]$"):
+            validate_run([])
+
+    @pytest.mark.parametrize("path", [("seed",), ("sca", "samples_per_class"),
+                                      ("attack", "policy", "user")], ids=".".join)
+    def test_missing_key_refused(self, path):
+        config = load_config()
+        section = config
+        for key in path[:-1]:
+            section = section[key]
+        del section[path[-1]]
+        with pytest.raises(ConfigError) as raised:
+            validate_run(config)
+        assert str(raised.value) == f"missing configuration key: {'.'.join(path)}"
+
+    def test_cli_refuses_an_undeclared_key(self, monkeypatch, capsys, tmp_path):
+        def misspelt(path):   # as if a flag named the leaf mitigation.zone_tmp
+            config = load_config(path)
+            config["mitigation"]["zone_tmp"] = 140.0
+            return config
+
+        monkeypatch.setattr(spincim.config, "load_config", misspelt)
+        assert main(["mitigate", "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            "error: unknown configuration key: mitigation.zone_tmp\n"
+        )
+        assert not (tmp_path / "out").exists()
+
 
 def run_cli(capsys, *argv) -> tuple[int, dict | None]:
     code = main(list(argv))
@@ -419,6 +463,14 @@ class TestCli:
         assert captured.err.startswith("experiment error: ") and "finite" in captured.err
         assert "Traceback" not in captured.err
         assert not (out / "sca.json").exists() and not (out / "sca.csv").exists()
+
+    def test_overflowing_sca_observations_name_the_sigmas(self, capsys, tmp_path):
+        config = tmp_path / "loud.json"
+        config.write_text(json.dumps({"sca": {"sweep_sigma_energy": [0.5, 1e308]}}))
+        assert main(["sca", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "experiment error: features must be finite; sigmas 0.05, 1e+308 overflow\n"
+        )
 
     @staticmethod
     def _traced_peak(capsys, *argv) -> int:

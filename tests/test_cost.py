@@ -11,7 +11,6 @@ from spincim import (
     CostTable,
     Dataset,
     ExecutionTrace,
-    LabeledObservation,
     OpClass,
     OpCost,
     RowAddress,
@@ -176,9 +175,7 @@ def test_writers_accept_path_objects(tmp_path):
     assert (tmp_path / "trace.csv").read_bytes() == buf.getvalue().encode()
     synthesize_power_trace(trace, sample_rate=10.0).to_csv(tmp_path / "power.csv")
     assert (tmp_path / "power.csv").read_text().startswith("t_ns,power\n")
-    Dataset.from_observations([LabeledObservation(0.6, 8.611, "Read1")]).to_csv(
-        tmp_path / "data.csv"
-    )
+    Dataset([[0.6, 8.611]], ["Read1"]).to_csv(tmp_path / "data.csv")
     assert (tmp_path / "data.csv").read_text().splitlines()[1].endswith("Read1")
     array = CimArray(geometry=ArrayGeometry(rows_per_bank=4))
     array.write_word(RowAddress(0, 2), 0xBEEF)

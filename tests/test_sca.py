@@ -27,15 +27,15 @@ from spincim.sca import (
     STANDARD_CLASSES,
     CentroidClassifier,
     Dataset,
-    LabeledObservation,
     composite_window,
     confusion_matrix,
     obscuring_experiment,
-    streamed_confusion_matrix,
+    score_attackers,
     streamed_train,
     synthesize_dataset,
     train,
 )
+from spincim import cli
 from spincim.config import load_config
 
 import _oracles
@@ -69,9 +69,7 @@ class TestTrain:
             assert tuple(centroid) == (cost.delay_ns, cost.energy_fj)
 
     def test_single_observation_is_the_centroid(self):
-        data = Dataset.from_observations(
-            [LabeledObservation(1.0, 2.0, "a"), LabeledObservation(3.0, 4.0, "b")]
-        )
+        data = Dataset([[1.0, 2.0], [3.0, 4.0]], ["a", "b"])
         classifier = train(data)
         assert tuple(classifier.centroids[0]) == (1.0, 2.0)
         assert tuple(classifier.centroids[1]) == (3.0, 4.0)
@@ -160,10 +158,7 @@ class TestConfusion:
             assert accuracy == pytest.approx(oracle, abs=0.015)
 
     def test_dataset_csv_export(self, tmp_path):
-        data = Dataset.from_observations(
-            [LabeledObservation(0.6, 8.611, "Read1"),
-             LabeledObservation(3.3, 191.4, "Write0")]
-        )
+        data = Dataset([[0.6, 8.611], [3.3, 191.4]], ["Read1", "Write0"])
         path = tmp_path / "observations.csv"
         data.to_csv(str(path))
         lines = path.read_text().strip().splitlines()
@@ -350,29 +345,65 @@ class TestAgainstFrozenKernels:
             )
         assert classifier.predict(np.array([1.0, 1.0])).tolist() == [1]
 
+    def test_predict_exact_ties_go_to_the_lowest_index(self):
+        # classes 0 and 2 share a centroid, and at duration 1.0 class 1's
+        # distance equals theirs bit for bit; class 3 wins near energy 5
+        classifier = CentroidClassifier(
+            ("a", "b", "c", "d"), np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 0.0], [1.0, 5.0]]),
+            np.array([0.5, 2.0]),
+        )
+        energy = np.linspace(-4.0, 9.0, 2 * PREDICT_BLOCK + 17)
+        queries = np.column_stack([np.ones_like(energy), energy])
+        queries[::5, 0] = 1.5   # class 1 alone is nearest on these rows, away from class 3
+        pred = classifier.predict(queries)
+        assert np.array_equal(
+            pred, _oracles.predict(classifier.centroids, classifier.sigma, queries)
+        )
+        assert set(pred.tolist()) == {0, 1, 3}
+
+    def test_predict_with_one_class(self):
+        classifier = CentroidClassifier(("a",), np.array([[1.0, 2.0]]), np.array([0.5, 2.0]))
+        queries = np.random.default_rng(64).normal(0.0, 1e3, (PREDICT_BLOCK + 3, 2))
+        assert not classifier.predict(queries).any()
+        assert np.array_equal(
+            classifier.predict(queries),
+            _oracles.predict(classifier.centroids, classifier.sigma, queries),
+        )
+
+    @pytest.mark.parametrize("centroids,sigma", [
+        ([[0.0, math.nan]], [1.0, 1.0]), ([[0.0, 0.0]], [0.0, 1.0]),
+        ([[0.0, 0.0]], [1.0, math.inf]), ([[math.inf, 0.0]], [1.0, 1.0]),
+    ])
+    def test_distances_that_could_be_nan_refused(self, centroids, sigma):
+        with pytest.raises(ValueError, match="sigma finite and positive"):
+            CentroidClassifier(("a",), np.array(centroids), np.array(sigma))
+
 
 class TestStreamedScoring:
-    """The sweep's test set, drawn and scored block by block, against the
-    whole test set scored by ``confusion_matrix``."""
+    """The sweep's driver, which draws one stream for all its attackers and
+    scores it block by block, against ``confusion_matrix(train(tr), te)`` of
+    each attacker's own two ``synthesize_dataset`` draws."""
+
+    @staticmethod
+    def _whole_sets(classes, enhanced, per_class, sigmas, rng):
+        draw = (classes, TABLE, enhanced, per_class, *sigmas)
+        classifier = train(synthesize_dataset(*draw, rng), classes)
+        return confusion_matrix(classifier, synthesize_dataset(*draw, rng))
 
     @pytest.mark.parametrize("classes,enhanced", [
         (STANDARD_CLASSES, False), (ENHANCED_CLASSES, True),
     ])
     @pytest.mark.parametrize("per_class", [
-        1, PREDICT_BLOCK - 1, PREDICT_BLOCK, PREDICT_BLOCK + 1, 3000,
+        1, 7, PREDICT_BLOCK - 1, PREDICT_BLOCK, PREDICT_BLOCK + 1, 2 * PREDICT_BLOCK + 17,
     ])
-    @pytest.mark.parametrize("sigmas", [(0.0, 0.0)] + [
-        (DEFAULT_SCA["sigma_duration"], sig_e) for sig_e in DEFAULT_SCA["sweep_sigma_energy"]
-    ])
-    def test_streamed_equals_whole_test_set(self, classes, enhanced, per_class, sigmas):
-        draw = (classes, TABLE, enhanced, per_class, *sigmas)
+    @pytest.mark.parametrize("sigmas", [(0.0, 0.0), (0.05, 0.0), (0.05, 0.5), (0.05, 5.0)])
+    def test_one_attacker_equals_whole_sets(self, classes, enhanced, per_class, sigmas):
         rng = trial_rng(MASTER_SEED, 70)
-        classifier = train(synthesize_dataset(*draw, rng), classes)
-        matrix, accuracy = confusion_matrix(classifier, synthesize_dataset(*draw, rng))
-
+        matrix, accuracy = self._whole_sets(classes, enhanced, per_class, sigmas, rng)
         streamed_rng = trial_rng(MASTER_SEED, 70)
-        synthesize_dataset(*draw, streamed_rng)
-        s_matrix, s_accuracy = streamed_confusion_matrix(classifier, *draw, streamed_rng)
+        [(s_matrix, s_accuracy)] = score_attackers(
+            [(classes, TABLE, enhanced)], per_class, *sigmas, streamed_rng
+        )
         assert s_accuracy.hex() == accuracy.hex()
         assert np.array_equal(s_matrix, matrix)
         # the same normals were drawn, and no more
@@ -380,12 +411,59 @@ class TestStreamedScoring:
         if sigmas == (0.0, 0.0):
             assert s_accuracy == 1.0
 
+    @pytest.mark.parametrize("per_class", [1, PREDICT_BLOCK + 1, 3000])
+    def test_each_attacker_equals_its_own_run(self, per_class):
+        attackers = [(STANDARD_CLASSES, TABLE, False), (ENHANCED_CLASSES, TABLE, True),
+                     (("CimADD", "Write0"), TABLE, True)]
+        sig_d = DEFAULT_SCA["sigma_duration"]
+        for idx, sig_e in enumerate(DEFAULT_SCA["sweep_sigma_energy"]):
+            shared = score_attackers(attackers, per_class, sig_d, sig_e,
+                                     trial_rng(MASTER_SEED, 1000 + idx))
+            for attacker, (matrix, accuracy) in zip(attackers, shared):
+                [(alone, alone_accuracy)] = score_attackers(
+                    [attacker], per_class, sig_d, sig_e, trial_rng(MASTER_SEED, 1000 + idx))
+                whole, whole_accuracy = self._whole_sets(
+                    attacker[0], attacker[2], per_class, (sig_d, sig_e),
+                    trial_rng(MASTER_SEED, 1000 + idx))
+                assert accuracy.hex() == alone_accuracy.hex() == whole_accuracy.hex()
+                assert np.array_equal(matrix, alone) and np.array_equal(matrix, whole)
+
+    def test_default_sweep_draws_the_longest_stream_once(self, monkeypatch, tmp_path, capsys):
+        streams = []
+
+        class Counting:
+            def __init__(self, rng):
+                self.rng, self.rows = rng, 0
+
+            def standard_normal(self, size):
+                self.rows += size[0]
+                return self.rng.standard_normal(size)
+
+        def counting_rng(seed, index):
+            streams.append(Counting(trial_rng(seed, index)))
+            return streams[-1]
+
+        monkeypatch.setattr(cli, "trial_rng", counting_rng)
+        assert cli.main(["sca", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        # one stream of 2 x 11 x n rows per sigma, of which the 4-class
+        # attacker reads the first 2 x 4 x n: not one stream per attacker
+        n = DEFAULT_SCA["samples_per_class"]
+        assert [stream.rows for stream in streams] == (
+            [2 * len(ENHANCED_CLASSES) * n] * len(DEFAULT_SCA["sweep_sigma_energy"])
+        )
+
+    def test_no_attackers_draw_nothing(self):
+        rng = trial_rng(MASTER_SEED, 73)
+        state = rng.bit_generator.state
+        assert score_attackers([], 50, 0.05, 1.0, rng) == []
+        assert rng.bit_generator.state == state
+
     def test_overflowing_sigma_refused(self):
-        classifier = train(zero_noise_dataset(STANDARD_CLASSES, False), STANDARD_CLASSES)
         for call in (
             lambda rng: synthesize_dataset(STANDARD_CLASSES, TABLE, False, 50, 0.05, 1e308, rng),
-            lambda rng: streamed_confusion_matrix(
-                classifier, STANDARD_CLASSES, TABLE, False, 50, 1e308, 1.0, rng),
+            lambda rng: score_attackers(
+                [(STANDARD_CLASSES, TABLE, False)], 50, 1e308, 1.0, rng),
         ):
             with pytest.raises(ValueError, match="features must be finite"):
                 call(trial_rng(MASTER_SEED, 71))
