@@ -15,6 +15,8 @@ error.
 from __future__ import annotations
 
 import argparse
+import hashlib
+import io
 import sys
 from functools import reduce
 from pathlib import Path
@@ -235,15 +237,25 @@ def _build_machine(config, rng, enhanced: bool) -> Machine:
     return Machine(array=array)
 
 
+def _read_input(path: str) -> tuple[str, str]:
+    """The text of the file at ``path`` and the sha256 of its bytes, read once."""
+    data = Path(path).read_bytes()
+    return data.decode(), hashlib.sha256(data).hexdigest()
+
+
 def run_isa_run(config, args):
-    program = assemble(Path(args.program).read_text())
+    source, program_sha256 = _read_input(args.program)
+    program = assemble(source)
     machine = _build_machine(config, trial_rng(config["seed"], 0), True)
+    init_hex_sha256 = None
     if args.init_hex:
-        machine.array.import_hex(args.init_hex)
+        dump, init_hex_sha256 = _read_input(args.init_hex)
+        machine.array.import_hex(io.StringIO(dump, newline=None))
     initial = machine.array.snapshot()
     stats, trace = run(program, machine)
     payload = {
-        "program": args.program,
+        "program_sha256": program_sha256,
+        "init_hex_sha256": init_hex_sha256,
         "fingerprint": static_fingerprint(machine),
         "direct": stats.as_dict(),
     }

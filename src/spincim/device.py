@@ -19,8 +19,9 @@ per trial with :func:`trial_rng`, so a result depends only on the seed.
 Trial ``i``'s stream is bit for bit
 ``np.random.default_rng((seed, i))``; its seed words are derived for 1024
 trials at a time in one vectorised pass instead of one hash per trial. A
-Monte Carlo report sets up its pair sense once with :func:`pair_sampler`,
-so a trial only draws from its own stream; every other sense, scalar or
+Monte Carlo report sets up its pair sense once with :func:`pair_sampler`, so
+a trial only draws from its own stream: noise ``sigma * standard_normal()``,
+numpy's own ``normal(0, sigma)`` arithmetic. Every other sense, scalar or
 not, is a column sense of :func:`sample_columns`, which reads the level
 tables that a model builds once, on first use, as read-only float arrays.
 """
@@ -34,6 +35,7 @@ from statistics import NormalDist
 from typing import Mapping, Union
 
 import numpy as np
+from numpy.random import PCG64, Generator
 from numpy.random.bit_generator import ISeedSequence
 
 from .errors import InvalidShift, NonConvergence
@@ -287,8 +289,7 @@ def trial_rng(master_seed: int, index: int) -> np.random.Generator:
     of :func:`_stream_words` that holds ``index``.
     """
     block, row = divmod(index, STREAM_BLOCK)
-    words = _stream_words(master_seed, block)[row]
-    return np.random.Generator(np.random.PCG64(_Words(words)))
+    return Generator(PCG64(_Words(_stream_words(master_seed, block)[row])))
 
 
 def _require_rng(rng, stochastic: bool):
@@ -427,19 +428,21 @@ def pair_sampler(
     The Monte Carlo driver's per-trial draw. The pair's :func:`sense_law`
     and sigma are read once, here. Each ``draw`` then makes one uniform per
     collapsible cell (each collapse promotes the pair one step up the
-    ladder) and, when sigma > 0, one normal added once at the sense node.
+    ladder) and, when sigma > 0, one normal added once at the sense node:
+    ``sigma * standard_normal()``, bit for bit numpy's ``normal(0.0, sigma)``.
     """
     levels, base, rhos = sense_law(states, model, disturbance)
     sigma = model.sigma
     stochastic = bool(rhos) or sigma > 0
 
     def draw(rng: np.random.Generator | None = None) -> float:
-        _require_rng(rng, stochastic)
+        if rng is None:
+            _require_rng(rng, stochastic)
         idx = base
         for rho in rhos:
             idx += rng.random() < rho
         if sigma > 0:
-            return levels[idx] + rng.normal(0.0, sigma)
+            return levels[idx] + sigma * rng.standard_normal()
         return levels[idx]
 
     return draw

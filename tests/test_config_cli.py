@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -318,6 +319,73 @@ class TestCli:
             assert main(args + ["--threads", threads]) == 0
             capsys.readouterr()
             assert (tmp_path / "mc-failure.json").read_bytes() == first
+
+    def test_a_process_running_many_reports_writes_the_bytes_of_a_fresh_one(
+            self, capsys, tmp_path):
+        # A B A B from a cold stream cache: a cache entry or a stream that one
+        # report leaves behind must not reach the next
+        (tmp_path / "sca.json").write_text('{"sca": {"samples_per_class": 50}}')
+        runs = {
+            "mc-failure": ["mc-failure", "--temp", "100", "--trials", "1500"],
+            "mitigate": ["mitigate", "--trials", "1500", "--seed", "11"],
+            "auth-attack": ["auth-attack", "--temp", "140", "--trials", "40"],
+            "sca": ["sca", "--config", str(tmp_path / "sca.json"), "--seed", "3"],
+        }
+        spincim.device._stream_words.cache_clear()
+        files = {tag: [] for tag in runs}
+        for _ in range(2):
+            for tag, argv in runs.items():
+                out = tmp_path / tag
+                assert main([*argv, "--out", str(out)]) == 0, capsys.readouterr().err
+                capsys.readouterr()
+                files[tag].append({path.name: path.read_bytes() for path in out.iterdir()})
+        for tag, (first, second) in files.items():
+            assert second == first, tag
+
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
+        )}
+        fresh = tmp_path / "fresh"
+        done = subprocess.run(
+            [sys.executable, "-m", "spincim", *runs["mc-failure"], "--out", str(fresh)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert (fresh / "mc-failure.json").read_bytes() == (
+            files["mc-failure"][0]["mc-failure.json"]
+        )
+
+    def test_isa_run_bytes_do_not_depend_on_how_its_inputs_are_named(
+            self, capsys, tmp_path, monkeypatch):
+        inputs, elsewhere = tmp_path / "inputs", tmp_path / "elsewhere"
+        inputs.mkdir()
+        elsewhere.mkdir()
+        program = b"CimAND @0, @1, @2\nCimADD @0, @1, @3\nCimNOT @2, @4\n"
+        dump = "\n".join(["00ff", "0f0f"] + ["0000"] * 62).encode() + b"\n"
+        (inputs / "p.cim").write_bytes(program)
+        (inputs / "d.hex").write_bytes(dump)
+        (inputs / "noisy.json").write_text('{"device": {"sigma": 0.9}}')
+        files = []
+        for cwd, prefix in ((inputs, ""), (elsewhere, f"{inputs}{os.sep}")):
+            monkeypatch.chdir(cwd)
+            argv = ["isa-run", "--program", f"{prefix}p.cim", "--init-hex", f"{prefix}d.hex",
+                    "--config", f"{prefix}noisy.json", "--compare-lowered", "--seed", "5",
+                    "--out", "out"]
+            assert main(argv) == 0, capsys.readouterr().err
+            capsys.readouterr()
+            files.append({path.name: path.read_bytes() for path in Path("out").iterdir()})
+        assert files[0] == files[1]
+        report = json.loads(files[0]["isa-run.json"])["report"]
+        assert report["program_sha256"] == hashlib.sha256(program).hexdigest()
+        assert report["init_hex_sha256"] == hashlib.sha256(dump).hexdigest()
+        assert "program" not in report
+
+        code, doc = run_cli(capsys, "isa-run", "--program", str(inputs / "p.cim"),
+                            "--out", "bare")
+        assert code == 0
+        assert doc["report"]["init_hex_sha256"] is None
+        assert doc["report"]["program_sha256"] == report["program_sha256"]
 
     def test_isa_run_compare_lowered(self, capsys, tmp_path):
         program = tmp_path / "add.cim"

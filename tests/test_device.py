@@ -177,7 +177,9 @@ _SAMPLER_DISTURBANCES = [
 ]
 
 
-@pytest.mark.parametrize("sigma", [device.DEFAULT_SIGMA, 0.0])
+# the sampler scales a standard normal, the reference calls rng.normal(0, sigma):
+# the same product at the extremes of the float range too
+@pytest.mark.parametrize("sigma", [device.DEFAULT_SIGMA, 0.0, 1e-300, 1.0, 1e300])
 @pytest.mark.parametrize("disturbance", _SAMPLER_DISTURBANCES, ids=repr)
 @pytest.mark.parametrize("pair", ["AP,AP", "AP,P", "P,AP", "P,P"])
 def test_pair_sampler_draws_as_the_scalar_reference(pair, disturbance, sigma):

@@ -3,7 +3,8 @@
 The auth-attack and isa-run payloads were captured before the array sense
 path dropped its per-call setup: every sense must keep its draws, in the same
 order, so these payloads and trace files stay byte for byte what they were.
-The sca payload was captured before the classifier ran in row blocks.
+The isa-run payload's input echo, the sha256 of each input file, was added
+later. The sca payload was captured before the classifier ran in row blocks.
 """
 import hashlib
 import json
@@ -81,7 +82,9 @@ def test_noisy_isa_run_compare_lowered(capsys, tmp_path, monkeypatch):
                     "total_delay_ns": 143.39999999999992,
                     "total_energy_fj": 6543.273999999998},
         "memory_access_delta": 52,
-        "program": "prog.cim",
+        # sha256sum of the two files written above
+        "init_hex_sha256": "f01988afd25283a39f14203ccc745275447ea618dc3fa62a521ba34ca3301ce7",
+        "program_sha256": "c8d6355f1a148490efa1678c2b2c8b88cddb2fd14f04a3a5cbf2aaf8b24ce8c9",
     }
     digests = {
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
@@ -122,8 +125,7 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-# each command's arguments at tiny sizes; every file it writes is hashed. The
-# isa-run paths are relative, since its report echoes --program as typed
+# each command's arguments at tiny sizes; every file it writes is hashed
 _WRITER_RUNS = {
     "margins": ["margins"],
     "truth-table": ["truth-table", "--op", "CimXOR", "--noise", "0.9", "--seed", "3"],
@@ -146,7 +148,8 @@ def test_writer_bytes(capsys, tmp_path, monkeypatch):
     one loop; the calibrate digest since the collapse fit runs in numpy, the
     isa-run and sca files before each command became one run function, and the
     auth-attack report since its --temp 140 is attack.zone_temp in the hashed
-    config (its payload kept its bytes)."""
+    config (its payload kept its bytes), and the isa-run report since it echoes
+    the sha256 of its input files instead of the --program path."""
     monkeypatch.chdir(tmp_path)
     rng = np.random.default_rng(12)
     (tmp_path / "prog.cim").write_text(disassemble(random_cim_program(rng, rows=8)))
@@ -187,7 +190,7 @@ def test_writer_bytes(capsys, tmp_path, monkeypatch):
         "auth-attack/auth-attack.json":
             "b2a5b57e6514514c9792a7e1ce92040257845072c8e1bec8e051b77639593c76",
         "isa-run/isa-run.json":
-            "2e07faa5562daf35831dae4d6aeb9c68df062d00a0620159aebdd353b78224ff",
+            "d6b156a03b33670328513c84fb8aba156cd10e16f5aba8325f911fd0a7c0d8a0",
         "isa-run/isa-run-trace.csv":
             "1e6af4c9d406da31008b747e11411f4dcbff9842f476a4ce92dda94f27aefcb2",
         "isa-run/isa-run-lowered-trace.csv":
