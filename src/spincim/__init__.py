@@ -40,10 +40,8 @@ from .cost import (
     ExecutionTrace,
     OpClass,
     OpCost,
-    PowerTrace,
     cost_of,
     count_bus_transfers,
-    synthesize_power_trace,
     word_read_cost,
     word_write_cost,
 )

@@ -337,21 +337,6 @@ class CimArray:
         self._record_cim(op, word)
         return word
 
-    def cim_and(self, a: RowAddress, b: RowAddress) -> int:
-        return self.cim_two_row(CimOp.CIM_AND, a, b)
-
-    def cim_or(self, a: RowAddress, b: RowAddress) -> int:
-        return self.cim_two_row(CimOp.CIM_OR, a, b)
-
-    def cim_nand(self, a: RowAddress, b: RowAddress) -> int:
-        return self.cim_two_row(CimOp.CIM_NAND, a, b)
-
-    def cim_nor(self, a: RowAddress, b: RowAddress) -> int:
-        return self.cim_two_row(CimOp.CIM_NOR, a, b)
-
-    def cim_xor(self, a: RowAddress, b: RowAddress) -> int:
-        return self.cim_two_row(CimOp.CIM_XOR, a, b)
-
     def cim_xnor(
         self, a: RowAddress, b: RowAddress, scratch: tuple[RowAddress, RowAddress]
     ) -> int:

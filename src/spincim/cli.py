@@ -240,7 +240,10 @@ def _build_machine(config, rng, enhanced: bool) -> Machine:
 def _read_input(path: str) -> tuple[str, str]:
     """The text of the file at ``path`` and the sha256 of its bytes, read once."""
     data = Path(path).read_bytes()
-    return data.decode(), hashlib.sha256(data).hexdigest()
+    try:
+        return data.decode(), hashlib.sha256(data).hexdigest()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def run_isa_run(config, args):

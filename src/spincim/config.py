@@ -203,6 +203,16 @@ def validate_run(config: dict) -> dict:
     return config
 
 
+def _unique_keys(pairs: list) -> dict:
+    """One JSON object's pairs as a dict; ConfigError names a repeated key."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        repeated = next(key for key in keys if keys.count(key) > 1)
+        raise ConfigError(f"config key {repeated!r} is repeated")
+    return obj
+
+
 def load_config(path: str | Path | None = None) -> dict:
     """Defaults overlaid with a JSON file, checked by ``validate_run``."""
     config = copy.deepcopy(DEFAULT_CONFIG)
@@ -210,7 +220,7 @@ def load_config(path: str | Path | None = None) -> dict:
         return config
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
         data = json.loads(
@@ -218,6 +228,7 @@ def load_config(path: str | Path | None = None) -> dict:
             parse_constant=finite_number,
             parse_float=finite_number,
             parse_int=lambda t: finite_number(t, int),
+            object_pairs_hook=_unique_keys,
         )
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc

@@ -1,4 +1,4 @@
-"""Per-operation delay/energy accounting, execution tracing, power synthesis.
+"""Per-operation delay/energy accounting and execution tracing.
 
 Delays are in nanoseconds, energies in femtojoules. The standard table covers
 the four read/write classes of a plain array; the enhanced table covers the
@@ -10,13 +10,10 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import math
 import os
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping, NamedTuple, Sequence
-
-import numpy as np
 
 from .errors import MalformedTrace, UnknownOp
 
@@ -247,65 +244,6 @@ class ExecutionTrace:
 def count_bus_transfers(trace: ExecutionTrace) -> int:
     """Number of events that crossed the processor-memory bus."""
     return sum(1 for e in trace.events if e.channel is Channel.BUS)
-
-
-@dataclass
-class PowerTrace:
-    sample_rate: float  # samples per ns
-    power: np.ndarray   # fJ/ns per sample
-
-    @property
-    def times_ns(self) -> np.ndarray:
-        return np.arange(len(self.power)) / self.sample_rate
-
-    def integrate(self, t0_ns: float = 0.0, t1_ns: float | None = None) -> float:
-        """Rectangular integral of power over [t0, t1], in fJ."""
-        dt = 1.0 / self.sample_rate
-        t = self.times_ns
-        if t1_ns is None:
-            t1_ns = float(len(self.power)) * dt
-        mask = (t >= t0_ns) & (t < t1_ns)
-        return float(self.power[mask].sum() * dt)
-
-    def to_csv(self, target) -> None:
-        write_csv(target, ["t_ns", "power"], (
-            [repr(float(t)), repr(float(p))] for t, p in zip(self.times_ns, self.power)
-        ))
-
-
-def synthesize_power_trace(
-    trace: ExecutionTrace,
-    sample_rate: float,
-    noise_sigma: float = 0.0,
-    rng: np.random.Generator | None = None,
-    duration_ns: float | None = None,
-) -> PowerTrace:
-    """Rectangular power samples (energy/duration per event) plus i.i.d. noise.
-
-    Integrating a zero-noise trace across an event recovers its energy to
-    within one sample's quantization.
-    """
-    if not 0 < sample_rate < math.inf:
-        raise ValueError("sample_rate must be finite and positive")
-    if not 0 <= noise_sigma < math.inf:
-        raise ValueError("noise_sigma must be finite and non-negative")
-    if noise_sigma > 0 and rng is None:
-        raise ValueError("a random generator is required for noisy synthesis")
-    end = trace.end_ns if duration_ns is None else duration_ns
-    if not 0 <= end < math.inf:
-        raise ValueError(f"duration_ns must be finite and non-negative, got {end!r}")
-    n = int(math.ceil(end * sample_rate))
-    power = np.zeros(n, dtype=float)
-    for e in trace.events:
-        if e.duration_ns <= 0:
-            continue
-        level = e.energy_fj / e.duration_ns
-        k0 = int(math.ceil(e.start_ns * sample_rate - 1e-12))
-        k1 = int(math.ceil((e.start_ns + e.duration_ns) * sample_rate - 1e-12))
-        power[k0:min(k1, n)] += level
-    if noise_sigma > 0:
-        power = power + rng.normal(0.0, noise_sigma, n)
-    return PowerTrace(sample_rate=sample_rate, power=power)
 
 
 def single_word_write_event(trace: ExecutionTrace) -> TraceEvent:

@@ -23,10 +23,8 @@ from .cost import (
     CostTable,
     ExecutionTrace,
     OpClass,
-    PowerTrace,
     cost_of,
     single_word_write_event,
-    write_csv,
 )
 from .device import trial_rng
 from .errors import MalformedTrace, MissingClass
@@ -64,18 +62,9 @@ class Dataset:
         self.features.setflags(write=False)
         self.codes.setflags(write=False)
 
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(self.classes[k] for k in self.codes.tolist())
-
     def __len__(self) -> int:
         return len(self.codes)
 
-    def to_csv(self, target) -> None:
-        write_csv(target, ["duration_ns", "energy_fJ", "label"], (
-            [repr(float(d)), repr(float(e)), label]
-            for (d, e), label in zip(self.features, self.labels)
-        ))
 
 
 def class_centroid(name: str, table: CostTable, enhanced: bool) -> tuple[float, float]:
@@ -215,27 +204,21 @@ class _PooledFit:
 
 
 def train(dataset: Dataset, classes: Sequence[str] | None = None) -> CentroidClassifier:
-    """Fit per-class means and the pooled diagonal deviation: run by run when
-    each class is one run of rows, as ``streamed_train`` fits a draw, else over
-    a stable sort, pooling residuals in row order. Raises MissingClass for an
-    expected class without rows, ValueError for a row of no expected class or a
-    non-finite deviation."""
+    """Fit per-class means over a stable sort of the rows by class, and the
+    pooled diagonal deviation from residuals added in row order. Raises
+    MissingClass for an expected class without rows, ValueError for a row of no
+    expected class or a non-finite deviation."""
     expected = sorted(set(dataset.classes if classes is None else classes))
     target = _codes_in(dataset.classes, dataset.codes, expected)
     counts = np.bincount(target, minlength=len(expected))
     missing = [c for c, n in zip(expected, counts) if not n]
     if missing or not expected:
         raise MissingClass(f"no observations for classes: {missing or expected}")
-    starts = (np.flatnonzero(target[1:] != target[:-1]) + 1).tolist()
     cols, fit = np.ascontiguousarray(dataset.features.T), _PooledFit(len(expected))
-    if len(starts) == len(expected) - 1:   # one run per class: grouped as they stand
-        for lo, hi in zip([0, *starts], [*starts, len(target)]):
-            fit.pool(cols[:, lo:hi], fit.centre(target[lo], cols[:, lo:hi]))
-    else:
-        grouped = cols.take(np.argsort(target, kind="stable"), axis=1)
-        for k, hi in enumerate(counts.cumsum().tolist()):
-            fit.centre(k, grouped[:, hi - counts[k]:hi])
-        fit.pool(cols, fit.centroids[target].T)
+    grouped = cols.take(np.argsort(target, kind="stable"), axis=1)
+    for k, hi in enumerate(counts.cumsum().tolist()):
+        fit.centre(k, grouped[:, hi - counts[k]:hi])
+    fit.pool(cols, fit.centroids[target].T)
     return fit.classifier(expected, len(target))
 
 
@@ -318,21 +301,18 @@ def confusion_matrix(
     return _rates(counts, n_classes)
 
 
-def hamming_weight_attack(trace: ExecutionTrace | PowerTrace, width: int,
+def hamming_weight_attack(trace: ExecutionTrace, width: int,
                           table: CostTable | None = None, enhanced: bool = False) -> int:
     """Recover the count of 1 bits in a written word from its energy.
 
     The trace must hold exactly one word write recorded in bit-resolved
-    accounting mode; a power trace is integrated in full instead. Raises
-    ValueError when the table's Write1 and Write0 energies are equal.
+    accounting mode; anything else raises MalformedTrace. Raises ValueError
+    when the table's Write1 and Write0 energies are equal.
     """
     table = table or CostTable()
-    if isinstance(trace, ExecutionTrace):
-        energy = single_word_write_event(trace).energy_fj
-    elif isinstance(trace, PowerTrace):
-        energy = trace.integrate()
-    else:
+    if not isinstance(trace, ExecutionTrace):
         raise MalformedTrace(f"unsupported trace type {type(trace).__name__}")
+    energy = single_word_write_event(trace).energy_fj
     e1 = cost_of(OpClass.WRITE1, table, enhanced).energy_fj
     e0 = cost_of(OpClass.WRITE0, table, enhanced).energy_fj
     if e1 == e0:

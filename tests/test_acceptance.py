@@ -182,8 +182,10 @@ def test_criterion_04_zero_noise_functional_suite(zero_noise_model):
         a, b = int(rng.integers(0, 1 << 16)), int(rng.integers(0, 1 << 16))
         arr.write_word(a_addr, a)
         arr.write_word(b_addr, b)
-        ok_nand = arr.cim_nand(a_addr, b_addr) == (~arr.cim_and(a_addr, b_addr)) & mask
-        ok_nor = arr.cim_nor(a_addr, b_addr) == (~arr.cim_or(a_addr, b_addr)) & mask
+        ok_nand = (arr.cim_two_row(CimOp.CIM_NAND, a_addr, b_addr)
+                   == (~arr.cim_two_row(CimOp.CIM_AND, a_addr, b_addr)) & mask)
+        ok_nor = (arr.cim_two_row(CimOp.CIM_NOR, a_addr, b_addr)
+                  == (~arr.cim_two_row(CimOp.CIM_OR, a_addr, b_addr)) & mask)
         crit.check(ok_nand and ok_nor, f"De Morgan failed on {a:#x},{b:#x}")
         if not (ok_nand and ok_nor):
             break

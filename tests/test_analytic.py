@@ -3,17 +3,12 @@ import math
 import pytest
 
 from spincim import (
-    Channel,
     Collapse,
-    ExecutionTrace,
     MeanShift,
     MtjState,
-    OpClass,
-    OpCost,
     normal_tail,
     pair_exceed,
     single_exceed,
-    synthesize_power_trace,
     wilson_interval,
 )
 from spincim.device import parse_pair, sample_single_current, trial_rng
@@ -104,17 +99,6 @@ class TestWilson:
     def test_requires_trials(self):
         with pytest.raises(ValueError):
             wilson_interval(0, 0)
-
-
-class TestPowerWindow:
-    def test_windowed_integral_recovers_one_event(self):
-        trace = ExecutionTrace()
-        trace.record(OpClass.READ1, OpCost(0.6, 8.611), Channel.BUS)
-        trace.record(OpClass.WRITE0, OpCost(3.3, 191.4), Channel.BUS)
-        power = synthesize_power_trace(trace, sample_rate=1000.0)
-        quantum = (191.4 / 3.3) * 1e-3
-        assert power.integrate(0.6, 3.9) == pytest.approx(191.4, abs=2 * quantum)
-        assert power.integrate(0.0, 0.6) == pytest.approx(8.611, abs=quantum)
 
 
 def test_predict_labels_names_classes(zero_noise_model):

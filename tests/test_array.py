@@ -70,7 +70,7 @@ class TestReadWrite:
         arr = CimArray(model=model)
         arr.write_word(A, 0xA5A5)
         arr.write_word(B, 0x0FF0)
-        for sense in (lambda: arr.read_word(A), lambda: arr.cim_and(A, B)):
+        for sense in (lambda: arr.read_word(A), lambda: arr.cim_two_row(CimOp.CIM_AND, A, B)):
             with pytest.raises(ValueError, match="random generator is required"):
                 sense()
 
@@ -96,14 +96,14 @@ class TestTwoRowLogic:
         return arr
 
     def test_truth_tables(self, loaded):
-        assert loaded.cim_and(A, B) == 0b1000
-        assert loaded.cim_or(A, B) == 0b1110
-        assert loaded.cim_xor(A, B) == 0b0110
+        assert loaded.cim_two_row(CimOp.CIM_AND, A, B) == 0b1000
+        assert loaded.cim_two_row(CimOp.CIM_OR, A, B) == 0b1110
+        assert loaded.cim_two_row(CimOp.CIM_XOR, A, B) == 0b0110
 
     def test_negated_ops(self, loaded):
         mask = loaded.geometry.word_mask
-        assert loaded.cim_nand(A, B) == (~0b1000) & mask
-        assert loaded.cim_nor(A, B) == (~0b1110) & mask
+        assert loaded.cim_two_row(CimOp.CIM_NAND, A, B) == (~0b1000) & mask
+        assert loaded.cim_two_row(CimOp.CIM_NOR, A, B) == (~0b1110) & mask
 
     def test_de_morgan_at_zero_noise(self, zero_noise_model):
         arr = make_array(zero_noise_model)
@@ -113,12 +113,14 @@ class TestTwoRowLogic:
             arr.write_word(A, a)
             arr.write_word(B, b)
             mask = arr.geometry.word_mask
-            assert arr.cim_nand(A, B) == (~arr.cim_and(A, B)) & mask
-            assert arr.cim_nor(A, B) == (~arr.cim_or(A, B)) & mask
+            assert (arr.cim_two_row(CimOp.CIM_NAND, A, B)
+                    == (~arr.cim_two_row(CimOp.CIM_AND, A, B)) & mask)
+            assert (arr.cim_two_row(CimOp.CIM_NOR, A, B)
+                    == (~arr.cim_two_row(CimOp.CIM_OR, A, B)) & mask)
 
     def test_mapping_violations(self, loaded):
         with pytest.raises(MappingViolation):
-            loaded.cim_xor(A, A)
+            loaded.cim_two_row(CimOp.CIM_XOR, A, A)
         validate_mapping(RowAddress(0, 3), RowAddress(0, 7))
         with pytest.raises(MappingViolation, match="different rows"):
             validate_mapping(RowAddress(0, 3), RowAddress(0, 3))
@@ -249,7 +251,7 @@ class TestHeatedFailureRates:
             disturbance=Collapse(zone_temp=100.0),
             ops=frozenset({CimOp.CIM_AND}),
         )
-        failures = sum(arr.cim_and(a, b) for _ in range(10_000))
+        failures = sum(arr.cim_two_row(CimOp.CIM_AND, a, b) for _ in range(10_000))
         assert abs(failures / 10_000 - 0.044) <= 0.006
 
     def test_xnor_flip_rate_composes_two_row_failures(self, model):
@@ -290,7 +292,7 @@ class TestHeatedFailureRates:
             rows=frozenset({hot_a, hot_b}),
             ops=frozenset({CimOp.CIM_AND}),
         )
-        cold_failures = sum(arr.cim_and(cold_a, cold_b) for _ in range(10_000))
+        cold_failures = sum(arr.cim_two_row(CimOp.CIM_AND, cold_a, cold_b) for _ in range(10_000))
         # natural rate 0.5%: 3 binomial sigma at 1e4 trials is ~0.21 pp
         assert abs(cold_failures / 10_000 - 0.005) <= 0.0022
 
@@ -311,7 +313,7 @@ class TestHeatedFailureRates:
         trials = 10_000
         ones = np.zeros(16)
         for _ in range(trials):
-            word = arr.cim_and(A, B)
+            word = arr.cim_two_row(CimOp.CIM_AND, A, B)
             ones += [(word >> k) & 1 for k in range(16)]
         for k in range(16):
             states = (MtjState.from_bit(a_word >> k & 1), MtjState.from_bit(b_word >> k & 1))
@@ -336,9 +338,9 @@ class TestWideWords:
             arr.write_word(B, b)
             assert arr.read_word(A) == a
             assert arr.cim_not(A) == ~a & mask
-            assert arr.cim_and(A, B) == a & b
-            assert arr.cim_or(A, B) == a | b
-            assert arr.cim_xor(A, B) == a ^ b
+            assert arr.cim_two_row(CimOp.CIM_AND, A, B) == a & b
+            assert arr.cim_two_row(CimOp.CIM_OR, A, B) == a | b
+            assert arr.cim_two_row(CimOp.CIM_XOR, A, B) == a ^ b
             assert arr.cim_add(A, B, C) == (a + b) >> width
             assert arr.word(C) == (a + b) & mask
 
@@ -361,7 +363,7 @@ class TestSenseSharing:
             if op_name == "add":
                 arr.cim_add(A, B, C)
             else:
-                arr.cim_and(A, B)
+                arr.cim_two_row(CimOp.CIM_AND, A, B)
             return arr.rng.normal()
 
         assert consume("add") == consume("and")
@@ -438,8 +440,8 @@ class TestAttackHook:
         arr.attack = SenseDisturbance(
             rows=frozenset({A, B}), ops=frozenset({CimOp.CIM_AND}), force_flip=True
         )
-        assert arr.cim_and(A, B) == 0b11  # OR semantics
-        assert arr.cim_or(A, B) == 0b11   # untargeted op unchanged
+        assert arr.cim_two_row(CimOp.CIM_AND, A, B) == 0b11  # OR semantics
+        assert arr.cim_two_row(CimOp.CIM_OR, A, B) == 0b11   # untargeted op unchanged
 
     def test_rows_outside_zone_unaffected(self, zero_noise_model):
         arr = make_array(zero_noise_model)
@@ -450,7 +452,7 @@ class TestAttackHook:
         arr.attack = SenseDisturbance(
             rows=frozenset({A, B}), ops=frozenset({CimOp.CIM_AND}), force_flip=True
         )
-        assert arr.cim_and(C, D) == 0  # outside the heated zone
+        assert arr.cim_two_row(CimOp.CIM_AND, C, D) == 0  # outside the heated zone
 
     def test_collapse_hook_heats_only_targeted_rows(self, zero_noise_model):
         arr = make_array(zero_noise_model)
@@ -463,7 +465,7 @@ class TestAttackHook:
             ops=frozenset({CimOp.CIM_AND}),
         )
         # the AP cell in row A collapses; pair reads at the top level
-        assert arr.cim_and(A, B) & 1 == 1
+        assert arr.cim_two_row(CimOp.CIM_AND, A, B) & 1 == 1
 
     @pytest.mark.parametrize("words", [(0x0000, 0x0000), (0xFFFF, 0x0000), (0xFFFF, 0xFFFF)])
     def test_fully_heated_mean_shift_senses_as_the_pair_sampler(self, model, words):
@@ -491,8 +493,8 @@ class TestAttackHook:
             ops=frozenset({CimOp.CIM_AND}),
         )
         with pytest.raises(ValueError, match="both operand rows"):
-            arr.cim_and(A, B)
-        arr.cim_or(A, B)  # the attack does not match OR senses
+            arr.cim_two_row(CimOp.CIM_AND, A, B)
+        arr.cim_two_row(CimOp.CIM_OR, A, B)  # the attack does not match OR senses
         arr.cim_not(A)    # a lone heated row is fully heated: single cells unchanged
 
 

@@ -117,6 +117,27 @@ class TestConfig:
             with pytest.raises(ConfigError, match="finite"):
                 load_config(path)
 
+    @pytest.mark.parametrize("text,key", [
+        ('{"seed": 1, "seed": 2}', "seed"),
+        ('{"device": {"sigma": 0.5, "sigma": 0.6}}', "sigma"),
+        ('{"cost": {"enhanced": {"Read1": [1, 2], "Read1": [1, 2]}}}', "Read1"),
+        ('{"sca": {}, "seed": 3, "sca": {}}', "sca"),
+    ])
+    def test_repeated_key_rejected_at_any_depth(self, capsys, tmp_path, text, key):
+        path = tmp_path / "twice.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=f"config key '{key}' is repeated"):
+            load_config(path)
+        assert main(["margins", "--config", str(path), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: config key '{key}' is repeated\n"
+        assert not (tmp_path / "margins.json").exists()
+
+    def test_non_utf8_config_exits_one_naming_the_file(self, capsys, tmp_path):
+        path = tmp_path / "latin.json"
+        path.write_bytes(b'{"seed": "\xff"}')
+        assert main(["margins", "--config", str(path), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot read config file {path}: ")
+
     def test_canonical_json_refuses_nan(self):
         with pytest.raises(ValueError):
             canonical_json({"zone_temp": float("nan")})
@@ -386,6 +407,18 @@ class TestCli:
         assert code == 0
         assert doc["report"]["init_hex_sha256"] is None
         assert doc["report"]["program_sha256"] == report["program_sha256"]
+
+    @pytest.mark.parametrize("flag", ["--program", "--init-hex"])
+    def test_isa_run_names_the_input_it_cannot_decode(self, capsys, tmp_path, flag):
+        inputs = {"--program": tmp_path / "p.cim", "--init-hex": tmp_path / "d.hex"}
+        inputs["--program"].write_text("CimNOT @0, @1\n")
+        inputs["--init-hex"].write_text("\n".join(["00ff"] * 64) + "\n")
+        inputs[flag].write_bytes(inputs[flag].read_bytes() + b"\xff\n")
+        argv = ["isa-run", "--out", str(tmp_path / "out")]
+        assert main([*argv, *(part for pair in inputs.items() for part in map(str, pair))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"experiment error: {inputs[flag]} is not UTF-8 text: 'utf-8' ")
+        assert not (tmp_path / "out").exists()
 
     def test_isa_run_compare_lowered(self, capsys, tmp_path):
         program = tmp_path / "add.cim"

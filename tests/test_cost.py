@@ -1,5 +1,4 @@
 import io
-import math
 
 import pytest
 
@@ -9,7 +8,6 @@ from spincim import (
     CimArray,
     CostMode,
     CostTable,
-    Dataset,
     ExecutionTrace,
     OpClass,
     OpCost,
@@ -17,8 +15,6 @@ from spincim import (
     UnknownOp,
     cost_of,
     count_bus_transfers,
-    synthesize_power_trace,
-    trial_rng,
     word_read_cost,
     word_write_cost,
 )
@@ -103,69 +99,6 @@ class TestTrace:
         assert lines[1].startswith("Read1,0.0,0.6,8.611,Bus")
 
 
-class TestPowerSynthesis:
-    def test_single_read_integral(self):
-        trace = ExecutionTrace()
-        trace.record(OpClass.READ1, OpCost(0.6, 8.611), Channel.BUS)
-        power = synthesize_power_trace(trace, sample_rate=100.0)
-        quantum = (8.611 / 0.6) * (1.0 / 100.0)
-        assert power.integrate() == pytest.approx(8.611, abs=quantum)
-
-    def test_back_to_back_writes_integral(self):
-        trace = ExecutionTrace()
-        for _ in range(2):
-            trace.record(OpClass.WRITE0, OpCost(3.3, 191.4), Channel.BUS)
-        power = synthesize_power_trace(trace, sample_rate=1000.0)
-        quantum = (191.4 / 3.3) * 1e-3
-        assert power.integrate() == pytest.approx(382.8, abs=2 * quantum)
-
-    def test_empty_trace_zero_samples_plus_noise(self):
-        trace = ExecutionTrace()
-        silent = synthesize_power_trace(trace, sample_rate=10.0, duration_ns=5.0)
-        assert silent.power.shape == (50,) and not silent.power.any()
-        noisy = synthesize_power_trace(
-            trace, sample_rate=10.0, noise_sigma=1.0,
-            rng=trial_rng(1, 1), duration_ns=5.0,
-        )
-        assert noisy.power.shape == (50,) and noisy.power.any()
-
-    def test_noise_requires_rng(self):
-        with pytest.raises(ValueError):
-            synthesize_power_trace(ExecutionTrace(), 10.0, noise_sigma=1.0)
-
-    def test_sample_rate_positive(self):
-        with pytest.raises(ValueError):
-            synthesize_power_trace(ExecutionTrace(), 0.0)
-
-    @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf])
-    def test_sample_rate_finite(self, rate):
-        with pytest.raises(ValueError, match="sample_rate must be finite and positive"):
-            synthesize_power_trace(ExecutionTrace(), rate)
-
-    @pytest.mark.parametrize("sigma", [-1.0, math.nan, math.inf])
-    def test_noise_sigma_finite_and_non_negative(self, sigma):
-        # unchecked, -1 and nan would give a noiseless trace and inf infinite power
-        with pytest.raises(ValueError, match="noise_sigma must be finite and non-negative"):
-            synthesize_power_trace(
-                ExecutionTrace(), 10.0, noise_sigma=sigma, rng=trial_rng(1, 1),
-                duration_ns=5.0,
-            )
-
-    @pytest.mark.parametrize("duration", [math.nan, -1.0, math.inf])
-    def test_duration_finite_and_non_negative(self, duration):
-        # unchecked, nan and -1 died inside numpy and inf with an OverflowError
-        with pytest.raises(ValueError, match="duration_ns must be finite and non-negative"):
-            synthesize_power_trace(ExecutionTrace(), 10.0, duration_ns=duration)
-
-    def test_power_csv(self):
-        trace = ExecutionTrace()
-        trace.record(OpClass.READ1, OpCost(0.6, 8.611), Channel.BUS)
-        power = synthesize_power_trace(trace, sample_rate=10.0)
-        buf = io.StringIO()
-        power.to_csv(buf)
-        assert buf.getvalue().splitlines()[0] == "t_ns,power"
-
-
 def test_writers_accept_path_objects(tmp_path):
     trace = ExecutionTrace()
     trace.record(OpClass.READ1, OpCost(0.6, 8.611), Channel.BUS)
@@ -173,10 +106,6 @@ def test_writers_accept_path_objects(tmp_path):
     buf = io.StringIO()
     trace.to_csv(buf)
     assert (tmp_path / "trace.csv").read_bytes() == buf.getvalue().encode()
-    synthesize_power_trace(trace, sample_rate=10.0).to_csv(tmp_path / "power.csv")
-    assert (tmp_path / "power.csv").read_text().startswith("t_ns,power\n")
-    Dataset([[0.6, 8.611]], ["Read1"]).to_csv(tmp_path / "data.csv")
-    assert (tmp_path / "data.csv").read_text().splitlines()[1].endswith("Read1")
     array = CimArray(geometry=ArrayGeometry(rows_per_bank=4))
     array.write_word(RowAddress(0, 2), 0xBEEF)
     array.export_hex(tmp_path / "words.hex")

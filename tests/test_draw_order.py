@@ -134,8 +134,8 @@ def test_array_senses_draw_in_the_documented_order(name, sigma):
     senses = [
         ("read", lambda arr: arr.read_word(A), CimOp.READ, (A,)),
         ("not", lambda arr: arr.cim_not(B), CimOp.CIM_NOT, (B,)),
-        ("and", lambda arr: arr.cim_and(A, B), CimOp.CIM_AND, (A, B)),
-        ("xor", lambda arr: arr.cim_xor(B, A), CimOp.CIM_XOR, (B, A)),
+        ("and", lambda arr: arr.cim_two_row(CimOp.CIM_AND, A, B), CimOp.CIM_AND, (A, B)),
+        ("xor", lambda arr: arr.cim_two_row(CimOp.CIM_XOR, B, A), CimOp.CIM_XOR, (B, A)),
         ("add", lambda arr: arr.cim_add(A, B, DEST), CimOp.CIM_ADD, (A, B)),
     ]
     for label, sense, op, addrs in senses:
@@ -155,7 +155,7 @@ def test_stored_words_do_not_change_the_draws():
         arr, rng = _attacked_array(0.485281, _ATTACKS["collapse everywhere"])
         arr.write_word(A, a)
         arr.write_word(B, b)
-        arr.cim_and(A, B)
+        arr.cim_two_row(CimOp.CIM_AND, A, B)
         calls.append((rng.calls, rng.rng.bit_generator.state))
     assert calls[0] == calls[1] == calls[2]
 

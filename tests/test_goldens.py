@@ -12,10 +12,10 @@ import json
 import numpy as np
 import pytest
 
-from spincim import CimArray, PowerTrace, RowAddress, disassemble
+from spincim import CimArray, RowAddress, disassemble
 from spincim.cli import main
 from spincim.config import canonical_json
-from spincim.sca import Dataset, obscuring_experiment
+from spincim.sca import obscuring_experiment
 
 from _progs import random_cim_program
 
@@ -165,13 +165,6 @@ def test_writer_bytes(capsys, tmp_path, monkeypatch):
         capsys.readouterr()
         for path in sorted(out.iterdir()):
             digests[f"{tag}/{path.name}"] = _sha(path.read_bytes())
-    power = PowerTrace(sample_rate=2.0, power=np.array([0.0, 1.5, 1 / 3, 2e-17, 42.0]))
-    power.to_csv(tmp_path / "power.csv")
-    digests["power.csv"] = _sha((tmp_path / "power.csv").read_bytes())
-    dataset = Dataset([[0.6, 8.611], [4.4, 1 / 3], [0.1 + 0.2, 1e300]],
-                      ["Read1", "Write1", "Read1"])
-    dataset.to_csv(tmp_path / "dataset.csv")
-    digests["dataset.csv"] = _sha((tmp_path / "dataset.csv").read_bytes())
     result = obscuring_experiment([(0.05, 2.0)], samples=300, seed=9)[0]
     digests["obscuring.json"] = _sha(canonical_json(result.as_dict()).encode())
     assert digests == {
@@ -199,10 +192,6 @@ def test_writer_bytes(capsys, tmp_path, monkeypatch):
             "ba0464f3fd5f8a588728fd99a9d23ebdd40d806b84167dbdeaf647986d07c3a0",
         "sca/sca.csv":
             "483afcf4b7943056b1adfebcfc260b61604eab58a8908d79f02990bec76d18cf",
-        "power.csv":
-            "049ff12b4bb0c08a0c8786be64f4fead60bb125a21ec244d6a142fff6042d367",
-        "dataset.csv":
-            "3813c5a04227e85aaab355f0925dab998ad630d510bdec0f426998f81023ebd0",
         "obscuring.json":
             "621f83c3cf4e86cdc4fec8f1b8b7addf589c8335d309b1d24a6a7cd77e002856",
     }

@@ -99,6 +99,109 @@ def test_checker_flags_unread_private_names_only():
     ]
 
 
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _loads(nodes) -> tuple[set[str], set[str]]:
+    """The bare names and the attribute names that ``nodes`` load. The dotted
+    parts of a string count as attributes: the bench wraps callables by path."""
+    bare, attrs = set(), set()
+    for node in (n for top in nodes for n in ast.walk(top)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            bare.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            attrs.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            attrs.update(node.value.split("."))
+    return bare, attrs
+
+
+def unreached_public_names(package: dict[str, str], users: list[str],
+                           kept=()) -> list[str]:
+    """``module.name`` of each public top-level function or class, and
+    ``module.Class.method`` of each public method, that no user reaches.
+
+    ``package`` maps a module name to its text. The ``users`` sources, the
+    package's module-level statements and the ``kept`` definitions are
+    reached. A reached region reaches a top-level definition by loading its
+    name, bare or as an attribute; a method by loading it as an attribute; a
+    dunder method with its class. A reached definition's body is then a
+    reached region (a class's body without its methods).
+    """
+    regions, defs = [ast.parse(source) for source in users], []
+    for module, source in package.items():
+        for node in ast.parse(source).body:
+            if not isinstance(node, _DEFS):
+                regions.append(node)
+                continue
+            methods, body = [], [node]
+            if isinstance(node, ast.ClassDef):
+                methods = [m for m in node.body if isinstance(m, _DEFS[:2])]
+                body = [*node.bases, *node.decorator_list,
+                        *(s for s in node.body if s not in methods)]
+            defs.append((f"{module}.{node.name}", node.name, None, body))
+            defs += [(f"{module}.{node.name}.{m.name}", m.name, node.name, [m]) for m in methods]
+    bare, attrs = _loads(regions)
+
+    def reached(label, name, owner, _body) -> bool:
+        if label in kept or name in attrs:
+            return True
+        if owner is None:
+            return name in bare
+        return name.startswith("__") and owner in bare | attrs
+
+    new = [d for d in defs if reached(*d)]
+    while new:
+        for *_, body in new:
+            more_bare, more_attrs = _loads(body)
+            bare |= more_bare
+            attrs |= more_attrs
+        defs = [d for d in defs if d not in new]
+        new = [d for d in defs if reached(*d)]
+    return [label for label, name, *_ in defs if not name.startswith("_")]
+
+
+# Public names that no command or bench workload reaches, kept with a reason each.
+KEPT = {
+    "analytic.single_exceed": "the one-cell oracle beside pair_exceed",
+    "array.CimArray.export_hex": "writes the dumps that isa-run --init-hex reads",
+    "array.CimArray.word": "tests and acceptance criteria read stored words without a sense",
+    "cli._Parser.error": "argparse calls it on a usage error",
+    "cost.count_bus_transfers": "criterion 5 counts bus transfers with it",
+    "device._Words.generate_state": "PCG64 calls it to seed a trial stream",
+    "isa.disassemble": "the goldens and the assembler round trip build programs with it",
+    "sca.hamming_weight_attack": "criterion 8: the written word's weight from its energy",
+    "sca.obscuring_experiment": "the composite-window experiment, a library call until a "
+                                "report takes it",
+}
+BENCH = sorted(p for p in (ROOT / "bench").glob("*.py") if not p.name.startswith("test_"))
+
+
+def test_every_public_name_is_reached_or_kept():
+    package = {p.stem: p.read_text() for p in PACKAGE}
+    users = [p.read_text() for p in BENCH]
+    assert unreached_public_names(package, users, KEPT) == []
+    # and no kept name is one that a command or the bench reaches anyway
+    assert set(KEPT) <= set(unreached_public_names(package, users))
+
+
+def test_checker_flags_unreached_public_names_only():
+    package = {
+        "a": "import b\nb.run()\nclass Box:\n    def __len__(self):\n        return 0\n"
+             "    def size(self):\n        return helper()\n    def unused(self):\n"
+             "        return dead()\ndef helper():\n    return 1\ndef dead():\n    return 2\n"
+             "def kept():\n    return Box().unused()\n",
+        "b": "def run():\n    size = 3\n    return size\ndef by_path():\n    return 0\n",
+    }
+    users = ["import a\nwrap('b.by_path')\n"]
+    assert unreached_public_names(package, users) == [
+        "a.Box", "a.Box.size", "a.Box.unused", "a.helper", "a.dead", "a.kept",
+    ]
+    assert unreached_public_names(package, users, {"a.kept"}) == [
+        "a.Box.size", "a.helper",
+    ]
+
+
 def test_package_never_imports_scipy():
     imported = [
         alias.name if isinstance(node, ast.Import) else node.module

@@ -14,10 +14,8 @@ from spincim import (
     MalformedTrace,
     MissingClass,
     OpClass,
-    PowerTrace,
     cost_of,
     hamming_weight_attack,
-    synthesize_power_trace,
     trial_rng,
     word_write_cost,
 )
@@ -157,21 +155,13 @@ class TestConfusion:
             )
             assert accuracy == pytest.approx(oracle, abs=0.015)
 
-    def test_dataset_csv_export(self, tmp_path):
-        data = Dataset([[0.6, 8.611], [3.3, 191.4]], ["Read1", "Write0"])
-        path = tmp_path / "observations.csv"
-        data.to_csv(str(path))
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "duration_ns,energy_fJ,label"
-        assert lines[1].endswith("Read1") and len(lines) == 3
-
     def test_scale_consistency(self):
         rng = trial_rng(MASTER_SEED, 54)
         data = synthesize_dataset(STANDARD_CLASSES, TABLE, False, 500, 0.05, 2.0, rng)
         queries = rng.normal([2.0, 100.0], [1.0, 60.0], (400, 2))
         base = train(data, STANDARD_CLASSES).predict(queries)
         for factor in (0.01, 3.7, 250.0):
-            scaled = Dataset(data.features * factor, data.labels)
+            scaled = Dataset(data.features * factor, data.codes, data.classes)
             pred = train(scaled, STANDARD_CLASSES).predict(queries * factor)
             assert np.array_equal(base, pred)
 
@@ -182,7 +172,7 @@ class TestIntegerCodes:
         data = synthesize_dataset(ENHANCED_CLASSES, TABLE, True, 300, 0.05, 2.0, rng)
         classifier = train(data, ENHANCED_CLASSES)
         # shuffled and interleaved test labels, with CimADD never tested
-        names = data.labels
+        names = [data.classes[k] for k in data.codes]
         kept = [i for i in rng.permutation(len(data)) if names[i] != "CimADD"]
         test_set = Dataset(data.features[kept], [names[i] for i in kept])
         assert test_set.classes != data.classes
@@ -190,8 +180,8 @@ class TestIntegerCodes:
 
         pred = classifier.predict(test_set.features)
         counts = np.zeros((len(ENHANCED_CLASSES),) * 2)
-        for label, p in zip(test_set.labels, pred):
-            counts[classifier.classes.index(label), p] += 1.0
+        for code, p in zip(test_set.codes, pred):
+            counts[classifier.classes.index(test_set.classes[code]), p] += 1.0
         sums = counts.sum(axis=1, keepdims=True)
         expected = np.where(sums > 0, counts / np.where(sums > 0, sums, 1.0), 0.0)
         assert np.array_equal(matrix, expected)
@@ -218,12 +208,13 @@ class TestIntegerCodes:
     def test_labels_round_trip(self):
         labels = ["b", "a", "b", "c", "a"]
         data = Dataset(np.arange(10.0).reshape(5, 2), labels)
-        assert data.labels == tuple(labels)
+        assert [data.classes[k] for k in data.codes] == labels
         assert len(data) == 5
         assert data.classes == ("b", "a", "c")
         assert data.codes.tolist() == [0, 1, 0, 2, 1]
         coded = Dataset(data.features, data.codes, data.classes)
-        assert coded.labels == data.labels and len(coded) == len(data)
+        assert coded.classes == data.classes and len(coded) == len(data)
+        assert coded.codes.tolist() == data.codes.tolist()
         assert len(Dataset(np.zeros((0, 2)), [])) == 0
 
     @pytest.mark.parametrize("codes", [[0, 2], [-1, 0], [0]])
@@ -298,7 +289,7 @@ class TestAgainstFrozenKernels:
             feats[codes == 0] = feats[0]
         if flat_column is not None:   # no spread at all: the sigma floor's |max| branch
             feats[:, flat_column] = flat_value
-        if shuffle:   # otherwise each class is one run of rows and no sort is needed
+        if shuffle:   # otherwise each class is one run of rows, as a draw gives them
             perm = rng.permutation(len(codes))
             feats, codes = feats[perm], codes[perm]
         names = ("d", "b", "e", "a", "c")[:len(sizes)]
@@ -569,11 +560,6 @@ class TestHammingWeight:
             got = hamming_weight_attack(self._write_trace(word), 16)
             assert got == bin(word).count("1")
 
-    def test_power_trace_route(self):
-        trace = self._write_trace(0xF0F0)
-        power = synthesize_power_trace(trace, sample_rate=2000.0)
-        assert hamming_weight_attack(power, 16) == 8
-
     def test_malformed_traces(self):
         empty = ExecutionTrace()
         with pytest.raises(MalformedTrace):
@@ -602,7 +588,7 @@ class TestHammingWeight:
         write0 = cost_of(OpClass.WRITE0, default, enhanced=False)
         flat = CostTable(standard={**default.standard, OpClass.WRITE1: write0})
         with pytest.raises(ValueError, match="Write1 and Write0 energies are equal"):
-            hamming_weight_attack(PowerTrace(1.0, np.ones(10)), 16, flat)
+            hamming_weight_attack(self._write_trace(0xF0F0), 16, flat)
 
     def test_recovery_degrades_with_noise(self):
         # rounding survives iff |noise| < half the per-bit energy gap;
