@@ -11,6 +11,7 @@ from spincim import (
     CimArray,
     CimOp,
     Collapse,
+    ExecutionTrace,
     MappingViolation,
     MeanShift,
     OutOfBounds,
@@ -130,6 +131,20 @@ class TestTwoRowLogic:
     def test_unknown_two_row_op_rejected(self, loaded):
         with pytest.raises(ValueError):
             loaded.cim_two_row(CimOp.CIM_ADD, A, B)
+
+    @pytest.mark.parametrize("op", [CimOp.READ, CimOp.WRITE, CimOp.CIM_NOT],
+                             ids=lambda op: op.value)
+    def test_single_row_ops_rejected_before_any_sense(self, zero_noise_model, op):
+        # the op is the only selector of a two-row sense: nothing is sensed or recorded
+        trace = ExecutionTrace()
+        arr = make_array(zero_noise_model, recorder=trace)
+        arr.write_word(A, 0b1100)
+        arr.write_word(B, 0b1010)
+        events = len(trace.events)
+        with pytest.raises(ValueError, match=f"^{op.value} is not a two-row sense operation$"):
+            arr.cim_two_row(op, A, B)
+        assert len(trace.events) == events
+        assert (arr.word(A), arr.word(B)) == (0b1100, 0b1010)
 
 
 class TestNot:

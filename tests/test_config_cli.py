@@ -132,6 +132,14 @@ class TestConfig:
         assert capsys.readouterr().err == f"error: config key '{key}' is repeated\n"
         assert not (tmp_path / "margins.json").exists()
 
+    def test_a_key_in_two_objects_is_not_repeated(self, tmp_path):
+        path = tmp_path / "siblings.json"
+        path.write_text('{"cost": {"standard": {"Read1": [0.7, 9.0]}, '
+                        '"enhanced": {"Read1": [0.8, 9.5]}}}')
+        config = load_config(path)
+        assert config["cost"]["standard"]["Read1"] == [0.7, 9.0]
+        assert config["cost"]["enhanced"]["Read1"] == [0.8, 9.5]
+
     def test_non_utf8_config_exits_one_naming_the_file(self, capsys, tmp_path):
         path = tmp_path / "latin.json"
         path.write_bytes(b'{"seed": "\xff"}')

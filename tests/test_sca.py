@@ -1,5 +1,6 @@
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -572,6 +573,39 @@ class TestHammingWeight:
             hamming_weight_attack(double, 16)
         with pytest.raises(MalformedTrace):
             hamming_weight_attack("not a trace", 16)
+
+    @pytest.mark.parametrize("make", [
+        lambda write: None,
+        lambda write: write.events,
+        lambda write: write.events[0],
+        lambda write: np.full(10, write.total_energy() / 10),
+        lambda write: SimpleNamespace(sample_rate=1000.0, power=np.ones(10)),
+    ], ids=["none", "event-list", "one-event", "samples", "sampled-power"])
+    def test_anything_but_an_execution_trace_refused(self, make):
+        # only an ExecutionTrace is read, whatever the object carries
+        trace = make(self._write_trace(0xF0F0))
+        name = type(trace).__name__
+        with pytest.raises(MalformedTrace, match=f"^unsupported trace type {name}$"):
+            hamming_weight_attack(trace, 16)
+
+    def test_the_write_is_found_among_other_events(self):
+        from spincim import OpCost
+
+        trace = ExecutionTrace()
+        trace.record(OpClass.READ1, OpCost(0.6, 8.611), Channel.BUS)
+        kind, ones, zeros, cost = word_write_cost(0xF0F0, 16, PER_BIT, enhanced=False)
+        trace.record(kind, cost, Channel.BUS, ones, zeros)
+        trace.record(OpClass.CIM_AND, OpCost(0.55, 22.3), Channel.IN_MEMORY)
+        assert hamming_weight_attack(trace, 16) == 8
+
+    def test_exact_with_the_enhanced_write_costs(self):
+        rng = np.random.default_rng(32)
+        for word in [0x0000, 0xFFFF, *rng.integers(0, 1 << 16, 100).tolist()]:
+            trace = ExecutionTrace()
+            kind, ones, zeros, cost = word_write_cost(word, 16, PER_BIT, enhanced=True)
+            trace.record(kind, cost, Channel.BUS, ones, zeros)
+            got = hamming_weight_attack(trace, 16, PER_BIT, enhanced=True)
+            assert got == bin(word).count("1")
 
     def test_estimate_clamped(self):
         trace = ExecutionTrace()
