@@ -291,39 +291,36 @@ class CimArray:
             )
         self._words[addr.bank][addr.row] = word
         if record and self.recorder is not None:
-            kind, ones, zeros, cost = word_write_cost(
+            kind, cost = word_write_cost(
                 word, self.geometry.cols_per_row, self.cost_table, self.enhanced
             )
-            self.recorder.record(kind, cost, Channel.BUS, ones, zeros)
+            self.recorder.record(kind, cost, Channel.BUS)
 
     def read_word(self, addr: RowAddress) -> int:
         """Sense every column against the read reference; may misread."""
         self._check_addr(addr)
         word = self._sense(CimOp.READ, addr)
         if self.recorder is not None:
-            kind, ones, zeros, cost = word_read_cost(
+            kind, cost = word_read_cost(
                 word, self.geometry.cols_per_row, self.cost_table, self.enhanced
             )
-            self.recorder.record(kind, cost, Channel.BUS, ones, zeros)
+            self.recorder.record(kind, cost, Channel.BUS)
         return word
 
     # -- in-memory operations ------------------------------------------------
 
-    def _record_cim(self, op: CimOp, word: int) -> None:
+    def _record_cim(self, op: CimOp) -> None:
         if self.recorder is None:
             return
         kind = _COST_CLASS[op]
-        ones = word.bit_count()
         cost = cost_of(kind, self.cost_table, self.enhanced)
-        self.recorder.record(
-            kind, cost, Channel.IN_MEMORY, ones, self.geometry.cols_per_row - ones
-        )
+        self.recorder.record(kind, cost, Channel.IN_MEMORY)
 
     def cim_not(self, a: RowAddress) -> int:
         """Inverted read decode of one row."""
         self._check_addr(a)
         word = self._sense(CimOp.CIM_NOT, a)
-        self._record_cim(CimOp.CIM_NOT, word)
+        self._record_cim(CimOp.CIM_NOT)
         return word
 
     def cim_two_row(self, op: CimOp, a: RowAddress, b: RowAddress) -> int:
@@ -334,7 +331,7 @@ class CimArray:
         self._check_addr(b)
         validate_mapping(a, b)
         word = self._sense(op, a, b)
-        self._record_cim(op, word)
+        self._record_cim(op)
         return word
 
     def cim_xnor(
@@ -381,7 +378,7 @@ class CimArray:
             sums.append(xor_bit ^ carry)
             carry = int(and_bit | (carry & or_bit))
         total = _pack(sums)
-        self._record_cim(CimOp.CIM_ADD, total)
+        self._record_cim(CimOp.CIM_ADD)
         self.write_word(dest, total, record=False)
         return carry
 

@@ -74,21 +74,17 @@ class AttackScenario:
 
 
 @dataclass(frozen=True)
-class AuthEntry:
+class AuthDb:
+    """The one stored credential: a username and a password word of ``width`` bits."""
+
     username: int
     password: int
-
-
-@dataclass(frozen=True)
-class AuthDb:
-    entries: tuple[AuthEntry, ...]
     width: int = 16
 
     def __post_init__(self):
         mask = (1 << self.width) - 1
-        for e in self.entries:
-            if not (0 <= e.username <= mask and 0 <= e.password <= mask):
-                raise ValueError(f"credential wider than {self.width} bits")
+        if not (0 <= self.username <= mask and 0 <= self.password <= mask):
+            raise ValueError(f"credential wider than {self.width} bits")
 
 
 @dataclass(frozen=True)
@@ -112,9 +108,9 @@ class CredentialPolicy:
             return int(rng.integers(0, 1 << width, dtype=np.uint64))
         return stored if mode == "correct" else fixed
 
-    def draw(self, entry: AuthEntry, width: int, rng) -> tuple[int, int]:
-        u = self._draw_one(self.user, entry.username, self.fixed_user, width, rng)
-        p = self._draw_one(self.password, entry.password, self.fixed_password, width, rng)
+    def draw(self, db: AuthDb, rng) -> tuple[int, int]:
+        u = self._draw_one(self.user, db.username, self.fixed_user, db.width, rng)
+        p = self._draw_one(self.password, db.password, self.fixed_password, db.width, rng)
         return u, p
 
 
@@ -233,7 +229,6 @@ def run_auth(
     u_typed: int,
     p_typed: int,
     scenario: AttackScenario | None = None,
-    entry: int = 0,
     model: CurrentLevelModel | None = None,
     sense: SenseConfig | None = None,
     rng: np.random.Generator | None = None,
@@ -251,7 +246,6 @@ def run_auth(
     scenario = scenario or AttackScenario()
     model = model or CurrentLevelModel()
     sense = sense or SenseConfig()
-    stored = db.entries[entry]
     if array is None:
         geometry = ArrayGeometry(cols_per_row=db.width)
         array = CimArray(geometry, model, sense, rng=rng, recorder=ExecutionTrace())
@@ -262,8 +256,8 @@ def run_auth(
             array.rng = rng
     mask = array.geometry.word_mask
 
-    array.write_word(_ROWS["u_db"], stored.username)
-    array.write_word(_ROWS["p_db"], stored.password)
+    array.write_word(_ROWS["u_db"], db.username)
+    array.write_word(_ROWS["p_db"], db.password)
     array.write_word(_ROWS["u_typed"], u_typed)
     array.write_word(_ROWS["p_typed"], p_typed)
 
@@ -285,7 +279,6 @@ def auth_accept_probability(
     db: AuthDb,
     policy: CredentialPolicy,
     scenario: AttackScenario,
-    entry: int = 0,
     model: CurrentLevelModel | None = None,
     sense: SenseConfig | None = None,
 ) -> float:
@@ -328,8 +321,8 @@ def auth_accept_probability(
             prob *= p1 * xnor_one[1, d] + (1.0 - p1) * xnor_one[0, d]
         return prob
 
-    p_mu = word_match(policy.user, policy.fixed_user, db.entries[entry].username)
-    p_mp = word_match(policy.password, policy.fixed_password, db.entries[entry].password)
+    p_mu = word_match(policy.user, policy.fixed_user, db.username)
+    p_mp = word_match(policy.password, policy.fixed_password, db.password)
     outer = scenario.variant is AttackVariant.GATE_LEVEL
     total = 0.0
     for mu in (0, 1):
@@ -345,7 +338,6 @@ def attack_success_rate(
     scenario: AttackScenario,
     trials: int,
     seed: int,
-    entry: int = 0,
     model: CurrentLevelModel | None = None,
     sense: SenseConfig | None = None,
 ) -> McReport:
@@ -358,12 +350,9 @@ def attack_success_rate(
     array = CimArray(ArrayGeometry(cols_per_row=db.width), model, sense)
 
     def one(rng) -> bool:
-        u_t, p_t = policy.draw(db.entries[entry], db.width, rng)
-        return run_auth(
-            db, u_t, p_t, scenario, entry=entry, model=model, sense=sense, rng=rng,
-            array=array,
-        )[0]
+        u_t, p_t = policy.draw(db, rng)
+        return run_auth(db, u_t, p_t, scenario, model=model, sense=sense, rng=rng, array=array)[0]
 
     successes = run_trials(trials, seed, one)
-    oracle = auth_accept_probability(db, policy, scenario, entry, model, sense)
+    oracle = auth_accept_probability(db, policy, scenario, model, sense)
     return make_report(successes, trials, oracle, seed)

@@ -28,7 +28,6 @@ from .attack import (
     AttackScenario,
     AttackVariant,
     AuthDb,
-    AuthEntry,
     CredentialPolicy,
     attack_success_rate,
     mc_failure_rate,
@@ -201,10 +200,7 @@ def run_mc_failure(config, args):
 
 def run_auth_attack(config, args):
     atk = config["attack"]
-    db = AuthDb(
-        entries=(AuthEntry(atk["username"], atk["password"]),),
-        width=atk["credential_width"],
-    )
+    db = AuthDb(atk["username"], atk["password"], atk["credential_width"])
     scenario = AttackScenario(
         variant=AttackVariant(atk["variant"]),
         zone_temp=atk["zone_temp"],

@@ -164,7 +164,7 @@ def popcount(word: int, width: int) -> int:
 
 def word_write_cost(
     word: int, width: int, table: CostTable, enhanced: bool = True
-) -> tuple[OpClass, int, int, OpCost]:
+) -> tuple[OpClass, OpCost]:
     """Cost of writing one word, honouring the table's accounting mode.
 
     PerWord charges the majority-bit table row once (a tie charges the `1`
@@ -175,28 +175,25 @@ def word_write_cost(
     zeros = width - ones
     kind = OpClass.WRITE1 if ones >= zeros else OpClass.WRITE0
     if table.mode is CostMode.PER_WORD:
-        return kind, ones, zeros, cost_of(kind, table, enhanced)
+        return kind, cost_of(kind, table, enhanced)
     c1 = cost_of(OpClass.WRITE1, table, enhanced)
     c0 = cost_of(OpClass.WRITE0, table, enhanced)
     delay = max(c1.delay_ns if ones else 0.0, c0.delay_ns if zeros else 0.0)
     energy = ones * c1.energy_fj + zeros * c0.energy_fj
-    return kind, ones, zeros, OpCost(delay, energy)
+    return kind, OpCost(delay, energy)
 
 
 def word_read_cost(
     word: int, width: int, table: CostTable, enhanced: bool = True
-) -> tuple[OpClass, int, int, OpCost]:
+) -> tuple[OpClass, OpCost]:
     """Cost of reading one word: the majority-bit row, in either mode."""
     ones = popcount(word, width)
-    zeros = width - ones
-    kind = OpClass.READ1 if ones >= zeros else OpClass.READ0
-    return kind, ones, zeros, cost_of(kind, table, enhanced)
+    kind = OpClass.READ1 if ones >= width - ones else OpClass.READ0
+    return kind, cost_of(kind, table, enhanced)
 
 
 class TraceEvent(NamedTuple):
     kind: OpClass
-    ones: int
-    zeros: int
     start_ns: float
     duration_ns: float
     energy_fj: float
@@ -210,17 +207,8 @@ class ExecutionTrace:
         self.events: list[TraceEvent] = []
         self._cursor = 0.0
 
-    def record(
-        self,
-        kind: OpClass,
-        cost: OpCost,
-        channel: Channel,
-        ones: int = 0,
-        zeros: int = 0,
-    ) -> TraceEvent:
-        event = TraceEvent(
-            kind, ones, zeros, self._cursor, cost.delay_ns, cost.energy_fj, channel
-        )
+    def record(self, kind: OpClass, cost: OpCost, channel: Channel) -> TraceEvent:
+        event = TraceEvent(kind, self._cursor, cost.delay_ns, cost.energy_fj, channel)
         self.events.append(event)
         self._cursor += cost.delay_ns
         return event

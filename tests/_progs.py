@@ -3,15 +3,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from spincim import (
-    ArrayGeometry,
-    CimArray,
-    CimOp,
-    Instruction,
-    Machine,
-    Program,
-    RowAddress,
-)
+from spincim.array import ArrayGeometry, CimArray, CimOp, RowAddress
+from spincim.isa import Instruction, Machine, Program
 
 CIM_THREE = (
     CimOp.CIM_ADD,

@@ -7,7 +7,8 @@ from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from spincim import CurrentLevelModel, SenseConfig
+from spincim.array import SenseConfig
+from spincim.device import CurrentLevelModel
 
 MASTER_SEED = 20240
 

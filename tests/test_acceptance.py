@@ -10,41 +10,34 @@ import time
 
 import numpy as np
 
-from spincim import (
-    ArrayGeometry,
+from spincim.array import ArrayGeometry, CimArray, CimOp, RowAddress, SenseConfig
+from spincim.attack import (
     AttackScenario,
     AttackVariant,
     AuthDb,
-    AuthEntry,
+    CredentialPolicy,
+    attack_success_rate,
+    exceedance_mc,
+    mc_failure_rate,
+    run_auth,
+)
+from spincim.cli import main as cli_main
+from spincim.cost import (
     Channel,
-    CimArray,
     CostMode,
     CostTable,
-    CredentialPolicy,
-    CurrentLevelModel,
     ExecutionTrace,
-    MeanShift,
-    RowAddress,
-    SenseConfig,
-    assemble,
-    attack_success_rate,
     count_bus_transfers,
-    hamming_weight_attack,
-    lower_to_conventional,
-    mc_failure_rate,
-    run,
-    run_auth,
-    trial_rng,
     word_write_cost,
 )
-from spincim.attack import exceedance_mc
-from spincim.cli import main as cli_main
-from spincim.device import Collapse, parse_pair
+from spincim.device import Collapse, CurrentLevelModel, MeanShift, parse_pair, trial_rng
+from spincim.isa import assemble, lower_to_conventional, run
 from spincim.mitigation import ShiftEstimate, adapt_references, evaluate_mitigation
 from spincim.sca import (
     ENHANCED_CLASSES,
     STANDARD_CLASSES,
     confusion_matrix,
+    hamming_weight_attack,
     synthesize_dataset,
     train,
 )
@@ -166,8 +159,6 @@ def test_criterion_04_zero_noise_functional_suite(zero_noise_model):
         "CimNOR": lambda a, b: 1 - (a | b),
         "CimXOR": lambda a, b: a ^ b,
     }
-    from spincim import CimOp
-
     for name, fn in truth.items():
         for bits in ((0, 0), (0, 1), (1, 0), (1, 1)):
             arr.write_word(a_addr, bits[0])
@@ -250,7 +241,7 @@ def test_criterion_05_instruction_reduction(zero_noise_model):
 
 def test_criterion_06_forced_flip_algebra(zero_noise_model):
     crit = Criterion(6, "forced flips: XNOR-level accepts all, gate-level is OR")
-    db = AuthDb(entries=(AuthEntry(0xA5A5, 0x5AC3),), width=16)
+    db = AuthDb(0xA5A5, 0x5AC3, width=16)
     xnor_forced = AttackScenario(
         variant=AttackVariant.XNOR_LEVEL, zone_temp=100.0, force_flip=True
     )
@@ -287,7 +278,7 @@ def test_criterion_06_forced_flip_algebra(zero_noise_model):
 
 def test_criterion_07_probabilistic_attack():
     crit = Criterion(7, "heated bypass rate within 3 sigma of the composition oracle")
-    db = AuthDb(entries=(AuthEntry(0xA5A5, 0x5AC3),), width=16)
+    db = AuthDb(0xA5A5, 0x5AC3, width=16)
     scenario = AttackScenario(variant=AttackVariant.XNOR_LEVEL, zone_temp=100.0)
     report = attack_success_rate(
         db, CredentialPolicy("correct", "random"), scenario, TRIALS, SEED
@@ -330,8 +321,8 @@ def test_criterion_08_classification_and_hamming():
     wrong = 0
     for word in range(1 << 12):
         trace = ExecutionTrace()
-        kind, ones, zeros, cost = word_write_cost(word, 12, per_bit, enhanced=False)
-        trace.record(kind, cost, Channel.BUS, ones, zeros)
+        kind, cost = word_write_cost(word, 12, per_bit, enhanced=False)
+        trace.record(kind, cost, Channel.BUS)
         if hamming_weight_attack(trace, 12) != bin(word).count("1"):
             wrong += 1
     crit.check(wrong == 0, f"{wrong}/4096 Hamming-weight recoveries wrong")

@@ -2,16 +2,15 @@ import math
 
 import pytest
 
-from spincim import (
+from spincim.analytic import normal_tail, pair_exceed, single_exceed, wilson_interval
+from spincim.device import (
     Collapse,
     MeanShift,
     MtjState,
-    normal_tail,
-    pair_exceed,
-    single_exceed,
-    wilson_interval,
+    parse_pair,
+    sample_single_current,
+    trial_rng,
 )
-from spincim.device import parse_pair, sample_single_current, trial_rng
 
 from _oracles import binomial_3sigma, q
 from conftest import MASTER_SEED
@@ -103,7 +102,7 @@ class TestWilson:
 
 def test_predict_labels_names_classes(zero_noise_model):
     from spincim.sca import STANDARD_CLASSES, synthesize_dataset, train
-    from spincim import CostTable
+    from spincim.cost import CostTable
 
     data = synthesize_dataset(
         STANDARD_CLASSES, CostTable(), False, 2, 0.0, 0.0, trial_rng(MASTER_SEED, 81)

@@ -6,24 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spincim import (
+from spincim import analytic
+from spincim.array import (
     ArrayGeometry,
     CimArray,
     CimOp,
-    Collapse,
-    ExecutionTrace,
-    MappingViolation,
-    MeanShift,
-    OutOfBounds,
     RowAddress,
     SenseConfig,
     SenseDisturbance,
-    sample_pair_current,
-    trial_rng,
     validate_mapping,
 )
-from spincim import analytic
-from spincim.device import MtjState
+from spincim.cost import ExecutionTrace
+from spincim.device import Collapse, MeanShift, MtjState, sample_pair_current, trial_rng
+from spincim.errors import MappingViolation, OutOfBounds
 
 from conftest import MASTER_SEED
 

@@ -6,30 +6,27 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from spincim import (
+from spincim import attack
+from spincim.array import ArrayGeometry, CimArray
+from spincim.attack import (
     AttackScenario,
     AttackVariant,
     AuthDb,
-    AuthEntry,
-    Collapse,
     CredentialPolicy,
-    CurrentLevelModel,
-    ExecutionTrace,
     attack_success_rate,
     auth_accept_probability,
+    exceedance_mc,
     mc_failure_rate,
     run_auth,
-    trial_rng,
 )
-from spincim import attack
-from spincim.attack import exceedance_mc
-from spincim.device import parse_pair
-from spincim.errors import OutOfBounds
+from spincim.cost import ExecutionTrace
+from spincim.device import Collapse, CurrentLevelModel, parse_pair, trial_rng
+from spincim.errors import MappingViolation, OutOfBounds
 
 from _oracles import binomial_3sigma
 from conftest import MASTER_SEED
 
-DB16 = AuthDb(entries=(AuthEntry(0xA5A5, 0x5AC3),), width=16)
+DB16 = AuthDb(0xA5A5, 0x5AC3, width=16)
 NO_ATTACK = AttackScenario()
 
 
@@ -78,8 +75,6 @@ class TestAuthProtocol:
             run_auth(DB16, 0, 0, scenario, model=model, rng=trial_rng(1, 1))
 
     def test_width_checked_against_array(self, zero_noise_model):
-        from spincim import ArrayGeometry, CimArray, MappingViolation
-
         wide = CimArray(geometry=ArrayGeometry(cols_per_row=8), model=zero_noise_model)
         with pytest.raises(MappingViolation):
             run_auth(DB16, 0, 0, NO_ATTACK, model=zero_noise_model, array=wide)
@@ -143,7 +138,7 @@ class TestMcFailureRate:
 class TestSuccessRate:
     def test_random_credentials_combinatorial_oracle(self, zero_noise_model):
         # exhaustive: exactly one typed combination in 2^(2w) is accepted
-        db = AuthDb(entries=(AuthEntry(0b1010, 0b0110),), width=4)
+        db = AuthDb(0b1010, 0b0110, width=4)
         policy = CredentialPolicy(user="random", password="random")
         oracle = auth_accept_probability(db, policy, NO_ATTACK, model=zero_noise_model)
         assert oracle == pytest.approx(2.0 ** -8, abs=1e-15)
@@ -155,7 +150,7 @@ class TestSuccessRate:
         assert accepted == 1
 
     def test_correct_user_random_password_oracle(self, zero_noise_model):
-        db = AuthDb(entries=(AuthEntry(0b1010, 0b0110),), width=4)
+        db = AuthDb(0b1010, 0b0110, width=4)
         policy = CredentialPolicy(user="correct", password="random")
         oracle = auth_accept_probability(db, policy, NO_ATTACK, model=zero_noise_model)
         assert oracle == pytest.approx(2.0 ** -4, abs=1e-15)
@@ -163,22 +158,22 @@ class TestSuccessRate:
     def test_fixed_policy_draw(self):
         policy = CredentialPolicy(user="fixed", password="fixed",
                                   fixed_user=7, fixed_password=9)
-        u, p = policy.draw(AuthEntry(1, 2), 16, trial_rng(0, 0))
+        u, p = policy.draw(AuthDb(1, 2), trial_rng(0, 0))
         assert (u, p) == (7, 9)
         with pytest.raises(ValueError):
-            CredentialPolicy(user="fixed").draw(AuthEntry(1, 2), 16, trial_rng(0, 0))
+            CredentialPolicy(user="fixed").draw(AuthDb(1, 2), trial_rng(0, 0))
 
     @pytest.mark.parametrize("width", [1, 8, 16, 31, 32, 33, 48, 63])
     def test_random_draw_keeps_its_stream_below_64_bits(self, width):
         policy = CredentialPolicy(user="random", password="random")
         for i in range(25):
-            drawn = policy.draw(AuthEntry(0, 0), width, trial_rng(3, i))
+            drawn = policy.draw(AuthDb(0, 0, width=width), trial_rng(3, i))
             rng = trial_rng(3, i)
             assert drawn == tuple(int(rng.integers(0, 1 << width)) for _ in range(2))
 
     def test_random_draw_spans_64_bits(self):
         policy = CredentialPolicy(user="random", password="random")
-        words = [w for i in range(40) for w in policy.draw(AuthEntry(0, 0), 64, trial_rng(5, i))]
+        words = [w for i in range(40) for w in policy.draw(AuthDb(0, 0, 64), trial_rng(5, i))]
         assert all(0 <= w < 1 << 64 for w in words)
         assert any(w >= 1 << 63 for w in words)
 
@@ -233,17 +228,6 @@ class TestSuccessRate:
             )
         assert oracle.type is monte_carlo.type is error
 
-    def test_multi_entry_database(self, zero_noise_model):
-        db = AuthDb(
-            entries=(AuthEntry(0x1111, 0x2222), AuthEntry(0xAAAA, 0xBBBB)), width=16
-        )
-        accept, _ = run_auth(db, 0xAAAA, 0xBBBB, NO_ATTACK, entry=1,
-                             model=zero_noise_model)
-        assert accept
-        accept, _ = run_auth(db, 0xAAAA, 0xBBBB, NO_ATTACK, entry=0,
-                             model=zero_noise_model)
-        assert not accept
-
     def test_gate_level_heat_beats_natural(self, model):
         # heating the outer AND raises acceptance of a wrong password
         policy = CredentialPolicy(user="correct", password="fixed", fixed_password=0x0)
@@ -275,7 +259,7 @@ class TestSuccessRate:
 class TestAuthDbValidation:
     def test_credential_width_enforced(self):
         with pytest.raises(ValueError):
-            AuthDb(entries=(AuthEntry(1 << 16, 0),), width=16)
+            AuthDb(1 << 16, 0, width=16)
 
 
 class TestOracleDigest:
@@ -289,7 +273,7 @@ class TestOracleDigest:
         ),
     )
     DBS = tuple(
-        AuthDb(entries=(AuthEntry(u, p),), width=w)
+        AuthDb(u, p, width=w)
         for w, u, p in (
             (1, 1, 0),
             (7, 0x5A, 0x03),

@@ -17,15 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spincim
-from spincim import ConfigError
-from spincim.cli import build_parser, main
-from spincim import (
-    ArrayGeometry, CimOp, Collapse, CostTable, CurrentLevelModel, MtjState, SenseConfig,
-    sense_law,
-)
 from spincim.analytic import binomial_stderr
-from spincim.array import TWO_ROW_OPS
+from spincim.array import TWO_ROW_OPS, ArrayGeometry, CimOp, SenseConfig
 from spincim.attack import AttackVariant
+from spincim.cli import build_parser, main
 from spincim.config import (
     _SCHEMA,
     DEFAULT_CONFIG,
@@ -40,6 +35,9 @@ from spincim.config import (
     load_config,
     validate_run,
 )
+from spincim.cost import CostTable
+from spincim.device import Collapse, CurrentLevelModel, MtjState, sense_law
+from spincim.errors import ConfigError
 
 from _oracles import binomial_3sigma, collapse_pair_exceed
 

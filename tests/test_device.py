@@ -7,13 +7,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spincim import (
-    CurrentLevelModel,
+from spincim import attack, device
+from spincim.attack import AttackScenario, AttackVariant
+from spincim.device import (
     Collapse,
+    CurrentLevelModel,
     FailureRateTargets,
     MeanShift,
     MtjState,
-    NonConvergence,
     calibrate,
     pair_sampler,
     parse_pair,
@@ -22,8 +23,7 @@ from spincim import (
     sample_single_current,
     trial_rng,
 )
-from spincim import attack, device
-from spincim.attack import AttackScenario, AttackVariant
+from spincim.errors import NonConvergence
 
 from _oracles import (
     binomial_3sigma,

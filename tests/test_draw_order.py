@@ -10,25 +10,17 @@ import math
 import numpy as np
 import pytest
 
-from spincim import (
+from spincim.array import CimArray, CimOp, RowAddress, SenseDisturbance
+from spincim.attack import (
     AttackScenario,
     AttackVariant,
     AuthDb,
-    AuthEntry,
-    CimArray,
-    CimOp,
-    Collapse,
     CredentialPolicy,
-    CurrentLevelModel,
-    MeanShift,
-    RowAddress,
-    SenseDisturbance,
     attack_success_rate,
     run_auth,
-    sample_columns,
-    trial_rng,
+    run_trials,
 )
-from spincim.attack import run_trials
+from spincim.device import Collapse, CurrentLevelModel, MeanShift, sample_columns, trial_rng
 
 from conftest import MASTER_SEED
 
@@ -166,12 +158,12 @@ def test_stored_words_do_not_change_the_draws():
     AttackScenario(AttackVariant.GATE_LEVEL, force_flip=True),
 ], ids=lambda s: f"{s.variant.value}-{s.zone_temp:g}C-forced{s.force_flip}")
 def test_reused_arrays_count_as_fresh_ones(scenario):
-    db = AuthDb(entries=(AuthEntry(0xBEEF, 0x1234),))
+    db = AuthDb(0xBEEF, 0x1234)
     policy = CredentialPolicy(user="correct", password="random")
     trials = 150
 
     def fresh(rng) -> bool:
-        u_t, p_t = policy.draw(db.entries[0], db.width, rng)
+        u_t, p_t = policy.draw(db, rng)
         return run_auth(db, u_t, p_t, scenario, rng=rng)[0]
 
     report = attack_success_rate(db, policy, scenario, trials, MASTER_SEED)

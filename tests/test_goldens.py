@@ -12,9 +12,10 @@ import json
 import numpy as np
 import pytest
 
-from spincim import CimArray, RowAddress, disassemble
+from spincim.array import CimArray, RowAddress
 from spincim.cli import main
 from spincim.config import canonical_json
+from spincim.isa import disassemble
 from spincim.sca import obscuring_experiment
 
 from _progs import random_cim_program

@@ -1,6 +1,6 @@
-"""Every name a module imports is used in it (package ``__init__`` re-exports aside),
-every private module-level name of the package is read somewhere in it, and no
-command loads scipy."""
+"""Every name a module imports is used in it, every private module-level name of
+the package is read somewhere in it, every public name and every record field is
+reached from the commands or the bench, and no command loads scipy."""
 import ast
 import os
 import subprocess
@@ -12,10 +12,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "spincim").glob("*.py"))
-MODULES = sorted(
-    p for p in [*(ROOT / "src" / "spincim").glob("*.py"), *(ROOT / "tests").glob("*.py")]
-    if p.name != "__init__.py"
-)
+MODULES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
 
 
 def unused_imports(source: str) -> list[str]:
@@ -199,6 +196,75 @@ def test_checker_flags_unreached_public_names_only():
     ]
     assert unreached_public_names(package, users, {"a.kept"}) == [
         "a.Box.size", "a.helper",
+    ]
+
+
+def _is_record(node: ast.ClassDef) -> bool:
+    """A ``@dataclass`` (bare, called or dotted) or a ``NamedTuple`` subclass."""
+    def named(expr, name):
+        expr = expr.func if isinstance(expr, ast.Call) else expr
+        return name in (getattr(expr, "id", None), getattr(expr, "attr", None))
+
+    return (any(named(d, "dataclass") for d in node.decorator_list)
+            or any(named(b, "NamedTuple") for b in node.bases))
+
+
+def unread_fields(package: dict[str, str], users: list[str], kept=()) -> list[str]:
+    """``module.Class.field`` of each annotated field of a dataclass or
+    NamedTuple that neither the package nor a user reads as an attribute.
+
+    ``package`` maps a module name to its text. A class whose body names
+    ``asdict`` or ``astuple`` serialises every field itself, so all of its
+    fields are read; ``kept`` fields count as read too. An attribute of
+    ``np`` or ``numpy`` (``np.zeros``) is not a field read.
+    """
+    trees = {module: ast.parse(source) for module, source in package.items()}
+    read = {
+        node.attr for tree in [*trees.values(), *map(ast.parse, users)] for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        and getattr(node.value, "id", None) not in ("np", "numpy")
+    }
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not (isinstance(node, ast.ClassDef) and _is_record(node)):
+                continue
+            if any(isinstance(n, ast.Name) and n.id in ("asdict", "astuple")
+                   for n in ast.walk(node)):
+                continue
+            for stmt in node.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    label = f"{module}.{node.name}.{stmt.target.id}"
+                    if stmt.target.id not in read and label not in kept:
+                        unread.append(label)
+    return unread
+
+
+# Record fields that nothing reads, kept with a reason each.
+KEPT_FIELDS: dict[str, str] = {}
+
+
+def test_every_record_field_is_read_or_kept():
+    package = {p.stem: p.read_text() for p in PACKAGE}
+    users = [p.read_text() for p in BENCH]
+    assert unread_fields(package, users, KEPT_FIELDS) == []
+    assert set(KEPT_FIELDS) <= set(unread_fields(package, users))
+
+
+def test_checker_flags_unread_fields_only():
+    package = {
+        "a": "import numpy as np\nfrom dataclasses import asdict, dataclass\n"
+             "from typing import NamedTuple\n"
+             "class Event(NamedTuple):\n    kind: str\n    zeros: int\n    ones: int\n"
+             "@dataclass(frozen=True)\nclass Cfg:\n    width: int\n    depth: int\n"
+             "@dataclass\nclass Report:\n    rate: float\n    as_dict = asdict\n"
+             "class Plain:\n    size: int\n"
+             "def use(e, c):\n    return e.kind, c.width, np.zeros(3), np.ones\n",
+        "b": "def set_depth(c):\n    c.depth = 2\n",
+    }
+    assert unread_fields(package, []) == ["a.Event.zeros", "a.Event.ones", "a.Cfg.depth"]
+    assert unread_fields(package, ["def f(e):\n    return e.ones\n"], {"a.Cfg.depth"}) == [
+        "a.Event.zeros",
     ]
 
 

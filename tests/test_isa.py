@@ -3,22 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spincim import (
-    Channel,
-    CimArray,
-    CimOp,
-    CostMode,
-    CostTable,
+from spincim.array import CimArray, CimOp, RowAddress
+from spincim.cost import Channel, CostMode, CostTable, OpClass, count_bus_transfers
+from spincim.errors import OutOfBounds, ParseError, StepBudgetExceeded
+from spincim.isa import (
     Instruction,
     Machine,
-    OpClass,
     Opcode,
-    ParseError,
     Program,
-    RowAddress,
-    StepBudgetExceeded,
     assemble,
-    count_bus_transfers,
     disassemble,
     lower_to_conventional,
     run,
@@ -223,8 +216,6 @@ class TestRun:
             run(assemble("CimNOT @0, @1\n" * 5), machine)
 
     def test_out_of_bounds_row_propagates(self, zero_noise_model):
-        from spincim import OutOfBounds
-
         machine = machine_with_memory(zero_noise_model, rows=16)
         with pytest.raises(OutOfBounds):
             run(assemble("LOAD R0, @200\n"), machine)

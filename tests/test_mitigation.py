@@ -2,15 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spincim import (
-    Collapse,
-    CurrentLevelModel,
-    InvalidShift,
-    MeanShift,
-    SenseConfig,
-)
 from spincim.analytic import pair_exceed
-from spincim.device import parse_pair
+from spincim.array import SenseConfig
+from spincim.device import Collapse, CurrentLevelModel, MeanShift, parse_pair
+from spincim.errors import InvalidShift
 from spincim.mitigation import ShiftEstimate, adapt_references, evaluate_mitigation
 
 from _oracles import binomial_3sigma, gaussian_exceed

@@ -7,19 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spincim import (
+from spincim import cli
+from spincim.config import load_config
+from spincim.cost import (
     Channel,
     CostMode,
     CostTable,
     ExecutionTrace,
-    MalformedTrace,
-    MissingClass,
     OpClass,
+    OpCost,
     cost_of,
-    hamming_weight_attack,
-    trial_rng,
     word_write_cost,
 )
+from spincim.device import trial_rng
+from spincim.errors import MalformedTrace, MissingClass
 from spincim.sca import (
     ENHANCED_CLASSES,
     PREDICT_BLOCK,
@@ -28,14 +29,13 @@ from spincim.sca import (
     Dataset,
     composite_window,
     confusion_matrix,
+    hamming_weight_attack,
     obscuring_experiment,
     score_attackers,
     streamed_train,
     synthesize_dataset,
     train,
 )
-from spincim import cli
-from spincim.config import load_config
 
 import _oracles
 from _oracles import binomial_3sigma, nearest_centroid_accuracy_by_integration, q
@@ -543,12 +543,10 @@ class TestPredictInput:
 class TestHammingWeight:
     def _write_trace(self, word, width=16, noise=0.0, rng=None):
         trace = ExecutionTrace()
-        kind, ones, zeros, cost = word_write_cost(word, width, PER_BIT, enhanced=False)
+        kind, cost = word_write_cost(word, width, PER_BIT, enhanced=False)
         if noise:
-            from spincim import OpCost
-
             cost = OpCost(cost.delay_ns, max(cost.energy_fj + rng.normal(0, noise), 0.0))
-        trace.record(kind, cost, Channel.BUS, ones, zeros)
+        trace.record(kind, cost, Channel.BUS)
         return trace
 
     def test_exact_at_zero_noise(self):
@@ -567,8 +565,8 @@ class TestHammingWeight:
             hamming_weight_attack(empty, 16)
         double = ExecutionTrace()
         for _ in range(2):
-            kind, ones, zeros, cost = word_write_cost(0xF0F0, 16, PER_BIT, False)
-            double.record(kind, cost, Channel.BUS, ones, zeros)
+            kind, cost = word_write_cost(0xF0F0, 16, PER_BIT, False)
+            double.record(kind, cost, Channel.BUS)
         with pytest.raises(MalformedTrace):
             hamming_weight_attack(double, 16)
         with pytest.raises(MalformedTrace):
@@ -589,12 +587,10 @@ class TestHammingWeight:
             hamming_weight_attack(trace, 16)
 
     def test_the_write_is_found_among_other_events(self):
-        from spincim import OpCost
-
         trace = ExecutionTrace()
         trace.record(OpClass.READ1, OpCost(0.6, 8.611), Channel.BUS)
-        kind, ones, zeros, cost = word_write_cost(0xF0F0, 16, PER_BIT, enhanced=False)
-        trace.record(kind, cost, Channel.BUS, ones, zeros)
+        kind, cost = word_write_cost(0xF0F0, 16, PER_BIT, enhanced=False)
+        trace.record(kind, cost, Channel.BUS)
         trace.record(OpClass.CIM_AND, OpCost(0.55, 22.3), Channel.IN_MEMORY)
         assert hamming_weight_attack(trace, 16) == 8
 
@@ -602,19 +598,17 @@ class TestHammingWeight:
         rng = np.random.default_rng(32)
         for word in [0x0000, 0xFFFF, *rng.integers(0, 1 << 16, 100).tolist()]:
             trace = ExecutionTrace()
-            kind, ones, zeros, cost = word_write_cost(word, 16, PER_BIT, enhanced=True)
-            trace.record(kind, cost, Channel.BUS, ones, zeros)
+            kind, cost = word_write_cost(word, 16, PER_BIT, enhanced=True)
+            trace.record(kind, cost, Channel.BUS)
             got = hamming_weight_attack(trace, 16, PER_BIT, enhanced=True)
             assert got == bin(word).count("1")
 
     def test_estimate_clamped(self):
         trace = ExecutionTrace()
-        from spincim import OpCost
-
-        trace.record(OpClass.WRITE1, OpCost(4.4, 1e6), Channel.BUS, 16, 0)
+        trace.record(OpClass.WRITE1, OpCost(4.4, 1e6), Channel.BUS)
         assert hamming_weight_attack(trace, 16) == 16
         trace2 = ExecutionTrace()
-        trace2.record(OpClass.WRITE0, OpCost(3.3, 0.0), Channel.BUS, 0, 16)
+        trace2.record(OpClass.WRITE0, OpCost(3.3, 0.0), Channel.BUS)
         assert hamming_weight_attack(trace2, 16) == 0
 
     def test_equal_write_energies_rejected(self):

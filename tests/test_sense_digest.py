@@ -10,14 +10,13 @@ int level into a float, changes the digest.
 import hashlib
 import math
 
-from spincim import (
+from spincim.analytic import pair_exceed, single_exceed
+from spincim.device import (
     Collapse,
     CurrentLevelModel,
     MeanShift,
     MtjState,
-    pair_exceed,
     pair_sampler,
-    single_exceed,
     trial_rng,
 )
 

@@ -10,22 +10,21 @@ import math
 import numpy as np
 import pytest
 
-from spincim import (
+from spincim.analytic import pair_exceed, single_exceed
+from spincim.array import SenseConfig
+from spincim.device import (
     Collapse,
     CurrentLevelModel,
     MeanShift,
     MtjState,
-    SenseConfig,
-    pair_exceed,
+    heated,
     pair_sampler,
     sample_columns,
     sample_pair_current,
     sample_single_current,
     sense_law,
-    single_exceed,
     trial_rng,
 )
-from spincim.device import heated
 
 from _oracles import binomial_3sigma, gaussian_exceed
 from conftest import MASTER_SEED
