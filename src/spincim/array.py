@@ -13,18 +13,20 @@ are never resampled.
 Each sense samples all columns of its row (or row pair) in one vectorised
 draw from the array's generator, in a fixed order: for each activated row
 whose disturbance is Collapse (first operand first), one uniform per column;
-then one normal per column when the noise sigma is positive. The number of
-draws depends on the operation and the disturbance, never on the stored
-words. There is no default generator: a sense that needs draws raises
-ValueError on an array built without one.
+then one normal per column when the noise sigma is positive. An XNOR
+consumes the stream exactly as its AND sense and then its NOR sense, drawn
+in one pass of :func:`~spincim.device.draw_columns`, the one column sampler.
+The number of draws depends on the operation and the disturbance, never on
+the stored words. There is no default generator: a sense that needs draws
+raises ValueError on an array built without one.
 
-The attack is read once per sense. It heats a sense it matches with its
-disturbance bare when every activated row is in its zone (a MeanShift shifts
-the pair levels and leaves single cells alone), else per row, which a
-MeanShift cannot be: a pair sense with one of its rows heated by a MeanShift
-raises ValueError. A force flip decodes a targeted AND in the OR window. Row
-bits come from a bounded cache of read-only vectors, so a word is unpacked
-once.
+A sense's law is resolved once per attack, op and heated-row pattern. The
+attack heats a sense it matches with its disturbance bare when every
+activated row is in its zone (a MeanShift shifts the pair levels and leaves
+single cells alone), else per row, which a MeanShift cannot be: a pair sense
+with one of its rows heated by a MeanShift raises ValueError. A force flip
+decodes a targeted AND in the OR window. Row bits come from a bounded cache
+of read-only vectors, so a word is unpacked once.
 """
 from __future__ import annotations
 
@@ -51,7 +53,8 @@ from .device import (
     CurrentLevelModel,
     Disturbance,
     MeanShift,
-    sample_columns,
+    column_law,
+    draw_columns,
 )
 from .errors import MappingViolation, OutOfBounds
 
@@ -196,9 +199,9 @@ def validate_mapping(a: RowAddress, b: RowAddress) -> None:
 
 @functools.lru_cache(maxsize=1024)
 def _unpack(word: int, width: int) -> np.ndarray:
-    """Bits of a word as a read-only 0/1 vector, column 0 first; any width."""
+    """Bits of a word as a read-only 0/1 index vector, column 0 first; any width."""
     raw = np.frombuffer(word.to_bytes((width + 7) // 8, "little"), dtype=np.uint8)
-    bits = np.unpackbits(raw, count=width, bitorder="little")
+    bits = np.unpackbits(raw, count=width, bitorder="little").astype(np.intp)
     bits.flags.writeable = False
     return bits
 
@@ -230,6 +233,7 @@ class CimArray:
         self.recorder = recorder
         self.enhanced = enhanced
         self.attack: SenseDisturbance | None = None
+        self._laws, self._laws_attack, self._laws_model = {}, None, self.model
         g = self.geometry
         self._words = [[0] * g.rows_per_bank for _ in range(g.banks)]
 
@@ -253,26 +257,47 @@ class CimArray:
 
     # -- sensing -------------------------------------------------------------
 
-    def _currents(self, op: CimOp, *addrs: RowAddress) -> tuple[np.ndarray, CimOp]:
-        """One current per column for a one-row or two-row activation, and
-        the op they decode as: OR for an AND that the attack force-flips."""
+    def _senses(self, ops: tuple[CimOp, ...], addrs) -> tuple[list, tuple[CimOp, ...]]:
+        """One sense per op over the one-row or two-row activation ``addrs``,
+        drawn in one pass: the senses' currents, one per column, and the op
+        each decodes as. A new attack or model empties the memo of laws.
+        """
+        atk = self.attack
+        if atk is not self._laws_attack or self.model is not self._laws_model:
+            self._laws, self._laws_attack, self._laws_model = {}, atk, self.model
+        targeted = tuple([atk is not None and atk.row_targeted(a) for a in addrs])
+        key = (ops, targeted)
+        if key not in self._laws:
+            self._laws[key] = tuple(zip(*[self._resolve(op, targeted) for op in ops]))
+        laws, decode_ops = self._laws[key]
         width = self.geometry.cols_per_row
         bits = [_unpack(self._words[a.bank][a.row], width) for a in addrs]
-        dist = None
+        return draw_columns(bits, laws, self.model.sigma, self.rng), decode_ops
+
+    def _resolve(self, op: CimOp, targeted: tuple[bool, ...]) -> tuple[tuple, CimOp]:
+        """The law of a sense of ``op`` over rows that the attack's zone
+        holds as in ``targeted``, and the op it decodes as: OR for an AND
+        that the attack force-flips."""
         atk = self.attack
-        if atk is not None and atk.matches_op(op):
-            heated = [atk.row_targeted(a) for a in addrs]
-            if atk.force_flip and op is CimOp.CIM_AND and any(heated):
+        dist = None
+        if atk is not None and atk.matches_op(op) and any(targeted):
+            if atk.force_flip and op is CimOp.CIM_AND:
                 op = CimOp.CIM_OR
             d = atk.disturbance
-            if all(heated):
+            if all(targeted):
                 dist = d
-            elif any(heated) and d is not None:
+            elif d is not None:
                 if isinstance(d, MeanShift):
                     raise ValueError("a mean shift heats a pair sense only "
                                      "with both operand rows in the heated zone")
-                dist = tuple(d if h else None for h in heated)
-        return sample_columns(bits, self.model, dist, self.rng), op
+                dist = tuple(d if h else None for h in targeted)
+        levels, collapses = column_law(len(targeted), self.model, dist)
+        return (np.array(levels, float), collapses), op
+
+    def _currents(self, op: CimOp, *addrs: RowAddress) -> tuple[np.ndarray, CimOp]:
+        """The currents and decode op of one sense of ``op`` over ``addrs``."""
+        (currents,), (op,) = self._senses((op,), addrs)
+        return currents, op
 
     def _sense(self, op: CimOp, *addrs: RowAddress) -> int:
         """The word one sense of ``op`` over ``addrs`` decodes."""
@@ -339,19 +364,23 @@ class CimArray:
     ) -> int:
         """Equality check: (a AND b) OR (a NOR b).
 
-        The AND and NOR partial words run as in-array senses and land in the
+        The AND and NOR partial words run as in-array senses, drawn in one
+        pass exactly as the AND sense and then the NOR sense, and land in the
         two scratch rows; the final OR of the partials executes in the array
         controller and is fault-free.
         """
         s1, s2 = scratch
-        for s in (s1, s2):
-            self._check_addr(s)
-            if s in (a, b):
-                raise MappingViolation("scratch rows must be distinct from operands")
+        for addr in (s1, s2, a, b):
+            self._check_addr(addr)
+        if s1 in (a, b) or s2 in (a, b):
+            raise MappingViolation("scratch rows must be distinct from operands")
         if s1 == s2:
             raise MappingViolation("scratch rows must be distinct from each other")
-        and_word = self.cim_two_row(CimOp.CIM_AND, a, b)
-        nor_word = self.cim_two_row(CimOp.CIM_NOR, a, b)
+        validate_mapping(a, b)
+        currents, ops = self._senses((CimOp.CIM_AND, CimOp.CIM_NOR), (a, b))
+        and_word, nor_word = map(_pack, map(self.sense.decode, ops, currents))
+        self._record_cim(CimOp.CIM_AND)
+        self._record_cim(CimOp.CIM_NOR)
         self.write_word(s1, and_word, record=False)
         self.write_word(s2, nor_word, record=False)
         return and_word | nor_word

@@ -43,9 +43,6 @@ from .device import (
     trial_rng,
 )
 from .errors import ConfigError, SpinCimError
-from .isa import Machine, assemble, lower_to_conventional, run, static_fingerprint
-from .mitigation import ShiftEstimate, adapt_references, evaluate_mitigation
-from .sca import ENHANCED_CLASSES, STANDARD_CLASSES, score_attackers
 
 
 class _Parser(argparse.ArgumentParser):
@@ -221,7 +218,8 @@ def run_auth_attack(config, args):
     return payload, []
 
 
-def _build_machine(config, rng, enhanced: bool) -> Machine:
+def _build_machine(config, rng, enhanced: bool):
+    from .isa import Machine
     array = CimArray(
         geometry=cfgmod.build_geometry(config),
         model=cfgmod.build_model(config),
@@ -243,6 +241,7 @@ def _read_input(path: str) -> tuple[str, str]:
 
 
 def run_isa_run(config, args):
+    from .isa import assemble, lower_to_conventional, run, static_fingerprint
     source, program_sha256 = _read_input(args.program)
     program = assemble(source)
     machine = _build_machine(config, trial_rng(config["seed"], 0), True)
@@ -278,6 +277,7 @@ def run_isa_run(config, args):
 
 
 def run_sca(config, args):
+    from .sca import ENHANCED_CLASSES, STANDARD_CLASSES, score_attackers
     sca_cfg = config["sca"]
     table = cfgmod.build_cost_table(config)
     n = sca_cfg["samples_per_class"]
@@ -298,6 +298,7 @@ def run_sca(config, args):
 
 
 def run_mitigate(config, args):
+    from .mitigation import ShiftEstimate, adapt_references, evaluate_mitigation
     mit = config["mitigation"]
     model = cfgmod.build_model(config)
     base = cfgmod.build_sense(config)

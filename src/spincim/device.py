@@ -8,10 +8,10 @@ depending on how many of the two cells are parallel. A model holds the two
 ladders, ``single_levels`` (AP, P) and ``pair_levels`` (AP,AP, AP,P, P,P),
 each indexed by the number of parallel cells and named as in the config.
 
-Heat moves a sense up its level ladder: :func:`sense_law` states that rule
-once, for one cell or a pair, and the pair sampler and both closed-form
-oracles of :mod:`spincim.analytic` read it. A per-row disturbance tuple has
-one entry per sensed row, and every law parameter is finite, else ValueError.
+Heat moves a sense up its level ladder: :func:`column_law` states that rule
+once, and :func:`sense_law` reads it for the pair sampler and both oracles
+of :mod:`spincim.analytic`. A per-row disturbance tuple has one entry per
+sensed row, and every law parameter is finite, else ValueError.
 
 All sampling is driven by an explicitly passed numpy Generator; there is no
 module-level random state. Monte Carlo callers derive one independent stream
@@ -22,8 +22,11 @@ trials at a time in one vectorised pass instead of one hash per trial. A
 Monte Carlo report sets up its pair sense once with :func:`pair_sampler`, so
 a trial only draws from its own stream: noise ``sigma * standard_normal()``,
 numpy's own ``normal(0, sigma)`` arithmetic. Every other sense, scalar or
-not, is a column sense of :func:`sample_columns`, which reads the level
-tables that a model builds once, on first use, as read-only float arrays.
+not, is a column sense drawn by the one kernel :func:`draw_columns` under a
+law that :func:`column_law` resolves: :func:`sample_columns` resolves it on
+each call, an array once per attack. Several senses of the same rows draw
+in one pass and consume the stream exactly as they would one after another,
+so an XNOR draws as its AND sense and then its NOR sense.
 """
 from __future__ import annotations
 
@@ -31,7 +34,6 @@ import functools
 import math
 from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
-from statistics import NormalDist
 from typing import Mapping, Union
 
 import numpy as np
@@ -107,14 +109,6 @@ class CurrentLevelModel:
                                  f"increasing levels, got {ladder}")
         if not (0 <= self.sigma < math.inf and math.isfinite(self.ambient_temp)):
             raise ValueError("sigma must be finite and >= 0, ambient_temp finite")
-
-    @functools.cached_property
-    def level_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """Single and pair ladders as read-only float arrays, built once."""
-        tables = np.array(self.single_levels, float), np.array(self.pair_levels, float)
-        for table in tables:
-            table.flags.writeable = False
-        return tables
 
     def margins(self) -> dict[str, float]:
         """Read margin and the two pair margins, in uA: each ladder's steps."""
@@ -308,25 +302,71 @@ def _per_row(disturbance: CellDisturbances, rows: int) -> tuple[Disturbance, ...
     return disturbance
 
 
-def sense_law(cells, model: CurrentLevelModel, disturbance: CellDisturbances = None):
-    """``(levels, base, rhos)``: the one rule a sense of one cell or a pair reads.
+def column_law(rows: int, model: CurrentLevelModel, disturbance: CellDisturbances = None):
+    """``(levels, collapses)``: what a sense of ``rows`` rows reads, whatever its cells hold.
 
-    ``levels`` is the level table the sense reads: the single levels for one
-    cell, the pair ladder for a pair, plus a bare MeanShift's shift of each
-    pair level. ``base`` is the number of P cells, the level index of the
-    cold sense. ``rhos`` is the collapse rate of each AP cell under Collapse,
-    in row order; each collapse reads one level up.
+    ``levels`` is the level table: the single levels for one row, the pair
+    ladder for two, plus a bare MeanShift's shift of each pair level.
+    ``collapses`` holds ``(row, rho)`` for each row under Collapse.
     """
-    rows = len(cells)
     if rows not in (1, 2):
         raise ValueError(f"a sense reads one cell or two, not {rows}")
     per_row = _per_row(disturbance, rows)
     levels = model.single_levels if rows == 1 else model.pair_levels
     if rows == 2 and isinstance(disturbance, MeanShift):
         levels = tuple(level + shift for level, shift in zip(levels, disturbance.shifts))
-    rhos = tuple([d.rho(model.ambient_temp) for cell, d in zip(cells, per_row)
-                  if cell is MtjState.AP and isinstance(d, Collapse)])
-    return levels, sum([cell is MtjState.P for cell in cells]), rhos
+    return levels, tuple([(row, d.rho(model.ambient_temp))
+                          for row, d in enumerate(per_row) if isinstance(d, Collapse)])
+
+
+def sense_law(cells, model: CurrentLevelModel, disturbance: CellDisturbances = None):
+    """``(levels, base, rhos)``: the one rule a sense of one cell or a pair reads.
+
+    ``levels`` is the :func:`column_law` table. ``base`` is the number of P
+    cells, the level index of the cold sense. ``rhos`` is the collapse rate
+    of each AP cell under Collapse, in row order; each collapse reads one
+    level up.
+    """
+    levels, collapses = column_law(len(cells), model, disturbance)
+    return levels, sum([cell is MtjState.P for cell in cells]), tuple(
+        [rho for row, rho in collapses if cells[row] is MtjState.AP])
+
+
+def draw_columns(bits, laws, sigma: float, rng: np.random.Generator | None = None) -> list:
+    """Sense ``bits``, one 0/1 integer vector per row, once per law: a list of
+    float arrays, one current per column, in uA.
+
+    A law is a :func:`column_law` with its levels as a float array. The
+    senses draw in order, each as :func:`sample_columns` does, but the
+    normals of senses that no uniform separates come from one
+    ``normal(0, sigma, k * width)`` call, which a Generator fills with the
+    numbers of ``k`` back-to-back calls.
+    """
+    n = len(bits[0])
+    base = bits[0] + bits[1] if len(bits) == 2 else bits[0]
+    out = []
+    first = 0  # the first sense whose normals are not drawn yet
+    for table, collapses in laws:
+        idx = base
+        if collapses:
+            _require_rng(rng, True)
+            _add_normals(out[first:], sigma, rng)
+            first = len(out)
+            for row, rho in collapses:
+                # true where the cell is AP and its uniform fell below rho
+                idx = idx + ((rng.random(n) < rho) > bits[row])
+        out.append(table[idx])
+    _add_normals(out[first:], sigma, rng)
+    return out
+
+
+def _add_normals(senses: list, sigma: float, rng) -> None:
+    if sigma > 0 and senses:
+        _require_rng(rng, True)
+        n = len(senses[0])
+        noise = rng.normal(0.0, sigma, len(senses) * n)
+        for k, currents in enumerate(senses):
+            currents += noise[k * n:(k + 1) * n]
 
 
 def sample_columns(
@@ -349,29 +389,16 @@ def sample_columns(
     rho); then one normal per column when sigma > 0. The number of draws
     never depends on the stored bits. A pair-level MeanShift, passed bare,
     adds ``shifts[index]``; it has no effect on single-cell senses, and in a
-    per-row tuple it raises ValueError.
+    per-row tuple it raises ValueError. This is the one-sense case of
+    :func:`draw_columns`.
     """
     rows = len(bits)
     if rows not in (1, 2) or len(bits[0]) != len(bits[-1]):
         widths = [len(b) for b in bits]
         raise ValueError(f"a sense activates one row or two of one width, not {widths}")
-    n = len(bits[0])
-    singles, pairs = model.level_tables
-    idx = np.array(bits[0], dtype=np.intp)
-    if rows == 2:
-        np.add(idx, bits[1], out=idx, casting="unsafe")
-    for row, d in zip(bits, _per_row(disturbance, rows)):
-        if isinstance(d, Collapse):
-            _require_rng(rng, True)
-            # true where the cell is AP and its uniform fell below rho
-            idx += (rng.random(n) < d.rho(model.ambient_temp)) > row
-    out = (singles if rows == 1 else pairs)[idx]
-    if rows == 2 and isinstance(disturbance, MeanShift):
-        out += np.array(disturbance.shifts)[idx]
-    if model.sigma > 0:
-        _require_rng(rng, True)
-        out += rng.normal(0.0, model.sigma, n)
-    return out
+    levels, collapses = column_law(rows, model, disturbance)
+    bits = [np.asarray(row, dtype=np.intp) for row in bits]
+    return draw_columns(bits, [(np.array(levels, float), collapses)], model.sigma, rng)[0]
 
 
 def _sample_cells(states, model, disturbance, rng, size):
@@ -532,6 +559,8 @@ def calibrate(
     the heated targets. Raises NonConvergence for degenerate targets or when
     any fitted residual exceeds ``max_residual``.
     """
+    from statistics import NormalDist
+
     from .analytic import normal_tail, pair_exceed
 
     targets = targets or FailureRateTargets()

@@ -168,3 +168,60 @@ def test_reused_arrays_count_as_fresh_ones(scenario):
 
     report = attack_success_rate(db, policy, scenario, trials, MASTER_SEED)
     assert report.failures == run_trials(trials, MASTER_SEED, fresh)
+
+
+@pytest.mark.parametrize("n", [1, 7, 16, 64])
+def test_generator_fills_a_long_call_as_back_to_back_short_ones(n):
+    """The numpy property an XNOR's merged draw rests on: from equal states,
+    ``random(2n)`` and ``normal(0, sigma, 2n)`` give the numbers of two
+    back-to-back calls of ``n`` and leave the same state."""
+    for draw in (lambda g, size: g.random(size), lambda g, size: g.normal(0.0, 0.485281, size)):
+        merged, split = trial_rng(MASTER_SEED, n), trial_rng(MASTER_SEED, n)
+        one = draw(merged, 2 * n)
+        two = np.concatenate([draw(split, n), draw(split, n)])
+        assert one.tobytes() == two.tobytes()
+        assert merged.bit_generator.state == split.bit_generator.state
+
+
+SCRATCH = (RowAddress(0, 3), RowAddress(0, 4))
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.485281])
+@pytest.mark.parametrize("name", list(_ATTACKS))
+def test_xnor_draws_as_its_and_sense_then_its_nor_sense(name, sigma):
+    arr, rng = _attacked_array(sigma, _ATTACKS[name])
+    twin, twin_rng = _attacked_array(sigma, _ATTACKS[name])
+    for _ in range(4):
+        word = arr.cim_xnor(A, B, SCRATCH)
+        and_word = twin.cim_two_row(CimOp.CIM_AND, A, B)
+        nor_word = twin.cim_two_row(CimOp.CIM_NOR, A, B)
+        assert word == and_word | nor_word
+        assert [arr.word(s) for s in SCRATCH] == [and_word, nor_word]
+        assert rng.rng.bit_generator.state == twin_rng.rng.bit_generator.state
+
+
+def test_a_new_attack_or_model_never_reads_a_stale_law():
+    """One array whose attack and model change between senses decodes and
+    draws as a fresh array per sense on the same stream."""
+    # rho = exp(-0.02 dT): 0.2 over the default 20 C ambient, 0.82 over 90 C
+    other = SenseDisturbance(disturbance=Collapse(a=0.0, b=-0.02, zone_temp=100.0))
+    # the model changes under the attack that ends and starts a cycle
+    steps = [other, _ATTACKS["forced flip"], None, _ATTACKS["mean shift everywhere"],
+             _ATTACKS["collapse everywhere"], other]
+    models = [CurrentLevelModel(), CurrentLevelModel(sigma=0.2, ambient_temp=90.0)]
+    senses = [lambda arr: arr.cim_two_row(CimOp.CIM_AND, A, B),
+              lambda arr: arr.cim_xnor(A, B, SCRATCH),
+              lambda arr: arr.read_word(A)]
+    reused = CimArray(rng=trial_rng(MASTER_SEED, 5))
+    fresh_rng = trial_rng(MASTER_SEED, 5)
+    for model in models:
+        reused.model = model
+        for attack in steps:
+            for sense in senses:
+                fresh = CimArray(model=model, rng=fresh_rng)
+                for arr in (reused, fresh):
+                    arr.write_word(A, 0x3C5A)
+                    arr.write_word(B, 0x0FF0)
+                    arr.attack = attack
+                assert sense(reused) == sense(fresh)
+                assert reused.rng.bit_generator.state == fresh_rng.bit_generator.state

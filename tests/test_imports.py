@@ -288,11 +288,33 @@ def test_calibrate_loads_no_scipy(tmp_path):
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         "sys.exit(code)\n"
     )
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
-    )}
-    done = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
+    done = run_fresh(code)
     assert done.returncode == 0, done.stderr
     assert (tmp_path / "calibrate.json").is_file()
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+def test_cli_import_loads_no_command_module():
+    """The runners that use ``isa``, ``sca`` and ``mitigation`` import them:
+    a fresh interpreter that imports the CLI and loads the default config
+    has none of the three loaded."""
+    code = (
+        "import sys\n"
+        "import spincim.cli\n"
+        "from spincim.config import load_config\n"
+        "load_config(None)\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m in ('spincim.isa', 'spincim.sca', 'spincim.mitigation')))\n"
+    )
+    done = run_fresh(code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
+def run_fresh(code: str) -> subprocess.CompletedProcess:
+    """``code`` run by a fresh interpreter that imports the package from ``src``."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    )}
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
