@@ -3,7 +3,7 @@
 These are the analytic counterparts of the Monte Carlo sampling paths: pure
 arithmetic over Gaussian tails and collapse Bernoullis, never touching a
 random generator. Every reported Monte Carlo rate carries one of these as its
-oracle. Both exceedance oracles read the sampler's own rule,
+oracle. The exceedance oracle reads the sampler's own rule,
 :func:`spincim.device.sense_law`, for one cell or a pair.
 """
 from __future__ import annotations
@@ -46,16 +46,6 @@ def pair_exceed(
             weight, level = weight * (rho if hit else 1.0 - rho), level + hit
         total += weight * exceed_prob(levels[level], model.sigma, ref)
     return total
-
-
-def single_exceed(
-    model: CurrentLevelModel,
-    state: MtjState,
-    ref: float,
-    disturbance: CellDisturbances = None,
-) -> float:
-    """Closed-form P(cell sense current > ref): :func:`pair_exceed` of one cell."""
-    return pair_exceed(model, (state,), ref, disturbance)
 
 
 def binomial_stderr(p: float, n: int) -> float:

@@ -100,7 +100,7 @@ class ArrayGeometry:
         return (1 << self.cols_per_row) - 1
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class RowAddress:
     bank: int
     row: int
@@ -246,11 +246,6 @@ class CimArray:
                 f"address bank={addr.bank} row={addr.row} outside "
                 f"{g.banks}x{g.rows_per_bank} array"
             )
-
-    def word(self, addr: RowAddress) -> int:
-        """Stored word, bypassing the sense path (exact, noiseless)."""
-        self._check_addr(addr)
-        return self._words[addr.bank][addr.row]
 
     def snapshot(self) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(bank) for bank in self._words)

@@ -35,6 +35,7 @@ from .attack import (
 from .cost import write_csv
 from .device import (
     FailureRateTargets,
+    MeanShift,
     MtjState,
     calibrate,
     heated,
@@ -298,13 +299,13 @@ def run_sca(config, args):
 
 
 def run_mitigate(config, args):
-    from .mitigation import ShiftEstimate, adapt_references, evaluate_mitigation
+    from .mitigation import adapt_references, evaluate_mitigation
     mit = config["mitigation"]
     model = cfgmod.build_model(config)
     base = cfgmod.build_sense(config)
     zone = mit["zone_temp"]
     est = mit["shift_estimate" if args.family == "meanshift" else "collapse_estimate"]
-    shift = ShiftEstimate(**est)
+    shift = MeanShift(**est)
     unheated = shift if args.family == "meanshift" else cfgmod.build_collapse(config)
     disturbance = heated(unheated, zone, model)
     adapted = adapt_references(base, shift, model)

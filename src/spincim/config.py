@@ -104,19 +104,6 @@ _SCHEMA = {
         "sigma": (_MODEL.sigma, _SIGMA),
         "ambient_temp": (_MODEL.ambient_temp, _NUMBER),
         "collapse": (_leaves({"a": Collapse().a, "b": Collapse().b}, _NUMBER), None),
-        # descriptive fabrication parameters the behavioral simulation never reads
-        "metadata": (_leaves({
-            "mtj_surface_length_nm": 40,
-            "mtj_surface_width_nm": 40,
-            "spin_hall_angle": 0.3,
-            "resistance_area_product_ohm_m2": 1e-12,
-            "oxide_barrier_thickness_nm": 0.82,
-            "tmr_percent": 100,
-            "saturation_field_a_per_m": 1e6,
-            "gilbert_damping": 0.03,
-            "perpendicular_anisotropy_a_per_m": 4.5e5,
-            "temperature_k": 300,
-        }, _NUMBER), None),
     }, None),
     "array": ({
         **_leaves(dataclasses.asdict(ArrayGeometry()), _int_at_least(1)),

@@ -2,10 +2,9 @@
 
 Given an estimate of how much heating raises each pair level, the references
 move to the midpoints of the shifted adjacent levels. An estimate is a
-:class:`~spincim.device.MeanShift` (exported here as ``ShiftEstimate``), so
-it is ordered 0 < alpha < beta < gamma by construction. Estimates are
-supplied externally (perfect-knowledge or noisy-sensor values); no estimator
-is modelled.
+:class:`~spincim.device.MeanShift`, so it is ordered 0 < alpha < beta < gamma
+by construction. Estimates are supplied externally (perfect-knowledge or
+noisy-sensor values); no estimator is modelled.
 """
 from __future__ import annotations
 
@@ -17,12 +16,9 @@ from .attack import McReport, exceedance_mc
 from .device import CurrentLevelModel, Disturbance, MeanShift, parse_pair
 from .errors import InvalidShift
 
-# an estimate of the pair-level shifts under heat is a mean shift
-ShiftEstimate = MeanShift
-
 
 def adapt_references(
-    base: SenseConfig, shift: ShiftEstimate, model: CurrentLevelModel
+    base: SenseConfig, shift: MeanShift, model: CurrentLevelModel
 ) -> SenseConfig:
     """Move the OR and AND references to the shifted-level midpoints.
 

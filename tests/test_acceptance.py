@@ -32,7 +32,7 @@ from spincim.cost import (
 )
 from spincim.device import Collapse, CurrentLevelModel, MeanShift, parse_pair, trial_rng
 from spincim.isa import assemble, lower_to_conventional, run
-from spincim.mitigation import ShiftEstimate, adapt_references, evaluate_mitigation
+from spincim.mitigation import adapt_references, evaluate_mitigation
 from spincim.sca import (
     ENHANCED_CLASSES,
     STANDARD_CLASSES,
@@ -191,7 +191,7 @@ def test_criterion_04_zero_noise_functional_suite(zero_noise_model):
             narrow.write_word(nb, b)
             carry = narrow.cim_add(na, nb, nd)
             want_sum, want_carry = int_add_oracle(a, b, 8)
-            if narrow.word(nd) != want_sum or carry != want_carry:
+            if narrow.snapshot()[nd.bank][nd.row] != want_sum or carry != want_carry:
                 bad += 1
     crit.check(bad == 0, f"{bad}/65536 adder mismatches")
 
@@ -220,7 +220,7 @@ def test_criterion_05_instruction_reduction(zero_noise_model):
     crit.check(stats2.instruction_count == 1, f"cim instr {stats2.instruction_count}")
     crit.check(stats2.memory_access_count == 1, f"cim accesses {stats2.memory_access_count}")
     crit.check(
-        m1.array.word(RowAddress(0, 2)) == m2.array.word(RowAddress(0, 2)) == 16,
+        m1.array.snapshot()[0][2] == m2.array.snapshot()[0][2] == 16,
         "both routes compute 7+9",
     )
 
@@ -334,7 +334,7 @@ def test_criterion_09_mitigation():
     model = CurrentLevelModel()
     base = SenseConfig()
 
-    shift = ShiftEstimate(0.15, 0.2, 0.25)
+    shift = MeanShift(0.15, 0.2, 0.25)
     adapted = adapt_references(base, shift, model)
     matched = MeanShift(shift.alpha, shift.beta, shift.gamma, zone_temp=100.0)
     report = evaluate_mitigation(matched, base, adapted, TRIALS, SEED, model=model)
@@ -345,7 +345,7 @@ def test_criterion_09_mitigation():
         f"{report.natural_rate:.4f} (band {band:.4f})",
     )
 
-    collapse_adapted = adapt_references(base, ShiftEstimate(0.2, 0.4, 0.6), model)
+    collapse_adapted = adapt_references(base, MeanShift(0.2, 0.4, 0.6), model)
     report2 = evaluate_mitigation(
         Collapse(zone_temp=100.0), base, collapse_adapted, TRIALS, SEED, model=model
     )

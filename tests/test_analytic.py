@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from spincim.analytic import normal_tail, pair_exceed, single_exceed, wilson_interval
+from spincim.analytic import normal_tail, pair_exceed, wilson_interval
 from spincim.device import (
     Collapse,
     MeanShift,
@@ -26,13 +26,13 @@ class TestNormalTail:
         assert normal_tail(-1.7) + normal_tail(1.7) == pytest.approx(1.0)
 
 
-class TestSingleExceed:
+class TestOneCellExceed:
     def test_read_misread_probability(self, model):
         # stored 0 sensed above the read reference
-        p = single_exceed(model, MtjState.AP, 12.75)
+        p = pair_exceed(model, (MtjState.AP,), 12.75)
         assert p == pytest.approx(q(2.75 / model.sigma), rel=1e-12)
         # stored 1 sensed below: complement over the same margin
-        p1 = single_exceed(model, MtjState.P, 12.75)
+        p1 = pair_exceed(model, (MtjState.P,), 12.75)
         assert 1.0 - p1 == pytest.approx(q(2.75 / model.sigma), rel=1e-9)
 
     def test_collapse_mixes_the_two_levels(self, model):
@@ -41,10 +41,10 @@ class TestSingleExceed:
         expected = (1 - rho) * q((12.75 - 10.0) / model.sigma) + rho * (
             1 - q((15.5 - 12.75) / model.sigma)
         )
-        assert single_exceed(model, MtjState.AP, 12.75, dist) == pytest.approx(expected)
+        assert pair_exceed(model, (MtjState.AP,), 12.75, dist) == pytest.approx(expected)
         # parallel cells ignore the disturbance entirely
-        assert single_exceed(model, MtjState.P, 12.75, dist) == single_exceed(
-            model, MtjState.P, 12.75
+        assert pair_exceed(model, (MtjState.P,), 12.75, dist) == pair_exceed(
+            model, (MtjState.P,), 12.75
         )
 
     def test_monte_carlo_agreement(self, model):
@@ -54,12 +54,12 @@ class TestSingleExceed:
             MtjState.AP, model, dist, trial_rng(MASTER_SEED, 80), size=n
         )
         emp = float((samples > 12.75).mean())
-        oracle = single_exceed(model, MtjState.AP, 12.75, dist)
+        oracle = pair_exceed(model, (MtjState.AP,), 12.75, dist)
         assert abs(emp - oracle) <= binomial_3sigma(oracle, n)
 
     def test_zero_sigma_step(self, zero_noise_model):
-        assert single_exceed(zero_noise_model, MtjState.P, 12.75) == 1.0
-        assert single_exceed(zero_noise_model, MtjState.AP, 12.75) == 0.0
+        assert pair_exceed(zero_noise_model, (MtjState.P,), 12.75) == 1.0
+        assert pair_exceed(zero_noise_model, (MtjState.AP,), 12.75) == 0.0
 
 
 class TestPairExceedPerCell:

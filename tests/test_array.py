@@ -32,6 +32,12 @@ def make_array(zero_noise_model, **kwargs):
 
 
 class TestReadWrite:
+    def test_an_address_is_not_a_tuple_and_has_no_order(self):
+        assert RowAddress(0, 1) == RowAddress(0, 1) != (0, 1)
+        assert len({RowAddress(0, 1), RowAddress(0, 1), RowAddress(1, 0)}) == 2
+        with pytest.raises(TypeError):
+            RowAddress(0, 1) < RowAddress(0, 2)
+
     def test_round_trip(self, zero_noise_model):
         arr = make_array(zero_noise_model)
         arr.write_word(A, 0xA5A5)
@@ -56,7 +62,8 @@ class TestReadWrite:
         arr = make_array(zero_noise_model)
         for word in (np.uint16(5), np.int64(0xBEEF), np.uint64(0xFFFF)):
             arr.write_word(A, word)
-            assert type(arr.word(A)) is int and arr.word(A) == int(word)
+            stored = arr.snapshot()[A.bank][A.row]
+            assert type(stored) is int and stored == int(word)
             assert arr.read_word(A) == int(word)
         for word in (np.int64(-1), np.uint32(1 << 16)):
             with pytest.raises(OutOfBounds):
@@ -139,7 +146,8 @@ class TestTwoRowLogic:
         with pytest.raises(ValueError, match=f"^{op.value} is not a two-row sense operation$"):
             arr.cim_two_row(op, A, B)
         assert len(trace.events) == events
-        assert (arr.word(A), arr.word(B)) == (0b1100, 0b1010)
+        words = arr.snapshot()[0]
+        assert (words[A.row], words[B.row]) == (0b1100, 0b1010)
 
 
 class TestNot:
@@ -174,8 +182,9 @@ class TestXnor:
         arr.write_word(B, 0b1010)
         assert arr.cim_xnor(A, B, SCRATCH) & 0b1111 == 0b1001
         # partial results land in the scratch rows
-        assert arr.word(SCRATCH[0]) == 0b1000
-        assert arr.word(SCRATCH[1]) == (~0b1110) & arr.geometry.word_mask
+        and_row, nor_row = SCRATCH
+        assert arr.snapshot()[and_row.bank][and_row.row] == 0b1000
+        assert arr.snapshot()[nor_row.bank][nor_row.row] == (~0b1110) & arr.geometry.word_mask
 
     def test_scratch_must_be_distinct(self, zero_noise_model):
         arr = make_array(zero_noise_model)
@@ -196,11 +205,11 @@ class TestAdd:
             arr.write_word(A, 0)
             arr.write_word(B, x)
             assert arr.cim_add(A, B, C) == 0
-            assert arr.word(C) == x
+            assert arr.snapshot()[C.bank][C.row] == x
         arr.write_word(A, 0xFFFF)
         arr.write_word(B, 1)
         assert arr.cim_add(A, B, C) == 1
-        assert arr.word(C) == 0
+        assert arr.snapshot()[C.bank][C.row] == 0
 
     def test_sampled_pairs_match_integer_addition(self, zero_noise_model):
         geometry = ArrayGeometry(cols_per_row=8)
@@ -212,7 +221,7 @@ class TestAdd:
             arr.write_word(a_addr, a)
             arr.write_word(b_addr, b)
             carry = arr.cim_add(a_addr, b_addr, d_addr)
-            assert arr.word(d_addr) == (a + b) & 0xFF
+            assert arr.snapshot()[d_addr.bank][d_addr.row] == (a + b) & 0xFF
             assert carry == (a + b) >> 8
 
 
@@ -352,13 +361,13 @@ class TestWideWords:
             assert arr.cim_two_row(CimOp.CIM_OR, A, B) == a | b
             assert arr.cim_two_row(CimOp.CIM_XOR, A, B) == a ^ b
             assert arr.cim_add(A, B, C) == (a + b) >> width
-            assert arr.word(C) == (a + b) & mask
+            assert arr.snapshot()[C.bank][C.row] == (a + b) & mask
 
     def test_wide_word_write_and_read_at_100_columns(self, zero_noise_model):
         arr = CimArray(geometry=ArrayGeometry(cols_per_row=100), model=zero_noise_model)
         word = sum(1 << k for k in range(0, 100, 3))
         arr.write_word(A, word)
-        assert arr.word(A) == word
+        assert arr.snapshot()[A.bank][A.row] == word
         assert arr.read_word(A) == word
 
 

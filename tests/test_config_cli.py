@@ -41,6 +41,20 @@ from spincim.errors import ConfigError
 
 from _oracles import binomial_3sigma, collapse_pair_exceed
 
+
+def leaves(node, path=()):
+    """Each leaf of a nested config as (its path of keys, its value)."""
+    if not isinstance(node, dict):
+        yield path, node
+        return
+    for key, value in node.items():
+        yield from leaves(value, (*path, key))
+
+
+def dotted_leaves(config: dict) -> list[str]:
+    return [".".join(path) for path, _ in leaves(config)]
+
+
 class TestConfig:
     def test_defaults_build_shipped_model(self):
         config = load_config()
@@ -167,19 +181,13 @@ class TestConfig:
         assert build_cost_table(config) == CostTable()
 
     def test_default_config_hash_pinned(self):
-        # moved only by removing the unread sca.sigma_energy leaf
+        # moved only by removing the unread sca.sigma_energy leaf, then the ten
+        # unread device.metadata leaves
         assert config_hash(load_config()) == (
-            "f4b257df4870f797ec3025760da650f0f96bd93e92745f27f139d2584ea61a71"
+            "ce30563aec2f23b9e6d18bdafb1b2a576548e0ed9069efd35e489d10b6256a14"
         )
 
     def test_every_leaf_is_checked(self):
-        def leaves(node, path=()):
-            if not isinstance(node, dict):
-                yield path, node
-                return
-            for key, value in node.items():
-                yield from leaves(value, (*path, key))
-
         validate_run(load_config())  # the defaults pass
         for path, default in leaves(DEFAULT_CONFIG):
             config = load_config()
@@ -193,7 +201,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("path,value,message", [
         (("mitigation", "zone_tmp"), 140.0, "unknown configuration key: mitigation.zone_tmp"),
-        (("device", "metadata", "tmr"), 1, "unknown configuration key: device.metadata.tmr"),
+        (("device", "collapse", "tmr"), 1, "unknown configuration key: device.collapse.tmr"),
         (("extra",), {}, "unknown configuration key: extra"),
         (("device", "collapse"), 3, "device.collapse must be an object, got 3"),
         (("cost", "standard"), [], "cost.standard must be an object, got []"),
@@ -221,6 +229,14 @@ class TestConfig:
         with pytest.raises(ConfigError) as raised:
             validate_run(config)
         assert str(raised.value) == f"missing configuration key: {'.'.join(path)}"
+
+    def test_a_device_metadata_block_exits_one_naming_it(self, capsys, tmp_path):
+        # the fabrication numbers are documented in the README, not read as inputs
+        path = tmp_path / "metadata.json"
+        path.write_text('{"device": {"metadata": {"tmr_percent": 100}}}')
+        assert main(["margins", "--config", str(path), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "error: unknown configuration key: device.metadata\n"
+        assert not (tmp_path / "margins.json").exists()
 
     def test_cli_refuses_an_undeclared_key(self, monkeypatch, capsys, tmp_path):
         def misspelt(path):   # as if a flag named the leaf mitigation.zone_tmp
@@ -1043,6 +1059,121 @@ class TestCli:
             "cols_per_row=16\n"
         )
         assert "Traceback" not in err
+
+
+class LeafReads:
+    """The dotted paths of the config leaves read through the configs it logs."""
+
+    def __init__(self):
+        self.read: set[str] = set()
+        self.paused = 0
+
+    def log(self, config: dict) -> dict:
+        return _LoggedSection(config, self, "")
+
+    def unlogged(self, fn):
+        """``fn``, with no read logged while it runs."""
+        def call(*args, **kwargs):
+            self.paused += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                self.paused -= 1
+        return call
+
+
+class _LoggedSection(dict):
+    """A config section that logs each leaf read through it.
+
+    Indexing and ``items`` log the leaves they return. ``__iter__`` and
+    ``keys`` are overridden too: CPython copies an exact dict's items
+    directly for ``**section`` and ``dict(section)``, and would read past the
+    log. A leaf read another way (``get``, ``values``) goes unlogged, so the
+    guard below fails on it rather than passing it unseen.
+    """
+
+    def __init__(self, section: dict, reads: LeafReads, path: str):
+        super().__init__({
+            key: _LoggedSection(value, reads, f"{path}{key}.") if isinstance(value, dict)
+            else value
+            for key, value in section.items()
+        })
+        self._reads, self._path = reads, path
+
+    def __getitem__(self, key):
+        value = super().__getitem__(key)
+        if not isinstance(value, _LoggedSection) and not self._reads.paused:
+            self._reads.read.add(self._path + key)
+        return value
+
+    def __iter__(self):
+        return iter(self.keys())
+
+    def keys(self):
+        return list(super().keys())
+
+    def items(self):
+        return [(key, self[key]) for key in self.keys()]
+
+
+def test_leaf_log_sees_every_way_a_section_is_read():
+    config = {"a": 1, "b": {"c": 2, "d": 3}, "e": {"f": 4}, "g": {"h": 5, "i": {"j": 6}},
+              "k": {"m": 7}, "o": 9, "p": {"q": 10}}
+    reads = LeafReads()
+    logged = reads.log(config)
+    assert logged == config and dotted_leaves(config) == [
+        "a", "b.c", "b.d", "e.f", "g.h", "g.i.j", "k.m", "o", "p.q",
+    ]
+    assert logged["a"] == 1
+    assert (lambda **kw: kw)(**logged["b"]) == {"c": 2, "d": 3}
+    assert {**logged["e"]} == dict(logged["e"]) == {"f": 4}
+    assert dict(logged["g"].items())["h"] == 5       # a section is not a leaf read
+    assert reads.unlogged(canonical_json)(logged["k"]) == '{\n  "m": 7\n}\n'
+    assert list(logged["p"]) == ["q"]                  # a key name is not a value
+    assert reads.read == {"a", "b.c", "b.d", "e.f", "g.h"}
+    assert [leaf for leaf in dotted_leaves(config) if leaf not in reads.read] == [
+        "g.i.j", "k.m", "o", "p.q",
+    ]
+
+
+# Config leaves that no command reads, kept with a reason each.
+KEPT_LEAVES = {
+    "threads": "the bench's mc-failure threads=2 rerun passes --threads, so the flag "
+               "stays a validated no-op until that rerun is retired",
+}
+
+
+def test_every_config_leaf_is_read_or_kept(monkeypatch, capsys, tmp_path):
+    """Each leaf of the default config is read by some command's runner, a
+    builder it calls or the report emitter, or is on ``KEPT_LEAVES``; a kept
+    leaf is read by none. Reads made to hash or serialise the config do not
+    count: they would count every leaf."""
+    reads = LeafReads()
+    resolve = spincim.cli._resolve
+    monkeypatch.setattr(spincim.cli, "_resolve", lambda args: reads.log(resolve(args)))
+    for name in ("config_hash", "canonical_json"):
+        monkeypatch.setattr(spincim.config, name, reads.unlogged(getattr(spincim.config, name)))
+    (tmp_path / "p.cim").write_text("CimAND @0, @1, @2\nCimADD @0, @1, @3\nCimNOT @2, @4\n")
+    (tmp_path / "d.hex").write_text("\n".join(["0007", "0009"] + ["0000"] * 62) + "\n")
+    (tmp_path / "sca.json").write_text('{"sca": {"samples_per_class": 20}}')
+    tiny = ["--trials", "20"]
+    runs = [
+        ["margins"],
+        ["truth-table", "--op", "CimXOR"],
+        ["mc-failure", *tiny],
+        *(["auth-attack", "--variant", variant.value, *tiny, *flip]
+          for variant in AttackVariant for flip in ([], ["--force-flip"])),
+        ["isa-run", "--program", str(tmp_path / "p.cim"), "--init-hex", str(tmp_path / "d.hex"),
+         "--compare-lowered"],
+        ["sca", "--config", str(tmp_path / "sca.json")],
+        *(["mitigate", "--family", family, *tiny] for family in ("meanshift", "collapse")),
+        ["calibrate"],
+    ]
+    for index, argv in enumerate(runs):
+        assert main([*argv, "--out", str(tmp_path / str(index))]) == 0, capsys.readouterr().err
+    unread = [leaf for leaf in dotted_leaves(DEFAULT_CONFIG) if leaf not in reads.read]
+    assert sorted(set(unread) - set(KEPT_LEAVES)) == []
+    assert sorted(set(KEPT_LEAVES) - set(unread)) == []
 
 
 _LEAF = st.one_of(

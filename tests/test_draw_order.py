@@ -196,7 +196,7 @@ def test_xnor_draws_as_its_and_sense_then_its_nor_sense(name, sigma):
         and_word = twin.cim_two_row(CimOp.CIM_AND, A, B)
         nor_word = twin.cim_two_row(CimOp.CIM_NOR, A, B)
         assert word == and_word | nor_word
-        assert [arr.word(s) for s in SCRATCH] == [and_word, nor_word]
+        assert [arr.snapshot()[s.bank][s.row] for s in SCRATCH] == [and_word, nor_word]
         assert rng.rng.bit_generator.state == twin_rng.rng.bit_generator.state
 
 

@@ -149,8 +149,10 @@ def test_writer_bytes(capsys, tmp_path, monkeypatch):
     one loop; the calibrate digest since the collapse fit runs in numpy, the
     isa-run and sca files before each command became one run function, and the
     auth-attack report since its --temp 140 is attack.zone_temp in the hashed
-    config (its payload kept its bytes), and the isa-run report since it echoes
-    the sha256 of its input files instead of the --program path."""
+    config (its payload kept its bytes), the isa-run report since it echoes
+    the sha256 of its input files instead of the --program path, and every
+    report since the unread device.metadata leaves left the hashed config (only
+    config_hash moved)."""
     monkeypatch.chdir(tmp_path)
     rng = np.random.default_rng(12)
     (tmp_path / "prog.cim").write_text(disassemble(random_cim_program(rng, rows=8)))
@@ -170,27 +172,27 @@ def test_writer_bytes(capsys, tmp_path, monkeypatch):
     digests["obscuring.json"] = _sha(canonical_json(result.as_dict()).encode())
     assert digests == {
         "margins/margins.json":
-            "caf281c8eadcb68743a2123c339433fe74c6882f615108b9dd761c5813fb69f5",
+            "0b837a81658472e95a81537354250222514fe4c609ea18c4de5bf358601b82d7",
         "truth-table/truth-table.json":
-            "2e3ae49c9e413522304ea71faa2ee4ef3920e31d13c1e60853f946b5439790e0",
+            "cfbb9549f70009ee32f1dca50f6afb274b96458f8d090845af59b5fba6f4db9e",
         "calibrate/calibrate.json":
-            "0805c3ba4d2fe2b59d2b4375deeced7f078e12c0b050bdcbd541891cd5d17c7b",
+            "2d4f1d6cd639e61aea0e79bf119596a3a7268ca4a3f0b2613e5ae4a135de4f35",
         "mc-failure/mc-failure.json":
-            "08b2f9585529a90206dbb02cd0c5396635b1288a7b53344f94172990f0d6c84c",
+            "737a7b6f19a54fc1a4ee6ea988805f8bab75b9211971dc6d77d3ad8a1c51c1b7",
         "mitigate-collapse/mitigate.json":
-            "8ef8298ee0f89b595317bd7761a9b464cc2ac8c2f9981c6aed4ad80d255e4917",
+            "e76c3ca2ff5c2c0f6620e4e0ec94fe6c9a60c108342c6e32ce2c76853ab812b7",
         "mitigate-meanshift/mitigate.json":
-            "291a36a11132ac6ed69570396e577599f2f6652f8afd54eabe68b8eeb4995deb",
+            "67d80c7848d8df6759d227e774ca271760c4cc78353658154ea89fd5214860f5",
         "auth-attack/auth-attack.json":
-            "b2a5b57e6514514c9792a7e1ce92040257845072c8e1bec8e051b77639593c76",
+            "7b2fe1fdcbc85ebb401ac34896b2d2bc1c75e8d5e2ee7a0dc18749ad48efd3d3",
         "isa-run/isa-run.json":
-            "d6b156a03b33670328513c84fb8aba156cd10e16f5aba8325f911fd0a7c0d8a0",
+            "167f9b43dde794f0dbd5a74fcdba256891139ff5f2b7f82f98120e468be7384e",
         "isa-run/isa-run-trace.csv":
             "1e6af4c9d406da31008b747e11411f4dcbff9842f476a4ce92dda94f27aefcb2",
         "isa-run/isa-run-lowered-trace.csv":
             "0aee46b07b3e3202cf65115ffb3d285b917af62b7cd2597ba39ca41ab3704b13",
         "sca/sca.json":
-            "ba0464f3fd5f8a588728fd99a9d23ebdd40d806b84167dbdeaf647986d07c3a0",
+            "b2dbba4f48d84029b6a447207d6101818b76ae0e29e88fc093695b9825afc867",
         "sca/sca.csv":
             "483afcf4b7943056b1adfebcfc260b61604eab58a8908d79f02990bec76d18cf",
         "obscuring.json":

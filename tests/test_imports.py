@@ -160,9 +160,7 @@ def unreached_public_names(package: dict[str, str], users: list[str],
 
 # Public names that no command or bench workload reaches, kept with a reason each.
 KEPT = {
-    "analytic.single_exceed": "the one-cell oracle beside pair_exceed",
     "array.CimArray.export_hex": "writes the dumps that isa-run --init-hex reads",
-    "array.CimArray.word": "tests and acceptance criteria read stored words without a sense",
     "cli._Parser.error": "argparse calls it on a usage error",
     "cost.count_bus_transfers": "criterion 5 counts bus transfers with it",
     "device._Words.generate_state": "PCG64 calls it to seed a trial stream",

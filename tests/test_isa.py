@@ -168,7 +168,7 @@ class TestRun:
         assert stats.instruction_count == 4
         assert stats.memory_access_count == 3
         assert count_bus_transfers(trace) == 3
-        assert machine.array.word(RowAddress(0, 2)) == 16
+        assert machine.array.snapshot()[0][2] == 16
 
     def test_cim_add_counts(self, zero_noise_model):
         machine = machine_with_memory(zero_noise_model, width=16, words=[7, 9])
@@ -176,7 +176,7 @@ class TestRun:
         assert stats.instruction_count == 1
         assert stats.memory_access_count == 1
         assert count_bus_transfers(trace) == 0
-        assert machine.array.word(RowAddress(0, 2)) == 16
+        assert machine.array.snapshot()[0][2] == 16
 
     def test_access_reduction_identity(self, zero_noise_model):
         m1 = machine_with_memory(zero_noise_model, width=16, words=[7, 9])
@@ -250,7 +250,7 @@ class TestLowering:
         lowered = machine_with_memory(zero_noise_model, words=[0b1100, 0b1010])
         run(lower_to_conventional(program), lowered)
         assert direct.array.snapshot() == lowered.array.snapshot()
-        assert direct.array.word(RowAddress(0, 2)) == 0b0110
+        assert direct.array.snapshot()[0][2] == 0b0110
 
     def test_random_program_differential(self, zero_noise_model):
         rng = np.random.default_rng(23)

@@ -6,7 +6,7 @@ from spincim.analytic import pair_exceed
 from spincim.array import SenseConfig
 from spincim.device import Collapse, CurrentLevelModel, MeanShift, parse_pair
 from spincim.errors import InvalidShift
-from spincim.mitigation import ShiftEstimate, adapt_references, evaluate_mitigation
+from spincim.mitigation import adapt_references, evaluate_mitigation
 
 from _oracles import binomial_3sigma, gaussian_exceed
 from conftest import MASTER_SEED
@@ -14,7 +14,7 @@ from conftest import MASTER_SEED
 
 class TestAdaptReferences:
     def test_formula_on_defaults(self, model, sense):
-        adapted = adapt_references(sense, ShiftEstimate(0.2, 0.4, 0.6), model)
+        adapted = adapt_references(sense, MeanShift(0.2, 0.4, 0.6), model)
         assert adapted.i_ref_and == pytest.approx((20.2 + 22.7 + 0.4 + 0.6) / 2)
         assert adapted.i_ref_and == pytest.approx(21.95)
         assert adapted.i_ref_or == pytest.approx((17.0 + 20.2 + 0.2 + 0.4) / 2)
@@ -22,17 +22,17 @@ class TestAdaptReferences:
 
     def test_zero_shift_limit_recovers_midpoints(self, model, sense):
         eps = 1e-9
-        adapted = adapt_references(sense, ShiftEstimate(eps, 2 * eps, 3 * eps), model)
+        adapted = adapt_references(sense, MeanShift(eps, 2 * eps, 3 * eps), model)
         assert adapted.i_ref_or == pytest.approx(18.6, abs=1e-8)
         assert adapted.i_ref_and == pytest.approx(21.45, abs=1e-8)
 
     def test_ordering_contract(self):
         with pytest.raises(InvalidShift):
-            ShiftEstimate(0.4, 0.4, 0.6)
+            MeanShift(0.4, 0.4, 0.6)
         with pytest.raises(InvalidShift):
-            ShiftEstimate(0.5, 0.4, 0.6)
+            MeanShift(0.5, 0.4, 0.6)
         with pytest.raises(InvalidShift):
-            ShiftEstimate(0.0, 0.1, 0.2)
+            MeanShift(0.0, 0.1, 0.2)
 
     @settings(max_examples=100)
     @given(
@@ -42,7 +42,7 @@ class TestAdaptReferences:
     )
     def test_adapted_refs_are_midpoints_of_shifted_levels(self, alpha, d1, d2):
         model = CurrentLevelModel()
-        shift = ShiftEstimate(alpha, alpha + d1, alpha + d1 + d2)
+        shift = MeanShift(alpha, alpha + d1, alpha + d1 + d2)
         adapted = adapt_references(SenseConfig(), shift, model)
         ap_ap, ap_p, p_p = model.pair_levels
         lo_or = ap_ap + shift.alpha
@@ -58,7 +58,7 @@ class TestAdaptReferences:
         # as the adjacent shift gaps vanish, every decode-error probability
         # returns to its natural value
         eps = 1e-7
-        shift = ShiftEstimate(0.3, 0.3 + eps, 0.3 + 2 * eps)
+        shift = MeanShift(0.3, 0.3 + eps, 0.3 + 2 * eps)
         adapted = adapt_references(sense, shift, model)
         disturbance = MeanShift(shift.alpha, shift.beta, shift.gamma, zone_temp=100.0)
         natural = pair_exceed(model, parse_pair("AP,P"), sense.i_ref_and, None)
@@ -68,7 +68,7 @@ class TestAdaptReferences:
 
 class TestEvaluate:
     def test_matched_mean_shift_restores_natural_rate(self, model, sense):
-        shift = ShiftEstimate(0.15, 0.2, 0.25)
+        shift = MeanShift(0.15, 0.2, 0.25)
         adapted = adapt_references(sense, shift, model)
         disturbance = MeanShift(0.15, 0.2, 0.25, zone_temp=100.0)
         report = evaluate_mitigation(
@@ -80,7 +80,7 @@ class TestEvaluate:
         assert report.before.rate > report.natural_rate + band
 
     def test_collapse_mitigation_is_partial(self, model, sense):
-        adapted = adapt_references(sense, ShiftEstimate(0.2, 0.4, 0.6), model)
+        adapted = adapt_references(sense, MeanShift(0.2, 0.4, 0.6), model)
         report = evaluate_mitigation(
             Collapse(zone_temp=100.0), sense, adapted, 10_000, MASTER_SEED, model=model
         )
@@ -92,7 +92,7 @@ class TestEvaluate:
     def test_miscalibrated_adaptation_hurts_the_high_level(self, model, sense):
         # no disturbance, but references moved anyway: the all-parallel level
         # now falls below the AND reference far more often
-        adapted = adapt_references(sense, ShiftEstimate(0.2, 0.4, 0.6), model)
+        adapted = adapt_references(sense, MeanShift(0.2, 0.4, 0.6), model)
         report = evaluate_mitigation(
             None, sense, adapted, 10_000, MASTER_SEED,
             pair="P,P", model=model, below=True,
@@ -109,7 +109,7 @@ class TestEvaluate:
     )
     def test_below_counts_complement_above_counts(self, model, sense, disturbance):
         # the same streams feed both runs and the comparisons are complementary
-        adapted = adapt_references(sense, ShiftEstimate(0.2, 0.4, 0.6), model)
+        adapted = adapt_references(sense, MeanShift(0.2, 0.4, 0.6), model)
         above, below = (
             evaluate_mitigation(
                 disturbance, sense, adapted, 2000, MASTER_SEED, model=model, below=flag
@@ -121,7 +121,7 @@ class TestEvaluate:
             assert lo.analytic_rate == pytest.approx(1.0 - hi.analytic_rate, abs=1e-15)
 
     def test_analytic_rates_attached(self, model, sense):
-        adapted = adapt_references(sense, ShiftEstimate(0.2, 0.4, 0.6), model)
+        adapted = adapt_references(sense, MeanShift(0.2, 0.4, 0.6), model)
         report = evaluate_mitigation(
             Collapse(zone_temp=100.0), sense, adapted, 2000, MASTER_SEED, model=model
         )

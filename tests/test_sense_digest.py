@@ -2,15 +2,16 @@
 
 The grid covers five models (default, zero noise, integer levels with and
 without noise, a warmer ambient), every cell and ordered pair, bare and
-per-row disturbances and the three references plus a level boundary. ``pair_exceed``, ``single_exceed``
-and 30 ``pair_sampler`` draws per case are hashed through their ``repr``, so
-a refactor of the sense setup that moves any value by one bit, or turns an
-int level into a float, changes the digest.
+per-row disturbances and the three references plus a level boundary.
+``pair_exceed`` of each cell and each pair and 30 ``pair_sampler`` draws per
+case are hashed through their ``repr``, so a refactor of the sense setup that
+moves any value by one bit, or turns an int level into a float, changes the
+digest.
 """
 import hashlib
 import math
 
-from spincim.analytic import pair_exceed, single_exceed
+from spincim.analytic import pair_exceed
 from spincim.device import (
     Collapse,
     CurrentLevelModel,
@@ -55,7 +56,7 @@ def sense_values() -> list:
     for model in MODELS:
         for state in CELLS:
             for d in BARE:
-                values += [single_exceed(model, state, ref, d) for ref in REFS]
+                values += [pair_exceed(model, (state,), ref, d) for ref in REFS]
         for index, (pair, d) in enumerate((p, d) for p in PAIRS for d in BARE + PER_ROW):
             values += [pair_exceed(model, pair, ref, d) for ref in REFS]
             draw, rng = pair_sampler(pair, model, d), trial_rng(2024, index)

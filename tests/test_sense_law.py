@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from spincim.analytic import pair_exceed, single_exceed
+from spincim.analytic import pair_exceed
 from spincim.array import SenseConfig
 from spincim.device import (
     Collapse,
@@ -49,7 +49,7 @@ PAIR_READERS = {
 }
 SINGLE_READERS = {
     "sense_law": lambda t: sense_law((AP,), MODEL, t),
-    "single_exceed": lambda t: single_exceed(MODEL, AP, 12.75, t),
+    "pair_exceed one cell": lambda t: pair_exceed(MODEL, (AP,), 12.75, t),
     "sample_single_current": lambda t: sample_single_current(AP, MODEL, t, _rng()),
     "sample_single_current size": lambda t: sample_single_current(AP, MODEL, t, _rng(), 4),
     "sample_columns": lambda t: sample_columns((np.zeros(4),), MODEL, t, _rng()),
@@ -79,8 +79,8 @@ def test_readers_accept_a_tuple_of_the_right_length(readers):
 
 def test_one_cell_tuple_heats_the_oracle_as_it_heats_the_sampler():
     ref, n = SenseConfig().i_ref_read, 200_000
-    per_row = single_exceed(MODEL, AP, ref, (HOT,))
-    assert per_row == single_exceed(MODEL, AP, ref, HOT)
+    per_row = pair_exceed(MODEL, (AP,), ref, (HOT,))
+    assert per_row == pair_exceed(MODEL, (AP,), ref, HOT)
     rho = HOT.rho(MODEL.ambient_temp)
     cold, warm = (gaussian_exceed(mean, MODEL.sigma, ref) for mean in MODEL.single_levels)
     assert per_row == pytest.approx((1 - rho) * cold + rho * warm, rel=1e-12)
