@@ -15,18 +15,19 @@ draw from the array's generator, in a fixed order: for each activated row
 whose disturbance is Collapse (first operand first), one uniform per column;
 then one normal per column when the noise sigma is positive. An XNOR
 consumes the stream exactly as its AND sense and then its NOR sense, drawn
-in one pass of :func:`~spincim.device.draw_columns`, the one column sampler.
+in one pass of :func:`~spincim.device.draw_columns`, the one column kernel.
 The number of draws depends on the operation and the disturbance, never on
 the stored words. There is no default generator: a sense that needs draws
 raises ValueError on an array built without one.
 
-A sense's law is resolved once per attack, op and heated-row pattern. The
-attack heats a sense it matches with its disturbance bare when every
-activated row is in its zone (a MeanShift shifts the pair levels and leaves
-single cells alone), else per row, which a MeanShift cannot be: a pair sense
-with one of its rows heated by a MeanShift raises ValueError. A force flip
-decodes a targeted AND in the OR window. Row bits come from a bounded cache
-of read-only vectors, so a word is unpacked once.
+A sense's law is resolved once per attack, op and heated-row pattern, and
+:meth:`CimArray.laws` hands it out. The attack heats a sense it matches
+with its disturbance bare when every activated row is in its zone (a
+MeanShift shifts the pair levels and leaves single cells alone), else per
+row, which a MeanShift cannot be: a pair sense with one of its rows heated
+by a MeanShift raises ValueError. A force flip decodes a targeted AND in
+the OR window. Row bits come from a bounded cache of read-only vectors
+(:func:`unpack`), so a word is unpacked once.
 """
 from __future__ import annotations
 
@@ -198,7 +199,7 @@ def validate_mapping(a: RowAddress, b: RowAddress) -> None:
 
 
 @functools.lru_cache(maxsize=1024)
-def _unpack(word: int, width: int) -> np.ndarray:
+def unpack(word: int, width: int) -> np.ndarray:
     """Bits of a word as a read-only 0/1 index vector, column 0 first; any width."""
     raw = np.frombuffer(word.to_bytes((width + 7) // 8, "little"), dtype=np.uint8)
     bits = np.unpackbits(raw, count=width, bitorder="little").astype(np.intp)
@@ -206,7 +207,7 @@ def _unpack(word: int, width: int) -> np.ndarray:
     return bits
 
 
-def _pack(bits) -> int:
+def pack(bits) -> int:
     """Word whose column k is set where ``bits[k]`` is nonzero; any width."""
     return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
@@ -252,11 +253,10 @@ class CimArray:
 
     # -- sensing -------------------------------------------------------------
 
-    def _senses(self, ops: tuple[CimOp, ...], addrs) -> tuple[list, tuple[CimOp, ...]]:
-        """One sense per op over the one-row or two-row activation ``addrs``,
-        drawn in one pass: the senses' currents, one per column, and the op
-        each decodes as. A new attack or model empties the memo of laws.
-        """
+    def laws(self, ops: tuple[CimOp, ...], addrs) -> tuple[tuple, tuple[CimOp, ...]]:
+        """``(laws, decode_ops)``: the law of one sense of each op over the
+        activation ``addrs`` under the current attack, and the op each decodes
+        as. A new attack or model empties the memo of laws."""
         atk = self.attack
         if atk is not self._laws_attack or self.model is not self._laws_model:
             self._laws, self._laws_attack, self._laws_model = {}, atk, self.model
@@ -264,9 +264,13 @@ class CimArray:
         key = (ops, targeted)
         if key not in self._laws:
             self._laws[key] = tuple(zip(*[self._resolve(op, targeted) for op in ops]))
-        laws, decode_ops = self._laws[key]
+        return self._laws[key]
+
+    def _senses(self, ops: tuple[CimOp, ...], addrs) -> tuple[list, tuple[CimOp, ...]]:
+        """One sense per op over ``addrs`` in one pass: currents, and decode ops."""
+        laws, decode_ops = self.laws(ops, addrs)
         width = self.geometry.cols_per_row
-        bits = [_unpack(self._words[a.bank][a.row], width) for a in addrs]
+        bits = [unpack(self._words[a.bank][a.row], width) for a in addrs]
         return draw_columns(bits, laws, self.model.sigma, self.rng), decode_ops
 
     def _resolve(self, op: CimOp, targeted: tuple[bool, ...]) -> tuple[tuple, CimOp]:
@@ -289,15 +293,10 @@ class CimArray:
         levels, collapses = column_law(len(targeted), self.model, dist)
         return (np.array(levels, float), collapses), op
 
-    def _currents(self, op: CimOp, *addrs: RowAddress) -> tuple[np.ndarray, CimOp]:
-        """The currents and decode op of one sense of ``op`` over ``addrs``."""
-        (currents,), (op,) = self._senses((op,), addrs)
-        return currents, op
-
     def _sense(self, op: CimOp, *addrs: RowAddress) -> int:
         """The word one sense of ``op`` over ``addrs`` decodes."""
-        currents, op = self._currents(op, *addrs)
-        return _pack(self.sense.decode(op, currents))
+        (currents,), (op,) = self._senses((op,), addrs)
+        return pack(self.sense.decode(op, currents))
 
     # -- host access --------------------------------------------------------
 
@@ -329,7 +328,8 @@ class CimArray:
 
     # -- in-memory operations ------------------------------------------------
 
-    def _record_cim(self, op: CimOp) -> None:
+    def record_cim(self, op: CimOp) -> None:
+        """Record one in-memory event of ``op``, when the array has a recorder."""
         if self.recorder is None:
             return
         kind = _COST_CLASS[op]
@@ -340,7 +340,7 @@ class CimArray:
         """Inverted read decode of one row."""
         self._check_addr(a)
         word = self._sense(CimOp.CIM_NOT, a)
-        self._record_cim(CimOp.CIM_NOT)
+        self.record_cim(CimOp.CIM_NOT)
         return word
 
     def cim_two_row(self, op: CimOp, a: RowAddress, b: RowAddress) -> int:
@@ -351,7 +351,7 @@ class CimArray:
         self._check_addr(b)
         validate_mapping(a, b)
         word = self._sense(op, a, b)
-        self._record_cim(op)
+        self.record_cim(op)
         return word
 
     def cim_xnor(
@@ -373,9 +373,9 @@ class CimArray:
             raise MappingViolation("scratch rows must be distinct from each other")
         validate_mapping(a, b)
         currents, ops = self._senses((CimOp.CIM_AND, CimOp.CIM_NOR), (a, b))
-        and_word, nor_word = map(_pack, map(self.sense.decode, ops, currents))
-        self._record_cim(CimOp.CIM_AND)
-        self._record_cim(CimOp.CIM_NOR)
+        and_word, nor_word = map(pack, map(self.sense.decode, ops, currents))
+        self.record_cim(CimOp.CIM_AND)
+        self.record_cim(CimOp.CIM_NOR)
         self.write_word(s1, and_word, record=False)
         self.write_word(s2, nor_word, record=False)
         return and_word | nor_word
@@ -391,7 +391,7 @@ class CimArray:
         for addr in (a, b, dest):
             self._check_addr(addr)
         validate_mapping(a, b)
-        currents, _ = self._currents(CimOp.CIM_ADD, a, b)
+        (currents,), _ = self._senses((CimOp.CIM_ADD,), (a, b))
         xor_bits, and_bits, or_bits = (
             self.sense.decode(op, currents).tolist()
             for op in (CimOp.CIM_XOR, CimOp.CIM_AND, CimOp.CIM_OR)
@@ -401,8 +401,8 @@ class CimArray:
         for xor_bit, and_bit, or_bit in zip(xor_bits, and_bits, or_bits):
             sums.append(xor_bit ^ carry)
             carry = int(and_bit | (carry & or_bit))
-        total = _pack(sums)
-        self._record_cim(CimOp.CIM_ADD)
+        total = pack(sums)
+        self.record_cim(CimOp.CIM_ADD)
         self.write_word(dest, total, record=False)
         return carry
 

@@ -12,11 +12,13 @@ Monte Carlo trials run serially, each on its own random stream derived from
 (seed, trial index), so a failure count depends only on the seed. A Monte
 Carlo authentication run reuses one array for every trial: each trial
 rewrites every row it senses before sensing it, and no draw depends on
-stored words.
+stored words. A trial takes the draws of its five senses in one
+:func:`~spincim.device.column_draws` call, in the senses' own order.
 """
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Callable
@@ -31,6 +33,8 @@ from .array import (
     RowAddress,
     SenseConfig,
     SenseDisturbance,
+    pack,
+    unpack,
 )
 from .cost import ExecutionTrace
 from .device import (
@@ -40,6 +44,8 @@ from .device import (
     Disturbance,
     MtjState,
     PairState,
+    apply_laws,
+    column_draws,
     heated,
     pair_sampler,
     parse_pair,
@@ -241,7 +247,9 @@ def run_auth(
     disturbance applies only to the CimAND senses its variant attacks. The run
     records into the recorder of ``array`` (None records nothing); an array
     built here records into a fresh trace. Returns the decision and that
-    recorder. A sense that draws needs ``rng`` or an array that holds one.
+    recorder. A sense that draws needs ``rng`` or an array that holds one. One
+    pass writes, records and draws as two ``cim_xnor``, the match writes and
+    ``cim_two_row(CIM_AND)`` would.
     """
     scenario = scenario or AttackScenario()
     model = model or CurrentLevelModel()
@@ -254,23 +262,48 @@ def run_auth(
             raise MappingViolation("array word width must equal the credential width")
         if rng is not None:
             array.rng = rng
-    mask = array.geometry.word_mask
-
-    array.write_word(_ROWS["u_db"], db.username)
-    array.write_word(_ROWS["p_db"], db.password)
-    array.write_word(_ROWS["u_typed"], u_typed)
-    array.write_word(_ROWS["p_typed"], p_typed)
+    rows, width = _ROWS, db.width
+    words = [operator.index(w) for w in (db.username, db.password, u_typed, p_typed)]
+    for key, word in zip(("u_db", "p_db", "u_typed", "p_typed"), words):
+        array.write_word(rows[key], word)
 
     array.attack = _scenario_attack(scenario, model)
+    # the u pair's laws serve both XNORs: a zone holds both pairs' rows or neither
     try:
-        xnor_u = array.cim_xnor(_ROWS["u_typed"], _ROWS["u_db"], _ROWS["scratch"])
-        xnor_p = array.cim_xnor(_ROWS["p_typed"], _ROWS["p_db"], _ROWS["scratch"])
-        array.write_word(_ROWS["match_u"], 1 if xnor_u == mask else 0)
-        array.write_word(_ROWS["match_p"], 1 if xnor_p == mask else 0)
-        decision = array.cim_two_row(CimOp.CIM_AND, _ROWS["match_u"], _ROWS["match_p"])
+        xnor_laws, xnor_ops = array.laws(
+            (CimOp.CIM_AND, CimOp.CIM_NOR), (rows["u_typed"], rows["u_db"]))
+        (outer_law,), (outer_op,) = array.laws(
+            (CimOp.CIM_AND,), (rows["match_u"], rows["match_p"]))
     finally:
         array.attack = None
-    return bool(decision & 1), array.recorder
+    # the five senses in stream order: u-AND, u-NOR, p-AND, p-NOR, outer AND
+    laws = xnor_laws * 2 + (outer_law,)
+    uniforms, normals = column_draws(laws, width, array.model.sigma, array.rng)
+    # the typed row, then the stored row, of both XNORs: the u word and the p
+    # word side by side as one double-width word, unpacked as (2, width)
+    bits = [unpack(u | p << width, 2 * width).reshape(2, width) for u, p in (words[2:], words[:2])]
+    xnor_bits = []
+    for k, (law, op) in enumerate(zip(xnor_laws, xnor_ops)):
+        # sense k of the u XNOR and sense k + 2 of the p XNOR, mapped as one
+        u = [np.array(pair) for pair in zip(uniforms[k], uniforms[k + 2])]
+        z = None if normals is None else normals[k:k + 3:2]
+        xnor_bits.append(array.sense.decode(op, apply_laws(bits, law, u, z)))
+    and_bits, nor_bits = xnor_bits
+    if array.recorder is not None:
+        for op in (CimOp.CIM_AND, CimOp.CIM_NOR) * 2:
+            array.record_cim(op)
+    # the scratch rows end with the p XNOR's partial words, packed side by side
+    partials = pack((and_bits[1], nor_bits[1]))
+    array.write_word(rows["scratch"][0], partials & array.geometry.word_mask, record=False)
+    array.write_word(rows["scratch"][1], partials >> width, record=False)
+    match = [int(all(xnor)) for xnor in (and_bits | nor_bits).tolist()]
+    array.write_word(rows["match_u"], match[0])
+    array.write_word(rows["match_p"], match[1])
+    # the decision reads column 0 of the outer AND, where the match bits are
+    outer = apply_laws(match, outer_law, [u[0] for u in uniforms[4]],
+                       None if normals is None else normals[4, 0])
+    array.record_cim(CimOp.CIM_AND)
+    return bool(array.sense.decode(outer_op, outer)), array.recorder
 
 
 # -- closed-form composition ---------------------------------------------------

@@ -22,11 +22,11 @@ trials at a time in one vectorised pass instead of one hash per trial. A
 Monte Carlo report sets up its pair sense once with :func:`pair_sampler`, so
 a trial only draws from its own stream: noise ``sigma * standard_normal()``,
 numpy's own ``normal(0, sigma)`` arithmetic. Every other sense, scalar or
-not, is a column sense drawn by the one kernel :func:`draw_columns` under a
-law that :func:`column_law` resolves: :func:`sample_columns` resolves it on
-each call, an array once per attack. Several senses of the same rows draw
-in one pass and consume the stream exactly as they would one after another,
-so an XNOR draws as its AND sense and then its NOR sense.
+not, is a column sense under a law that :func:`column_law` resolves
+(:func:`sample_columns` on each call, an array once per attack), in two
+steps: :func:`column_draws` takes the draws of several senses in one pass,
+exactly as they would one after another, and the pure :func:`apply_laws`
+maps bits, a law and its draws to currents. :func:`draw_columns` is both.
 """
 from __future__ import annotations
 
@@ -332,41 +332,56 @@ def sense_law(cells, model: CurrentLevelModel, disturbance: CellDisturbances = N
         [rho for row, rho in collapses if cells[row] is MtjState.AP])
 
 
-def draw_columns(bits, laws, sigma: float, rng: np.random.Generator | None = None) -> list:
-    """Sense ``bits``, one 0/1 integer vector per row, once per law: a list of
-    float arrays, one current per column, in uA.
-
-    A law is a :func:`column_law` with its levels as a float array. The
-    senses draw in order, each as :func:`sample_columns` does, but the
-    normals of senses that no uniform separates come from one
-    ``normal(0, sigma, k * width)`` call, which a Generator fills with the
-    numbers of ``k`` back-to-back calls.
+def column_draws(laws, width: int, sigma: float, rng: np.random.Generator | None = None):
+    """``(uniforms, normals)``: the draws of one sense per law over ``width``
+    columns. ``uniforms`` holds, per law, one ``random(width)`` per Collapse
+    row; ``normals``, one row per sense, or None when sigma is 0. The senses
+    draw in order, but the normals of senses that no uniform separates come
+    from one ``normal(0, sigma, k * width)`` call, which a Generator fills
+    with the numbers of ``k`` back-to-back calls.
     """
-    n = len(bits[0])
-    base = bits[0] + bits[1] if len(bits) == 2 else bits[0]
-    out = []
+    uniforms, chunks = [()] * len(laws), []
     first = 0  # the first sense whose normals are not drawn yet
-    for table, collapses in laws:
-        idx = base
+    for k, (_, collapses) in enumerate(laws):
         if collapses:
             _require_rng(rng, True)
-            _add_normals(out[first:], sigma, rng)
-            first = len(out)
-            for row, rho in collapses:
-                # true where the cell is AP and its uniform fell below rho
-                idx = idx + ((rng.random(n) < rho) > bits[row])
-        out.append(table[idx])
-    _add_normals(out[first:], sigma, rng)
-    return out
+            if sigma > 0 and k > first:
+                chunks.append(rng.normal(0.0, sigma, (k - first) * width))
+            first = k
+            uniforms[k] = [rng.random(width) for _ in collapses]
+    if sigma == 0:
+        return uniforms, None
+    _require_rng(rng, True)
+    noise = rng.normal(0.0, sigma, (len(laws) - first) * width)
+    if chunks:
+        noise = np.concatenate([*chunks, noise])
+    return uniforms, noise.reshape(len(laws), width)
 
 
-def _add_normals(senses: list, sigma: float, rng) -> None:
-    if sigma > 0 and senses:
-        _require_rng(rng, True)
-        n = len(senses[0])
-        noise = rng.normal(0.0, sigma, len(senses) * n)
-        for k, currents in enumerate(senses):
-            currents += noise[k * n:(k + 1) * n]
+def apply_laws(bits, law, uniforms, normals) -> np.ndarray:
+    """The currents, in uA, of one sense of ``bits`` (a 0/1 integer array per
+    row) under ``law``, a :func:`column_law` with its levels as a float array,
+    given its :func:`column_draws` uniforms and normals (None: no noise). An
+    AP cell whose uniform fell below its row's rho reads one level up. Pure:
+    every array broadcasts over leading axes, so one call maps several words.
+    """
+    table, collapses = law
+    idx = bits[0] + bits[1] if len(bits) == 2 else bits[0]
+    for (row, rho), u in zip(collapses, uniforms):
+        # true where the cell is AP and its uniform fell below rho
+        idx = idx + ((u < rho) > bits[row])
+    currents = table[idx]
+    if normals is not None:
+        currents += normals
+    return currents
+
+
+def draw_columns(bits, laws, sigma: float, rng: np.random.Generator | None = None) -> list:
+    """Sense ``bits``, one 0/1 integer vector per row, once per law: a list of
+    float arrays, one current per column, in uA; :func:`apply_laws` of :func:`column_draws`."""
+    uniforms, normals = column_draws(laws, len(bits[0]), sigma, rng)
+    return [apply_laws(bits, law, u, None if normals is None else normals[k])
+            for k, (law, u) in enumerate(zip(laws, uniforms))]
 
 
 def sample_columns(

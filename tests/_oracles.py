@@ -119,6 +119,35 @@ def scalar_pair_current(states, model, disturbance, rng):
     return value
 
 
+def composed_auth(db, u_typed, p_typed, scenario, model, array) -> bool:
+    """``attack.run_auth`` on ``array`` as it stood before the one-pass
+    trial: the five public senses, one after another.
+
+    Four ``write_word``, the two ``cim_xnor`` (each through the scratch
+    rows), the two match writes and the outer ``cim_two_row(CIM_AND)``, with
+    the scenario's attack set on the array while they sense. The reference
+    that ``run_auth`` must match in decision, stored words, recorded events
+    and draws.
+    """
+    from spincim.array import CimOp
+    from spincim.attack import _ROWS, _scenario_attack
+
+    for key, word in zip(("u_db", "p_db", "u_typed", "p_typed"),
+                         (db.username, db.password, u_typed, p_typed)):
+        array.write_word(_ROWS[key], word)
+    mask = array.geometry.word_mask
+    array.attack = _scenario_attack(scenario, model)
+    try:
+        xnor_u = array.cim_xnor(_ROWS["u_typed"], _ROWS["u_db"], _ROWS["scratch"])
+        xnor_p = array.cim_xnor(_ROWS["p_typed"], _ROWS["p_db"], _ROWS["scratch"])
+        array.write_word(_ROWS["match_u"], 1 if xnor_u == mask else 0)
+        array.write_word(_ROWS["match_p"], 1 if xnor_p == mask else 0)
+        decision = array.cim_two_row(CimOp.CIM_AND, _ROWS["match_u"], _ROWS["match_p"])
+    finally:
+        array.attack = None
+    return bool(decision & 1)
+
+
 # -- side-channel classifier and assembler as they stood before the row-block
 # kernels and the operand memo: the rewritten versions must match them bit
 # for bit (features, centroids, sigma, predictions, programs, parse errors)

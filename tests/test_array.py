@@ -47,7 +47,7 @@ class TestReadWrite:
         arr = make_array(zero_noise_model)
         arr.write_word(A, 0xFFFF)
         # every column senses at the parallel (P) single-cell level
-        currents, op = arr._currents(CimOp.READ, A)
+        (currents,), (op,) = arr._senses((CimOp.READ,), (A,))
         assert currents.tolist() == [zero_noise_model.single_levels[1]] * 16
         assert op is CimOp.READ
 

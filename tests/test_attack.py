@@ -23,7 +23,7 @@ from spincim.cost import ExecutionTrace
 from spincim.device import Collapse, CurrentLevelModel, parse_pair, trial_rng
 from spincim.errors import MappingViolation, OutOfBounds
 
-from _oracles import binomial_3sigma
+from _oracles import binomial_3sigma, composed_auth
 from conftest import MASTER_SEED
 
 DB16 = AuthDb(0xA5A5, 0x5AC3, width=16)
@@ -78,6 +78,23 @@ class TestAuthProtocol:
         wide = CimArray(geometry=ArrayGeometry(cols_per_row=8), model=zero_noise_model)
         with pytest.raises(MappingViolation):
             run_auth(DB16, 0, 0, NO_ATTACK, model=zero_noise_model, array=wide)
+
+    def test_array_without_the_protocol_rows_rejected(self, zero_noise_model):
+        short = CimArray(geometry=ArrayGeometry(rows_per_bank=4), model=zero_noise_model)
+        with pytest.raises(OutOfBounds, match="outside 1x4 array"):
+            run_auth(DB16, 0xA5A5, 0x5AC3, NO_ATTACK, model=zero_noise_model, array=short)
+
+    @pytest.mark.parametrize("db", [DB16, AuthDb(0xDEAD_BEEF_0123_4567, 1 << 63, width=64)],
+                             ids=lambda db: f"width{db.width}")
+    def test_numpy_integer_words_accepted(self, zero_noise_model, db):
+        u, p = np.uint64(db.username), np.uint64(db.password)
+        assert run_auth(db, u, p, NO_ATTACK, model=zero_noise_model)[0]
+        assert not run_auth(db, u, p ^ np.uint64(1), NO_ATTACK, model=zero_noise_model)[0]
+
+    @pytest.mark.parametrize("u,p", [(1 << 16, 0x5AC3), (0xA5A5, 1 << 16)])
+    def test_typed_word_wider_than_the_credential_rejected(self, zero_noise_model, u, p):
+        with pytest.raises(OutOfBounds, match=r"^word 0x10000 does not fit in 16 columns$"):
+            run_auth(DB16, u, p, NO_ATTACK, model=zero_noise_model)
 
 
 class TestMcFailureRate:
@@ -254,6 +271,18 @@ class TestSuccessRate:
         assert records == []
         run_auth(DB16, 0xA5A5, 0x5AC3, scenario, rng=trial_rng(0, 0))  # a standalone run records
         assert len(records) == 11
+
+    @pytest.mark.parametrize("scenario", [
+        AttackScenario(variant=AttackVariant.XNOR_LEVEL, zone_temp=100.0),
+        forced(AttackVariant.GATE_LEVEL), NO_ATTACK,
+    ], ids=lambda s: s.variant.value)
+    def test_standalone_run_records_as_the_public_senses(self, model, scenario):
+        _, trace = run_auth(DB16, 0xA5A5, 0x5AC3, scenario, rng=trial_rng(0, 0))
+        twin = CimArray(ArrayGeometry(cols_per_row=16), model, rng=trial_rng(0, 0),
+                        recorder=ExecutionTrace())
+        composed_auth(DB16, 0xA5A5, 0x5AC3, scenario, model, twin)
+        assert len(trace.events) == 11
+        assert trace.events == twin.recorder.events  # kinds, channels and costs, in order
 
 
 class TestAuthDbValidation:

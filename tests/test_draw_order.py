@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from spincim.array import CimArray, CimOp, RowAddress, SenseDisturbance
+from spincim.array import ArrayGeometry, CimArray, CimOp, RowAddress, SenseDisturbance, unpack
 from spincim.attack import (
     AttackScenario,
     AttackVariant,
@@ -20,8 +20,18 @@ from spincim.attack import (
     run_auth,
     run_trials,
 )
-from spincim.device import Collapse, CurrentLevelModel, MeanShift, sample_columns, trial_rng
+from spincim.device import (
+    Collapse,
+    CurrentLevelModel,
+    MeanShift,
+    apply_laws,
+    column_draws,
+    draw_columns,
+    sample_columns,
+    trial_rng,
+)
 
+from _oracles import composed_auth
 from conftest import MASTER_SEED
 
 A, B, DEST = RowAddress(0, 0), RowAddress(0, 1), RowAddress(0, 2)
@@ -225,3 +235,80 @@ def test_a_new_attack_or_model_never_reads_a_stale_law():
                     arr.attack = attack
                 assert sense(reused) == sense(fresh)
                 assert reused.rng.bit_generator.state == fresh_rng.bit_generator.state
+
+
+_ACTIVATIONS = [  # every sense kind, and the two senses of an XNOR drawn in one pass
+    ((CimOp.READ,), (A,)),
+    ((CimOp.CIM_NOT,), (B,)),
+    ((CimOp.CIM_AND,), (A, B)),
+    ((CimOp.CIM_XOR,), (B, A)),
+    ((CimOp.CIM_ADD,), (A, B)),
+    ((CimOp.CIM_AND, CimOp.CIM_NOR), (A, B)),
+]
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.485281])
+@pytest.mark.parametrize("name", list(_ATTACKS))
+def test_apply_laws_maps_the_draws_of_column_draws_as_draw_columns(name, sigma):
+    """The kernel split in two: ``column_draws`` takes the draws, and
+    ``apply_laws``, handed plain copies of them and no generator, gives the
+    currents that ``draw_columns`` gives on a twin stream."""
+    arr, _ = _attacked_array(sigma, _ATTACKS[name])
+    stored = arr.snapshot()[0]
+    for ops, addrs in _ACTIVATIONS:
+        laws, _ = arr.laws(ops, addrs)
+        bits = [unpack(stored[a.row], WIDTH) for a in addrs]
+        rng, twin = trial_rng(MASTER_SEED, 3), trial_rng(MASTER_SEED, 3)
+        uniforms, normals = column_draws(laws, WIDTH, sigma, rng)
+        assert (normals is None) == (sigma == 0)
+        uniforms = [[u.copy() for u in per_law] for per_law in uniforms]
+        noise = [None] * len(laws) if normals is None else list(normals.copy())
+        got = [apply_laws(bits, law, u, z) for law, u, z in zip(laws, uniforms, noise)]
+        want = draw_columns(bits, laws, sigma, twin)
+        assert [c.tobytes() for c in got] == [c.tobytes() for c in want], ops
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+
+_AUTH_SCENARIOS = [
+    *(AttackScenario(variant, zone_temp=temp)
+      for variant in (AttackVariant.XNOR_LEVEL, AttackVariant.GATE_LEVEL) for temp in (100.0, 140.0)),
+    AttackScenario(AttackVariant.XNOR_LEVEL, force_flip=True),
+    AttackScenario(AttackVariant.GATE_LEVEL, force_flip=True),
+    AttackScenario(),
+]
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.485281])
+@pytest.mark.parametrize("scenario", _AUTH_SCENARIOS,
+                         ids=lambda s: f"{s.variant.value}-{s.zone_temp:g}C-forced{s.force_flip}")
+def test_one_authentication_pass_senses_as_the_five_public_senses(scenario, sigma):
+    """``run_auth`` on a reused array decides, stores and draws as a twin
+    array running the five public senses on a twin stream."""
+    model = CurrentLevelModel(sigma=sigma)
+    db = AuthDb(0xBEEF, 0x1234)
+    reused = CimArray(ArrayGeometry(cols_per_row=db.width), model)
+    twin = CimArray(ArrayGeometry(cols_per_row=db.width), model)
+    words = np.random.default_rng(MASTER_SEED)
+    for i in range(12):
+        u, p = [(db.username, db.password), (0, 0),
+                tuple(int(w) for w in words.integers(0, 1 << db.width, 2))][i % 3]
+        rng = trial_rng(MASTER_SEED, i)
+        twin.rng = trial_rng(MASTER_SEED, i)
+        got, _ = run_auth(db, u, p, scenario, model=model, rng=rng, array=reused)
+        assert got == composed_auth(db, u, p, scenario, model, twin)
+        assert reused.snapshot() == twin.snapshot()
+        assert rng.bit_generator.state == twin.rng.bit_generator.state
+
+
+@pytest.mark.parametrize("scenario", [
+    AttackScenario(), AttackScenario(AttackVariant.GATE_LEVEL, force_flip=True),
+], ids=lambda s: s.variant.value)
+def test_an_authentication_draws_its_noise_in_one_call(scenario):
+    """With no collapse, no uniform separates the five senses of a trial, so
+    their normals come from one call."""
+    model = CurrentLevelModel()
+    db = AuthDb(0xBEEF, 0x1234)
+    array = CimArray(ArrayGeometry(cols_per_row=db.width), model)
+    logged = LoggedRng(trial_rng(MASTER_SEED, 0))
+    run_auth(db, 0xBEEF, 0x0F0F, scenario, model=model, rng=logged, array=array)
+    assert logged.calls == [("normal", 5 * db.width)]
