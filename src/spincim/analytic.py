@@ -3,14 +3,14 @@
 These are the analytic counterparts of the Monte Carlo sampling paths: pure
 arithmetic over Gaussian tails and collapse Bernoullis, never touching a
 random generator. Every reported Monte Carlo rate carries one of these as its
-oracle. The exceedance oracle reads the sampler's own rule,
-:func:`spincim.device.sense_law`, for one cell or a pair.
+oracle. The exceedance oracle :func:`law_exceed` reads a sense's resolved
+law, the one the sampler draws under.
 """
 from __future__ import annotations
 
 import math
 
-from .device import CellDisturbances, CurrentLevelModel, MtjState, sense_law
+from .device import CellDisturbances, CurrentLevelModel, MtjState, column_law
 
 
 def normal_tail(z: float) -> float:
@@ -25,27 +25,32 @@ def exceed_prob(mean: float, sigma: float, ref: float) -> float:
     return normal_tail((ref - mean) / sigma)
 
 
-def pair_exceed(
-    model: CurrentLevelModel,
-    cells: tuple[MtjState, ...],
-    ref: float,
-    disturbance: CellDisturbances = None,
-) -> float:
-    """Closed-form P(sense current > ref) of one cell or a pair.
-
-    A sum over which AP cells of the :func:`~spincim.device.sense_law`
-    collapse: each collapses independently at its own rate and reads one
-    level up.
-    """
-    levels, base, rhos = sense_law(cells, model, disturbance)
+def law_exceed(law, bits, ref: float, sigma: float) -> float:
+    """Closed-form P(sense current > ref) of a column of ``bits`` (one 0/1 per
+    row) under ``law``, a :func:`~spincim.device.column_law`: a sum over which
+    AP cells collapse, each independently at its row's rate, one level up."""
+    levels, collapses = law
+    base = sum(bits)
+    rhos = [rho for row, rho in collapses if not bits[row]]
     total = 0.0
     for mask in range(1 << len(rhos)):
         weight, level = 1.0, base
         for i, rho in enumerate(rhos):
             hit = mask >> i & 1
             weight, level = weight * (rho if hit else 1.0 - rho), level + hit
-        total += weight * exceed_prob(levels[level], model.sigma, ref)
+        total += weight * exceed_prob(levels[level], sigma, ref)
     return total
+
+
+def pair_exceed(
+    model: CurrentLevelModel,
+    cells: tuple[MtjState, ...],
+    ref: float,
+    disturbance: CellDisturbances = None,
+) -> float:
+    """Closed-form P(sense current > ref) of one cell or a pair, by :func:`law_exceed`."""
+    law = column_law(len(cells), model, disturbance)
+    return law_exceed(law, [cell.bit for cell in cells], ref, model.sigma)
 
 
 def binomial_stderr(p: float, n: int) -> float:

@@ -20,14 +20,14 @@ The number of draws depends on the operation and the disturbance, never on
 the stored words. There is no default generator: a sense that needs draws
 raises ValueError on an array built without one.
 
-A sense's law is resolved once per attack, op and heated-row pattern, and
-:meth:`CimArray.laws` hands it out. The attack heats a sense it matches
-with its disturbance bare when every activated row is in its zone (a
-MeanShift shifts the pair levels and leaves single cells alone), else per
-row, which a MeanShift cannot be: a pair sense with one of its rows heated
-by a MeanShift raises ValueError. A force flip decodes a targeted AND in
-the OR window. Row bits come from a bounded cache of read-only vectors
-(:func:`unpack`), so a word is unpacked once.
+:func:`attacked_law` resolves a sense's law under an attack, and
+:meth:`CimArray.laws` memoises it per attack, op and heated-row pattern.
+The attack heats a sense it matches with its disturbance bare when every
+activated row is in its zone (a MeanShift shifts the pair levels and leaves
+single cells alone), else per row, which a MeanShift cannot be: a pair
+sense with one of its rows heated by a MeanShift raises ValueError. A force
+flip decodes a targeted AND in the OR window. Row bits come from a bounded
+cache of read-only vectors (:func:`unpack`), so a word is unpacked once.
 """
 from __future__ import annotations
 
@@ -198,6 +198,27 @@ def validate_mapping(a: RowAddress, b: RowAddress) -> None:
         )
 
 
+def attacked_law(attack: SenseDisturbance | None, model: CurrentLevelModel, op: CimOp,
+                 targeted: tuple[bool, ...]) -> tuple[tuple, CimOp]:
+    """The law of a sense of ``op`` over rows that ``attack``'s zone holds
+    as in ``targeted``, and the op it decodes as: OR for an AND that the
+    attack force-flips."""
+    dist = None
+    if attack is not None and attack.matches_op(op) and any(targeted):
+        if attack.force_flip and op is CimOp.CIM_AND:
+            op = CimOp.CIM_OR
+        d = attack.disturbance
+        if all(targeted):
+            dist = d
+        elif d is not None:
+            if isinstance(d, MeanShift):
+                raise ValueError("a mean shift heats a pair sense only "
+                                 "with both operand rows in the heated zone")
+            dist = tuple(d if h else None for h in targeted)
+    levels, collapses = column_law(len(targeted), model, dist)
+    return (np.array(levels, float), collapses), op
+
+
 @functools.lru_cache(maxsize=1024)
 def unpack(word: int, width: int) -> np.ndarray:
     """Bits of a word as a read-only 0/1 index vector, column 0 first; any width."""
@@ -263,7 +284,8 @@ class CimArray:
         targeted = tuple([atk is not None and atk.row_targeted(a) for a in addrs])
         key = (ops, targeted)
         if key not in self._laws:
-            self._laws[key] = tuple(zip(*[self._resolve(op, targeted) for op in ops]))
+            self._laws[key] = tuple(zip(*[attacked_law(atk, self.model, op, targeted)
+                                          for op in ops]))
         return self._laws[key]
 
     def _senses(self, ops: tuple[CimOp, ...], addrs) -> tuple[list, tuple[CimOp, ...]]:
@@ -272,26 +294,6 @@ class CimArray:
         width = self.geometry.cols_per_row
         bits = [unpack(self._words[a.bank][a.row], width) for a in addrs]
         return draw_columns(bits, laws, self.model.sigma, self.rng), decode_ops
-
-    def _resolve(self, op: CimOp, targeted: tuple[bool, ...]) -> tuple[tuple, CimOp]:
-        """The law of a sense of ``op`` over rows that the attack's zone
-        holds as in ``targeted``, and the op it decodes as: OR for an AND
-        that the attack force-flips."""
-        atk = self.attack
-        dist = None
-        if atk is not None and atk.matches_op(op) and any(targeted):
-            if atk.force_flip and op is CimOp.CIM_AND:
-                op = CimOp.CIM_OR
-            d = atk.disturbance
-            if all(targeted):
-                dist = d
-            elif d is not None:
-                if isinstance(d, MeanShift):
-                    raise ValueError("a mean shift heats a pair sense only "
-                                     "with both operand rows in the heated zone")
-                dist = tuple(d if h else None for h in targeted)
-        levels, collapses = column_law(len(targeted), self.model, dist)
-        return (np.array(levels, float), collapses), op
 
     def _sense(self, op: CimOp, *addrs: RowAddress) -> int:
         """The word one sense of ``op`` over ``addrs`` decodes."""

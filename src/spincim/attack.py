@@ -6,7 +6,7 @@ fault-free controller-side all-ones check. The attack variant alone picks the
 heated CimAND senses: XnorLevel heats the AND inside both XNORs, GateLevel
 the outer AND. A heated sense reads like CimOR, either probabilistically
 (collapse model at a zone temperature) or forced with probability one. The
-closed-form oracle reads the same rule through one 2x2 XNOR table.
+trial and its closed-form oracle (a 2x2 XNOR table) read the same sense laws.
 
 Monte Carlo trials run serially, each on its own random stream derived from
 (seed, trial index), so a failure count depends only on the seed. A Monte
@@ -33,6 +33,7 @@ from .array import (
     RowAddress,
     SenseConfig,
     SenseDisturbance,
+    attacked_law,
     pack,
     unpack,
 )
@@ -42,7 +43,6 @@ from .device import (
     Collapse,
     CurrentLevelModel,
     Disturbance,
-    MtjState,
     PairState,
     apply_laws,
     column_draws,
@@ -74,9 +74,6 @@ class AttackScenario:
     zone_temp: float = AMBIENT_TEMP_C
     force_flip: bool = False
     collapse: Collapse | None = None
-
-    def collapse_at_zone(self, model: CurrentLevelModel) -> Collapse:
-        return heated(self.collapse or Collapse(), self.zone_temp, model)
 
 
 @dataclass(frozen=True)
@@ -216,18 +213,28 @@ _ZONES = {  # the rows whose CimAND senses each variant heats
 
 
 @functools.lru_cache(maxsize=64)
-def _scenario_attack(
-    scenario: AttackScenario, model: CurrentLevelModel
-) -> SenseDisturbance | None:
-    heat = scenario.collapse_at_zone(model)  # a cold zone raises, whatever the variant
-    if scenario.variant is AttackVariant.NONE:
-        return None
-    return SenseDisturbance(
-        disturbance=None if scenario.force_flip else heat,
-        rows=_ZONES[scenario.variant],
-        ops=frozenset({CimOp.CIM_AND}),
-        force_flip=scenario.force_flip,
-    )
+def _auth_laws(scenario: AttackScenario, model: CurrentLevelModel):
+    """``(xnor_laws, xnor_ops, outer_law, outer_op)``: the laws of the AND and NOR
+    senses of either XNOR and of the outer AND, and the op each decodes as."""
+    # a cold zone raises, whatever the variant
+    heat = heated(scenario.collapse or Collapse(), scenario.zone_temp, model)
+    attack = None
+    if scenario.variant is not AttackVariant.NONE:
+        attack = SenseDisturbance(
+            disturbance=None if scenario.force_flip else heat,
+            rows=_ZONES[scenario.variant],
+            ops=frozenset({CimOp.CIM_AND}),
+            force_flip=scenario.force_flip,
+        )
+
+    def laws(ops, *keys):
+        targeted = tuple([attack is not None and attack.row_targeted(_ROWS[k]) for k in keys])
+        return tuple(zip(*[attacked_law(attack, model, op, targeted) for op in ops]))
+
+    # the u pair's laws serve both XNORs: a zone holds both pairs' rows or neither
+    xnor_laws, xnor_ops = laws((CimOp.CIM_AND, CimOp.CIM_NOR), "u_typed", "u_db")
+    (outer_law,), (outer_op,) = laws((CimOp.CIM_AND,), "match_u", "match_p")
+    return xnor_laws, xnor_ops, outer_law, outer_op
 
 
 def run_auth(
@@ -252,8 +259,6 @@ def run_auth(
     ``cim_two_row(CIM_AND)`` would.
     """
     scenario = scenario or AttackScenario()
-    model = model or CurrentLevelModel()
-    sense = sense or SenseConfig()
     if array is None:
         geometry = ArrayGeometry(cols_per_row=db.width)
         array = CimArray(geometry, model, sense, rng=rng, recorder=ExecutionTrace())
@@ -267,15 +272,7 @@ def run_auth(
     for key, word in zip(("u_db", "p_db", "u_typed", "p_typed"), words):
         array.write_word(rows[key], word)
 
-    array.attack = _scenario_attack(scenario, model)
-    # the u pair's laws serve both XNORs: a zone holds both pairs' rows or neither
-    try:
-        xnor_laws, xnor_ops = array.laws(
-            (CimOp.CIM_AND, CimOp.CIM_NOR), (rows["u_typed"], rows["u_db"]))
-        (outer_law,), (outer_op,) = array.laws(
-            (CimOp.CIM_AND,), (rows["match_u"], rows["match_p"]))
-    finally:
-        array.attack = None
+    xnor_laws, xnor_ops, outer_law, outer_op = _auth_laws(scenario, array.model)
     # the five senses in stream order: u-AND, u-NOR, p-AND, p-NOR, outer AND
     laws = xnor_laws * 2 + (outer_law,)
     uniforms, normals = column_draws(laws, width, array.model.sigma, array.rng)
@@ -324,22 +321,17 @@ def auth_accept_probability(
     """
     model = model or CurrentLevelModel()
     sense = sense or SenseConfig()
-    heat = scenario.collapse_at_zone(model)  # a cold zone raises, whatever the variant
+    xnor_laws, xnor_ops, outer_law, outer_op = _auth_laws(scenario, model)
 
-    def pair(t: int, d: int) -> PairState:
-        return (MtjState.from_bit(t), MtjState.from_bit(d))
+    def above(law, op, bits) -> float:
+        """P(current > the finite bound of ``op``'s one-sided window): AND and
+        OR read 1 above it, NOR reads 0."""
+        return analytic.law_exceed(law, bits, min(sense.window(op), key=abs), model.sigma)
 
-    def and_reads_one(t: int, d: int, attacked: bool) -> float:
-        if attacked and scenario.force_flip:
-            return analytic.pair_exceed(model, pair(t, d), sense.i_ref_or, None)
-        dist = heat if attacked else None
-        return analytic.pair_exceed(model, pair(t, d), sense.i_ref_and, dist)
-
-    # XNOR = AND or NOR: the column reads 0 only when AND reads 0 and OR reads 1
-    inner = scenario.variant is AttackVariant.XNOR_LEVEL
+    # XNOR = AND or NOR: the column reads 0 only when AND reads 0 and NOR reads 0
+    (and_law, nor_law), (and_op, nor_op) = xnor_laws, xnor_ops
     xnor_one = {
-        (t, d): 1.0 - (1.0 - and_reads_one(t, d, inner))
-        * analytic.pair_exceed(model, pair(t, d), sense.i_ref_or, None)
+        (t, d): 1.0 - (1.0 - above(and_law, and_op, (t, d))) * above(nor_law, nor_op, (t, d))
         for t in (0, 1) for d in (0, 1)
     }
 
@@ -356,12 +348,11 @@ def auth_accept_probability(
 
     p_mu = word_match(policy.user, policy.fixed_user, db.username)
     p_mp = word_match(policy.password, policy.fixed_password, db.password)
-    outer = scenario.variant is AttackVariant.GATE_LEVEL
     total = 0.0
     for mu in (0, 1):
         for mp in (0, 1):
             weight = (p_mu if mu else 1.0 - p_mu) * (p_mp if mp else 1.0 - p_mp)
-            total += weight * and_reads_one(mu, mp, outer)
+            total += weight * above(outer_law, outer_op, (mu, mp))
     return total
 
 
@@ -378,13 +369,11 @@ def attack_success_rate(
 
     Every trial runs on one unrecorded array.
     """
-    model = model or CurrentLevelModel()
-    sense = sense or SenseConfig()
     array = CimArray(ArrayGeometry(cols_per_row=db.width), model, sense)
 
     def one(rng) -> bool:
         u_t, p_t = policy.draw(db, rng)
-        return run_auth(db, u_t, p_t, scenario, model=model, sense=sense, rng=rng, array=array)[0]
+        return run_auth(db, u_t, p_t, scenario, rng=rng, array=array)[0]
 
     successes = run_trials(trials, seed, one)
     oracle = auth_accept_probability(db, policy, scenario, model, sense)

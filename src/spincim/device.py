@@ -9,9 +9,9 @@ ladders, ``single_levels`` (AP, P) and ``pair_levels`` (AP,AP, AP,P, P,P),
 each indexed by the number of parallel cells and named as in the config.
 
 Heat moves a sense up its level ladder: :func:`column_law` states that rule
-once, and :func:`sense_law` reads it for the pair sampler and both oracles
-of :mod:`spincim.analytic`. A per-row disturbance tuple has one entry per
-sensed row, and every law parameter is finite, else ValueError.
+once, and the pair sampler, the column kernel and the exceedance oracle of
+:mod:`spincim.analytic` all read it. A per-row disturbance tuple has one
+entry per sensed row, and every law parameter is finite, else ValueError.
 
 All sampling is driven by an explicitly passed numpy Generator; there is no
 module-level random state. Monte Carlo callers derive one independent stream
@@ -319,19 +319,6 @@ def column_law(rows: int, model: CurrentLevelModel, disturbance: CellDisturbance
                           for row, d in enumerate(per_row) if isinstance(d, Collapse)])
 
 
-def sense_law(cells, model: CurrentLevelModel, disturbance: CellDisturbances = None):
-    """``(levels, base, rhos)``: the one rule a sense of one cell or a pair reads.
-
-    ``levels`` is the :func:`column_law` table. ``base`` is the number of P
-    cells, the level index of the cold sense. ``rhos`` is the collapse rate
-    of each AP cell under Collapse, in row order; each collapse reads one
-    level up.
-    """
-    levels, collapses = column_law(len(cells), model, disturbance)
-    return levels, sum([cell is MtjState.P for cell in cells]), tuple(
-        [rho for row, rho in collapses if cells[row] is MtjState.AP])
-
-
 def column_draws(laws, width: int, sigma: float, rng: np.random.Generator | None = None):
     """``(uniforms, normals)``: the draws of one sense per law over ``width``
     columns. ``uniforms`` holds, per law, one ``random(width)`` per Collapse
@@ -467,13 +454,15 @@ def pair_sampler(
 ):
     """``draw(rng) -> float``: one summed sense current of a cell pair, in uA.
 
-    The Monte Carlo driver's per-trial draw. The pair's :func:`sense_law`
+    The Monte Carlo driver's per-trial draw. The pair's :func:`column_law`
     and sigma are read once, here. Each ``draw`` then makes one uniform per
-    collapsible cell (each collapse promotes the pair one step up the
+    collapsible AP cell (each collapse promotes the pair one step up the
     ladder) and, when sigma > 0, one normal added once at the sense node:
     ``sigma * standard_normal()``, bit for bit numpy's ``normal(0.0, sigma)``.
     """
-    levels, base, rhos = sense_law(states, model, disturbance)
+    levels, collapses = column_law(len(states), model, disturbance)
+    base = sum([state is MtjState.P for state in states])
+    rhos = [rho for row, rho in collapses if states[row] is MtjState.AP]
     sigma = model.sigma
     stochastic = bool(rhos) or sigma > 0
 

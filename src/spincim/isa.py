@@ -136,11 +136,14 @@ def assemble(text: str) -> Program:
                 raw.find(mnemonic) + 1,
             )
         regs, addrs = [], []
+        end = raw.find(mnemonic) + len(mnemonic)  # each operand lies past the one before
         for kind, token in zip(shape, tokens):
+            col = raw.find(token, end) + 1
+            end = col - 1 + len(token)
             value = operands.get((kind, token))
             if value is None:
                 parse = _parse_reg if kind == "r" else _parse_addr
-                value = operands[kind, token] = parse(token, lineno, raw.find(token) + 1)
+                value = operands[kind, token] = parse(token, lineno, col)
             (regs if kind == "r" else addrs).append(value)
         instructions.append(Instruction(opcode, tuple(regs), tuple(addrs)))
     return Program(tuple(instructions))

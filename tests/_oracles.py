@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from spincim.device import Collapse, MeanShift, MtjState
+from spincim.device import Collapse, MeanShift, MtjState, heated
 
 
 def q(z: float) -> float:
@@ -125,18 +125,26 @@ def composed_auth(db, u_typed, p_typed, scenario, model, array) -> bool:
 
     Four ``write_word``, the two ``cim_xnor`` (each through the scratch
     rows), the two match writes and the outer ``cim_two_row(CIM_AND)``, with
-    the scenario's attack set on the array while they sense. The reference
-    that ``run_auth`` must match in decision, stored words, recorded events
-    and draws.
+    the scenario's attack set on the array while they sense. The attack is
+    built here from the variant's zone, not taken from ``attack``'s own
+    resolver. The reference that ``run_auth`` must match in decision, stored
+    words, recorded events and draws.
     """
-    from spincim.array import CimOp
-    from spincim.attack import _ROWS, _scenario_attack
+    from spincim.array import CimOp, SenseDisturbance
+    from spincim.attack import _ROWS, _ZONES, AttackVariant
 
     for key, word in zip(("u_db", "p_db", "u_typed", "p_typed"),
                          (db.username, db.password, u_typed, p_typed)):
         array.write_word(_ROWS[key], word)
     mask = array.geometry.word_mask
-    array.attack = _scenario_attack(scenario, model)
+    heat = heated(scenario.collapse or Collapse(), scenario.zone_temp, model)
+    if scenario.variant is not AttackVariant.NONE:
+        array.attack = SenseDisturbance(
+            disturbance=None if scenario.force_flip else heat,
+            rows=_ZONES[scenario.variant],
+            ops=frozenset({CimOp.CIM_AND}),
+            force_flip=scenario.force_flip,
+        )
     try:
         xnor_u = array.cim_xnor(_ROWS["u_typed"], _ROWS["u_db"], _ROWS["scratch"])
         xnor_p = array.cim_xnor(_ROWS["p_typed"], _ROWS["p_db"], _ROWS["scratch"])
@@ -240,8 +248,10 @@ def assemble(text):
                 raw.find(mnemonic) + 1,
             )
         regs, addrs = [], []
+        end = raw.find(mnemonic) + len(mnemonic)
         for kind, token in zip(shape, tokens):
-            col = raw.find(token) + 1
+            col = raw.find(token, end) + 1  # the operand after the one before it
+            end = col - 1 + len(token)
             if kind == "r":
                 regs.append(parse_reg(token, lineno, col))
             else:

@@ -36,7 +36,7 @@ from spincim.config import (
     validate_run,
 )
 from spincim.cost import CostTable
-from spincim.device import Collapse, CurrentLevelModel, MtjState, sense_law
+from spincim.device import Collapse, CurrentLevelModel, column_law
 from spincim.errors import ConfigError
 
 from _oracles import binomial_3sigma, collapse_pair_exceed
@@ -74,8 +74,8 @@ class TestConfig:
         assert model == CurrentLevelModel(single_levels=(9.5, 15.0),
                                           pair_levels=(16.5, 19.5, 23.0))
         assert model.margins() == {"read": 5.5, "pair_lower": 3.0, "pair_upper": 3.5}
-        assert sense_law((MtjState.P, MtjState.AP), model) == ((16.5, 19.5, 23.0), 1, ())
-        assert sense_law((MtjState.AP,), model) == ((9.5, 15.0), 0, ())
+        assert column_law(2, model) == ((16.5, 19.5, 23.0), ())
+        assert column_law(1, model) == ((9.5, 15.0), ())
 
     def test_unknown_top_level_key_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

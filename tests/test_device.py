@@ -311,9 +311,9 @@ class TestValidation:
         model = CurrentLevelModel(single_levels=[10.0, 15.5], pair_levels=[17.0, 20.2, 22.7])
         assert (model.single_levels, model.pair_levels) == ((10.0, 15.5), (17.0, 20.2, 22.7))
         assert model == CurrentLevelModel() and hash(model) == hash(CurrentLevelModel())
-        # the attack caches its heated senses per (scenario, model)
+        # the attack caches its resolved sense laws per (scenario, model)
         scenario = AttackScenario(AttackVariant.XNOR_LEVEL, zone_temp=100.0)
-        assert attack._scenario_attack(scenario, model) is attack._scenario_attack(
+        assert attack._auth_laws(scenario, model) is attack._auth_laws(
             scenario, CurrentLevelModel())
 
     def test_mean_shift_ordering_enforced(self):

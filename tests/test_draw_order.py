@@ -5,11 +5,13 @@ activated row whose disturbance is Collapse, first operand first, one uniform
 per column; then one normal per column when sigma > 0. Nothing else is drawn,
 and the number of draws never depends on the stored words.
 """
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from spincim.analytic import binomial_stderr, law_exceed
 from spincim.array import ArrayGeometry, CimArray, CimOp, RowAddress, SenseDisturbance, unpack
 from spincim.attack import (
     AttackScenario,
@@ -312,3 +314,30 @@ def test_an_authentication_draws_its_noise_in_one_call(scenario):
     logged = LoggedRng(trial_rng(MASTER_SEED, 0))
     run_auth(db, 0xBEEF, 0x0F0F, scenario, model=model, rng=logged, array=array)
     assert logged.calls == [("normal", 5 * db.width)]
+
+
+_ONE_SIDED = [  # each op whose window has one finite bound, over each activation
+    *((op, addrs) for op in (CimOp.READ, CimOp.CIM_NOT) for addrs in ((A,), (B,))),
+    *((op, addrs) for op in (CimOp.CIM_AND, CimOp.CIM_OR, CimOp.CIM_NAND, CimOp.CIM_NOR)
+      for addrs in ((A, B), (B, A))),
+]
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.485281])
+@pytest.mark.parametrize("name", list(_ATTACKS))
+def test_law_exceed_reads_the_array_law_as_the_kernel_draws_it(name, sigma):
+    """``analytic.law_exceed`` of each law the array resolves, partly heated
+    ones included, matches the rate at which ``column_draws`` and
+    ``apply_laws`` sense above the finite bound of its decode window, over
+    200 000 columns for each bit of each row, within 4 binomial sigma."""
+    arr, _ = _attacked_array(sigma, _ATTACKS[name])
+    n = 200_000
+    for k, (op, addrs) in enumerate(_ONE_SIDED):
+        (law,), (decode_op,) = arr.laws((op,), addrs)
+        ref = min(arr.sense.window(decode_op), key=abs)
+        uniforms, normals = column_draws([law], n, sigma, trial_rng(MASTER_SEED, 100 + k))
+        noise = None if normals is None else normals[0]
+        for bits in itertools.product((0, 1), repeat=len(addrs)):
+            currents = apply_laws([np.full(n, bit) for bit in bits], law, uniforms[0], noise)
+            rate, p = float(np.mean(currents > ref)), law_exceed(law, bits, ref, sigma)
+            assert abs(rate - p) <= 4 * binomial_stderr(p, n), (op, addrs, bits)

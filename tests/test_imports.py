@@ -1,8 +1,10 @@
 """Every name a module imports is used in it, every private module-level name of
 the package is read somewhere in it, every public name and every record field is
-reached from the commands or the bench, and no command loads scipy."""
+reached from the commands or the bench, every cross-reference in a docstring
+names something, and no command loads scipy."""
 import ast
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -263,6 +265,113 @@ def test_checker_flags_unread_fields_only():
     assert unread_fields(package, []) == ["a.Event.zeros", "a.Event.ones", "a.Cfg.depth"]
     assert unread_fields(package, ["def f(e):\n    return e.ones\n"], {"a.Cfg.depth"}) == [
         "a.Event.zeros",
+    ]
+
+
+_ROLE = re.compile(r":(func|class|meth|mod):`([^`]*)`")
+_DOCUMENTED = (ast.Module, *_DEFS)
+
+
+def _bound(stmt) -> list[str]:
+    """The names a module- or class-level statement binds, imports aside."""
+    if isinstance(stmt, _DEFS):
+        return [stmt.name]
+    if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return []
+
+
+def _members(cls: ast.ClassDef) -> set[str]:
+    return {name for stmt in cls.body for name in _bound(stmt)}
+
+
+def _scope(tree) -> dict:
+    """A module's top-level names: a class maps to the set of names its body
+    binds; a name imported from the package to ``(module, name)``, or to
+    ``(module, None)`` for a package module itself; any other name to None."""
+    scope = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                origin = (node.module, alias.name) if node.module else (alias.name, None)
+                scope[alias.asname or alias.name] = origin if node.level else None
+        elif isinstance(node, ast.Import):
+            scope.update(dict.fromkeys(a.asname or a.name.split(".")[0] for a in node.names))
+        elif isinstance(node, ast.ClassDef):
+            scope[node.name] = _members(node)
+        else:
+            scope.update(dict.fromkeys(_bound(node)))
+    return scope
+
+
+def unresolved_roles(package: dict[str, str]) -> list[str]:
+    """``module: :role:`target``` of each ``:func:``, ``:class:``, ``:meth:``
+    or ``:mod:`` role in a docstring of the package that names nothing.
+
+    ``package`` maps a module name to its text; a leading ``~`` and
+    ``spincim.`` are dropped from a target. A ``:mod:`` target is a module of
+    the package. Any other target resolves in the enclosing class first, then
+    in its module (a top-level name, or ``Class.member``; an imported name
+    resolves where it is defined), then as ``module.name`` of the package.
+    """
+    trees = {module: ast.parse(source) for module, source in package.items()}
+    scopes = {module: _scope(tree) for module, tree in trees.items()}
+
+    def find(module, parts) -> bool:
+        scope = scopes[module]
+        if parts[0] not in scope:
+            return len(parts) > 1 and parts[0] in scopes and find(parts[0], parts[1:])
+        entry = scope[parts[0]]
+        if isinstance(entry, tuple):
+            origin, name = entry
+            rest = parts[1:] if name is None else [name, *parts[1:]]
+            if origin not in scopes:
+                return len(parts) == 1
+            return not rest or find(origin, rest)
+        return len(parts) == 1 or (isinstance(entry, set) and len(parts) == 2
+                                   and parts[1] in entry)
+
+    def resolves(role, target, module, members) -> bool:
+        target = target.removeprefix("~").removeprefix("spincim.")
+        if role == "mod":
+            return target in scopes
+        parts = target.split(".")
+        return (len(parts) == 1 and parts[0] in members) or find(module, parts)
+
+    def visit(module, node, members):
+        if isinstance(node, ast.ClassDef):
+            members = _members(node)
+        doc = ast.get_docstring(node, clean=False) if isinstance(node, _DOCUMENTED) else None
+        for role, target in _ROLE.findall(doc or ""):
+            if not resolves(role, target, module, members):
+                yield f"{module}: :{role}:`{target}`"
+        for child in ast.iter_child_nodes(node):
+            yield from visit(module, child, members)
+
+    return [bad for module, tree in trees.items() for bad in visit(module, tree, set())]
+
+
+def test_every_docstring_role_resolves():
+    package = {p.stem: p.read_text() for p in PACKAGE}
+    assert unresolved_roles(package) == []
+
+
+def test_checker_flags_unresolved_roles_only():
+    package = {
+        "a": '"""See :func:`helper`, :class:`~spincim.b.Box` and :func:`gone`."""\n'
+             "from . import b\nfrom .b import Box\nimport numpy as np\n"
+             "def helper():\n"
+             '    """:meth:`Box.size`, :func:`b.run`, :func:`np`, :meth:`Box.lost`."""\n',
+        "b": '"""Reads :mod:`spincim.a` and :mod:`c`."""\n'
+             "class Box:\n"
+             '    """:meth:`size`, :meth:`as_dict`, :func:`run`, :func:`~a.helper`."""\n'
+             "    as_dict = dict\n    def size(self):\n        return 0\n"
+             "def run():\n"
+             '    """:meth:`size` is not in scope here."""\n',
+    }
+    assert unresolved_roles(package) == [
+        "a: :func:`gone`", "a: :meth:`Box.lost`", "b: :mod:`c`", "b: :meth:`size`",
     ]
 
 

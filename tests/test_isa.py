@@ -64,7 +64,7 @@ class TestAssembleAgainstOracle:
     @pytest.mark.parametrize("source", [
         "LOAD R1, @0\nLOAD R9, @0\n",            # bad register after good uses
         "LOAD R1, @0\nADD @0, R1, R2\n",         # a good address token used as a register
-        "CimNOT @1, @2\nLOAD R1, R1\n",          # column of the first 'R1' on the line
+        "CimNOT @1, @2\nLOAD R1, R1\n",          # a bad token that also opens its line
         "LOAD R1, @0\nLOAD R2, @0\nSTORE R2, 0\n",
         "NOT R1, R2\nNOT R2, R1\nNOT R3, r8\n",
     ])
@@ -118,6 +118,18 @@ class TestAssembler:
             assemble("LOAD R9, @0")
         with pytest.raises(ParseError):
             assemble("LOAD R1, 5")
+
+    @pytest.mark.parametrize("source,column", [
+        ("STORE R1, 1", 11),                # not 8, the '1' of 'R1'
+        ("CimAND @1, @2, 2", 16),           # not 13, the '2' of '@2'
+        ("CimNOT @1, @2\nLOAD R1, R1", 10),  # not 6, the first 'R1'
+        ("LOAD R1, @1\nCimAND @1, @1, 1", 16),  # past two memoised '@1'; not 9
+    ])
+    def test_parse_error_column_is_the_bad_operand(self, source, column):
+        for assembler in (assemble, _oracles.assemble):
+            with pytest.raises(ParseError) as err:
+                assembler(source)
+            assert err.value.column == column
 
     def test_explicit_bank_syntax(self):
         program = assemble("CimAND @1:3, @1:4, @1:5")

@@ -1,4 +1,4 @@
-"""``device.sense_law`` and the rules that every reader of the law shares.
+"""``device.column_law`` and the rules that every reader of the law shares.
 
 Per-row disturbance tuples must have one entry per sensed row wherever a
 sense is described (samplers and oracles alike), a one-cell per-row tuple
@@ -10,19 +10,19 @@ import math
 import numpy as np
 import pytest
 
-from spincim.analytic import pair_exceed
+from spincim.analytic import law_exceed, pair_exceed
 from spincim.array import SenseConfig
 from spincim.device import (
     Collapse,
     CurrentLevelModel,
     MeanShift,
     MtjState,
+    column_law,
     heated,
     pair_sampler,
     sample_columns,
     sample_pair_current,
     sample_single_current,
-    sense_law,
     trial_rng,
 )
 
@@ -40,7 +40,7 @@ def _rng():
 
 # every public reader of a pair sense, called with a per-row tuple
 PAIR_READERS = {
-    "sense_law": lambda t: sense_law((AP, AP), MODEL, t),
+    "column_law": lambda t: column_law(2, MODEL, t),
     "pair_exceed": lambda t: pair_exceed(MODEL, (AP, AP), 21.45, t),
     "pair_sampler": lambda t: pair_sampler((AP, AP), MODEL, t)(_rng()),
     "sample_pair_current": lambda t: sample_pair_current((AP, AP), MODEL, t, _rng()),
@@ -48,7 +48,7 @@ PAIR_READERS = {
     "sample_columns": lambda t: sample_columns((np.zeros(4),) * 2, MODEL, t, _rng()),
 }
 SINGLE_READERS = {
-    "sense_law": lambda t: sense_law((AP,), MODEL, t),
+    "column_law": lambda t: column_law(1, MODEL, t),
     "pair_exceed one cell": lambda t: pair_exceed(MODEL, (AP,), 12.75, t),
     "sample_single_current": lambda t: sample_single_current(AP, MODEL, t, _rng()),
     "sample_single_current size": lambda t: sample_single_current(AP, MODEL, t, _rng(), 4),
@@ -89,31 +89,45 @@ def test_one_cell_tuple_heats_the_oracle_as_it_heats_the_sampler():
 
 
 class TestLaw:
+    """What a sense reads: the level table and collapse rates of its law, and
+    through :func:`law_exceed` at zero noise the level a column reads."""
+
     def test_single_cell_reads_the_single_levels(self):
-        levels, base, rhos = sense_law((AP,), MODEL, HOT)
-        assert (levels, base, rhos) == (MODEL.single_levels, 0, (HOT.rho(20.0),))
+        levels, collapses = column_law(1, MODEL, HOT)
+        assert (levels, collapses) == (MODEL.single_levels, ((0, HOT.rho(20.0)),))
+        # a cold AP cell reads level 0, one level up when it collapses
+        assert law_exceed((levels, collapses), (0,), 12.75, 0.0) == HOT.rho(20.0)
         # a mean shift moves pair levels only; P cells never collapse
-        assert sense_law((P,), MODEL, MeanShift(0.1, 0.2, 0.3)) == (
-            MODEL.single_levels, 1, ())
-        assert sense_law((P,), MODEL, HOT)[2] == ()
+        shifted = column_law(1, MODEL, MeanShift(0.1, 0.2, 0.3))
+        assert shifted == (MODEL.single_levels, ())
+        assert law_exceed(shifted, (1,), 12.75, 0.0) == 1.0
+        assert law_exceed((levels, collapses), (1,), 12.75, MODEL.sigma) == law_exceed(
+            column_law(1, MODEL), (1,), 12.75, MODEL.sigma)
 
     def test_pair_reads_the_ladder_shifted_by_a_bare_mean_shift(self):
         shift = MeanShift(0.1, 0.2, 0.3)
-        levels, base, rhos = sense_law((AP, P), MODEL, shift)
+        levels, collapses = column_law(2, MODEL, shift)
         assert levels == tuple(m + s for m, s in zip(MODEL.pair_levels, shift.shifts))
-        assert (base, rhos) == (1, ())
-        assert sense_law((P, AP), MODEL, None) == (MODEL.pair_levels, 1, ())
+        assert collapses == ()
+        # one P cell reads level 1 of either ladder, whichever row holds it
+        assert [law_exceed((levels, ()), (0, 1), ref, 0.0) for ref in levels[:2]] == [1.0, 0.0]
+        assert column_law(2, MODEL, None) == (MODEL.pair_levels, ())
+        cold = column_law(2, MODEL)
+        assert [law_exceed(cold, (1, 0), ref, 0.0) for ref in MODEL.pair_levels[:2]] == [1.0, 0.0]
 
     def test_rates_follow_row_order_of_the_ap_cells(self):
         half = Collapse(a=math.log(0.5), b=0.0)
-        assert sense_law((AP, AP), MODEL, (HOT, half))[2] == (HOT.rho(20.0), 0.5)
-        assert sense_law((AP, AP), MODEL, (None, half))[2] == (0.5,)
-        assert sense_law((P, AP), MODEL, (HOT, half)) == (MODEL.pair_levels, 1, (0.5,))
+        assert column_law(2, MODEL, (HOT, half))[1] == ((0, HOT.rho(20.0)), (1, 0.5))
+        assert column_law(2, MODEL, (None, half))[1] == ((1, 0.5),)
+        # the P cell of row 0 reads level 1 and only row 1's AP cell collapses
+        law = column_law(2, MODEL, (HOT, half))
+        assert law[0] == MODEL.pair_levels
+        assert law_exceed(law, (1, 0), MODEL.pair_levels[1], 0.0) == 0.5
 
-    @pytest.mark.parametrize("cells", [(), (AP, AP, AP)], ids=["none", "three"])
-    def test_a_sense_reads_one_cell_or_two(self, cells):
+    @pytest.mark.parametrize("rows", [0, 3], ids=["none", "three"])
+    def test_a_sense_reads_one_cell_or_two(self, rows):
         with pytest.raises(ValueError, match="one cell or two"):
-            sense_law(cells, MODEL)
+            column_law(rows, MODEL)
 
 
 @pytest.mark.parametrize("make", [
