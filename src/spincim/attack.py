@@ -254,8 +254,10 @@ def run_auth(
     disturbance applies only to the CimAND senses its variant attacks. The run
     records into the recorder of ``array`` (None records nothing); an array
     built here records into a fresh trace. Returns the decision and that
-    recorder. A sense that draws needs ``rng`` or an array that holds one. One
-    pass writes, records and draws as two ``cim_xnor``, the match writes and
+    recorder. A given array senses under its own model and sense, so a
+    ``model`` or ``sense`` passed with it must equal them, else ValueError.
+    A sense that draws needs ``rng`` or an array that holds one. One pass
+    writes, records and draws as two ``cim_xnor``, the match writes and
     ``cim_two_row(CIM_AND)`` would.
     """
     scenario = scenario or AttackScenario()
@@ -265,6 +267,9 @@ def run_auth(
     else:
         if array.geometry.cols_per_row != db.width:
             raise MappingViolation("array word width must equal the credential width")
+        if (model is not None and model != array.model) or (
+                sense is not None and sense != array.sense):
+            raise ValueError("a model or sense given with an array must be the array's own")
         if rng is not None:
             array.rng = rng
     rows, width = _ROWS, db.width

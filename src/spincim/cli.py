@@ -1,20 +1,22 @@
 """Batch command-line front end; every run is reproducible from config+seed.
 
 Each command is declared once in build_parser: its subparser, its flags and
-its runner, run_<command>(config, args) -> (payload, files). A runner writes
-nothing; files lists its companion CSVs as (name, writer) pairs. One emitter
-writes those first, then <command>.json, then the same report to stdout. A
-flag that sets a config value names its leaf there and, given, writes it
-before the config is checked and hashed (--zero-noise is device.sigma = 0),
-so runners read such values from the config alone. Reports embed the seed and
-a hash of the resolved config as canonical JSON, so identical inputs produce
-byte identical outputs. Trials run serially; --threads is accepted and has no
-effect. Exit codes: 0 success, 1 usage or configuration error, 2 experiment
-error.
+its runner, run_<command>(config, args) -> (payload, files). A process builds
+that parser once, on its first report, and parses every report with it, since
+parsing leaves a parser as it was. A runner writes nothing; files lists its
+companion CSVs as (name, writer) pairs. One emitter writes those first, then
+<command>.json, then the same report to stdout. A flag that sets a config
+value names its leaf there and, given, writes it before the config is checked
+and hashed (--zero-noise is device.sigma = 0), so runners read such values
+from the config alone. Reports embed the seed and a hash of the resolved
+config as canonical JSON, so identical inputs produce byte identical outputs.
+Trials run serially; --threads is accepted and has no effect. Exit codes: 0
+success, 1 usage or configuration error, 2 experiment error.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import io
 import sys
@@ -132,6 +134,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     _command(sub, "calibrate", run_calibrate, "fit noise and collapse parameters")
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every report of this process is parsed with."""
+    return build_parser()
 
 
 def _resolve(args) -> dict:
@@ -328,7 +336,7 @@ def run_calibrate(config, args):
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         config = _resolve(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,7 +18,8 @@ module-level random state. Monte Carlo callers derive one independent stream
 per trial with :func:`trial_rng`, so a result depends only on the seed.
 Trial ``i``'s stream is bit for bit
 ``np.random.default_rng((seed, i))``; its seed words are derived for 1024
-trials at a time in one vectorised pass instead of one hash per trial. A
+trials at a time in one vectorised pass instead of one hash per trial, and
+the block's per-trial seed objects are built once with them and cached. A
 Monte Carlo report sets up its pair sense once with :func:`pair_sampler`, so
 a trial only draws from its own stream: noise ``sigma * standard_normal()``,
 numpy's own ``normal(0, sigma)`` arithmetic. Every other sense, scalar or
@@ -225,7 +226,6 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result ^ (result >> XSHIFT)
 
 
-@functools.lru_cache(maxsize=16)
 def _stream_words(seed: int, block: int) -> np.ndarray:
     """PCG64 seed words of ``SeedSequence((seed, i))`` for the trials of a block.
 
@@ -233,7 +233,7 @@ def _stream_words(seed: int, block: int) -> np.ndarray:
     Each entropy word is one uint32 column over the block: the seed's words
     and the index's high words are the same in every row, and so is the
     index's word count, since blocks are aligned and 1024 divides 2**32.
-    The result is read-only, because every caller shares it.
+    The result is read-only, because every seed object of the block shares it.
     """
     if seed < 0 or block < 0:
         raise ValueError("stream seed and index must be non-negative")
@@ -275,15 +275,24 @@ class _Words(ISeedSequence):
         return self.words
 
 
+@functools.lru_cache(maxsize=16)
+def _stream_seeds(seed: int, block: int) -> tuple[_Words, ...]:
+    """One seed object per trial of a block, over the rows of :func:`_stream_words`.
+
+    PCG64 only reads a seed object's words, so every stream of a trial shares one.
+    """
+    return tuple(map(_Words, _stream_words(seed, block)))
+
+
 def trial_rng(master_seed: int, index: int) -> np.random.Generator:
     """Independent per-trial stream derived from (master seed, trial index).
 
     The stream is bit for bit ``np.random.default_rng((master_seed, index))``
-    for any seed and index >= 0; the seed words come from the cached block
-    of :func:`_stream_words` that holds ``index``.
+    for any seed and index >= 0; its seed object comes from the cached block
+    of :func:`_stream_seeds` that holds ``index``, built once per block.
     """
     block, row = divmod(index, STREAM_BLOCK)
-    return Generator(PCG64(_Words(_stream_words(master_seed, block)[row])))
+    return Generator(PCG64(_stream_seeds(master_seed, block)[row]))
 
 
 def _require_rng(rng, stochastic: bool):

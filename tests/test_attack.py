@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from spincim import attack
-from spincim.array import ArrayGeometry, CimArray
+from spincim.array import ArrayGeometry, CimArray, SenseConfig
 from spincim.attack import (
     AttackScenario,
     AttackVariant,
@@ -83,6 +83,23 @@ class TestAuthProtocol:
         short = CimArray(geometry=ArrayGeometry(rows_per_bank=4), model=zero_noise_model)
         with pytest.raises(OutOfBounds, match="outside 1x4 array"):
             run_auth(DB16, 0xA5A5, 0x5AC3, NO_ATTACK, model=zero_noise_model, array=short)
+
+    def test_model_or_sense_other_than_the_arrays_rejected(self):
+        # the array senses under its own sigma, so a zero-noise model was ignored
+        array = CimArray(ArrayGeometry(cols_per_row=16))
+        own = r"^a model or sense given with an array must be the array's own$"
+        with pytest.raises(ValueError, match=own):
+            run_auth(AuthDb(1, 2), 1, 2, AttackScenario(),
+                     model=CurrentLevelModel(sigma=0.0), array=array)
+        with pytest.raises(ValueError, match=own):
+            run_auth(AuthDb(1, 2), 1, 2, AttackScenario(),
+                     sense=SenseConfig(i_ref_and=21.0), array=array)
+        assert array.snapshot() == CimArray(ArrayGeometry(cols_per_row=16)).snapshot()
+        # an equal model and sense, not the same objects, are the array's own
+        accepted, _ = run_auth(AuthDb(1, 2), 1, 2, AttackScenario(), CurrentLevelModel(),
+                               SenseConfig(), trial_rng(MASTER_SEED, 0), array)
+        assert accepted == run_auth(AuthDb(1, 2), 1, 2, AttackScenario(),
+                                    rng=trial_rng(MASTER_SEED, 0), array=array)[0]
 
     @pytest.mark.parametrize("db", [DB16, AuthDb(0xDEAD_BEEF_0123_4567, 1 << 63, width=64)],
                              ids=lambda db: f"width{db.width}")

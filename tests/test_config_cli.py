@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spincim
+from spincim import cli
 from spincim.analytic import binomial_stderr
 from spincim.array import TWO_ROW_OPS, ArrayGeometry, CimOp, SenseConfig
 from spincim.attack import AttackVariant
@@ -287,6 +288,53 @@ _FLAG_IS_LEAF = [
 ]
 
 
+def _report_files(capsys, argv, out: Path) -> dict[str, bytes]:
+    """The bytes of each file one in-process report writes to ``out``."""
+    assert main([*argv, "--out", str(out)]) == 0, capsys.readouterr().err
+    capsys.readouterr()
+    return {path.name: path.read_bytes() for path in out.iterdir()}
+
+
+@pytest.fixture(scope="module")
+def every_command(tmp_path_factory):
+    """A small run of every command, and the files each writes in a fresh process."""
+    inputs = tmp_path_factory.mktemp("inputs")
+    (inputs / "sca.json").write_text('{"sca": {"samples_per_class": 50}}')
+    (inputs / "p.cim").write_text("CimAND @0, @1, @2\nCimADD @0, @1, @3\nCimNOT @2, @4\n")
+    runs = {
+        "margins": ["margins"],
+        "truth-table": ["truth-table", "--op", "CimXOR", "--seed", "5"],
+        "mc-failure": ["mc-failure", "--temp", "100", "--trials", "1500"],
+        "mitigate": ["mitigate", "--trials", "1500", "--seed", "11"],
+        "auth-attack": ["auth-attack", "--temp", "140", "--trials", "40"],
+        "isa-run": ["isa-run", "--program", str(inputs / "p.cim"), "--compare-lowered",
+                    "--seed", "7"],
+        "sca": ["sca", "--config", str(inputs / "sca.json"), "--seed", "3"],
+        "calibrate": ["calibrate"],
+    }
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
+    )}
+    fresh = {}
+    for tag, argv in runs.items():
+        out = inputs / "fresh" / tag
+        done = subprocess.run([sys.executable, "-m", "spincim", *argv, "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        fresh[tag] = {path.name: path.read_bytes() for path in out.iterdir()}
+    return runs, fresh
+
+
+@pytest.fixture
+def parser_builds(monkeypatch) -> list:
+    """One entry for each call of ``cli.build_parser`` while the test runs."""
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    return built
+
+
 class TestCli:
     def test_margins_exact(self, capsys, tmp_path):
         code, report = run_cli(capsys, "margins", "--out", str(tmp_path))
@@ -364,40 +412,52 @@ class TestCli:
             assert (tmp_path / "mc-failure.json").read_bytes() == first
 
     def test_a_process_running_many_reports_writes_the_bytes_of_a_fresh_one(
-            self, capsys, tmp_path):
+            self, capsys, tmp_path, every_command):
         # A B A B from a cold stream cache: a cache entry or a stream that one
         # report leaves behind must not reach the next
-        (tmp_path / "sca.json").write_text('{"sca": {"samples_per_class": 50}}')
-        runs = {
-            "mc-failure": ["mc-failure", "--temp", "100", "--trials", "1500"],
-            "mitigate": ["mitigate", "--trials", "1500", "--seed", "11"],
-            "auth-attack": ["auth-attack", "--temp", "140", "--trials", "40"],
-            "sca": ["sca", "--config", str(tmp_path / "sca.json"), "--seed", "3"],
-        }
-        spincim.device._stream_words.cache_clear()
+        runs, fresh = every_command
+        spincim.device._stream_seeds.cache_clear()
         files = {tag: [] for tag in runs}
         for _ in range(2):
             for tag, argv in runs.items():
-                out = tmp_path / tag
-                assert main([*argv, "--out", str(out)]) == 0, capsys.readouterr().err
-                capsys.readouterr()
-                files[tag].append({path.name: path.read_bytes() for path in out.iterdir()})
+                files[tag].append(_report_files(capsys, argv, tmp_path / tag))
         for tag, (first, second) in files.items():
-            assert second == first, tag
+            assert first == second == fresh[tag], tag
 
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
-        )}
-        fresh = tmp_path / "fresh"
-        done = subprocess.run(
-            [sys.executable, "-m", "spincim", *runs["mc-failure"], "--out", str(fresh)],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
-        assert done.returncode == 0, done.stderr
-        assert (fresh / "mc-failure.json").read_bytes() == (
-            files["mc-failure"][0]["mc-failure.json"]
-        )
+    def test_a_shared_parser_stays_stateless(self, capsys, tmp_path, every_command,
+                                             parser_builds):
+        # every way a parse can end, each followed by a report that must carry
+        # the bytes of a fresh process, all through one parser
+        runs, fresh = every_command
+        cli._parser.cache_clear()
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"device": {"sigma": "x"}}')
+        cold = tmp_path / "cold.json"
+        cold.write_text('{"device": {"ambient_temp": 120}}')
+        endings = [
+            (["mc-failure", "--pair", "AP,Q"], 1),
+            (["margins", "--config", str(bad)], 1),
+            (["mc-failure", "--help"], SystemExit),
+            (["--version"], SystemExit),
+            (["calibrate", "--config", str(cold), "--out", str(tmp_path / "no")], 2),
+        ]
+        for k, (tag, argv) in enumerate(runs.items()):
+            ending, code = endings[k % len(endings)]
+            if code is SystemExit:
+                with pytest.raises(SystemExit) as done:
+                    main(ending)
+                assert done.value.code == 0
+            else:
+                assert main(ending) == code
+            capsys.readouterr()
+            assert _report_files(capsys, argv, tmp_path / tag) == fresh[tag], tag
+        assert len(parser_builds) == 1
+
+    def test_reports_after_the_first_reuse_its_parser(self, capsys, tmp_path, parser_builds):
+        for _ in range(51):  # one warm-up, then 50
+            assert main(["margins", "--out", str(tmp_path)]) == 0
+            capsys.readouterr()
+        assert len(parser_builds) <= 1
 
     def test_isa_run_bytes_do_not_depend_on_how_its_inputs_are_named(
             self, capsys, tmp_path, monkeypatch):

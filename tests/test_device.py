@@ -251,12 +251,30 @@ class TestTrialStreams:
                 trial_rng(seed, index)
 
     def test_cached_block_is_read_only(self):
-        words = device._stream_words(MASTER_SEED, 0)
-        assert words.shape == (device.STREAM_BLOCK, 4) and not words.flags.writeable
+        seeds = device._stream_seeds(MASTER_SEED, 0)
+        assert len(seeds) == device.STREAM_BLOCK
+        assert device._stream_seeds(MASTER_SEED, 0) is seeds
+        for seed in (seeds[0], seeds[-1]):
+            assert seed.words.shape == (4,) and not seed.words.flags.writeable
+
+    @pytest.mark.parametrize("index", [1023, 1024, 2047])
+    @pytest.mark.parametrize("cache", ["cold", "warm"])
+    def test_streams_sharing_a_seed_object_are_independent(self, index, cache):
+        if cache == "cold":
+            device._stream_seeds.cache_clear()
+        else:
+            trial_rng(MASTER_SEED, index)
+        first, second = trial_rng(MASTER_SEED, index), trial_rng(MASTER_SEED, index)
+        assert first.bit_generator.seed_seq is second.bit_generator.seed_seq
+        first.normal(size=7)
+        first.random(3)
+        assert second.bit_generator.state == _reference_state(MASTER_SEED, index)
+        want = np.random.default_rng((MASTER_SEED, index)).normal(size=5)
+        assert np.array_equal(second.normal(size=5), want)
 
     def test_two_threads_derive_interleaved_blocks(self):
         # each thread derives every other block, cold, at the same time
-        device._stream_words.cache_clear()
+        device._stream_seeds.cache_clear()
         seed, blocks = 2**33 + 7, 24
         start = threading.Barrier(2)
         got = {}
