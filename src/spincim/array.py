@@ -8,17 +8,23 @@ single-cell sense against the read reference, a two-row sense of the summed
 pair current against the AND or OR reference, or between them for XOR. All
 decodes of one operation derive from a single current sample per column, so
 decision failures are correlated across the decodes of a shared sense and
-are never resampled.
+are never resampled: an ADD reads the AND and OR windows of one sense.
 
 Each sense samples all columns of its row (or row pair) in one vectorised
 draw from the array's generator, in a fixed order: for each activated row
 whose disturbance is Collapse (first operand first), one uniform per column;
 then one normal per column when the noise sigma is positive. An XNOR
-consumes the stream exactly as its AND sense and then its NOR sense, drawn
-in one pass of :func:`~spincim.device.draw_columns`, the one column kernel.
-The number of draws depends on the operation and the disturbance, never on
-the stored words. There is no default generator: a sense that needs draws
-raises ValueError on an array built without one.
+consumes the stream exactly as its AND sense and then its NOR sense. The
+number of draws depends on the operation and the disturbance, never on the
+stored words, so a sense decodes from integer masks: its draws are mapped
+(:func:`~spincim.device.apply_laws`) at every operand-bit pattern, each
+pattern's decode is packed into an int, and the word read takes column k
+from the mask of column k's pattern in the stored words. :meth:`CimArray.plan`
+names the senses to come, which are then drawn :data:`SENSE_BLOCK` at a time
+in one :func:`~spincim.device.column_draws` call, with the draws they would
+make one after another; with nothing planned a sense is a block of one.
+There is no default generator: a sense that needs draws raises ValueError
+on an array built without one.
 
 :func:`attacked_law` resolves a sense's law under an attack, and
 :meth:`CimArray.laws` memoises it per attack, op and heated-row pattern.
@@ -26,8 +32,9 @@ The attack heats a sense it matches with its disturbance bare when every
 activated row is in its zone (a MeanShift shifts the pair levels and leaves
 single cells alone), else per row, which a MeanShift cannot be: a pair
 sense with one of its rows heated by a MeanShift raises ValueError. A force
-flip decodes a targeted AND in the OR window. Row bits come from a bounded
-cache of read-only vectors (:func:`unpack`), so a word is unpacked once.
+flip decodes a targeted AND in the OR window. For
+:func:`~spincim.attack.run_auth`, row bits come from a bounded cache of
+read-only vectors (:func:`unpack`), so a word is unpacked once.
 """
 from __future__ import annotations
 
@@ -35,6 +42,7 @@ import functools
 import math
 import operator
 import re
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
@@ -54,8 +62,9 @@ from .device import (
     CurrentLevelModel,
     Disturbance,
     MeanShift,
+    apply_laws,
+    column_draws,
     column_law,
-    draw_columns,
 )
 from .errors import MappingViolation, OutOfBounds
 
@@ -115,7 +124,7 @@ class SenseConfig:
     ``(low, high]``; a threshold op has one infinite bound. READ, AND and OR
     read 1 above their reference, NOT, NAND and NOR at or below it, and XOR
     between the OR and AND references. WRITE and ADD have no window: the add
-    decodes the XOR, AND and OR windows of one sense.
+    decodes the AND and OR windows of one sense.
     """
 
     i_ref_read: float = 12.75
@@ -233,6 +242,28 @@ def pack(bits) -> int:
     return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
+# senses drawn ahead in one pass: at 64 columns a block peaks near 0.25 MB
+SENSE_BLOCK = 128
+# each row's bit at every operand-bit pattern of one row and of a pair (row 0
+# the high bit of the pattern index), shaped to broadcast over (senses, columns)
+_PATTERNS = {len(rows): tuple(np.reshape(bits, (-1, 1, 1)) for bits in rows)
+             for rows in (([0, 1],), ([0, 0, 1, 1], [0, 1, 0, 1]))}
+# the windows a sense of an op reads: an add reads its AND and OR windows
+_WINDOWS = {CimOp.CIM_ADD: (CimOp.CIM_AND, CimOp.CIM_OR)}
+
+
+def _pack_rows(bits: np.ndarray) -> list:
+    """Each row of ``bits`` along its last axis as a word: nested lists of ints."""
+    packed = np.packbits(bits, axis=-1, bitorder="little")
+    chunks = np.zeros((*packed.shape[:-1], -(-packed.shape[-1] // 8) * 8), np.uint8)
+    chunks[..., :packed.shape[-1]] = packed
+    chunks = chunks.view("<u8").astype(object)  # 64 columns each, low columns first
+    words = chunks[..., -1]
+    for k in range(chunks.shape[-1] - 2, -1, -1):
+        words = words << 64 | chunks[..., k]
+    return words.tolist()
+
+
 class CimArray:
     """Single-owner mutable array; operations are serialized by the caller."""
 
@@ -256,6 +287,7 @@ class CimArray:
         self.enhanced = enhanced
         self.attack: SenseDisturbance | None = None
         self._laws, self._laws_attack, self._laws_model = {}, None, self.model
+        self._plan, self._ahead = [], deque()
         g = self.geometry
         self._words = [[0] * g.rows_per_bank for _ in range(g.banks)]
 
@@ -288,17 +320,70 @@ class CimArray:
                                           for op in ops]))
         return self._laws[key]
 
-    def _senses(self, ops: tuple[CimOp, ...], addrs) -> tuple[list, tuple[CimOp, ...]]:
-        """One sense per op over ``addrs`` in one pass: currents, and decode ops."""
-        laws, decode_ops = self.laws(ops, addrs)
-        width = self.geometry.cols_per_row
-        bits = [unpack(self._words[a.bank][a.row], width) for a in addrs]
-        return draw_columns(bits, laws, self.model.sigma, self.rng), decode_ops
+    def plan(self, senses) -> None:
+        """Expect ``senses``, ``(ops, addrs)`` pairs in the order the public
+        operations will sense them, and draw them :data:`SENSE_BLOCK` at a
+        time, as they are reached. Each public op takes the next planned
+        sense, which must be its own, else RuntimeError; with none left, a
+        sense is a block of one. ``plan(())`` drops what is left."""
+        self._plan = list(senses)
+        self._ahead.clear()
 
-    def _sense(self, op: CimOp, *addrs: RowAddress) -> int:
-        """The word one sense of ``op`` over ``addrs`` decodes."""
-        (currents,), (op,) = self._senses((op,), addrs)
-        return pack(self.sense.decode(op, currents))
+    def _read(self, ops: tuple[CimOp, ...], addrs) -> list[int]:
+        """The words one sense of ``ops`` over ``addrs`` reads from the stored
+        words, one per decode window, drawing the next block when none is ahead."""
+        if not self._ahead:
+            self._ahead.extend(self._decode_block(self._plan[:SENSE_BLOCK] or [(ops, addrs)]))
+            del self._plan[:len(self._ahead)]
+        key, masks = self._ahead.popleft()
+        if key != (ops, addrs):
+            self.plan(())
+            raise RuntimeError(f"{ops[0].value} sense taken where a planned "
+                               f"{key[0][0].value} sense was drawn")
+        # column k of a word read is column k of the mask of its operand-bit
+        # pattern in the stored words, chosen by one multiplexer per row
+        if len(addrs) == 1:
+            word = self._words[addrs[0].bank][addrs[0].row]
+            return [m0 ^ ((m0 ^ m1) & word) for m0, m1 in masks]
+        a, b = (self._words[addr.bank][addr.row] for addr in addrs)
+        words = []
+        for m00, m01, m10, m11 in masks:
+            low, high = m00 ^ ((m00 ^ m01) & b), m10 ^ ((m10 ^ m11) & b)
+            words.append(low ^ ((low ^ high) & a))
+        return words
+
+    def _decode_block(self, senses) -> list:
+        """``(sense, masks)`` of each sense in order, drawn in one pass: per
+        word the sense reads, the word it decodes at each operand-bit pattern.
+        A sense after the first whose law raises ends the block, so that it
+        raises when it is taken."""
+        laws, starts, groups = [], [], {}
+        for n, (ops, addrs) in enumerate(senses):
+            try:
+                resolved = self.laws(ops, addrs)
+            except ValueError:
+                if not n:
+                    raise
+                break
+            # the senses of one memoised resolution map and decode together
+            groups.setdefault(id(resolved), (resolved, len(addrs), []))[2].append(n)
+            starts.append(len(laws))
+            laws += resolved[0]
+        width = self.geometry.cols_per_row
+        uniforms, normals = column_draws(laws, width, self.model.sigma, self.rng)
+        if normals is None:
+            normals = np.zeros((len(laws), width))  # adding 0.0 moves no level
+        masks = [[] for _ in starts]
+        for (sense_laws, decode_ops), rows, members in groups.values():
+            for k, (law, op) in enumerate(zip(sense_laws, decode_ops)):
+                at = [starts[n] + k for n in members]
+                u = [np.stack(draws) for draws in zip(*[uniforms[i] for i in at])]
+                currents = apply_laws(_PATTERNS[rows], law, u, normals[at])
+                for window in _WINDOWS.get(op, (op,)):
+                    decoded = _pack_rows(self.sense.decode(window, currents))
+                    for n, word_masks in zip(members, zip(*decoded)):
+                        masks[n].append(word_masks)
+        return list(zip(senses, masks))
 
     # -- host access --------------------------------------------------------
 
@@ -320,7 +405,7 @@ class CimArray:
     def read_word(self, addr: RowAddress) -> int:
         """Sense every column against the read reference; may misread."""
         self._check_addr(addr)
-        word = self._sense(CimOp.READ, addr)
+        (word,) = self._read((CimOp.READ,), (addr,))
         if self.recorder is not None:
             kind, cost = word_read_cost(
                 word, self.geometry.cols_per_row, self.cost_table, self.enhanced
@@ -341,7 +426,7 @@ class CimArray:
     def cim_not(self, a: RowAddress) -> int:
         """Inverted read decode of one row."""
         self._check_addr(a)
-        word = self._sense(CimOp.CIM_NOT, a)
+        (word,) = self._read((CimOp.CIM_NOT,), (a,))
         self.record_cim(CimOp.CIM_NOT)
         return word
 
@@ -352,7 +437,7 @@ class CimArray:
         self._check_addr(a)
         self._check_addr(b)
         validate_mapping(a, b)
-        word = self._sense(op, a, b)
+        (word,) = self._read((op,), (a, b))
         self.record_cim(op)
         return word
 
@@ -374,8 +459,7 @@ class CimArray:
         if s1 == s2:
             raise MappingViolation("scratch rows must be distinct from each other")
         validate_mapping(a, b)
-        currents, ops = self._senses((CimOp.CIM_AND, CimOp.CIM_NOR), (a, b))
-        and_word, nor_word = map(pack, map(self.sense.decode, ops, currents))
+        and_word, nor_word = self._read((CimOp.CIM_AND, CimOp.CIM_NOR), (a, b))
         self.record_cim(CimOp.CIM_AND)
         self.record_cim(CimOp.CIM_NOR)
         self.write_word(s1, and_word, record=False)
@@ -383,30 +467,24 @@ class CimArray:
         return and_word | nor_word
 
     def cim_add(self, a: RowAddress, b: RowAddress, dest: RowAddress) -> int:
-        """Bit-serial ripple add of two rows into dest; returns carry-out.
+        """Ripple add of two rows into dest; returns carry-out.
 
-        Per column one pair sample feeds all three decodes: the XOR window
-        gives the half-sum, AND and OR feed the majority carry. The carry is
-        held in the controller; the result write-back is fault-free and is
-        covered by the single add cost row.
+        Per column one pair sample feeds the AND and OR decodes. The AND
+        window lies inside the OR window, so the XOR window reads OR ^ AND
+        and the ripple carry, majority(AND, OR, carry) = AND | (carry & OR),
+        is the carry of the integer sum OR + AND: its low ``width`` bits are
+        the sum word and bit ``width`` the carry-out. The carry is held in the
+        controller; the result write-back is fault-free and is covered by the
+        single add cost row.
         """
         for addr in (a, b, dest):
             self._check_addr(addr)
         validate_mapping(a, b)
-        (currents,), _ = self._senses((CimOp.CIM_ADD,), (a, b))
-        xor_bits, and_bits, or_bits = (
-            self.sense.decode(op, currents).tolist()
-            for op in (CimOp.CIM_XOR, CimOp.CIM_AND, CimOp.CIM_OR)
-        )
-        carry = 0
-        sums = []
-        for xor_bit, and_bit, or_bit in zip(xor_bits, and_bits, or_bits):
-            sums.append(xor_bit ^ carry)
-            carry = int(and_bit | (carry & or_bit))
-        total = pack(sums)
+        and_word, or_word = self._read((CimOp.CIM_ADD,), (a, b))
+        total = or_word + and_word
         self.record_cim(CimOp.CIM_ADD)
-        self.write_word(dest, total, record=False)
-        return carry
+        self.write_word(dest, total & self.geometry.word_mask, record=False)
+        return total >> self.geometry.cols_per_row
 
     # -- hex dump ------------------------------------------------------------
 

@@ -28,6 +28,9 @@ not, is a column sense under a law that :func:`column_law` resolves
 steps: :func:`column_draws` takes the draws of several senses in one pass,
 exactly as they would one after another, and the pure :func:`apply_laws`
 maps bits, a law and its draws to currents. :func:`draw_columns` is both.
+An array takes a block of senses' draws in one :func:`column_draws` call
+and maps each law at every operand-bit pattern at once, so its senses
+decode from integer masks (:mod:`spincim.array`).
 """
 from __future__ import annotations
 
@@ -367,9 +370,7 @@ def apply_laws(bits, law, uniforms, normals) -> np.ndarray:
         # true where the cell is AP and its uniform fell below rho
         idx = idx + ((u < rho) > bits[row])
     currents = table[idx]
-    if normals is not None:
-        currents += normals
-    return currents
+    return currents if normals is None else currents + normals
 
 
 def draw_columns(bits, laws, sigma: float, rng: np.random.Generator | None = None) -> list:

@@ -17,7 +17,8 @@ execute inside the memory array. Assembly grammar, one instruction per line,
 
 Row operands may name a bank explicitly as @bank:row (bank 0 otherwise).
 Execution ends at HALT or at the end of the program; HALT does not count
-toward the instruction count.
+toward the instruction count. A program is straight-line, so :func:`run`
+plans its senses before it starts and the array draws them a block ahead.
 """
 from __future__ import annotations
 
@@ -178,8 +179,33 @@ class Machine:
         return self.array.geometry.word_mask
 
 
+# the ops of the one sense of each sensing instruction
+_SENSE_OPS = {Opcode.LOAD: (CimOp.READ,), **{op: (op,) for op in CIM_OPS}}
+
+
+def _senses(program: Program, step_budget: int) -> list:
+    """``(ops, addrs)`` of each sense a run of ``program`` makes, in order:
+    one per LOAD and in-memory instruction before its first HALT, within the
+    step budget. An in-memory instruction senses all its rows but the last."""
+    senses = []
+    for instr in program.instructions[:step_budget]:
+        op = instr.opcode
+        if op is Opcode.HALT:
+            break
+        ops = _SENSE_OPS.get(op)
+        if ops is not None:
+            senses.append((ops, instr.addrs if op is Opcode.LOAD else instr.addrs[:-1]))
+    return senses
+
+
 def run(program: Program, machine: Machine) -> tuple[ExecStats, ExecutionTrace]:
-    """Execute a program, tracing memory events and aggregating costs."""
+    """Execute a program, tracing memory events and aggregating costs.
+
+    Its senses are planned up front (:meth:`CimArray.plan`) and drawn a
+    block ahead, with the draws of one instruction at a time. An instruction
+    that raises leaves memory and trace as the instructions before it left
+    them and no plan; only the generator may have advanced past its draws.
+    """
     trace = ExecutionTrace()
     previous = machine.array.recorder
     machine.array.recorder = trace
@@ -187,6 +213,7 @@ def run(program: Program, machine: Machine) -> tuple[ExecStats, ExecutionTrace]:
     regs = machine.registers
     executed = 0
     try:
+        machine.array.plan(_senses(program, machine.step_budget))
         for steps, instr in enumerate(program.instructions):
             if steps >= machine.step_budget:
                 raise StepBudgetExceeded(
@@ -226,6 +253,7 @@ def run(program: Program, machine: Machine) -> tuple[ExecStats, ExecutionTrace]:
                 machine.array.write_word(dest, word, record=False)
     finally:
         machine.array.recorder = previous
+        machine.array.plan(())
     stats = ExecStats(
         instruction_count=executed,
         memory_access_count=len(trace.events),

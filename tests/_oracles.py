@@ -93,6 +93,20 @@ def int_add_oracle(a: int, b: int, width: int) -> tuple[int, int]:
     return total & ((1 << width) - 1), total >> width
 
 
+def ripple_add_oracle(and_word: int, or_word: int, width: int) -> tuple[int, int]:
+    """The bit-serial adder over one sense's AND and OR decodes, column by
+    column as the array controller ripples it: the XOR window (above the OR
+    reference, at or below the AND one) is the half-sum, and the carry is
+    the majority AND | (carry & OR). Returns (sum word, carry out)."""
+    total, carry = 0, 0
+    for col in range(width):
+        and_bit, or_bit = and_word >> col & 1, or_word >> col & 1
+        xor_bit = or_bit & (1 - and_bit)
+        total |= (xor_bit ^ carry) << col
+        carry = and_bit | (carry & or_bit)
+    return total, carry
+
+
 def scalar_pair_current(states, model, disturbance, rng):
     """The one-call scalar pair sampler as it stood before per-report setup.
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 
 from spincim.array import ArrayGeometry, CimArray, CimOp, RowAddress
-from spincim.isa import Instruction, Machine, Program
+from spincim.isa import CIM_OPS, Instruction, Machine, Opcode, Program
 
 CIM_THREE = (
     CimOp.CIM_ADD,
@@ -16,13 +16,33 @@ CIM_THREE = (
 )
 
 
+HOST_OPS = (Opcode.LOAD, Opcode.STORE, Opcode.ADD, Opcode.AND, Opcode.OR, Opcode.XOR,
+            Opcode.NOT)
+
+
+def _host_instruction(rng: np.random.Generator, rows: int) -> Instruction:
+    """A LOAD, STORE or register ALU instruction over R0..R5 and ``rows``."""
+    opcode = HOST_OPS[int(rng.integers(0, len(HOST_OPS)))]
+    if opcode in (Opcode.LOAD, Opcode.STORE):
+        return Instruction(opcode, (int(rng.integers(0, 6)),),
+                           (RowAddress(0, int(rng.integers(0, rows))),))
+    regs = rng.integers(0, 6, size=2 if opcode is Opcode.NOT else 3)
+    return Instruction(opcode, tuple(int(r) for r in regs))
+
+
 def random_cim_program(
-    rng: np.random.Generator, rows: int = 8, max_instructions: int = 50
+    rng: np.random.Generator, rows: int = 8, max_instructions: int = 50,
+    min_instructions: int = 1, host: float = 0.0,
 ) -> Program:
-    """Compute-only program whose operands satisfy the mapping constraint."""
-    n = int(rng.integers(1, max_instructions + 1))
+    """Program whose operands satisfy the mapping constraint: in-memory
+    instructions only, or with probability ``host`` each a LOAD, STORE or
+    register ALU instruction."""
+    n = int(rng.integers(min_instructions, max_instructions + 1))
     instructions = []
     for _ in range(n):
+        if host and rng.random() < host:
+            instructions.append(_host_instruction(rng, rows))
+            continue
         if rng.random() < 0.15:
             a = int(rng.integers(0, rows))
             dest = int(rng.integers(0, rows))
@@ -41,6 +61,11 @@ def random_cim_program(
             )
         )
     return Program(tuple(instructions))
+
+
+def sense_count(program: Program) -> int:
+    """Senses a run of a program without HALT makes: one per LOAD and in-memory op."""
+    return sum(i.opcode is Opcode.LOAD or i.opcode in CIM_OPS for i in program.instructions)
 
 
 def machine_with_memory(model, width: int = 8, rows: int = 16, words=None) -> Machine:

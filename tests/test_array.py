@@ -17,9 +17,17 @@ from spincim.array import (
     validate_mapping,
 )
 from spincim.cost import ExecutionTrace
-from spincim.device import Collapse, MeanShift, MtjState, sample_pair_current, trial_rng
+from spincim.device import (
+    Collapse,
+    CurrentLevelModel,
+    MeanShift,
+    MtjState,
+    sample_pair_current,
+    trial_rng,
+)
 from spincim.errors import MappingViolation, OutOfBounds
 
+from _oracles import ripple_add_oracle
 from conftest import MASTER_SEED
 
 A, B, C, D = (RowAddress(0, r) for r in range(4))
@@ -44,12 +52,13 @@ class TestReadWrite:
         assert arr.read_word(A) == 0xA5A5
 
     def test_write_all_ones_sets_parallel_states(self, zero_noise_model):
-        arr = make_array(zero_noise_model)
+        # a read reference a hair under the P level reads 1 only at that level
+        p_level = zero_noise_model.single_levels[1]
+        arr = make_array(zero_noise_model, sense=SenseConfig(i_ref_read=p_level - 1e-9))
         arr.write_word(A, 0xFFFF)
         # every column senses at the parallel (P) single-cell level
-        (currents,), (op,) = arr._senses((CimOp.READ,), (A,))
-        assert currents.tolist() == [zero_noise_model.single_levels[1]] * 16
-        assert op is CimOp.READ
+        assert arr.read_word(A) == 0xFFFF
+        assert arr.cim_not(A) == 0
 
     def test_word_width_contract(self, zero_noise_model):
         arr = make_array(zero_noise_model)
@@ -88,6 +97,20 @@ class TestReadWrite:
         arr = make_array(zero_noise_model)
         arr.write_word(A, 0b10)
         assert arr.read_word(A) == 0b10
+
+
+class TestPlan:
+    def test_a_sense_off_the_plan_is_refused_and_drops_it(self, zero_noise_model):
+        arr = make_array(zero_noise_model)
+        arr.write_word(A, 0b1100)
+        arr.plan([((CimOp.READ,), (A,)), ((CimOp.CIM_NOT,), (B,))])
+        assert arr.read_word(A) == 0b1100
+        with pytest.raises(RuntimeError, match="CimAND sense taken where a planned "
+                                               "CimNOT sense was drawn"):
+            arr.cim_two_row(CimOp.CIM_AND, A, B)
+        # with the plan dropped, each sense is a block of one
+        assert arr.cim_two_row(CimOp.CIM_AND, A, B) == 0
+        assert arr.cim_not(B) == arr.geometry.word_mask
 
 
 class TestTwoRowLogic:
@@ -223,6 +246,33 @@ class TestAdd:
             carry = arr.cim_add(a_addr, b_addr, d_addr)
             assert arr.snapshot()[d_addr.bank][d_addr.row] == (a + b) & 0xFF
             assert carry == (a + b) >> 8
+
+    @pytest.mark.parametrize("width", [1, 8, 63, 64, 65, 128])
+    def test_noisy_add_is_the_ripple_carry_of_its_and_and_or_decodes(self, width):
+        """The add's one sense decodes AND and OR as twin arrays on twin
+        streams read them, and its sum word and carry-out are the ripple
+        carry of those decodes, misread columns included."""
+        model = CurrentLevelModel(sigma=1.0)  # a column misreads about one time in ten
+        geometry = ArrayGeometry(cols_per_row=width, rows_per_bank=4)
+        words = np.random.default_rng(width)
+        misread = 0
+        for trial in range(40):
+            a, b = (int.from_bytes(words.bytes(16), "little") & geometry.word_mask
+                    for _ in range(2))
+            adder, and_twin, or_twin = (
+                CimArray(geometry, model, rng=trial_rng(MASTER_SEED, trial)) for _ in range(3))
+            for arr in (adder, and_twin, or_twin):
+                arr.write_word(A, a)
+                arr.write_word(B, b)
+            carry = adder.cim_add(A, B, C)
+            and_word = and_twin.cim_two_row(CimOp.CIM_AND, A, B)
+            or_word = or_twin.cim_two_row(CimOp.CIM_OR, A, B)
+            assert and_word & ~or_word == 0
+            assert (adder.snapshot()[0][C.row], carry) == ripple_add_oracle(
+                and_word, or_word, width)
+            assert adder.rng.bit_generator.state == and_twin.rng.bit_generator.state
+            misread += (and_word, or_word) != (a & b, a | b)
+        assert misread > 0
 
 
 class TestExhaustiveEquivalence:

@@ -1,12 +1,26 @@
+import io
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spincim.array import CimArray, CimOp, RowAddress
-from spincim.cost import Channel, CostMode, CostTable, OpClass, count_bus_transfers
-from spincim.errors import OutOfBounds, ParseError, StepBudgetExceeded
+from spincim import isa
+from spincim.array import SENSE_BLOCK, CimArray, CimOp, RowAddress, SenseDisturbance
+from spincim.cost import (
+    Channel,
+    CostMode,
+    CostTable,
+    ExecutionTrace,
+    OpClass,
+    OpCost,
+    count_bus_transfers,
+)
+from spincim.device import Collapse, CurrentLevelModel, MeanShift, trial_rng
+from spincim.errors import MappingViolation, OutOfBounds, ParseError, StepBudgetExceeded
 from spincim.isa import (
+    ExecStats,
     Instruction,
     Machine,
     Opcode,
@@ -19,7 +33,9 @@ from spincim.isa import (
 )
 
 import _oracles
-from _progs import machine_with_memory, random_cim_program
+from _progs import machine_with_memory, random_cim_program, sense_count
+from conftest import MASTER_SEED
+from test_draw_order import LoggedRng
 
 ADD_CONVENTIONAL = """
 ; conventional add: fetch both operands, compute, store back
@@ -231,6 +247,127 @@ class TestRun:
         machine = machine_with_memory(zero_noise_model, rows=16)
         with pytest.raises(OutOfBounds):
             run(assemble("LOAD R0, @200\n"), machine)
+
+
+_ZONE = frozenset(RowAddress(0, r) for r in (0, 2, 5))
+_BLOCK_ATTACKS = {
+    "none": None,
+    # rho = 1/2 on rows 0, 2 and 5: a pair sense has none, one or both rows heated
+    "collapse on some rows": SenseDisturbance(
+        disturbance=Collapse(a=math.log(0.5), b=0.0, zone_temp=100.0), rows=_ZONE),
+    "forced flip": SenseDisturbance(rows=_ZONE, force_flip=True),
+}
+
+
+def _long_program(seed: int) -> Program:
+    """Over two blocks of senses: LOADs, STOREs, ALU ops and every in-memory op."""
+    program = random_cim_program(np.random.default_rng(seed), rows=8, min_instructions=450,
+                                 max_instructions=600, host=0.3)
+    assert sense_count(program) > 2 * SENSE_BLOCK
+    return program
+
+
+def _machine(sigma: float, attack, width: int) -> Machine:
+    words = np.random.default_rng(width)
+    init = [int.from_bytes(words.bytes(16), "little") % (1 << width) for _ in range(16)]
+    machine = machine_with_memory(CurrentLevelModel(sigma=sigma), width=width, words=init)
+    machine.array.rng = trial_rng(MASTER_SEED, width)
+    machine.array.attack = attack
+    return machine
+
+
+def _run_stepwise(program: Program, machine: Machine) -> tuple[ExecStats, ExecutionTrace]:
+    """``run`` one instruction at a time, its traces joined into one."""
+    joined, executed = ExecutionTrace(), 0
+    for instr in program.instructions:
+        stats, trace = run(Program((instr,)), machine)
+        executed += stats.instruction_count
+        for event in trace.events:
+            joined.record(event.kind, OpCost(event.duration_ns, event.energy_fj), event.channel)
+    return ExecStats(executed, len(joined.events), joined.end_ns, joined.total_energy()), joined
+
+
+def _csv(trace: ExecutionTrace) -> str:
+    out = io.StringIO()
+    trace.to_csv(out)
+    return out.getvalue()
+
+
+class TestBlockDraws:
+    """A run draws its senses a block ahead; they read as drawn one at a time."""
+
+    @pytest.mark.parametrize("width", [8, 70])
+    @pytest.mark.parametrize("sigma", [0.0, 0.485281])
+    @pytest.mark.parametrize("name", list(_BLOCK_ATTACKS))
+    def test_a_run_is_its_instructions_run_one_at_a_time(self, name, sigma, width):
+        program = _long_program(width)
+        whole, stepped = (_machine(sigma, _BLOCK_ATTACKS[name], width) for _ in range(2))
+        stats, trace = run(program, whole)
+        want_stats, want_trace = _run_stepwise(program, stepped)
+        assert stats == want_stats
+        assert _csv(trace) == _csv(want_trace)
+        assert whole.array.snapshot() == stepped.array.snapshot()
+        assert whole.registers == stepped.registers
+        assert whole.array.rng.bit_generator.state == stepped.array.rng.bit_generator.state
+
+    @pytest.mark.parametrize("attack", [None, _BLOCK_ATTACKS["forced flip"]])
+    def test_a_run_draws_its_noise_one_block_at_a_time(self, attack):
+        """With no collapse, a run of N senses makes ceil(N / SENSE_BLOCK)
+        normal calls, each as long as the back-to-back calls of its block."""
+        program, width = _long_program(7), 16
+        n = sense_count(program)
+        machine = _machine(0.485281, attack, width)
+        machine.array.rng = logged = LoggedRng(machine.array.rng)
+        run(program, machine)
+        blocks = [min(SENSE_BLOCK, n - start) for start in range(0, n, SENSE_BLOCK)]
+        assert 2 < len(blocks) == math.ceil(n / SENSE_BLOCK) < n // 2
+        assert logged.calls == [("normal", block * width) for block in blocks]
+
+    _FAULTS = {
+        "out-of-bounds pair": (Instruction(CimOp.CIM_AND, (), (
+            RowAddress(0, 0), RowAddress(0, 40), RowAddress(0, 1))), OutOfBounds),
+        "out-of-bounds load": (Instruction(Opcode.LOAD, (0,), (RowAddress(0, 40),)), OutOfBounds),
+        "same-row pair": (Instruction(CimOp.CIM_OR, (), (
+            RowAddress(0, 3), RowAddress(0, 3), RowAddress(0, 1))), MappingViolation),
+        "mean shift on one operand row": (Instruction(CimOp.CIM_XOR, (), (
+            RowAddress(0, 12), RowAddress(0, 13), RowAddress(0, 1))), ValueError),
+        "step budget": (None, StepBudgetExceeded),
+    }
+
+    @pytest.mark.parametrize("fault", list(_FAULTS))
+    def test_a_failed_instruction_leaves_the_run_before_it(self, fault, monkeypatch):
+        traces = []
+
+        class KeptTrace(ExecutionTrace):
+            def __init__(self):
+                super().__init__()
+                traces.append(self)
+
+        monkeypatch.setattr(isa, "ExecutionTrace", KeptTrace)
+        # the programs sense rows 0-7 only, so the fault is the first sense
+        # with one operand row under the mean shift
+        attack = SenseDisturbance(disturbance=MeanShift(0.5, 1.0, 1.5),
+                                  rows=frozenset({RowAddress(0, 12)}))
+        failing, twin = (_machine(0.485281, attack, 8) for _ in range(2))
+        program, k = _long_program(3), 200
+        bad, error = self._FAULTS[fault]
+        if bad is None:
+            failing.step_budget = k
+        else:
+            program = Program(program.instructions[:k] + (bad,) + program.instructions[k:])
+        with pytest.raises(error):
+            run(program, failing)
+        _, want = run(Program(program.instructions[:k]), twin)
+        assert _csv(traces[0]) == _csv(want)
+        assert failing.array.snapshot() == twin.array.snapshot()
+        assert failing.registers == twin.registers
+        # no plan is left: a direct sense draws fresh, as on the twin
+        a, b = RowAddress(0, 0), RowAddress(0, 1)
+        for machine in (failing, twin):
+            machine.array.rng = trial_rng(MASTER_SEED, 99)
+        assert (failing.array.cim_two_row(CimOp.CIM_AND, a, b)
+                == twin.array.cim_two_row(CimOp.CIM_AND, a, b))
+        assert failing.array.rng.bit_generator.state == twin.array.rng.bit_generator.state
 
 
 class TestLowering:
