@@ -87,8 +87,6 @@ TWO_ROW_OPS = frozenset(
     {CimOp.CIM_AND, CimOp.CIM_OR, CimOp.CIM_NAND, CimOp.CIM_NOR, CimOp.CIM_XOR}
 )
 
-# every in-memory operation names its cost row
-_COST_CLASS = {op: OpClass(op.value) for op in CimOp if op not in (CimOp.READ, CimOp.WRITE)}
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 # the geometry line that export_hex writes first, and its pattern
 _HEX_HEADER = "# banks={} rows_per_bank={} cols_per_row={}"
@@ -288,6 +286,7 @@ class CimArray:
         self.attack: SenseDisturbance | None = None
         self._laws, self._laws_attack, self._laws_model = {}, None, self.model
         self._plan, self._ahead = [], deque()
+        self._events, self._events_table = {}, self.cost_table
         g = self.geometry
         self._words = [[0] * g.rows_per_bank for _ in range(g.banks)]
 
@@ -397,31 +396,37 @@ class CimArray:
             )
         self._words[addr.bank][addr.row] = word
         if record and self.recorder is not None:
-            kind, cost = word_write_cost(
-                word, self.geometry.cols_per_row, self.cost_table, self.enhanced
-            )
-            self.recorder.record(kind, cost, Channel.BUS)
+            self.record_cim(CimOp.WRITE, word.bit_count())
 
     def read_word(self, addr: RowAddress) -> int:
         """Sense every column against the read reference; may misread."""
         self._check_addr(addr)
         (word,) = self._read((CimOp.READ,), (addr,))
-        if self.recorder is not None:
-            kind, cost = word_read_cost(
-                word, self.geometry.cols_per_row, self.cost_table, self.enhanced
-            )
-            self.recorder.record(kind, cost, Channel.BUS)
+        self.record_cim(CimOp.READ, word.bit_count())
         return word
 
     # -- in-memory operations ------------------------------------------------
 
-    def record_cim(self, op: CimOp) -> None:
-        """Record one in-memory event of ``op``, when the array has a recorder."""
+    def record_cim(self, op: CimOp, ones: int = 0) -> None:
+        """Record one event of ``op``, if the array has a recorder: an in-memory op, or a host
+        READ or WRITE of a word with ``ones`` set bits, costed as the word of ``ones`` low
+        bits. Costs are memoised per ``enhanced`` flag; a new cost table empties the memo."""
         if self.recorder is None:
             return
-        kind = _COST_CLASS[op]
-        cost = cost_of(kind, self.cost_table, self.enhanced)
-        self.recorder.record(kind, cost, Channel.IN_MEMORY)
+        table, key = self.cost_table, (op, ones, self.enhanced)
+        if table is not self._events_table:
+            self._events, self._events_table = {}, table
+        event = self._events.get(key)
+        if event is None:
+            if op is CimOp.READ or op is CimOp.WRITE:
+                word_cost = word_read_cost if op is CimOp.READ else word_write_cost
+                event = (*word_cost((1 << ones) - 1, self.geometry.cols_per_row, table,
+                                    self.enhanced), Channel.BUS)
+            else:
+                kind = OpClass(op.value)  # every in-memory op names its cost row
+                event = kind, cost_of(kind, table, self.enhanced), Channel.IN_MEMORY
+            self._events[key] = event
+        self.recorder.record(*event)
 
     def cim_not(self, a: RowAddress) -> int:
         """Inverted read decode of one row."""

@@ -13,7 +13,7 @@ import csv
 import os
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import MalformedTrace, UnknownOp
 
@@ -40,9 +40,7 @@ class Channel(Enum):
     BUS = "Bus"
     IN_MEMORY = "InMemory"
 
-
-# each event field's CSV text, read once instead of through ``.value`` per event
-_CSV_NAMES = {member: member.value for enum in (OpClass, Channel) for member in enum}
+    __hash__ = object.__hash__  # by identity, as members compare: no Python frame
 
 
 class CostMode(Enum):
@@ -149,8 +147,8 @@ def open_target(target, mode: str = "r", **kwargs):
 def write_csv(target, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """Write ``header`` and then ``rows`` as CSV to a path or an open handle.
 
-    Every CSV file of the package goes through here. Cells are written as
-    given, so callers format floats themselves (``repr`` round-trips them).
+    Cells are written as given, so callers format floats themselves
+    (``repr`` round-trips them).
     """
     with open_target(target, "w", newline="") as handle:
         writer = csv.writer(handle)
@@ -192,55 +190,62 @@ def word_read_cost(
     return kind, cost_of(kind, table, enhanced)
 
 
-class TraceEvent(NamedTuple):
-    kind: OpClass
-    start_ns: float
-    duration_ns: float
-    energy_fj: float
-    channel: Channel
-
-
 class ExecutionTrace:
-    """Append-only, non-overlapping sequence of timed operation events."""
+    """Append-only, non-overlapping sequence of timed operation events, in
+    columns: event ``i`` is row ``rows[event_rows[i]]``, one ``(kind, cost,
+    channel)`` per cost object recorded (``0.0`` and ``-0.0`` stay apart),
+    starting at ``start_ns[i]``, the running sum of the durations before it."""
 
     def __init__(self):
-        self.events: list[TraceEvent] = []
-        self._cursor = 0.0
+        self.rows: list[tuple[OpClass, OpCost, Channel]] = []
+        self.event_rows: list[int] = []
+        self.start_ns: list[float] = []
+        self._cursor, self._row_of = 0.0, {}
 
-    def record(self, kind: OpClass, cost: OpCost, channel: Channel) -> TraceEvent:
-        event = TraceEvent(kind, self._cursor, cost.delay_ns, cost.energy_fj, channel)
-        self.events.append(event)
+    def __len__(self) -> int:
+        return len(self.event_rows)
+
+    def record(self, kind: OpClass, cost: OpCost, channel: Channel) -> None:
+        """Append one event of ``kind`` at ``cost`` over ``channel``."""
+        key = (kind, id(cost), channel)
+        row = self._row_of.get(key)
+        if row is None:
+            row = self._row_of[key] = len(self.rows)
+            self.rows.append((kind, cost, channel))  # holds cost: its id is not reused
+        self.event_rows.append(row)
+        self.start_ns.append(self._cursor)
         self._cursor += cost.delay_ns
-        return event
 
     @property
     def end_ns(self) -> float:
         return self._cursor
 
     def total_energy(self) -> float:
-        return sum(e.energy_fj for e in self.events)
+        energies = [cost.energy_fj for _, cost, _ in self.rows]
+        return sum([energies[i] for i in self.event_rows])
 
     def to_csv(self, target) -> None:
-        """Write event rows as kind,start_ns,duration_ns,energy_fJ,channel."""
-        write_csv(target, ["kind", "start_ns", "duration_ns", "energy_fJ", "channel"], (
-            [_CSV_NAMES[e.kind], repr(e.start_ns), repr(e.duration_ns), repr(e.energy_fj),
-             _CSV_NAMES[e.channel]]
-            for e in self.events
-        ))
+        """Write event rows as kind,start_ns,duration_ns,energy_fJ,channel: the
+        bytes of ``csv.writer`` with floats through ``repr``, which quotes no
+        cell here, so each row's cells around ``start_ns`` are formatted once."""
+        cells = [(f"{kind.value},", f",{cost.delay_ns!r},{cost.energy_fj!r},{channel.value}\r\n")
+                 for kind, cost, channel in self.rows]
+        with open_target(target, "w", newline="") as handle:
+            handle.write("kind,start_ns,duration_ns,energy_fJ,channel\r\n")
+            handle.writelines([before + repr(start) + after for (before, after), start
+                               in zip(map(cells.__getitem__, self.event_rows), self.start_ns)])
 
 
 def count_bus_transfers(trace: ExecutionTrace) -> int:
     """Number of events that crossed the processor-memory bus."""
-    return sum(1 for e in trace.events if e.channel is Channel.BUS)
+    bus = [channel is Channel.BUS for _, _, channel in trace.rows]
+    return sum([bus[i] for i in trace.event_rows])
 
 
-def single_word_write_event(trace: ExecutionTrace) -> TraceEvent:
-    """The unique word-write event of a trace; raises MalformedTrace otherwise."""
-    writes = [
-        e for e in trace.events if e.kind in (OpClass.WRITE1, OpClass.WRITE0)
-    ]
+def single_word_write_event(trace: ExecutionTrace) -> OpCost:
+    """The cost of the unique word-write event of a trace; raises MalformedTrace otherwise."""
+    writes = [trace.rows[i][1] for i in trace.event_rows
+              if trace.rows[i][0] in (OpClass.WRITE1, OpClass.WRITE0)]
     if len(writes) != 1:
-        raise MalformedTrace(
-            f"expected exactly one word-write event, found {len(writes)}"
-        )
+        raise MalformedTrace(f"expected exactly one word-write event, found {len(writes)}")
     return writes[0]

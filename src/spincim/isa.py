@@ -256,7 +256,7 @@ def run(program: Program, machine: Machine) -> tuple[ExecStats, ExecutionTrace]:
         machine.array.plan(())
     stats = ExecStats(
         instruction_count=executed,
-        memory_access_count=len(trace.events),
+        memory_access_count=len(trace),
         total_delay_ns=trace.end_ns,
         total_energy_fj=trace.total_energy(),
     )

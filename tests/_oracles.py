@@ -7,6 +7,8 @@ the package is checked against a second, independent route.
 """
 from __future__ import annotations
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -272,3 +274,23 @@ def assemble(text):
                 addrs.append(parse_addr(token, lineno, col))
         instructions.append(Instruction(opcode, tuple(regs), tuple(addrs)))
     return Program(tuple(instructions))
+
+
+# -- the execution trace as it stood before its columns: one csv.writer row
+# per event, each float through repr, each event starting where the last ended
+
+def reference_trace_csv(events) -> str:
+    """The trace CSV of ``(kind, cost, channel)`` events, written row by row."""
+    out, start = io.StringIO(), 0.0
+    writer = csv.writer(out)
+    writer.writerow(["kind", "start_ns", "duration_ns", "energy_fJ", "channel"])
+    for kind, cost, channel in events:
+        writer.writerow([kind.value, repr(start), repr(cost.delay_ns), repr(cost.energy_fj),
+                         channel.value])
+        start += cost.delay_ns
+    return out.getvalue()
+
+
+def trace_events(trace) -> list[tuple]:
+    """``(kind, cost, channel)`` of each event of an ``ExecutionTrace``, in order."""
+    return [trace.rows[row] for row in trace.event_rows]

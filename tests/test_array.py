@@ -165,10 +165,10 @@ class TestTwoRowLogic:
         arr = make_array(zero_noise_model, recorder=trace)
         arr.write_word(A, 0b1100)
         arr.write_word(B, 0b1010)
-        events = len(trace.events)
+        events = len(trace)
         with pytest.raises(ValueError, match=f"^{op.value} is not a two-row sense operation$"):
             arr.cim_two_row(op, A, B)
-        assert len(trace.events) == events
+        assert len(trace) == events
         words = arr.snapshot()[0]
         assert (words[A.row], words[B.row]) == (0b1100, 0b1010)
 

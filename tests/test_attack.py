@@ -23,7 +23,7 @@ from spincim.cost import ExecutionTrace
 from spincim.device import Collapse, CurrentLevelModel, parse_pair, trial_rng
 from spincim.errors import MappingViolation, OutOfBounds
 
-from _oracles import binomial_3sigma, composed_auth
+from _oracles import binomial_3sigma, composed_auth, trace_events
 from conftest import MASTER_SEED
 
 DB16 = AuthDb(0xA5A5, 0x5AC3, width=16)
@@ -38,7 +38,7 @@ class TestAuthProtocol:
     def test_correct_credentials_accepted(self, zero_noise_model):
         accept, trace = run_auth(DB16, 0xA5A5, 0x5AC3, NO_ATTACK, model=zero_noise_model)
         assert accept
-        kinds = [e.kind.value for e in trace.events]
+        kinds = [kind.value for kind, *_ in trace_events(trace)]
         assert kinds.count("CimAND") == 3  # two inside the XNORs, one outer
         assert kinds.count("CimNOR") == 2
 
@@ -298,8 +298,9 @@ class TestSuccessRate:
         twin = CimArray(ArrayGeometry(cols_per_row=16), model, rng=trial_rng(0, 0),
                         recorder=ExecutionTrace())
         composed_auth(DB16, 0xA5A5, 0x5AC3, scenario, model, twin)
-        assert len(trace.events) == 11
-        assert trace.events == twin.recorder.events  # kinds, channels and costs, in order
+        assert len(trace) == 11
+        assert trace_events(trace) == trace_events(twin.recorder)  # kinds, costs and channels
+        assert trace.start_ns == twin.recorder.start_ns
 
 
 class TestAuthDbValidation:

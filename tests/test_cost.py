@@ -1,8 +1,9 @@
 import io
 
+import numpy as np
 import pytest
 
-from spincim.array import ArrayGeometry, CimArray, RowAddress
+from spincim.array import TWO_ROW_OPS, ArrayGeometry, CimArray, CimOp, RowAddress
 from spincim.config import build_cost_table, load_config
 from spincim.cost import (
     Channel,
@@ -18,7 +19,25 @@ from spincim.cost import (
 )
 from spincim.errors import UnknownOp
 
+from _oracles import reference_trace_csv
+
 PER_BIT = CostTable(mode=CostMode.PER_BIT_WRITES)
+# floats that print unlike their neighbours: signed zero, the least subnormal,
+# a float whose sums lose the small part, and a sum that repr writes in full
+ODD = (-0.0, 5e-324, 1e16, 0.30000000000000004, 0.0)
+
+
+def _odd_table(mode: CostMode) -> CostTable:
+    """Every row of both sides from ODD, the delay and energy of each row apart."""
+    def side(kinds):
+        return {kind: OpCost(ODD[k % 5], ODD[(k + 2) % 5]) for k, kind in enumerate(kinds)}
+    return CostTable(standard=side(list(OpClass)[:4]), enhanced=side(OpClass), mode=mode)
+
+
+def _csv(trace: ExecutionTrace) -> str:
+    out = io.StringIO()
+    trace.to_csv(out)
+    return out.getvalue()
 
 
 class TestCostLookups:
@@ -72,8 +91,9 @@ class TestTrace:
         trace.record(OpClass.READ1, OpCost(0.6, 8.611), Channel.BUS)
         trace.record(OpClass.WRITE0, OpCost(3.3, 191.4), Channel.BUS)
         trace.record(OpClass.CIM_ADD, OpCost(0.53, 26.32), Channel.IN_MEMORY)
-        starts = [e.start_ns for e in trace.events]
-        ends = [e.start_ns + e.duration_ns for e in trace.events]
+        starts = trace.start_ns
+        ends = [start + trace.rows[row][1].delay_ns
+                for start, row in zip(trace.start_ns, trace.event_rows)]
         assert all(s2 >= e1 for e1, s2 in zip(ends, starts[1:]))
         assert trace.total_energy() == pytest.approx(8.611 + 191.4 + 26.32)
         assert trace.end_ns == pytest.approx(0.6 + 3.3 + 0.53)
@@ -94,6 +114,62 @@ class TestTrace:
         lines = buf.getvalue().strip().splitlines()
         assert lines[0] == "kind,start_ns,duration_ns,energy_fJ,channel"
         assert lines[1].startswith("Read1,0.0,0.6,8.611,Bus")
+
+
+class TestTraceCsv:
+    """``to_csv`` writes the bytes of one ``csv.writer`` row per event."""
+
+    @pytest.mark.parametrize("mode", list(CostMode))
+    def test_every_op_on_odd_floats(self, zero_noise_model, mode):
+        table, width = _odd_table(mode), 16
+        trace, want = ExecutionTrace(), []
+        array = CimArray(ArrayGeometry(rows_per_bank=5, cols_per_row=width), zero_noise_model,
+                         cost_table=table, recorder=trace)
+        a, b, s1, s2, dest = (RowAddress(0, row) for row in range(5))
+        two_row = sorted(TWO_ROW_OPS, key=lambda op: op.value)
+        for word in (0xFFFF, 0x0000, 0x00FF, 0x0F0F, 0x0001):
+            for addr, data in ((a, word), (b, word ^ 0x3C3C)):
+                array.write_word(addr, data)
+                want.append((*word_write_cost(data, width, table), Channel.BUS))
+            array.cim_xnor(a, b, (s1, s2))
+            for op in two_row:
+                array.cim_two_row(op, a, b)
+            array.cim_not(a)
+            array.cim_add(a, b, dest)
+            ops = [CimOp.CIM_AND, CimOp.CIM_NOR, *two_row, CimOp.CIM_NOT, CimOp.CIM_ADD]
+            want += [(OpClass(op.value), cost_of(OpClass(op.value), table), Channel.IN_MEMORY)
+                     for op in ops]
+            read = array.read_word(dest)
+            want.append((*word_read_cost(read, width, table), Channel.BUS))
+        assert _csv(trace) == reference_trace_csv(want)
+        assert len(trace.rows) <= 11 + (width + 1 if mode is CostMode.PER_BIT_WRITES else 0)
+
+    def test_rows_that_print_apart_stay_apart(self):
+        events = [(OpClass.WRITE0, OpCost(delay, energy), Channel.BUS)
+                  for delay, energy in ((0.0, 0.0), (-0.0, -0.0), (0.0, -0.0), (-0.0, 0.0))]
+        trace = ExecutionTrace()
+        for event in events * 2:
+            trace.record(*event)
+        assert _csv(trace) == reference_trace_csv(events * 2)
+        assert len(trace.rows) == 4  # one per cost recorded, each recorded twice
+
+    @pytest.mark.parametrize("width", [1, 16, 64, 70])
+    @pytest.mark.parametrize("odd", [False, True], ids=["shipped", "odd"])
+    def test_per_bit_words_of_every_popcount(self, zero_noise_model, width, odd):
+        table = _odd_table(CostMode.PER_BIT_WRITES) if odd else PER_BIT
+        trace, want = ExecutionTrace(), []
+        array = CimArray(ArrayGeometry(rows_per_bank=1, cols_per_row=width), zero_noise_model,
+                         cost_table=table, enhanced=False, recorder=trace)
+        rng, addr = np.random.default_rng(width), RowAddress(0, 0)
+        for ones in range(width + 1):
+            spread = sum(1 << int(k) for k in rng.permutation(width)[:ones])
+            for word in ((1 << ones) - 1, spread):
+                array.write_word(addr, word)
+                assert array.read_word(addr) == word
+                want += [(*word_write_cost(word, width, table, False), Channel.BUS),
+                         (*word_read_cost(word, width, table, False), Channel.BUS)]
+        assert _csv(trace) == reference_trace_csv(want)
+        assert len(trace.rows) <= width + 3
 
 
 def test_writers_accept_path_objects(tmp_path):

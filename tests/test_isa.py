@@ -7,7 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spincim import isa
-from spincim.array import SENSE_BLOCK, CimArray, CimOp, RowAddress, SenseDisturbance
+from spincim.array import (
+    SENSE_BLOCK,
+    ArrayGeometry,
+    CimArray,
+    CimOp,
+    RowAddress,
+    SenseDisturbance,
+)
 from spincim.cost import (
     Channel,
     CostMode,
@@ -94,7 +101,7 @@ class TestAssembleAgainstOracle:
         )
 
 
-@pytest.mark.parametrize("enum", [CimOp, OpClass, Opcode])
+@pytest.mark.parametrize("enum", [CimOp, OpClass, Opcode, Channel])
 def test_hot_enums_hash_by_identity(enum):
     assert enum.__hash__ is object.__hash__
     assert all(hash(member) == object.__hash__(member) for member in enum)
@@ -218,14 +225,15 @@ class TestRun:
         stats, trace = run(assemble("HALT\n"), machine)
         assert stats.instruction_count == 0
         assert stats.memory_access_count == 0
-        assert trace.events == []
+        assert len(trace) == 0 and trace.rows == []
 
     def test_stats_identity(self, zero_noise_model):
         machine = machine_with_memory(zero_noise_model, width=16, words=[1, 2, 3])
         program = assemble("LOAD R0, @0\nCimAND @0, @1, @3\nSTORE R0, @4\n")
         stats, trace = run(program, machine)
         bus = count_bus_transfers(trace)
-        in_memory = sum(1 for e in trace.events if e.channel is Channel.IN_MEMORY)
+        in_memory = sum(channel is Channel.IN_MEMORY
+                        for *_, channel in _oracles.trace_events(trace))
         assert stats.memory_access_count == bus + in_memory == 3
 
     def test_enhanced_add_cheaper_than_conventional(self, zero_noise_model):
@@ -236,6 +244,46 @@ class TestRun:
         stats_conv, _ = run(assemble(ADD_CONVENTIONAL), conventional)
         assert stats_cim.total_energy_fj <= stats_conv.total_energy_fj
         assert stats_cim.total_delay_ns <= stats_conv.total_delay_ns
+
+    def test_a_new_flag_or_table_records_as_a_fresh_machine(self, zero_noise_model):
+        """The cost rows an array memoises follow its ``enhanced`` flag and
+        its cost table: after each change a run traces as on a fresh array."""
+        machine = machine_with_memory(zero_noise_model, width=16, words=[7, 9, 0xFFFE])
+        source = "LOAD R1, @0\nLOAD R2, @2\nSTORE R2, @3\nSTORE R1, @4\n"
+        program = assemble(source)
+        run(assemble(ADD_CIM + source), machine)  # memoises rows of the default costs
+        per_bit = CostTable(mode=CostMode.PER_BIT_WRITES)
+        for name, value in (("enhanced", False), ("cost_table", per_bit), ("enhanced", True),
+                            ("cost_table", CostTable())):
+            setattr(machine.array, name, value)
+            old = machine.array
+            fresh = Machine(CimArray(old.geometry, old.model, cost_table=old.cost_table,
+                                     enhanced=old.enhanced))
+            for row, word in enumerate(old.snapshot()[0]):
+                fresh.array.write_word(RowAddress(0, row), word, record=False)
+            got, want = run(program, machine), run(program, fresh)
+            assert got[0] == want[0]
+            assert _csv(got[1]) == _csv(want[1])
+
+    @pytest.mark.parametrize("mode", list(CostMode))
+    def test_a_bench_sized_trace_holds_few_rows(self, mode):
+        """A 64-column, 1600-instruction program and its lowering: one event
+        per memory access, and a row table that stays small, so that each
+        event is an index and a start time."""
+        width, rows = 64, 32
+        program = random_cim_program(np.random.default_rng(64), rows=rows, host=0.5,
+                                     min_instructions=1600, max_instructions=1600)
+        for prog, enhanced in ((program, True), (lower_to_conventional(program), False)):
+            array = CimArray(ArrayGeometry(rows_per_bank=rows, cols_per_row=width),
+                             rng=trial_rng(MASTER_SEED, 64), enhanced=enhanced,
+                             cost_table=CostTable(mode=mode))
+            for row in range(rows):
+                array.write_word(RowAddress(0, row), (0x9E3779B97F4A7C15 * row) % (1 << width))
+            stats, trace = run(prog, Machine(array))
+            assert len(trace) == stats.memory_access_count > 1000
+            assert len(trace.rows) < 11 * (width + 1)
+            if mode is CostMode.PER_WORD:
+                assert len(trace.rows) <= 11
 
     def test_step_budget(self, zero_noise_model):
         machine = machine_with_memory(zero_noise_model)
@@ -282,9 +330,9 @@ def _run_stepwise(program: Program, machine: Machine) -> tuple[ExecStats, Execut
     for instr in program.instructions:
         stats, trace = run(Program((instr,)), machine)
         executed += stats.instruction_count
-        for event in trace.events:
-            joined.record(event.kind, OpCost(event.duration_ns, event.energy_fj), event.channel)
-    return ExecStats(executed, len(joined.events), joined.end_ns, joined.total_energy()), joined
+        for kind, cost, channel in _oracles.trace_events(trace):
+            joined.record(kind, OpCost(cost.delay_ns, cost.energy_fj), channel)
+    return ExecStats(executed, len(joined), joined.end_ns, joined.total_energy()), joined
 
 
 def _csv(trace: ExecutionTrace) -> str:

@@ -574,8 +574,8 @@ class TestHammingWeight:
 
     @pytest.mark.parametrize("make", [
         lambda write: None,
-        lambda write: write.events,
-        lambda write: write.events[0],
+        lambda write: write.event_rows,
+        lambda write: write.rows[write.event_rows[0]],
         lambda write: np.full(10, write.total_energy() / 10),
         lambda write: SimpleNamespace(sample_rate=1000.0, power=np.ones(10)),
     ], ids=["none", "event-list", "one-event", "samples", "sampled-power"])
