@@ -410,7 +410,8 @@ class CimArray:
     def record_cim(self, op: CimOp, ones: int = 0) -> None:
         """Record one event of ``op``, if the array has a recorder: an in-memory op, or a host
         READ or WRITE of a word with ``ones`` set bits, costed as the word of ``ones`` low
-        bits. Costs are memoised per ``enhanced`` flag; a new cost table empties the memo."""
+        bits. Costs are memoised per ``enhanced`` flag; a new cost table empties the memo, and
+        a table's rows are read-only, so no memoised row goes stale."""
         if self.recorder is None:
             return
         table, key = self.cost_table, (op, ones, self.enhanced)

@@ -21,6 +21,7 @@ import functools
 import operator
 from dataclasses import asdict, dataclass
 from enum import Enum
+from itertools import repeat
 from typing import Callable
 
 import numpy as np
@@ -145,10 +146,18 @@ def make_report(failures: int, trials: int, analytic_rate: float, seed: int) -> 
 def run_trials(
     trials: int, seed: int, trial_fn: Callable[[np.random.Generator], bool]
 ) -> int:
-    """Count successes of trial_fn, run serially on trial i's stream (seed, i)."""
+    """Count successes of trial_fn, run serially on trial i's stream (seed, i).
+
+    Every trial makes one :func:`trial_rng` call and one ``trial_fn`` call,
+    both mapped in C with no Python frame of the driver's own in between.
+    A pair trial (:func:`~spincim.device.pair_sampler`) takes its collapse
+    uniforms as raw 64-bit stream words ``w`` mapped to ``(w >> 11) *
+    2**-53``, ``Generator.random()`` bit for bit, and its normal from
+    ``standard_normal()``.
+    """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    return int(sum(trial_fn(trial_rng(seed, i)) for i in range(trials)))
+    return int(sum(map(trial_fn, map(trial_rng, repeat(seed, trials), range(trials)))))
 
 
 def exceedance_mc(
@@ -162,12 +171,11 @@ def exceedance_mc(
 ) -> McReport:
     """Empirical P(pair sample > ref) (or <= ref) with its analytic oracle.
 
-    The pair sense is set up once per report; each trial only draws from its
-    own stream and compares the sample with ``ref``. A finite draw not above
+    The pair sense and its comparison with ``ref`` are set up once per
+    report; each trial only draws from its own stream. A finite draw not above
     ``ref`` is at or below it, so ``below`` counts the complement.
     """
-    draw = pair_sampler(pair, model, disturbance)
-    above = run_trials(trials, seed, lambda rng: draw(rng) > ref)
+    above = run_trials(trials, seed, pair_sampler(pair, model, disturbance, ref))
     p = analytic.pair_exceed(model, pair, ref, disturbance)
     if below:
         return make_report(trials - above, trials, 1.0 - p, seed)

@@ -13,6 +13,7 @@ import csv
 import os
 from dataclasses import dataclass, field
 from enum import Enum
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .errors import MalformedTrace, UnknownOp
@@ -85,9 +86,24 @@ _SIDES = ("standard", "enhanced")
 
 @dataclass(frozen=True)
 class CostTable:
-    standard: Mapping[OpClass, OpCost] = field(default_factory=lambda: dict(STANDARD_COSTS))
-    enhanced: Mapping[OpClass, OpCost] = field(default_factory=lambda: dict(ENHANCED_COSTS))
+    """The standard and enhanced cost rows and the write-cost mode.
+
+    Both sides are stored as read-only copies, so neither an edit in place
+    nor a later edit of the caller's dict can change a row that an array
+    has already memoised (:meth:`~spincim.array.CimArray.record_cim`).
+    """
+
+    standard: Mapping[OpClass, OpCost] = field(default_factory=lambda: STANDARD_COSTS)
+    enhanced: Mapping[OpClass, OpCost] = field(default_factory=lambda: ENHANCED_COSTS)
     mode: CostMode = CostMode.PER_WORD
+
+    def __post_init__(self):
+        for side in _SIDES:
+            object.__setattr__(self, side, MappingProxyType(dict(getattr(self, side))))
+
+    def __reduce__(self):
+        # a read-only mapping does not pickle or deep-copy; its rows do
+        return type(self), (dict(self.standard), dict(self.enhanced), self.mode)
 
     def side(self, enhanced: bool) -> Mapping[OpClass, OpCost]:
         return self.enhanced if enhanced else self.standard

@@ -21,16 +21,18 @@ Trial ``i``'s stream is bit for bit
 trials at a time in one vectorised pass instead of one hash per trial, and
 the block's per-trial seed objects are built once with them and cached. A
 Monte Carlo report sets up its pair sense once with :func:`pair_sampler`, so
-a trial only draws from its own stream: noise ``sigma * standard_normal()``,
-numpy's own ``normal(0, sigma)`` arithmetic. Every other sense, scalar or
-not, is a column sense under a law that :func:`column_law` resolves
-(:func:`sample_columns` on each call, an array once per attack), in two
-steps: :func:`column_draws` takes the draws of several senses in one pass,
-exactly as they would one after another, and the pure :func:`apply_laws`
-maps bits, a law and its draws to currents. :func:`draw_columns` is both.
-An array takes a block of senses' draws in one :func:`column_draws` call
-and maps each law at every operand-bit pattern at once, so its senses
-decode from integer masks (:mod:`spincim.array`).
+a trial only draws from its own stream: collapse uniforms from raw stream
+words, ``Generator.random()`` bit for bit, and noise ``sigma *
+standard_normal()``, numpy's own ``normal(0, sigma)`` arithmetic. Every
+other sense, scalar or not, is a column sense under a law that
+:func:`column_law` resolves (:func:`sample_columns` on each call, an array
+once per attack), in two steps: :func:`column_draws` takes the draws of
+several senses in one pass, exactly as they would one after another, and
+the pure :func:`apply_laws` maps bits, a law and its draws to currents.
+:func:`draw_columns` is both. An array takes a block of senses' draws in
+one :func:`column_draws` call and maps each law at every operand-bit
+pattern at once, so its senses decode from integer masks
+(:mod:`spincim.array`).
 """
 from __future__ import annotations
 
@@ -195,6 +197,8 @@ XSHIFT = 16
 _MASK32 = 0xFFFFFFFF
 _POOL_SIZE = 4
 STREAM_BLOCK = 1024
+# Generator.random() on PCG64 is a raw 64-bit word's top 53 bits times 2**-53
+_U53 = 2.0 ** -53
 
 
 def _uint32_words(n: int) -> list[int]:
@@ -298,8 +302,8 @@ def trial_rng(master_seed: int, index: int) -> np.random.Generator:
     return Generator(PCG64(_stream_seeds(master_seed, block)[row]))
 
 
-def _require_rng(rng, stochastic: bool):
-    if rng is None and stochastic:
+def _require_rng(rng):
+    if rng is None:
         raise ValueError("a random generator is required for stochastic sampling")
 
 
@@ -343,14 +347,14 @@ def column_draws(laws, width: int, sigma: float, rng: np.random.Generator | None
     first = 0  # the first sense whose normals are not drawn yet
     for k, (_, collapses) in enumerate(laws):
         if collapses:
-            _require_rng(rng, True)
+            _require_rng(rng)
             if sigma > 0 and k > first:
                 chunks.append(rng.normal(0.0, sigma, (k - first) * width))
             first = k
             uniforms[k] = [rng.random(width) for _ in collapses]
     if sigma == 0:
         return uniforms, None
-    _require_rng(rng, True)
+    _require_rng(rng)
     noise = rng.normal(0.0, sigma, (len(laws) - first) * width)
     if chunks:
         noise = np.concatenate([*chunks, noise])
@@ -461,30 +465,61 @@ def pair_sampler(
     states: PairState,
     model: CurrentLevelModel,
     disturbance: CellDisturbances = None,
+    ref: float | None = None,
 ):
     """``draw(rng) -> float``: one summed sense current of a cell pair, in uA.
 
-    The Monte Carlo driver's per-trial draw. The pair's :func:`column_law`
-    and sigma are read once, here. Each ``draw`` then makes one uniform per
-    collapsible AP cell (each collapse promotes the pair one step up the
-    ladder) and, when sigma > 0, one normal added once at the sense node:
-    ``sigma * standard_normal()``, bit for bit numpy's ``normal(0.0, sigma)``.
+    The Monte Carlo driver's per-trial draw; with ``ref`` set, ``draw``
+    returns whether that current is above ``ref`` instead. The pair's
+    :func:`column_law` and sigma are read once, here, and ``draw`` is one
+    flat closure for the pair's count of collapsible AP cells (0, 1 or 2).
+    It takes one uniform per such cell (each collapse promotes the pair one
+    step up the ladder) as a raw 64-bit stream word ``w`` mapped to
+    ``(w >> 11) * 2**-53``, which is ``Generator.random()`` bit for bit:
+    the integer is below 2**53 and the scaling is exact. When sigma > 0 it
+    then adds one normal at the sense node, ``sigma * standard_normal()``,
+    bit for bit numpy's ``normal(0.0, sigma)``.
     """
     levels, collapses = column_law(len(states), model, disturbance)
-    base = sum([state is MtjState.P for state in states])
+    idx = sum([state is MtjState.P for state in states])
     rhos = [rho for row, rho in collapses if states[row] is MtjState.AP]
     sigma = model.sigma
-    stochastic = bool(rhos) or sigma > 0
+    noisy = sigma > 0
 
-    def draw(rng: np.random.Generator | None = None) -> float:
-        if rng is None:
-            _require_rng(rng, stochastic)
-        idx = base
-        for rho in rhos:
-            idx += rng.random() < rho
-        if sigma > 0:
-            return levels[idx] + sigma * rng.standard_normal()
-        return levels[idx]
+    if not rhos:
+        level = levels[idx]
+        if not noisy:  # nothing to draw
+            value = level if ref is None else level > ref
+            return lambda rng=None: value
+
+        def draw(rng=None):
+            if rng is None:
+                _require_rng(rng)
+            value = level + sigma * rng.standard_normal()
+            return value if ref is None else value > ref
+
+    elif len(rhos) == 1:
+        (rho,) = rhos
+
+        def draw(rng=None):
+            if rng is None:
+                _require_rng(rng)
+            value = levels[idx + ((rng.bit_generator.random_raw() >> 11) * _U53 < rho)]
+            if noisy:
+                value += sigma * rng.standard_normal()
+            return value if ref is None else value > ref
+
+    else:
+        rho0, rho1 = rhos
+
+        def draw(rng=None):
+            if rng is None:
+                _require_rng(rng)
+            raw = rng.bit_generator.random_raw
+            value = levels[idx + ((raw() >> 11) * _U53 < rho0) + ((raw() >> 11) * _U53 < rho1)]
+            if noisy:
+                value += sigma * rng.standard_normal()
+            return value if ref is None else value > ref
 
     return draw
 

@@ -18,6 +18,7 @@ from spincim.attack import (
     exceedance_mc,
     mc_failure_rate,
     run_auth,
+    run_trials,
 )
 from spincim.cost import ExecutionTrace
 from spincim.device import Collapse, CurrentLevelModel, parse_pair, trial_rng
@@ -146,6 +147,24 @@ class TestMcFailureRate:
         single = mc_failure_rate("AP,P", 100.0, 3000, MASTER_SEED)
         pooled = mc_failure_rate("AP,P", 100.0, 3000, MASTER_SEED)
         assert single.failures == pooled.failures
+
+    @pytest.mark.parametrize("trials", [1, 7, 1030])  # the last crosses a stream block
+    def test_driver_hands_each_trial_its_own_stream_in_order(self, trials):
+        states = []
+
+        def trial(rng) -> bool:
+            states.append(rng.bit_generator.state)
+            return rng.random() < 0.5
+
+        wins = sum(np.random.default_rng((9, i)).random() < 0.5 for i in range(trials))
+        assert run_trials(trials, 9, trial) == wins
+        assert states == [np.random.default_rng((9, i)).bit_generator.state
+                          for i in range(trials)]
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_driver_rejects_fewer_than_one_trial(self, trials):
+        with pytest.raises(ValueError):
+            run_trials(trials, 9, lambda rng: pytest.fail("no trial may run"))
 
     def test_sense_set_up_once_per_report(self, model, monkeypatch):
         streams, rates = [], []

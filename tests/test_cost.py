@@ -1,4 +1,6 @@
+import copy
 import io
+import pickle
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from spincim.cost import (
     ExecutionTrace,
     OpClass,
     OpCost,
+    STANDARD_COSTS,
     cost_of,
     count_bus_transfers,
     word_read_cost,
@@ -202,3 +205,37 @@ class TestDefaultsRoundTrip:
         table = build_cost_table(load_config())
         shipped = CostTable()
         assert table.as_dict() == shipped.as_dict()
+
+
+class TestCostTableReadOnly:
+    def test_edit_in_place_raises(self):
+        array = CimArray(cost_table=CostTable(), recorder=ExecutionTrace())
+        array.write_word(RowAddress(0, 0), 0xFFFF)  # memoises the Write1 row
+        for side in (array.cost_table.standard, array.cost_table.enhanced):
+            with pytest.raises(TypeError):
+                side[OpClass.WRITE1] = OpCost(1.0, 1.0)
+            with pytest.raises(TypeError):
+                del side[OpClass.WRITE1]
+        array.write_word(RowAddress(0, 1), 0xFFFF)
+        assert [row[1] for row in array.recorder.rows] == [OpCost(4.40, 244.64)]
+
+    def test_callers_dict_edited_later_does_not_leak_in(self):
+        rows = dict(STANDARD_COSTS)
+        table = CostTable(standard=rows, enhanced=rows)
+        array = CimArray(cost_table=table, recorder=ExecutionTrace(), enhanced=False)
+        array.write_word(RowAddress(0, 0), 0xFFFF)
+        rows[OpClass.WRITE1] = OpCost(1.0, 1.0)
+        array.write_word(RowAddress(0, 1), 0xFFFF)
+        for enhanced in (False, True):
+            assert cost_of(OpClass.WRITE1, table, enhanced) == OpCost(4.4, 233.3)
+        assert [array.recorder.rows[i][1] for i in array.recorder.event_rows] == [
+            OpCost(4.4, 233.3)] * 2
+        assert table == CostTable(standard=STANDARD_COSTS, enhanced=STANDARD_COSTS)
+
+    @pytest.mark.parametrize("mode", list(CostMode))
+    def test_pickles_and_copies_to_an_equal_read_only_table(self, mode):
+        table = _odd_table(mode)
+        for twin in (copy.deepcopy(table), pickle.loads(pickle.dumps(table))):
+            assert twin == table and twin.as_dict() == table.as_dict()
+            with pytest.raises(TypeError):
+                twin.standard[OpClass.READ1] = OpCost(1.0, 1.0)

@@ -1,6 +1,8 @@
 import math
 import sys
 import threading
+from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -192,6 +194,69 @@ def test_pair_sampler_draws_as_the_scalar_reference(pair, disturbance, sigma):
         want = [scalar_pair_current(states, model, disturbance, ref) for _ in range(50)]
         assert [v.hex() for v in got] == [v.hex() for v in want]
         assert ours.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("sigma", [device.DEFAULT_SIGMA, 0.0])
+@pytest.mark.parametrize("disturbance", _SAMPLER_DISTURBANCES, ids=repr)
+@pytest.mark.parametrize("pair", ["AP,AP", "AP,P", "P,P"])
+def test_pair_sampler_with_a_reference_compares_its_draw(pair, disturbance, sigma):
+    model = CurrentLevelModel(sigma=sigma)
+    states = parse_pair(pair)
+    draw = pair_sampler(states, model, disturbance)
+    for ref in (*model.pair_levels, 21.45):  # at a level, the sigma = 0 draw is not above
+        above = pair_sampler(states, model, disturbance, ref)
+        ours, twin = trial_rng(MASTER_SEED, 5), trial_rng(MASTER_SEED, 5)
+        assert [above(ours) for _ in range(50)] == [draw(twin) > ref for _ in range(50)]
+        assert ours.bit_generator.state == twin.bit_generator.state
+
+
+# rates at and next to the ends of [0, 1], and the middle
+_EDGE_RHOS = (0.0, 2.0 ** -53, 0.5, 1.0 - 2.0 ** -53, 1.0)
+
+
+def test_raw_word_uniform_is_generator_random():
+    # the pair sampler's collapse uniform: a raw stream word's top 53 bits
+    for index in range(5):
+        ours, ref = trial_rng(MASTER_SEED, index), trial_rng(MASTER_SEED, index)
+        got = [(ours.bit_generator.random_raw() >> 11) * 2.0 ** -53 for _ in range(2000)]
+        want = [ref.random() for _ in range(2000)]
+        assert [u.hex() for u in got] == [u.hex() for u in want]
+        assert ours.bit_generator.state == ref.bit_generator.state
+        for rho in _EDGE_RHOS:
+            assert [u < rho for u in got] == [u < rho for u in want]
+
+
+class _RawWords:
+    """A stand-in stream whose raw 64-bit words are chosen, one per call."""
+
+    def __init__(self, words):
+        self.bit_generator, self._words = self, iter(words)
+
+    def random_raw(self):
+        return next(self._words)
+
+
+@dataclass(frozen=True)
+class _FixedRate(Collapse):
+    rate: float = 0.0
+
+    def rho(self, ambient_temp: float) -> float:
+        return self.rate
+
+
+@pytest.mark.parametrize("rho", _EDGE_RHOS)
+def test_collapse_decision_is_exact_at_the_edges(rho, zero_noise_model):
+    # u < rho for u = (w >> 11) / 2**53, decided in exact rationals
+    words = [0, 2**11 - 1, 2**11, 2**12, 2**63 - 1, 2**63, 2**64 - 2**12,
+             2**64 - 2**11 - 1, 2**64 - 2**11, 2**64 - 1]
+    levels = zero_noise_model.pair_levels
+    one = pair_sampler(parse_pair("AP,P"), zero_noise_model, _FixedRate(rate=rho))
+    two = pair_sampler(parse_pair("AP,AP"), zero_noise_model, _FixedRate(rate=rho))
+    for w in words:
+        collapses = Fraction(w >> 11, 2**53) < Fraction(rho)
+        assert one(_RawWords([w])) == levels[1 + collapses]
+        assert two(_RawWords([w, w])) == levels[2 * collapses]
+        assert two(_RawWords([w, 0])) == levels[collapses + (rho > 0)]
 
 
 class TestDeterminism:
