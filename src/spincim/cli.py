@@ -25,7 +25,7 @@ from pathlib import Path
 
 from . import __version__
 from . import config as cfgmod
-from .array import TWO_ROW_OPS, CimArray, CimOp, RowAddress
+from .array import TWO_ROW_OPS, CimArray, CimOp
 from .attack import (
     AttackScenario,
     AttackVariant,
@@ -227,7 +227,8 @@ def run_auth_attack(config, args):
     return payload, []
 
 
-def _build_machine(config, rng, enhanced: bool):
+def _build_machine(config, rng, enhanced: bool, dump: str | None):
+    """An isa-run machine holding the hex ``dump`` text, or zeros without one."""
     from .isa import Machine
     array = CimArray(
         geometry=cfgmod.build_geometry(config),
@@ -237,6 +238,8 @@ def _build_machine(config, rng, enhanced: bool):
         cost_table=cfgmod.build_cost_table(config),
         enhanced=enhanced,
     )
+    if dump is not None:
+        array.import_hex(io.StringIO(dump, newline=None))
     return Machine(array=array)
 
 
@@ -253,12 +256,10 @@ def run_isa_run(config, args):
     from .isa import assemble, lower_to_conventional, run, static_fingerprint
     source, program_sha256 = _read_input(args.program)
     program = assemble(source)
-    machine = _build_machine(config, trial_rng(config["seed"], 0), True)
-    init_hex_sha256 = None
+    dump = init_hex_sha256 = None
     if args.init_hex:
         dump, init_hex_sha256 = _read_input(args.init_hex)
-        machine.array.import_hex(io.StringIO(dump, newline=None))
-    initial = machine.array.snapshot()
+    machine = _build_machine(config, trial_rng(config["seed"], 0), True, dump)
     stats, trace = run(program, machine)
     payload = {
         "program_sha256": program_sha256,
@@ -269,10 +270,7 @@ def run_isa_run(config, args):
     files = [("isa-run-trace.csv", trace.to_csv)]
     if args.compare_lowered:
         lowered = lower_to_conventional(program)
-        machine2 = _build_machine(config, trial_rng(config["seed"], 1), False)
-        for bank, words in enumerate(initial):
-            for row, word in enumerate(words):
-                machine2.array.write_word(RowAddress(bank, row), word, record=False)
+        machine2 = _build_machine(config, trial_rng(config["seed"], 1), False, dump)
         stats2, trace2 = run(lowered, machine2)
         payload["lowered"] = stats2.as_dict()
         payload["memory_access_delta"] = (

@@ -13,6 +13,8 @@ import csv
 import os
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import reduce
+from operator import add
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -237,8 +239,10 @@ class ExecutionTrace:
         return self._cursor
 
     def total_energy(self) -> float:
+        """Event energies added one by one from 0.0 in event order, as ``end_ns``
+        adds delays: no compensated sum, so every Python gives the same total."""
         energies = [cost.energy_fj for _, cost, _ in self.rows]
-        return sum([energies[i] for i in self.event_rows])
+        return reduce(add, map(energies.__getitem__, self.event_rows), 0.0)
 
     def to_csv(self, target) -> None:
         """Write event rows as kind,start_ns,duration_ns,energy_fJ,channel: the

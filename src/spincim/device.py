@@ -29,10 +29,9 @@ other sense, scalar or not, is a column sense under a law that
 once per attack), in two steps: :func:`column_draws` takes the draws of
 several senses in one pass, exactly as they would one after another, and
 the pure :func:`apply_laws` maps bits, a law and its draws to currents.
-:func:`draw_columns` is both. An array takes a block of senses' draws in
-one :func:`column_draws` call and maps each law at every operand-bit
-pattern at once, so its senses decode from integer masks
-(:mod:`spincim.array`).
+An array takes a block of senses' draws in one :func:`column_draws` call
+and maps each law at every operand-bit pattern at once, so its senses
+decode from integer masks (:mod:`spincim.array`).
 """
 from __future__ import annotations
 
@@ -377,14 +376,6 @@ def apply_laws(bits, law, uniforms, normals) -> np.ndarray:
     return currents if normals is None else currents + normals
 
 
-def draw_columns(bits, laws, sigma: float, rng: np.random.Generator | None = None) -> list:
-    """Sense ``bits``, one 0/1 integer vector per row, once per law: a list of
-    float arrays, one current per column, in uA; :func:`apply_laws` of :func:`column_draws`."""
-    uniforms, normals = column_draws(laws, len(bits[0]), sigma, rng)
-    return [apply_laws(bits, law, u, None if normals is None else normals[k])
-            for k, (law, u) in enumerate(zip(laws, uniforms))]
-
-
 def sample_columns(
     bits,
     model: CurrentLevelModel,
@@ -405,8 +396,8 @@ def sample_columns(
     rho); then one normal per column when sigma > 0. The number of draws
     never depends on the stored bits. A pair-level MeanShift, passed bare,
     adds ``shifts[index]``; it has no effect on single-cell senses, and in a
-    per-row tuple it raises ValueError. This is the one-sense case of
-    :func:`draw_columns`.
+    per-row tuple it raises ValueError. This is :func:`apply_laws` of the
+    :func:`column_draws` of one sense.
     """
     rows = len(bits)
     if rows not in (1, 2) or len(bits[0]) != len(bits[-1]):
@@ -414,7 +405,9 @@ def sample_columns(
         raise ValueError(f"a sense activates one row or two of one width, not {widths}")
     levels, collapses = column_law(rows, model, disturbance)
     bits = [np.asarray(row, dtype=np.intp) for row in bits]
-    return draw_columns(bits, [(np.array(levels, float), collapses)], model.sigma, rng)[0]
+    law = (np.array(levels, float), collapses)
+    (uniforms,), normals = column_draws([law], len(bits[0]), model.sigma, rng)
+    return apply_laws(bits, law, uniforms, None if normals is None else normals[0])
 
 
 def _sample_cells(states, model, disturbance, rng, size):

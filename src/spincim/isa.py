@@ -1,11 +1,11 @@
 """Minimal load/store machine with in-memory compute instructions.
 
-The machine has eight general registers (R0..R7) whose width equals the
-array word width. CPU opcodes (:class:`Opcode`) operate on registers.
-In-memory instructions take the array's own :class:`~spincim.array.CimOp` as
-opcode, carry only row addresses (operands first, destination last) and
-execute inside the memory array. Assembly grammar, one instruction per line,
-';' or '#' comments:
+The machine has eight general registers (R0..R7), each one array word wide.
+CPU opcodes (:class:`Opcode`) operate on registers and mask each result to
+the word width. In-memory instructions take the array's own
+:class:`~spincim.array.CimOp` as opcode, carry only row addresses (operands
+first, destination last) and execute inside the memory array. Assembly
+grammar, one instruction per line, ';' or '#' comments:
 
     LOAD   Rd, @row          load word at row into register
     STORE  Rs, @row          store register to row
@@ -27,6 +27,7 @@ import json
 import re
 from dataclasses import asdict, astuple, dataclass, field
 from enum import Enum
+from operator import add, and_, or_, xor
 
 from .array import TWO_ROW_OPS, CimArray, CimOp, RowAddress
 from .cost import ExecutionTrace
@@ -48,7 +49,8 @@ class Opcode(Enum):
     __hash__ = object.__hash__  # by identity, as members compare: no Python frame
 
 
-CPU_ALU_OPS = frozenset({Opcode.ADD, Opcode.AND, Opcode.OR, Opcode.XOR})
+# the two-register CPU operations; run masks each result to the word width
+_ALU = {Opcode.ADD: add, Opcode.AND: and_, Opcode.OR: or_, Opcode.XOR: xor}
 # the in-memory instructions: every array operation but the host read and write
 CIM_OPS = TWO_ROW_OPS | {CimOp.CIM_ADD, CimOp.CIM_NOT}
 
@@ -103,7 +105,7 @@ def _parse_addr(token: str, line: int, col: int) -> RowAddress:
 _SHAPES: dict[Opcode | CimOp, str] = {
     Opcode.LOAD: "ra",
     Opcode.STORE: "ra",
-    **dict.fromkeys(CPU_ALU_OPS, "rrr"),
+    **dict.fromkeys(_ALU, "rrr"),
     Opcode.NOT: "rr",
     **dict.fromkeys(CIM_OPS - {CimOp.CIM_NOT}, "aaa"),
     CimOp.CIM_NOT: "aa",
@@ -174,10 +176,6 @@ class Machine:
     step_budget: int = 100_000
     registers: list[int] = field(default_factory=lambda: [0] * NUM_REGISTERS)
 
-    @property
-    def word_mask(self) -> int:
-        return self.array.geometry.word_mask
-
 
 # the ops of the one sense of each sensing instruction
 _SENSE_OPS = {Opcode.LOAD: (CimOp.READ,), **{op: (op,) for op in CIM_OPS}}
@@ -209,7 +207,7 @@ def run(program: Program, machine: Machine) -> tuple[ExecStats, ExecutionTrace]:
     trace = ExecutionTrace()
     previous = machine.array.recorder
     machine.array.recorder = trace
-    mask = machine.word_mask
+    mask = machine.array.geometry.word_mask
     regs = machine.registers
     executed = 0
     try:
@@ -227,17 +225,9 @@ def run(program: Program, machine: Machine) -> tuple[ExecStats, ExecutionTrace]:
                 regs[instr.regs[0]] = machine.array.read_word(instr.addrs[0])
             elif op is Opcode.STORE:
                 machine.array.write_word(instr.addrs[0], regs[instr.regs[0]] & mask)
-            elif op in CPU_ALU_OPS:
+            elif op in _ALU:
                 rd, ra, rb = instr.regs
-                a, b = regs[ra], regs[rb]
-                if op is Opcode.ADD:
-                    regs[rd] = (a + b) & mask
-                elif op is Opcode.AND:
-                    regs[rd] = a & b
-                elif op is Opcode.OR:
-                    regs[rd] = a | b
-                else:
-                    regs[rd] = a ^ b
+                regs[rd] = _ALU[op](regs[ra], regs[rb]) & mask
             elif op is Opcode.NOT:
                 rd, ra = instr.regs
                 regs[rd] = ~regs[ra] & mask

@@ -36,10 +36,8 @@ from spincim.mitigation import adapt_references, evaluate_mitigation
 from spincim.sca import (
     ENHANCED_CLASSES,
     STANDARD_CLASSES,
-    confusion_matrix,
     hamming_weight_attack,
-    synthesize_dataset,
-    train,
+    score_attackers,
 )
 
 from _oracles import binomial_3sigma, collapse_pair_exceed, int_add_oracle
@@ -302,19 +300,17 @@ def test_criterion_08_classification_and_hamming():
             ("std", STANDARD_CLASSES, False),
             ("enh", ENHANCED_CLASSES, True),
         ):
-            rng = trial_rng(SEED, 2000 + idx)  # paired streams across class sets
-            tr = synthesize_dataset(classes, table, enhanced, n, sig_d, sig_e, rng)
-            te = synthesize_dataset(classes, table, enhanced, n, sig_d, sig_e, rng)
-            _, accs[tag] = confusion_matrix(train(tr, classes), te)
+            # paired streams across class sets, scored as the sca report scores them
+            [(_, accs[tag])] = score_attackers([(classes, table, enhanced)], n, sig_d, sig_e,
+                                               trial_rng(SEED, 2000 + idx))
         crit.check(
             accs["enh"] <= accs["std"],
             f"sigma_E={sig_e}: 11-class {accs['enh']:.4f} > 4-class {accs['std']:.4f}",
         )
 
     for classes, enhanced in ((STANDARD_CLASSES, False), (ENHANCED_CLASSES, True)):
-        rng = trial_rng(SEED, 2100)
-        clean = synthesize_dataset(classes, table, enhanced, 3, 0.0, 0.0, rng)
-        _, accuracy = confusion_matrix(train(clean, classes), clean)
+        [(_, accuracy)] = score_attackers([(classes, table, enhanced)], 3, 0.0, 0.0,
+                                          trial_rng(SEED, 2100))
         crit.check(accuracy == 1.0, f"zero-noise accuracy {accuracy} for {len(classes)} classes")
 
     per_bit = CostTable(mode=CostMode.PER_BIT_WRITES)

@@ -1,5 +1,6 @@
 import copy
 import io
+import math
 import pickle
 
 import numpy as np
@@ -100,6 +101,18 @@ class TestTrace:
         assert all(s2 >= e1 for e1, s2 in zip(ends, starts[1:]))
         assert trace.total_energy() == pytest.approx(8.611 + 191.4 + 26.32)
         assert trace.end_ns == pytest.approx(0.6 + 3.3 + 0.53)
+
+    def test_total_energy_is_a_plain_running_sum(self):
+        """1.0 + 1e16 rounds to 1e16, and so does adding the last 1.0: added
+        left to right the total is exactly 1e16 on every Python, where a
+        compensated sum (``sum`` of floats from Python 3.12) gives 1e16 + 2.
+        With no event it is the float 0.0, as ``end_ns`` is."""
+        trace = ExecutionTrace()
+        assert repr(trace.total_energy()) == repr(trace.end_ns) == "0.0"
+        for energy in (1.0, 1e16, 1.0):
+            trace.record(OpClass.READ1, OpCost(0.6, energy), Channel.BUS)
+        assert trace.total_energy() == 1e16
+        assert math.fsum([1.0, 1e16, 1.0]) == 1.0000000000000002e16
 
     def test_bus_transfer_counting(self):
         trace = ExecutionTrace()

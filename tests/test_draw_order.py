@@ -28,7 +28,6 @@ from spincim.device import (
     MeanShift,
     apply_laws,
     column_draws,
-    draw_columns,
     sample_columns,
     trial_rng,
 )
@@ -251,10 +250,10 @@ _ACTIVATIONS = [  # every sense kind, and the two senses of an XNOR drawn in one
 
 @pytest.mark.parametrize("sigma", [0.0, 0.485281])
 @pytest.mark.parametrize("name", list(_ATTACKS))
-def test_apply_laws_maps_the_draws_of_column_draws_as_draw_columns(name, sigma):
+def test_apply_laws_maps_plain_copies_of_the_draws_of_column_draws(name, sigma):
     """The kernel split in two: ``column_draws`` takes the draws, and
     ``apply_laws``, handed plain copies of them and no generator, gives the
-    currents that ``draw_columns`` gives on a twin stream."""
+    currents that it gives of the draws themselves on a twin stream."""
     arr, _ = _attacked_array(sigma, _ATTACKS[name])
     stored = arr.snapshot()[0]
     for ops, addrs in _ACTIVATIONS:
@@ -266,7 +265,9 @@ def test_apply_laws_maps_the_draws_of_column_draws_as_draw_columns(name, sigma):
         uniforms = [[u.copy() for u in per_law] for per_law in uniforms]
         noise = [None] * len(laws) if normals is None else list(normals.copy())
         got = [apply_laws(bits, law, u, z) for law, u, z in zip(laws, uniforms, noise)]
-        want = draw_columns(bits, laws, sigma, twin)
+        twin_uniforms, twin_normals = column_draws(laws, WIDTH, sigma, twin)
+        want = [apply_laws(bits, law, u, None if twin_normals is None else twin_normals[k])
+                for k, (law, u) in enumerate(zip(laws, twin_uniforms))]
         assert [c.tobytes() for c in got] == [c.tobytes() for c in want], ops
         assert rng.bit_generator.state == twin.bit_generator.state
 

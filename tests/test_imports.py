@@ -182,6 +182,31 @@ def test_every_public_name_is_reached_or_kept():
     assert set(KEPT) <= set(unreached_public_names(package, users))
 
 
+_HELD_SETS = "a bench span; the sca unit tests fit and score held sets with it"
+_SCALAR = "a bench span; the device tests sense scalar cells with it"
+# Public names that no command reaches and only the bench keeps: what each
+# still serves, and the ROADMAP item after which the bench no longer keeps it.
+BENCH_ONLY = {
+    "analytic.binomial_stderr": ("the bench's 6-sigma rate check; the oracle tests' tolerances",
+                                 "item 9: the sidecar's z-scores reach it from the commands"),
+    "array.CimArray.cim_xnor": ("a bench span; the tests' reference authentication composes it",
+                                "item 1b unwraps it; it then moves to KEPT or goes"),
+    "device.sample_pair_current": (_SCALAR, "item 18 deletes it"),
+    "device.sample_single_current": (_SCALAR, "item 18 deletes it"),
+    "sca.Dataset": (_HELD_SETS, "item 18 deletes it"),
+    "sca.confusion_matrix": (_HELD_SETS, "item 18 deletes it"),
+    "sca.synthesize_dataset": (_HELD_SETS, "item 18 deletes it"),
+    "sca.train": (_HELD_SETS, "item 18 deletes it"),
+}
+
+
+def test_every_name_only_the_bench_reaches_is_listed():
+    """A new name that only the bench reaches fails here, and each ROADMAP
+    item that unwraps or deletes a listed name must shrink the list."""
+    package = {p.stem: p.read_text() for p in PACKAGE}
+    assert set(BENCH_ONLY) == set(unreached_public_names(package, [], KEPT))
+
+
 def test_checker_flags_unreached_public_names_only():
     package = {
         "a": "import b\nb.run()\nclass Box:\n    def __len__(self):\n        return 0\n"
