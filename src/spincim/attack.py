@@ -9,10 +9,11 @@ the outer AND. A heated sense reads like CimOR, either probabilistically
 trial and its closed-form oracle (a 2x2 XNOR table) read the same sense laws.
 
 Monte Carlo trials run serially, each on its own random stream derived from
-(seed, trial index), so a failure count depends only on the seed. A Monte
-Carlo authentication run reuses one array for every trial: each trial
-rewrites every row it senses before sensing it, and no draw depends on
-stored words. A trial takes the draws of its five senses in one
+(seed, trial index), so a failure count depends only on the seed. An
+authentication runs on the caller's array, under its model and sense and on
+its generator; a Monte Carlo run reuses one array for every trial, since
+each trial rewrites every row it senses before sensing it, and no draw
+depends on stored words. A trial takes the draws of its five senses in one
 :func:`~spincim.device.column_draws` call, in the senses' own order.
 """
 from __future__ import annotations
@@ -246,40 +247,23 @@ def _auth_laws(scenario: AttackScenario, model: CurrentLevelModel):
 
 
 def run_auth(
-    db: AuthDb,
-    u_typed: int,
-    p_typed: int,
-    scenario: AttackScenario | None = None,
-    model: CurrentLevelModel | None = None,
-    sense: SenseConfig | None = None,
-    rng: np.random.Generator | None = None,
-    array: CimArray | None = None,
+    db: AuthDb, u_typed: int, p_typed: int, scenario: AttackScenario, array: CimArray
 ) -> tuple[bool, ExecutionTrace | None]:
-    """Run one authentication: accept iff both credential words match.
+    """Run one authentication on ``array``: accept iff both credential words match.
 
     Each XNOR word reduces to a match bit controller-side; the two match bits
-    are written back and combined by one in-array AND sense. Scenario
-    disturbance applies only to the CimAND senses its variant attacks. The run
-    records into the recorder of ``array`` (None records nothing); an array
-    built here records into a fresh trace. Returns the decision and that
-    recorder. A given array senses under its own model and sense, so a
-    ``model`` or ``sense`` passed with it must equal them, else ValueError.
-    A sense that draws needs ``rng`` or an array that holds one. One pass
+    are written back and combined by one in-array AND sense. The array
+    supplies the model, sense, generator and recorder (None records
+    nothing); the scenario alone picks the attacked CimAND senses, so an
+    array that carries an ``attack`` of its own is refused before any write,
+    with ValueError. Returns the decision and the array's recorder. One pass
     writes, records and draws as two ``cim_xnor``, the match writes and
     ``cim_two_row(CIM_AND)`` would.
     """
-    scenario = scenario or AttackScenario()
-    if array is None:
-        geometry = ArrayGeometry(cols_per_row=db.width)
-        array = CimArray(geometry, model, sense, rng=rng, recorder=ExecutionTrace())
-    else:
-        if array.geometry.cols_per_row != db.width:
-            raise MappingViolation("array word width must equal the credential width")
-        if (model is not None and model != array.model) or (
-                sense is not None and sense != array.sense):
-            raise ValueError("a model or sense given with an array must be the array's own")
-        if rng is not None:
-            array.rng = rng
+    if array.geometry.cols_per_row != db.width:
+        raise MappingViolation("array word width must equal the credential width")
+    if array.attack is not None:
+        raise ValueError("run_auth takes its attack from the scenario, not the array")
     rows, width = _ROWS, db.width
     words = [operator.index(w) for w in (db.username, db.password, u_typed, p_typed)]
     for key, word in zip(("u_db", "p_db", "u_typed", "p_typed"), words):
@@ -380,13 +364,15 @@ def attack_success_rate(
 ) -> McReport:
     """Empirical acceptance rate under a credential policy, with oracle.
 
-    Every trial runs on one unrecorded array.
+    Every trial runs on one unrecorded array, which senses on the trial's
+    stream after the typed words are drawn from it.
     """
     array = CimArray(ArrayGeometry(cols_per_row=db.width), model, sense)
 
     def one(rng) -> bool:
+        array.rng = rng
         u_t, p_t = policy.draw(db, rng)
-        return run_auth(db, u_t, p_t, scenario, rng=rng, array=array)[0]
+        return run_auth(db, u_t, p_t, scenario, array)[0]
 
     successes = run_trials(trials, seed, one)
     oracle = auth_accept_probability(db, policy, scenario, model, sense)

@@ -23,6 +23,8 @@ import sys
 from functools import reduce
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from . import config as cfgmod
 from .array import TWO_ROW_OPS, CimArray, CimOp
@@ -43,7 +45,6 @@ from .device import (
     heated,
     parse_pair,
     sample_columns,
-    trial_rng,
 )
 from .errors import ConfigError, SpinCimError
 
@@ -179,7 +180,7 @@ def run_truth_table(config, args):
     sense = cfgmod.build_sense(config)
     logic = ((0, 0), (0, 1), (1, 0), (1, 1))
     # the four pairs are the columns of one two-row sense
-    rng = trial_rng(config["seed"], 0)
+    rng = np.random.default_rng((config["seed"], 0))
     currents = sample_columns(tuple(zip(*logic)), model, None, rng)
     outputs = sense.decode(CimOp(args.op), currents)
     rows = [
@@ -259,7 +260,7 @@ def run_isa_run(config, args):
     dump = init_hex_sha256 = None
     if args.init_hex:
         dump, init_hex_sha256 = _read_input(args.init_hex)
-    machine = _build_machine(config, trial_rng(config["seed"], 0), True, dump)
+    machine = _build_machine(config, np.random.default_rng((config["seed"], 0)), True, dump)
     stats, trace = run(program, machine)
     payload = {
         "program_sha256": program_sha256,
@@ -270,7 +271,7 @@ def run_isa_run(config, args):
     files = [("isa-run-trace.csv", trace.to_csv)]
     if args.compare_lowered:
         lowered = lower_to_conventional(program)
-        machine2 = _build_machine(config, trial_rng(config["seed"], 1), False, dump)
+        machine2 = _build_machine(config, np.random.default_rng((config["seed"], 1)), False, dump)
         stats2, trace2 = run(lowered, machine2)
         payload["lowered"] = stats2.as_dict()
         payload["memory_access_delta"] = (
@@ -294,7 +295,7 @@ def run_sca(config, args):
     rows = []
     for idx, sig_e in enumerate(sca_cfg["sweep_sigma_energy"]):
         # both attackers read one stream, and neither holds its training or test set
-        rng = trial_rng(config["seed"], 1000 + idx)
+        rng = np.random.default_rng((config["seed"], 1000 + idx))
         scores = score_attackers(attackers.values(), n, sig_d, sig_e, rng)
         rows.append({"sigma_duration": sig_d, "sigma_energy": sig_e,
                      **{tag: accuracy for tag, (_, accuracy) in zip(attackers, scores)}})

@@ -16,9 +16,10 @@ grammar, one instruction per line, ';' or '#' comments:
     HALT
 
 Row operands may name a bank explicitly as @bank:row (bank 0 otherwise).
-Execution ends at HALT or at the end of the program; HALT does not count
-toward the instruction count. A program is straight-line, so :func:`run`
-plans its senses before it starts and the array draws them a block ahead.
+A program is a tuple of instructions. Execution ends at HALT or at its end;
+HALT does not count toward the instruction count. A program is
+straight-line, so :func:`run` plans its senses before it starts and the
+array draws them a block ahead.
 """
 from __future__ import annotations
 
@@ -64,12 +65,7 @@ class Instruction:
     addrs: tuple[RowAddress, ...] = ()
 
 
-@dataclass(frozen=True)
-class Program:
-    instructions: tuple[Instruction, ...] = ()
-
-    def __len__(self) -> int:
-        return len(self.instructions)
+Program = tuple[Instruction, ...]  # run in order
 
 
 @dataclass
@@ -149,7 +145,7 @@ def assemble(text: str) -> Program:
                 value = operands[kind, token] = parse(token, lineno, col)
             (regs if kind == "r" else addrs).append(value)
         instructions.append(Instruction(opcode, tuple(regs), tuple(addrs)))
-    return Program(tuple(instructions))
+    return tuple(instructions)
 
 
 def _addr_text(addr: RowAddress) -> str:
@@ -159,7 +155,7 @@ def _addr_text(addr: RowAddress) -> str:
 def disassemble(program: Program) -> str:
     """Canonical source form; assembling it reproduces the program."""
     lines = []
-    for instr in program.instructions:
+    for instr in program:
         operands = [f"R{r}" for r in instr.regs] + [_addr_text(a) for a in instr.addrs]
         # LOAD/STORE interleave register then address, matching the grammar
         lines.append(
@@ -186,7 +182,7 @@ def _senses(program: Program, step_budget: int) -> list:
     one per LOAD and in-memory instruction before its first HALT, within the
     step budget. An in-memory instruction senses all its rows but the last."""
     senses = []
-    for instr in program.instructions[:step_budget]:
+    for instr in program[:step_budget]:
         op = instr.opcode
         if op is Opcode.HALT:
             break
@@ -212,7 +208,7 @@ def run(program: Program, machine: Machine) -> tuple[ExecStats, ExecutionTrace]:
     executed = 0
     try:
         machine.array.plan(_senses(program, machine.step_budget))
-        for steps, instr in enumerate(program.instructions):
+        for steps, instr in enumerate(program):
             if steps >= machine.step_budget:
                 raise StepBudgetExceeded(
                     f"program exceeded {machine.step_budget} steps"
@@ -273,8 +269,8 @@ def lower_to_conventional(program: Program) -> Program:
     The runs compute in R6 and R7, so a program with a Cim instruction may not
     name either register: ``ValueError`` names the first instruction that does.
     """
-    if any(instr.opcode in CIM_OPS for instr in program.instructions):
-        for index, instr in enumerate(program.instructions):
+    if any(instr.opcode in CIM_OPS for instr in program):
+        for index, instr in enumerate(program):
             for reg in instr.regs:
                 if reg in (_SCRATCH_A, _SCRATCH_B):
                     raise ValueError(
@@ -282,7 +278,7 @@ def lower_to_conventional(program: Program) -> Program:
                         "is a scratch register of the lowered Cim instructions"
                     )
     out: list[Instruction] = []
-    for instr in program.instructions:
+    for instr in program:
         op = instr.opcode
         if op not in CIM_OPS:
             out.append(instr)
@@ -302,7 +298,7 @@ def lower_to_conventional(program: Program) -> Program:
         if op in (CimOp.CIM_NAND, CimOp.CIM_NOR):
             out.append(Instruction(Opcode.NOT, (_SCRATCH_A, _SCRATCH_A)))
         out.append(Instruction(Opcode.STORE, (_SCRATCH_A,), (dest,)))
-    return Program(tuple(out))
+    return tuple(out)
 
 
 def static_fingerprint(machine: Machine) -> str:

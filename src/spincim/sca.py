@@ -26,7 +26,6 @@ from .cost import (
     cost_of,
     single_word_write_event,
 )
-from .device import trial_rng
 from .errors import MalformedTrace, MissingClass
 
 STANDARD_CLASSES = tuple(kind.value for kind in STANDARD_COSTS)
@@ -355,7 +354,7 @@ def obscuring_experiment(noise_levels: Sequence[tuple[float, float]], samples: i
     composite = np.asarray(composite_window(table))
     results = []
     for level_idx, (sig_d, sig_e) in enumerate(noise_levels):
-        rng = trial_rng(seed, level_idx)
+        rng = np.random.default_rng((seed, level_idx))
         classifier = streamed_train(STANDARD_CLASSES, table, False, samples, sig_d, sig_e, rng)
         windows = composite + rng.normal(0.0, [sig_d, sig_e], (samples, 2))
         hits = int((classifier.predict(windows) == classifier.classes.index("Write1")).sum())

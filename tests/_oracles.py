@@ -225,7 +225,7 @@ def assemble(text):
 
     from spincim.array import RowAddress
     from spincim.errors import ParseError
-    from spincim.isa import _MNEMONICS, _SHAPES, NUM_REGISTERS, Instruction, Program
+    from spincim.isa import _MNEMONICS, _SHAPES, NUM_REGISTERS, Instruction
 
     def parse_reg(token, line, col):
         m = re.match(r"^R([0-9]+)$", token, re.IGNORECASE)
@@ -273,7 +273,7 @@ def assemble(text):
             else:
                 addrs.append(parse_addr(token, lineno, col))
         instructions.append(Instruction(opcode, tuple(regs), tuple(addrs)))
-    return Program(tuple(instructions))
+    return tuple(instructions)
 
 
 # -- the execution trace as it stood before its columns: one csv.writer row

@@ -60,12 +60,12 @@ def random_cim_program(
                 (RowAddress(0, int(a)), RowAddress(0, int(b)), RowAddress(0, dest)),
             )
         )
-    return Program(tuple(instructions))
+    return tuple(instructions)
 
 
 def sense_count(program: Program) -> int:
     """Senses a run of a program without HALT makes: one per LOAD and in-memory op."""
-    return sum(i.opcode is Opcode.LOAD or i.opcode in CIM_OPS for i in program.instructions)
+    return sum(i.opcode is Opcode.LOAD or i.opcode in CIM_OPS for i in program)
 
 
 def machine_with_memory(model, width: int = 8, rows: int = 16, words=None) -> Machine:

@@ -7,7 +7,8 @@ from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from spincim.array import SenseConfig
+from spincim.array import ArrayGeometry, CimArray, SenseConfig
+from spincim.cost import ExecutionTrace
 from spincim.device import CurrentLevelModel
 
 MASTER_SEED = 20240
@@ -15,6 +16,12 @@ MASTER_SEED = 20240
 # every run draws the same Hypothesis examples and keeps no example database
 settings.register_profile("reproducible", derandomize=True, database=None)
 settings.load_profile("reproducible")
+
+
+def auth_array(model=None, rng=None, width=16, sense=None) -> CimArray:
+    """A recorded array of ``width`` columns for one ``run_auth``."""
+    return CimArray(ArrayGeometry(cols_per_row=width), model, sense, rng=rng,
+                    recorder=ExecutionTrace())
 
 
 @pytest.fixture

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from spincim import attack
-from spincim.array import ArrayGeometry, CimArray, SenseConfig
+from spincim.array import ArrayGeometry, CimArray, CimOp, SenseDisturbance
 from spincim.attack import (
     AttackScenario,
     AttackVariant,
@@ -25,7 +25,7 @@ from spincim.device import Collapse, CurrentLevelModel, parse_pair, trial_rng
 from spincim.errors import MappingViolation, OutOfBounds
 
 from _oracles import binomial_3sigma, composed_auth, trace_events
-from conftest import MASTER_SEED
+from conftest import MASTER_SEED, auth_array
 
 DB16 = AuthDb(0xA5A5, 0x5AC3, width=16)
 NO_ATTACK = AttackScenario()
@@ -37,18 +37,18 @@ def forced(variant, temp=100.0):
 
 class TestAuthProtocol:
     def test_correct_credentials_accepted(self, zero_noise_model):
-        accept, trace = run_auth(DB16, 0xA5A5, 0x5AC3, NO_ATTACK, model=zero_noise_model)
+        accept, trace = run_auth(DB16, 0xA5A5, 0x5AC3, NO_ATTACK, auth_array(zero_noise_model))
         assert accept
         kinds = [kind.value for kind, *_ in trace_events(trace)]
         assert kinds.count("CimAND") == 3  # two inside the XNORs, one outer
         assert kinds.count("CimNOR") == 2
 
     def test_wrong_password_rejected(self, zero_noise_model):
-        accept, _ = run_auth(DB16, 0xA5A5, 0x1111, NO_ATTACK, model=zero_noise_model)
+        accept, _ = run_auth(DB16, 0xA5A5, 0x1111, NO_ATTACK, auth_array(zero_noise_model))
         assert not accept
 
     def test_wrong_user_rejected(self, zero_noise_model):
-        accept, _ = run_auth(DB16, 0x1234, 0x5AC3, NO_ATTACK, model=zero_noise_model)
+        accept, _ = run_auth(DB16, 0x1234, 0x5AC3, NO_ATTACK, auth_array(zero_noise_model))
         assert not accept
 
     def test_forced_xnor_level_accepts_anything(self, zero_noise_model):
@@ -57,7 +57,7 @@ class TestAuthProtocol:
         for _ in range(50):
             u = int(rng.integers(0, 1 << 16))
             p = int(rng.integers(0, 1 << 16))
-            accept, _ = run_auth(DB16, u, p, scenario, model=zero_noise_model)
+            accept, _ = run_auth(DB16, u, p, scenario, auth_array(zero_noise_model))
             assert accept
 
     @pytest.mark.parametrize("u_ok", [True, False])
@@ -66,53 +66,47 @@ class TestAuthProtocol:
         u = 0xA5A5 if u_ok else 0x0F0F
         p = 0x5AC3 if p_ok else 0x0F0F
         accept, _ = run_auth(
-            DB16, u, p, forced(AttackVariant.GATE_LEVEL), model=zero_noise_model
+            DB16, u, p, forced(AttackVariant.GATE_LEVEL), auth_array(zero_noise_model)
         )
         assert accept == (u_ok or p_ok)
 
     def test_zone_below_ambient_rejected(self, model):
         scenario = AttackScenario(variant=AttackVariant.XNOR_LEVEL, zone_temp=10.0)
         with pytest.raises(ValueError):
-            run_auth(DB16, 0, 0, scenario, model=model, rng=trial_rng(1, 1))
+            run_auth(DB16, 0, 0, scenario, auth_array(model, trial_rng(1, 1)))
 
     def test_width_checked_against_array(self, zero_noise_model):
         wide = CimArray(geometry=ArrayGeometry(cols_per_row=8), model=zero_noise_model)
         with pytest.raises(MappingViolation):
-            run_auth(DB16, 0, 0, NO_ATTACK, model=zero_noise_model, array=wide)
+            run_auth(DB16, 0, 0, NO_ATTACK, wide)
 
     def test_array_without_the_protocol_rows_rejected(self, zero_noise_model):
         short = CimArray(geometry=ArrayGeometry(rows_per_bank=4), model=zero_noise_model)
         with pytest.raises(OutOfBounds, match="outside 1x4 array"):
-            run_auth(DB16, 0xA5A5, 0x5AC3, NO_ATTACK, model=zero_noise_model, array=short)
+            run_auth(DB16, 0xA5A5, 0x5AC3, NO_ATTACK, short)
 
-    def test_model_or_sense_other_than_the_arrays_rejected(self):
-        # the array senses under its own sigma, so a zero-noise model was ignored
-        array = CimArray(ArrayGeometry(cols_per_row=16))
-        own = r"^a model or sense given with an array must be the array's own$"
-        with pytest.raises(ValueError, match=own):
-            run_auth(AuthDb(1, 2), 1, 2, AttackScenario(),
-                     model=CurrentLevelModel(sigma=0.0), array=array)
-        with pytest.raises(ValueError, match=own):
-            run_auth(AuthDb(1, 2), 1, 2, AttackScenario(),
-                     sense=SenseConfig(i_ref_and=21.0), array=array)
-        assert array.snapshot() == CimArray(ArrayGeometry(cols_per_row=16)).snapshot()
-        # an equal model and sense, not the same objects, are the array's own
-        accepted, _ = run_auth(AuthDb(1, 2), 1, 2, AttackScenario(), CurrentLevelModel(),
-                               SenseConfig(), trial_rng(MASTER_SEED, 0), array)
-        assert accepted == run_auth(AuthDb(1, 2), 1, 2, AttackScenario(),
-                                    rng=trial_rng(MASTER_SEED, 0), array=array)[0]
+    def test_array_with_an_attack_of_its_own_rejected(self, zero_noise_model):
+        # the scenario picks the attacked senses, so the array's attack was ignored
+        array = auth_array(zero_noise_model)
+        array.attack = SenseDisturbance(force_flip=True, ops=frozenset({CimOp.CIM_AND}))
+        with pytest.raises(ValueError, match="^run_auth takes its attack from the scenario, "
+                                             "not the array$"):
+            run_auth(DB16, 0xA5A5, 0x1111, NO_ATTACK, array)
+        assert array.snapshot() == auth_array().snapshot()
+        assert len(array.recorder) == 0
 
     @pytest.mark.parametrize("db", [DB16, AuthDb(0xDEAD_BEEF_0123_4567, 1 << 63, width=64)],
                              ids=lambda db: f"width{db.width}")
     def test_numpy_integer_words_accepted(self, zero_noise_model, db):
         u, p = np.uint64(db.username), np.uint64(db.password)
-        assert run_auth(db, u, p, NO_ATTACK, model=zero_noise_model)[0]
-        assert not run_auth(db, u, p ^ np.uint64(1), NO_ATTACK, model=zero_noise_model)[0]
+        array = auth_array(zero_noise_model, width=db.width)
+        assert run_auth(db, u, p, NO_ATTACK, array)[0]
+        assert not run_auth(db, u, p ^ np.uint64(1), NO_ATTACK, array)[0]
 
     @pytest.mark.parametrize("u,p", [(1 << 16, 0x5AC3), (0xA5A5, 1 << 16)])
     def test_typed_word_wider_than_the_credential_rejected(self, zero_noise_model, u, p):
         with pytest.raises(OutOfBounds, match=r"^word 0x10000 does not fit in 16 columns$"):
-            run_auth(DB16, u, p, NO_ATTACK, model=zero_noise_model)
+            run_auth(DB16, u, p, NO_ATTACK, auth_array(zero_noise_model))
 
 
 class TestMcFailureRate:
@@ -198,7 +192,7 @@ class TestSuccessRate:
         accepted = 0
         for u in range(16):
             for p in range(16):
-                got, _ = run_auth(db, u, p, NO_ATTACK, model=zero_noise_model)
+                got, _ = run_auth(db, u, p, NO_ATTACK, auth_array(zero_noise_model, width=4))
                 accepted += got
         assert accepted == 1
 
@@ -305,7 +299,8 @@ class TestSuccessRate:
         scenario = AttackScenario(variant=AttackVariant.XNOR_LEVEL, zone_temp=100.0)
         attack_success_rate(DB16, CredentialPolicy(), scenario, 50, MASTER_SEED)
         assert records == []
-        run_auth(DB16, 0xA5A5, 0x5AC3, scenario, rng=trial_rng(0, 0))  # a standalone run records
+        # a run on a recorded array records
+        run_auth(DB16, 0xA5A5, 0x5AC3, scenario, auth_array(rng=trial_rng(0, 0)))
         assert len(records) == 11
 
     @pytest.mark.parametrize("scenario", [
@@ -313,7 +308,7 @@ class TestSuccessRate:
         forced(AttackVariant.GATE_LEVEL), NO_ATTACK,
     ], ids=lambda s: s.variant.value)
     def test_standalone_run_records_as_the_public_senses(self, model, scenario):
-        _, trace = run_auth(DB16, 0xA5A5, 0x5AC3, scenario, rng=trial_rng(0, 0))
+        _, trace = run_auth(DB16, 0xA5A5, 0x5AC3, scenario, auth_array(rng=trial_rng(0, 0)))
         twin = CimArray(ArrayGeometry(cols_per_row=16), model, rng=trial_rng(0, 0),
                         recorder=ExecutionTrace())
         composed_auth(DB16, 0xA5A5, 0x5AC3, scenario, model, twin)

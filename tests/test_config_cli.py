@@ -424,6 +424,16 @@ class TestCli:
         for tag, (first, second) in files.items():
             assert first == second == fresh[tag], tag
 
+    def test_commands_outside_monte_carlo_runs_cache_no_trial_streams(
+            self, capsys, tmp_path, every_command):
+        # each seeds np.random.default_rng((seed, i)) itself, the stream
+        # trial_rng would give, and leaves the Monte Carlo block cache empty
+        runs, _ = every_command
+        spincim.device._stream_seeds.cache_clear()
+        for tag in ("truth-table", "isa-run", "sca"):
+            _report_files(capsys, runs[tag], tmp_path / tag)
+        assert spincim.device._stream_seeds.cache_info().currsize == 0
+
     def test_a_shared_parser_stays_stateless(self, capsys, tmp_path, every_command,
                                              parser_builds):
         # every way a parse can end, each followed by a report that must carry

@@ -33,7 +33,7 @@ from spincim.device import (
 )
 
 from _oracles import composed_auth
-from conftest import MASTER_SEED
+from conftest import MASTER_SEED, auth_array
 
 A, B, DEST = RowAddress(0, 0), RowAddress(0, 1), RowAddress(0, 2)
 HALF = Collapse(a=math.log(0.5), b=0.0, zone_temp=100.0)  # rho = 1/2
@@ -175,7 +175,7 @@ def test_reused_arrays_count_as_fresh_ones(scenario):
 
     def fresh(rng) -> bool:
         u_t, p_t = policy.draw(db, rng)
-        return run_auth(db, u_t, p_t, scenario, rng=rng)[0]
+        return run_auth(db, u_t, p_t, scenario, auth_array(rng=rng))[0]
 
     report = attack_success_rate(db, policy, scenario, trials, MASTER_SEED)
     assert report.failures == run_trials(trials, MASTER_SEED, fresh)
@@ -297,7 +297,8 @@ def test_one_authentication_pass_senses_as_the_five_public_senses(scenario, sigm
                 tuple(int(w) for w in words.integers(0, 1 << db.width, 2))][i % 3]
         rng = trial_rng(MASTER_SEED, i)
         twin.rng = trial_rng(MASTER_SEED, i)
-        got, _ = run_auth(db, u, p, scenario, model=model, rng=rng, array=reused)
+        reused.rng = rng
+        got, _ = run_auth(db, u, p, scenario, reused)
         assert got == composed_auth(db, u, p, scenario, model, twin)
         assert reused.snapshot() == twin.snapshot()
         assert rng.bit_generator.state == twin.rng.bit_generator.state
@@ -313,7 +314,8 @@ def test_an_authentication_draws_its_noise_in_one_call(scenario):
     db = AuthDb(0xBEEF, 0x1234)
     array = CimArray(ArrayGeometry(cols_per_row=db.width), model)
     logged = LoggedRng(trial_rng(MASTER_SEED, 0))
-    run_auth(db, 0xBEEF, 0x0F0F, scenario, model=model, rng=logged, array=array)
+    array.rng = logged
+    run_auth(db, 0xBEEF, 0x0F0F, scenario, array)
     assert logged.calls == [("normal", 5 * db.width)]
 
 

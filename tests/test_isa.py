@@ -111,7 +111,7 @@ class TestAssembler:
     def test_single_cim_add_instruction(self):
         program = assemble("CimADD @1, @2, @3")
         assert len(program) == 1
-        instr = program.instructions[0]
+        instr = program[0]
         assert instr.opcode is CimOp.CIM_ADD
         assert instr.addrs == (RowAddress(0, 1), RowAddress(0, 2), RowAddress(0, 3))
 
@@ -156,10 +156,10 @@ class TestAssembler:
 
     def test_explicit_bank_syntax(self):
         program = assemble("CimAND @1:3, @1:4, @1:5")
-        assert program.instructions[0].addrs[0] == RowAddress(1, 3)
+        assert program[0].addrs[0] == RowAddress(1, 3)
 
     def test_case_insensitive_mnemonics(self):
-        assert assemble("cimadd @0, @1, @2").instructions[0].opcode is CimOp.CIM_ADD
+        assert assemble("cimadd @0, @1, @2")[0].opcode is CimOp.CIM_ADD
 
 
 _reg = st.integers(min_value=0, max_value=7)
@@ -192,7 +192,7 @@ def _instruction_strategy():
 @settings(max_examples=100)
 @given(st.lists(_instruction_strategy(), max_size=30))
 def test_disassembly_round_trips(instructions):
-    program = Program(tuple(instructions))
+    program = tuple(instructions)
     assert assemble(disassemble(program)) == program
 
 
@@ -327,8 +327,8 @@ def _machine(sigma: float, attack, width: int) -> Machine:
 def _run_stepwise(program: Program, machine: Machine) -> tuple[ExecStats, ExecutionTrace]:
     """``run`` one instruction at a time, its traces joined into one."""
     joined, executed = ExecutionTrace(), 0
-    for instr in program.instructions:
-        stats, trace = run(Program((instr,)), machine)
+    for instr in program:
+        stats, trace = run((instr,), machine)
         executed += stats.instruction_count
         for kind, cost, channel in _oracles.trace_events(trace):
             joined.record(kind, OpCost(cost.delay_ns, cost.energy_fj), channel)
@@ -402,10 +402,10 @@ class TestBlockDraws:
         if bad is None:
             failing.step_budget = k
         else:
-            program = Program(program.instructions[:k] + (bad,) + program.instructions[k:])
+            program = program[:k] + (bad,) + program[k:]
         with pytest.raises(error):
             run(program, failing)
-        _, want = run(Program(program.instructions[:k]), twin)
+        _, want = run(program[:k], twin)
         assert _csv(traces[0]) == _csv(want)
         assert failing.array.snapshot() == twin.array.snapshot()
         assert failing.registers == twin.registers
@@ -428,7 +428,7 @@ class TestLowering:
 
     def test_cim_add_becomes_four_instructions(self):
         lowered = lower_to_conventional(assemble(ADD_CIM))
-        opcodes = [i.opcode for i in lowered.instructions]
+        opcodes = [i.opcode for i in lowered]
         assert opcodes == [Opcode.LOAD, Opcode.LOAD, Opcode.ADD, Opcode.STORE]
 
     @pytest.mark.parametrize("text,index,reg", [

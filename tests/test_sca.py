@@ -431,11 +431,13 @@ class TestStreamedScoring:
                 self.rows += size[0]
                 return self.rng.standard_normal(size)
 
-        def counting_rng(seed, index):
-            streams.append(Counting(trial_rng(seed, index)))
+        default_rng = np.random.default_rng
+
+        def counting_rng(seed):
+            streams.append(Counting(default_rng(seed)))
             return streams[-1]
 
-        monkeypatch.setattr(cli, "trial_rng", counting_rng)
+        monkeypatch.setattr(np.random, "default_rng", counting_rng)
         assert cli.main(["sca", "--out", str(tmp_path)]) == 0
         capsys.readouterr()
         # one stream of 2 x 11 x n rows per sigma, of which the 4-class
