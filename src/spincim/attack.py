@@ -254,22 +254,22 @@ def run_auth(
     Each XNOR word reduces to a match bit controller-side; the two match bits
     are written back and combined by one in-array AND sense. The array
     supplies the model, sense, generator and recorder (None records
-    nothing); the scenario alone picks the attacked CimAND senses, so an
-    array that carries an ``attack`` of its own is refused before any write,
-    with ValueError. Returns the decision and the array's recorder. One pass
-    writes, records and draws as two ``cim_xnor``, the match writes and
-    ``cim_two_row(CIM_AND)`` would.
+    nothing); the scenario alone picks the attacked CimAND senses. An array
+    with an ``attack`` of its own, or a scenario with a cold zone, is refused
+    before any write, with ValueError. Returns the decision and the array's
+    recorder. One pass writes, records and draws as two ``cim_xnor``, the
+    match writes and ``cim_two_row(CIM_AND)`` would.
     """
     if array.geometry.cols_per_row != db.width:
         raise MappingViolation("array word width must equal the credential width")
     if array.attack is not None:
         raise ValueError("run_auth takes its attack from the scenario, not the array")
+    xnor_laws, xnor_ops, outer_law, outer_op = _auth_laws(scenario, array.model)
     rows, width = _ROWS, db.width
     words = [operator.index(w) for w in (db.username, db.password, u_typed, p_typed)]
     for key, word in zip(("u_db", "p_db", "u_typed", "p_typed"), words):
         array.write_word(rows[key], word)
 
-    xnor_laws, xnor_ops, outer_law, outer_op = _auth_laws(scenario, array.model)
     # the five senses in stream order: u-AND, u-NOR, p-AND, p-NOR, outer AND
     laws = xnor_laws * 2 + (outer_law,)
     uniforms, normals = column_draws(laws, width, array.model.sigma, array.rng)

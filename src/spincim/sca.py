@@ -5,9 +5,10 @@ covariance: the weakest standard attacker, enough to quantify how much the
 enlarged operation set and composite op+write windows degrade classification,
 and to run the Hamming-weight write attack.
 
-Observations are drawn class by class, ``PREDICT_BLOCK`` rows at a time. The
-sweep's attackers each read their own prefix of one stream per noise level,
-fit one class at a time and score block by block: its memory grows with one class.
+Observations are drawn class by class, ``PREDICT_BLOCK`` rows at a time, as (rows, 2)
+normals handed on as (2, rows) columns: centring, the one-class fit buffer, class-major
+distances and ``predict`` all read contiguous columns. The sweep's attackers share one
+stream per noise level and fit one class at a time: its memory grows with one class.
 """
 from __future__ import annotations
 
@@ -65,32 +66,32 @@ class Dataset:
         return len(self.codes)
 
 
-
 def class_centroid(name: str, table: CostTable, enhanced: bool) -> tuple[float, float]:
     cost = cost_of(OpClass(name), table, enhanced)
     return (cost.delay_ns, cost.energy_fj)
 
 
 def _normals(segments, per_class, sigma_duration, sigma_energy, rng):
-    """(segment, first row, rows) over ``segments`` runs of ``per_class`` rows:
-    standard normals scaled in place by the sigmas, at most PREDICT_BLOCK rows a
-    block. A stream's first rows do not depend on how many segments it has."""
+    """(segment, first row, cols) over ``segments`` runs of ``per_class`` rows: (rows,
+    2) standard normals scaled into contiguous (2, rows) columns, at most PREDICT_BLOCK
+    rows a block. A stream's first rows do not depend on how many segments it has."""
+    sigmas = np.array([[sigma_duration], [sigma_energy]], dtype=float)
     for segment in range(segments):
         for lo in range(0, per_class, PREDICT_BLOCK):
-            rows = rng.standard_normal((min(PREDICT_BLOCK, per_class - lo), 2))
+            cols = np.empty((2, min(PREDICT_BLOCK, per_class - lo)))
             with np.errstate(over="ignore"):
-                rows *= (sigma_duration, sigma_energy)
-            yield segment, lo, rows
+                np.multiply(rng.standard_normal(cols.shape[::-1]).T, sigmas, out=cols)
+            yield segment, lo, cols
 
 
-def _centred(rows, centre, sigmas, out=None) -> np.ndarray:
-    """``rows + centre`` (into ``out``), the bits of ``centre + rng.normal(0,
-    sigma)``; ValueError for a non-finite row."""
+def _centred(cols, centre, sigmas, out=None) -> np.ndarray:
+    """``cols + centre`` (into ``out``), the bits of ``centre + rng.normal(0,
+    sigma)``; ValueError for a non-finite observation."""
     with np.errstate(over="ignore"):
-        rows = np.add(rows, centre, out=out)
-    if not np.isfinite(rows).all():
+        cols = np.add(cols, centre, out=out)
+    if not np.isfinite(cols).all():
         raise ValueError("features must be finite; sigmas {!r}, {!r} overflow".format(*sigmas))
-    return rows
+    return cols
 
 
 def synthesize_dataset(
@@ -99,12 +100,11 @@ def synthesize_dataset(
 ) -> Dataset:
     """Noisy observations around the cost-table centroids, class by class."""
     sigmas = (sigma_duration, sigma_energy)
-    feats = np.empty((len(classes) * samples_per_class, 2))
-    for code, lo, rows in _normals(len(classes), samples_per_class, *sigmas, rng):
-        at = code * samples_per_class + lo
-        _centred(rows, class_centroid(classes[code], table, enhanced), sigmas,
-                 out=feats[at:at + len(rows)])
-    return Dataset(feats, np.repeat(np.arange(len(classes)), samples_per_class), classes)
+    centres = np.array([class_centroid(c, table, enhanced) for c in classes])[..., None]
+    feats = np.empty((len(classes), samples_per_class, 2))
+    for code, lo, cols in _normals(len(classes), samples_per_class, *sigmas, rng):
+        _centred(cols, centres[code], sigmas, out=feats[code, lo:lo + cols.shape[1]].T)
+    return Dataset(feats.reshape(-1, 2), np.arange(len(classes)).repeat(samples_per_class), classes)
 
 
 @dataclass
@@ -133,21 +133,21 @@ class CentroidClassifier:
             raise ValueError(f"features must be finite; row {int(finite.argmin())} is not")
         out, scratch = np.empty(len(features), dtype=np.intp), self._scratch(len(features))
         for lo in range(0, len(features), PREDICT_BLOCK):
-            self._nearest(features[lo:lo + PREDICT_BLOCK], scratch, out[lo:lo + PREDICT_BLOCK])
+            self._nearest(features[lo:lo + PREDICT_BLOCK].T, scratch, out[lo:lo + PREDICT_BLOCK])
         return out
 
     def _scratch(self, rows: int) -> np.ndarray:
         """Two (C, block) planes for ``_nearest`` of at most ``rows`` rows a block."""
         return np.empty((2, len(self.classes), min(rows, PREDICT_BLOCK)))
 
-    def _nearest(self, rows: np.ndarray, scratch: np.ndarray, out=None) -> np.ndarray:
-        """``predict`` of one checked block, class-major in ``scratch``: the
-        subtract, divide, square and add of the row-major distances, bit for bit,
-        then the least distance and the lowest class index at it."""
-        dist, work = scratch[..., :len(rows)]
+    def _nearest(self, cols: np.ndarray, scratch: np.ndarray, out=None) -> np.ndarray:
+        """``predict`` of one checked (2, rows) block, class-major in ``scratch``:
+        the subtract, divide, square and add of the row-major distances, bit for
+        bit, then the least distance and the lowest class index at it."""
+        dist, work = scratch[..., :cols.shape[1]]
         (c_d, c_e), (s_d, s_e) = self.centroids.T[..., None], self.sigma
-        np.square(np.divide(np.subtract(rows[:, 0], c_d, out=dist), s_d, out=dist), out=dist)
-        np.square(np.divide(np.subtract(rows[:, 1], c_e, out=work), s_e, out=work), out=work)
+        np.square(np.divide(np.subtract(cols[0], c_d, out=dist), s_d, out=dist), out=dist)
+        np.square(np.divide(np.subtract(cols[1], c_e, out=work), s_e, out=work), out=work)
         least = np.minimum.reduce(np.add(dist, work, out=dist), axis=0, out=work[0])
         # class k ranks C - k where its distance is least: the top rank is the lowest index
         ranks = np.arange(len(dist), 0, -1, dtype=np.min_scalar_type(len(dist)))[:, None]
@@ -240,21 +240,21 @@ class _Attacker:
             raise ValueError(f"a class is named twice in {list(classes)}")
         if not per_class or not classes:
             raise MissingClass(f"no observations for classes: {self.expected}")
-        self.centres = [class_centroid(name, table, enhanced) for name in classes]
+        self.centres = np.array([class_centroid(c, table, enhanced) for c in classes])[..., None]
         self.codes = [self.expected.index(name) for name in classes]
         self.sigmas, self.cols = sigmas, np.empty((2, per_class))
         self.fit, self.counts = _PooledFit(len(classes)), np.zeros(len(classes) ** 2, dtype=np.intp)
         self.classifier = self.scratch = None   # once the last class is fitted
 
-    def feed(self, segment: int, lo: int, rows: np.ndarray) -> None:
+    def feed(self, segment: int, lo: int, cols: np.ndarray) -> None:
         n_classes = len(self.codes)
         if segment >= 2 * n_classes:   # past this attacker's stream
             return
-        code, hi, training = segment % n_classes, lo + len(rows), segment < n_classes
-        rows = _centred(rows, self.centres[code], self.sigmas,
-                        out=self.cols[:, lo:hi].T if training else None)
+        code, hi, training = segment % n_classes, lo + cols.shape[1], segment < n_classes
+        cols = _centred(cols, self.centres[code], self.sigmas,
+                        out=self.cols[:, lo:hi] if training else None)
         if not training:
-            nearest = self.classifier._nearest(rows, self.scratch)
+            nearest = self.classifier._nearest(cols, self.scratch)
             self.counts += np.bincount(self.codes[code] * n_classes + nearest,
                                        minlength=n_classes**2)
         elif hi == self.cols.shape[1]:   # a whole class: fit it, and after the last, classify

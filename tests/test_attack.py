@@ -75,6 +75,15 @@ class TestAuthProtocol:
         with pytest.raises(ValueError):
             run_auth(DB16, 0, 0, scenario, auth_array(model, trial_rng(1, 1)))
 
+    def test_zone_below_ambient_rejected_before_any_write(self, model):
+        scenario = AttackScenario(variant=AttackVariant.XNOR_LEVEL, zone_temp=10.0)
+        array, rng = auth_array(model, trial_rng(1, 1)), trial_rng(1, 1)
+        with pytest.raises(ValueError):
+            run_auth(DB16, 0x1234, 0x1111, scenario, array)
+        assert array.snapshot() == auth_array().snapshot()
+        assert len(array.recorder) == 0
+        assert array.rng.bit_generator.state == rng.bit_generator.state
+
     def test_width_checked_against_array(self, zero_noise_model):
         wide = CimArray(geometry=ArrayGeometry(cols_per_row=8), model=zero_noise_model)
         with pytest.raises(MappingViolation):

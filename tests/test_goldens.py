@@ -4,7 +4,8 @@ The auth-attack and isa-run payloads were captured before the array sense
 path dropped its per-call setup: every sense must keep its draws, in the same
 order, so these payloads and trace files stay byte for byte what they were.
 The isa-run payload's input echo, the sha256 of each input file, was added
-later. The sca payload was captured before the classifier ran in row blocks.
+later. The multi-block sca payload was captured before the classifier ran in
+row blocks, the default-size one before the sweep's observations became columns.
 """
 import hashlib
 import json
@@ -99,9 +100,31 @@ def test_noisy_isa_run_compare_lowered(capsys, tmp_path, monkeypatch):
     }
 
 
+def test_default_size_sca_report(capsys, tmp_path):
+    # 10 000 rows a class, each drawn, fitted and scored as blocks of 4 096,
+    # 4 096 and 1 808 rows: every class spans two block edges
+    report = run_cli(capsys, "sca", "--seed", "7", "--out", str(tmp_path))
+    assert report == {"samples_per_class": 10000, "rows": [
+        {"sigma_duration": 0.05, "sigma_energy": 0.5,
+         "standard_4_class": 0.912225, "enhanced_11_class": 0.7141818181818181},
+        {"sigma_duration": 0.05, "sigma_energy": 1.0,
+         "standard_4_class": 0.841125, "enhanced_11_class": 0.6188090909090909},
+        {"sigma_duration": 0.05, "sigma_energy": 2.0,
+         "standard_4_class": 0.793875, "enhanced_11_class": 0.5281181818181818},
+        {"sigma_duration": 0.05, "sigma_energy": 5.0,
+         "standard_4_class": 0.769125, "enhanced_11_class": 0.46186363636363637},
+    ]}
+    assert hashlib.sha256((tmp_path / "sca.json").read_bytes()).hexdigest() == (
+        "4cfdba5eb5daecbb32ff7d007e730c6524997dd2e4d8fc945132c059e6cb5f8b"
+    )
+    assert hashlib.sha256((tmp_path / "sca.csv").read_bytes()).hexdigest() == (
+        "892edd925cde885dd09e3cf17533b01fecb1e43f03672395579156afea29428b"
+    )
+
+
 def test_multi_block_sca_report(capsys, tmp_path):
-    # 33 000 rows in the 11-class set: many predict blocks and large class
-    # subsets, so block edges and the class split are both exercised
+    # 33 000 rows in the 11-class set: each 3 000-row class is one block, and
+    # the class subsets are large, so the class split is exercised at size
     (tmp_path / "big.json").write_text('{"sca": {"samples_per_class": 3000}}')
     report = run_cli(
         capsys, "sca", "--config", str(tmp_path / "big.json"), "--seed", "7",

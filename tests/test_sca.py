@@ -27,6 +27,7 @@ from spincim.sca import (
     STANDARD_CLASSES,
     CentroidClassifier,
     Dataset,
+    _normals,
     composite_window,
     confusion_matrix,
     hamming_weight_attack,
@@ -446,6 +447,22 @@ class TestStreamedScoring:
         assert [stream.rows for stream in streams] == (
             [2 * len(ENHANCED_CLASSES) * n] * len(DEFAULT_SCA["sweep_sigma_energy"])
         )
+
+    @pytest.mark.parametrize("sigmas", [(0.05, 2.0), (0.0, 0.0), (0.0, 1e308), (1e308, 0.5)])
+    def test_normals_are_the_row_stream_as_contiguous_columns(self, sigmas):
+        rng, twin = trial_rng(MASTER_SEED, 74), trial_rng(MASTER_SEED, 74)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            blocks = list(_normals(2, PREDICT_BLOCK + 1, *sigmas, rng))
+        assert [(segment, lo, cols.shape) for segment, lo, cols in blocks] == [
+            (segment, lo, (2, rows)) for segment in (0, 1)
+            for lo, rows in ((0, PREDICT_BLOCK), (PREDICT_BLOCK, 1))]
+        assert all(cols.flags.c_contiguous for _, _, cols in blocks)
+        with np.errstate(over="ignore"):
+            want = (twin.standard_normal((2 * (PREDICT_BLOCK + 1), 2)) * sigmas).T
+        got = np.concatenate([cols for _, _, cols in blocks], axis=1)
+        assert got.tobytes() == want.tobytes()   # bit for bit, signed zeros and infinities too
+        assert rng.bit_generator.state == twin.bit_generator.state
 
     def test_no_attackers_draw_nothing(self):
         rng = trial_rng(MASTER_SEED, 73)
