@@ -5,29 +5,29 @@ such as a numpy integer) with bit k stored in column k (bit 0 is the least
 significant column). An operation reads 1 where its sensed current lies in
 its decision window ``(low, high]`` (:meth:`SenseConfig.window`): a
 single-cell sense against the read reference, a two-row sense of the summed
-pair current against the AND or OR reference, or between them for XOR. All
-decodes of one operation derive from a single current sample per column, so
-decision failures are correlated across the decodes of a shared sense and
-are never resampled: an ADD reads the AND and OR windows of one sense.
+pair current against the AND or OR reference, or between them for XOR. A
+sense is one op: all its decodes derive from a single current sample per
+column, so decision failures are correlated across the decodes of a shared
+sense and are never resampled: an ADD reads the AND and OR windows of one
+sense. An XNOR is two senses, the ``cim_two_row`` AND and then the NOR.
 
 Each sense samples all columns of its row (or row pair) in one vectorised
 draw from the array's generator, in a fixed order: for each activated row
 whose disturbance is Collapse (first operand first), one uniform per column;
-then one normal per column when the noise sigma is positive. An XNOR
-consumes the stream exactly as its AND sense and then its NOR sense. The
-number of draws depends on the operation and the disturbance, never on the
-stored words, so a sense decodes from integer masks: its draws are mapped
+then one normal per column when the noise sigma is positive. The number of
+draws depends on the operation and the disturbance, never on the stored
+words, so a sense decodes from integer masks: its draws are mapped
 (:func:`~spincim.device.apply_laws`) at every operand-bit pattern, each
 pattern's decode is packed into an int, and the word read takes column k
 from the mask of column k's pattern in the stored words. :meth:`CimArray.plan`
-names the senses to come, which are then drawn :data:`SENSE_BLOCK` at a time
-in one :func:`~spincim.device.column_draws` call, with the draws they would
-make one after another; with nothing planned a sense is a block of one.
-There is no default generator: a sense that needs draws raises ValueError
-on an array built without one.
+names the senses to come as ``(op, addrs)`` pairs, which are then drawn
+:data:`SENSE_BLOCK` at a time in one :func:`~spincim.device.column_draws`
+call, with the draws they would make one after another; with nothing
+planned a sense is a block of one. There is no default generator: a sense
+that needs draws raises ValueError on an array built without one.
 
 :func:`attacked_law` resolves a sense's law under an attack, and
-:meth:`CimArray.laws` memoises it per attack, op and heated-row pattern.
+:meth:`CimArray.law` memoises it per attack, op and heated-row pattern.
 The attack heats a sense it matches with its disturbance bare when every
 activated row is in its zone (a MeanShift shifts the pair levels and leaves
 single cells alone), else per row, which a MeanShift cannot be: a pair
@@ -305,22 +305,21 @@ class CimArray:
 
     # -- sensing -------------------------------------------------------------
 
-    def laws(self, ops: tuple[CimOp, ...], addrs) -> tuple[tuple, tuple[CimOp, ...]]:
-        """``(laws, decode_ops)``: the law of one sense of each op over the
-        activation ``addrs`` under the current attack, and the op each decodes
+    def law(self, op: CimOp, addrs) -> tuple[tuple, CimOp]:
+        """``(law, decode_op)``: the law of one sense of ``op`` over the
+        activation ``addrs`` under the current attack, and the op it decodes
         as. A new attack or model empties the memo of laws."""
         atk = self.attack
         if atk is not self._laws_attack or self.model is not self._laws_model:
             self._laws, self._laws_attack, self._laws_model = {}, atk, self.model
         targeted = tuple([atk is not None and atk.row_targeted(a) for a in addrs])
-        key = (ops, targeted)
+        key = (op, targeted)
         if key not in self._laws:
-            self._laws[key] = tuple(zip(*[attacked_law(atk, self.model, op, targeted)
-                                          for op in ops]))
+            self._laws[key] = attacked_law(atk, self.model, op, targeted)
         return self._laws[key]
 
     def plan(self, senses) -> None:
-        """Expect ``senses``, ``(ops, addrs)`` pairs in the order the public
+        """Expect ``senses``, ``(op, addrs)`` pairs in the order the public
         operations will sense them, and draw them :data:`SENSE_BLOCK` at a
         time, as they are reached. Each public op takes the next planned
         sense, which must be its own, else RuntimeError; with none left, a
@@ -328,17 +327,17 @@ class CimArray:
         self._plan = list(senses)
         self._ahead.clear()
 
-    def _read(self, ops: tuple[CimOp, ...], addrs) -> list[int]:
-        """The words one sense of ``ops`` over ``addrs`` reads from the stored
+    def _read(self, op: CimOp, addrs) -> list[int]:
+        """The words one sense of ``op`` over ``addrs`` reads from the stored
         words, one per decode window, drawing the next block when none is ahead."""
         if not self._ahead:
-            self._ahead.extend(self._decode_block(self._plan[:SENSE_BLOCK] or [(ops, addrs)]))
+            self._ahead.extend(self._decode_block(self._plan[:SENSE_BLOCK] or [(op, addrs)]))
             del self._plan[:len(self._ahead)]
         key, masks = self._ahead.popleft()
-        if key != (ops, addrs):
+        if key != (op, addrs):
             self.plan(())
-            raise RuntimeError(f"{ops[0].value} sense taken where a planned "
-                               f"{key[0][0].value} sense was drawn")
+            raise RuntimeError(f"{op.value} sense taken where a planned "
+                               f"{key[0].value} sense was drawn")
         # column k of a word read is column k of the mask of its operand-bit
         # pattern in the stored words, chosen by one multiplexer per row
         if len(addrs) == 1:
@@ -356,32 +355,29 @@ class CimArray:
         word the sense reads, the word it decodes at each operand-bit pattern.
         A sense after the first whose law raises ends the block, so that it
         raises when it is taken."""
-        laws, starts, groups = [], [], {}
-        for n, (ops, addrs) in enumerate(senses):
+        laws, groups = [], {}
+        for n, (op, addrs) in enumerate(senses):
             try:
-                resolved = self.laws(ops, addrs)
+                resolved = self.law(op, addrs)
             except ValueError:
                 if not n:
                     raise
                 break
-            # the senses of one memoised resolution map and decode together
+            # the senses of one memoised law map and decode together
             groups.setdefault(id(resolved), (resolved, len(addrs), []))[2].append(n)
-            starts.append(len(laws))
-            laws += resolved[0]
+            laws.append(resolved[0])
         width = self.geometry.cols_per_row
         uniforms, normals = column_draws(laws, width, self.model.sigma, self.rng)
         if normals is None:
             normals = np.zeros((len(laws), width))  # adding 0.0 moves no level
-        masks = [[] for _ in starts]
-        for (sense_laws, decode_ops), rows, members in groups.values():
-            for k, (law, op) in enumerate(zip(sense_laws, decode_ops)):
-                at = [starts[n] + k for n in members]
-                u = [np.stack(draws) for draws in zip(*[uniforms[i] for i in at])]
-                currents = apply_laws(_PATTERNS[rows], law, u, normals[at])
-                for window in _WINDOWS.get(op, (op,)):
-                    decoded = _pack_rows(self.sense.decode(window, currents))
-                    for n, word_masks in zip(members, zip(*decoded)):
-                        masks[n].append(word_masks)
+        masks = [[] for _ in laws]
+        for (law, op), rows, members in groups.values():
+            u = [np.stack(draws) for draws in zip(*[uniforms[n] for n in members])]
+            currents = apply_laws(_PATTERNS[rows], law, u, normals[members])
+            for window in _WINDOWS.get(op, (op,)):
+                decoded = _pack_rows(self.sense.decode(window, currents))
+                for n, word_masks in zip(members, zip(*decoded)):
+                    masks[n].append(word_masks)
         return list(zip(senses, masks))
 
     # -- host access --------------------------------------------------------
@@ -401,7 +397,7 @@ class CimArray:
     def read_word(self, addr: RowAddress) -> int:
         """Sense every column against the read reference; may misread."""
         self._check_addr(addr)
-        (word,) = self._read((CimOp.READ,), (addr,))
+        (word,) = self._read(CimOp.READ, (addr,))
         self.record_cim(CimOp.READ, word.bit_count())
         return word
 
@@ -432,7 +428,7 @@ class CimArray:
     def cim_not(self, a: RowAddress) -> int:
         """Inverted read decode of one row."""
         self._check_addr(a)
-        (word,) = self._read((CimOp.CIM_NOT,), (a,))
+        (word,) = self._read(CimOp.CIM_NOT, (a,))
         self.record_cim(CimOp.CIM_NOT)
         return word
 
@@ -443,20 +439,18 @@ class CimArray:
         self._check_addr(a)
         self._check_addr(b)
         validate_mapping(a, b)
-        (word,) = self._read((op,), (a, b))
+        (word,) = self._read(op, (a, b))
         self.record_cim(op)
         return word
 
     def cim_xnor(
         self, a: RowAddress, b: RowAddress, scratch: tuple[RowAddress, RowAddress]
     ) -> int:
-        """Equality check: (a AND b) OR (a NOR b).
-
-        The AND and NOR partial words run as in-array senses, drawn in one
-        pass exactly as the AND sense and then the NOR sense, and land in the
-        two scratch rows; the final OR of the partials executes in the array
-        controller and is fault-free.
-        """
+        """Equality check: (a AND b) OR (a NOR b), from two in-array senses,
+        ``cim_two_row`` AND then NOR, whose partial words land in the two
+        scratch rows; the final OR executes in the array controller and is
+        fault-free. Both laws resolve first: a refused sense raises before
+        either draws or records."""
         s1, s2 = scratch
         for addr in (s1, s2, a, b):
             self._check_addr(addr)
@@ -465,9 +459,11 @@ class CimArray:
         if s1 == s2:
             raise MappingViolation("scratch rows must be distinct from each other")
         validate_mapping(a, b)
-        and_word, nor_word = self._read((CimOp.CIM_AND, CimOp.CIM_NOR), (a, b))
-        self.record_cim(CimOp.CIM_AND)
-        self.record_cim(CimOp.CIM_NOR)
+        laws = [self.law(op, (a, b))[0] for op in (CimOp.CIM_AND, CimOp.CIM_NOR)]
+        if self.rng is None:
+            column_draws(laws, 0, self.model.sigma, None)  # raises if either sense draws
+        and_word = self.cim_two_row(CimOp.CIM_AND, a, b)
+        nor_word = self.cim_two_row(CimOp.CIM_NOR, a, b)
         self.write_word(s1, and_word, record=False)
         self.write_word(s2, nor_word, record=False)
         return and_word | nor_word
@@ -486,7 +482,7 @@ class CimArray:
         for addr in (a, b, dest):
             self._check_addr(addr)
         validate_mapping(a, b)
-        and_word, or_word = self._read((CimOp.CIM_ADD,), (a, b))
+        and_word, or_word = self._read(CimOp.CIM_ADD, (a, b))
         total = or_word + and_word
         self.record_cim(CimOp.CIM_ADD)
         self.write_word(dest, total & self.geometry.word_mask, record=False)

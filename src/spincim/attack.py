@@ -39,7 +39,6 @@ from .array import (
     pack,
     unpack,
 )
-from .cost import ExecutionTrace
 from .device import (
     AMBIENT_TEMP_C,
     Collapse,
@@ -236,19 +235,19 @@ def _auth_laws(scenario: AttackScenario, model: CurrentLevelModel):
             force_flip=scenario.force_flip,
         )
 
-    def laws(ops, *keys):
+    def law(op, *keys):
         targeted = tuple([attack is not None and attack.row_targeted(_ROWS[k]) for k in keys])
-        return tuple(zip(*[attacked_law(attack, model, op, targeted) for op in ops]))
+        return attacked_law(attack, model, op, targeted)
 
     # the u pair's laws serve both XNORs: a zone holds both pairs' rows or neither
-    xnor_laws, xnor_ops = laws((CimOp.CIM_AND, CimOp.CIM_NOR), "u_typed", "u_db")
-    (outer_law,), (outer_op,) = laws((CimOp.CIM_AND,), "match_u", "match_p")
-    return xnor_laws, xnor_ops, outer_law, outer_op
+    xnor_laws, xnor_ops = zip(*[law(op, "u_typed", "u_db")
+                                for op in (CimOp.CIM_AND, CimOp.CIM_NOR)])
+    return xnor_laws, xnor_ops, *law(CimOp.CIM_AND, "match_u", "match_p")
 
 
 def run_auth(
     db: AuthDb, u_typed: int, p_typed: int, scenario: AttackScenario, array: CimArray
-) -> tuple[bool, ExecutionTrace | None]:
+) -> bool:
     """Run one authentication on ``array``: accept iff both credential words match.
 
     Each XNOR word reduces to a match bit controller-side; the two match bits
@@ -256,9 +255,9 @@ def run_auth(
     supplies the model, sense, generator and recorder (None records
     nothing); the scenario alone picks the attacked CimAND senses. An array
     with an ``attack`` of its own, or a scenario with a cold zone, is refused
-    before any write, with ValueError. Returns the decision and the array's
-    recorder. One pass writes, records and draws as two ``cim_xnor``, the
-    match writes and ``cim_two_row(CIM_AND)`` would.
+    before any write, with ValueError. Returns the decision; the events go
+    to ``array.recorder``. One pass writes, records and draws as two
+    ``cim_xnor``, the match writes and ``cim_two_row(CIM_AND)`` would.
     """
     if array.geometry.cols_per_row != db.width:
         raise MappingViolation("array word width must equal the credential width")
@@ -297,7 +296,7 @@ def run_auth(
     outer = apply_laws(match, outer_law, [u[0] for u in uniforms[4]],
                        None if normals is None else normals[4, 0])
     array.record_cim(CimOp.CIM_AND)
-    return bool(array.sense.decode(outer_op, outer)), array.recorder
+    return bool(array.sense.decode(outer_op, outer))
 
 
 # -- closed-form composition ---------------------------------------------------
@@ -372,7 +371,7 @@ def attack_success_rate(
     def one(rng) -> bool:
         array.rng = rng
         u_t, p_t = policy.draw(db, rng)
-        return run_auth(db, u_t, p_t, scenario, array)[0]
+        return run_auth(db, u_t, p_t, scenario, array)
 
     successes = run_trials(trials, seed, one)
     oracle = auth_accept_probability(db, policy, scenario, model, sense)

@@ -173,22 +173,19 @@ class Machine:
     registers: list[int] = field(default_factory=lambda: [0] * NUM_REGISTERS)
 
 
-# the ops of the one sense of each sensing instruction
-_SENSE_OPS = {Opcode.LOAD: (CimOp.READ,), **{op: (op,) for op in CIM_OPS}}
-
-
 def _senses(program: Program, step_budget: int) -> list:
-    """``(ops, addrs)`` of each sense a run of ``program`` makes, in order:
-    one per LOAD and in-memory instruction before its first HALT, within the
-    step budget. An in-memory instruction senses all its rows but the last."""
+    """``(op, addrs)`` of each sense a run of ``program`` makes, in order: a
+    READ per LOAD and one per in-memory instruction before its first HALT, within
+    the step budget. An in-memory instruction senses all its rows but the last."""
     senses = []
     for instr in program[:step_budget]:
         op = instr.opcode
         if op is Opcode.HALT:
             break
-        ops = _SENSE_OPS.get(op)
-        if ops is not None:
-            senses.append((ops, instr.addrs if op is Opcode.LOAD else instr.addrs[:-1]))
+        if op is Opcode.LOAD:
+            senses.append((CimOp.READ, instr.addrs))
+        elif op in CIM_OPS:
+            senses.append((op, instr.addrs[:-1]))
     return senses
 
 

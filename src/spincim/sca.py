@@ -305,20 +305,23 @@ def hamming_weight_attack(trace: ExecutionTrace, width: int,
     """Recover the count of 1 bits in a written word from its energy.
 
     The trace must hold exactly one word write recorded in bit-resolved
-    accounting mode; anything else raises MalformedTrace. Raises ValueError
-    when the table's Write1 and Write0 energies are equal.
+    accounting mode, not as one whole-word Write1 or Write0 row of ``table``
+    (one column excepted); anything else raises MalformedTrace. Raises
+    ValueError when the table's Write1 and Write0 energies are equal.
     """
     table = table or CostTable()
     if not isinstance(trace, ExecutionTrace):
         raise MalformedTrace(f"unsupported trace type {type(trace).__name__}")
-    energy = single_word_write_event(trace).energy_fj
-    e1 = cost_of(OpClass.WRITE1, table, enhanced).energy_fj
-    e0 = cost_of(OpClass.WRITE0, table, enhanced).energy_fj
+    write = single_word_write_event(trace)
+    rows = [cost_of(kind, table, enhanced) for kind in (OpClass.WRITE1, OpClass.WRITE0)]
+    if width > 1 and write in rows:
+        raise MalformedTrace("a word write charged as one whole-word row hides its weight")
+    e1, e0 = (row.energy_fj for row in rows)
     if e1 == e0:
         raise ValueError(
             "the Hamming weight cannot be seen when the Write1 and Write0 energies are equal"
         )
-    estimate = math.floor((energy - width * e0) / (e1 - e0) + 0.5)
+    estimate = math.floor((write.energy_fj - width * e0) / (e1 - e0) + 0.5)
     return min(max(estimate, 0), width)
 
 

@@ -248,7 +248,7 @@ def test_criterion_06_forced_flip_algebra(zero_noise_model):
     for _ in range(1000):
         u = int(rng.integers(0, 1 << 16))
         p = int(rng.integers(0, 1 << 16))
-        accept, _ = run_auth(db, u, p, xnor_forced, auth_array(zero_noise_model))
+        accept = run_auth(db, u, p, xnor_forced, auth_array(zero_noise_model))
         rejected += not accept
     crit.check(rejected == 0, f"{rejected}/1000 random credentials rejected")
 
@@ -266,7 +266,7 @@ def test_criterion_06_forced_flip_algebra(zero_noise_model):
         for p_ok in (True, False):
             u = 0xA5A5 if u_ok else 0x1111
             p = 0x5AC3 if p_ok else 0x2222
-            accept, _ = run_auth(db, u, p, gate_forced, auth_array(zero_noise_model))
+            accept = run_auth(db, u, p, gate_forced, auth_array(zero_noise_model))
             crit.check(
                 accept == (u_ok or p_ok),
                 f"gate-level forced ({u_ok},{p_ok}) -> {accept}",

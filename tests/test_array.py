@@ -103,7 +103,7 @@ class TestPlan:
     def test_a_sense_off_the_plan_is_refused_and_drops_it(self, zero_noise_model):
         arr = make_array(zero_noise_model)
         arr.write_word(A, 0b1100)
-        arr.plan([((CimOp.READ,), (A,)), ((CimOp.CIM_NOT,), (B,))])
+        arr.plan([(CimOp.READ, (A,)), (CimOp.CIM_NOT, (B,))])
         assert arr.read_word(A) == 0b1100
         with pytest.raises(RuntimeError, match="CimAND sense taken where a planned "
                                                "CimNOT sense was drawn"):

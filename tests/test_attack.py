@@ -37,18 +37,18 @@ def forced(variant, temp=100.0):
 
 class TestAuthProtocol:
     def test_correct_credentials_accepted(self, zero_noise_model):
-        accept, trace = run_auth(DB16, 0xA5A5, 0x5AC3, NO_ATTACK, auth_array(zero_noise_model))
-        assert accept
-        kinds = [kind.value for kind, *_ in trace_events(trace)]
+        array = auth_array(zero_noise_model)
+        assert run_auth(DB16, 0xA5A5, 0x5AC3, NO_ATTACK, array) is True
+        kinds = [kind.value for kind, *_ in trace_events(array.recorder)]
         assert kinds.count("CimAND") == 3  # two inside the XNORs, one outer
         assert kinds.count("CimNOR") == 2
 
     def test_wrong_password_rejected(self, zero_noise_model):
-        accept, _ = run_auth(DB16, 0xA5A5, 0x1111, NO_ATTACK, auth_array(zero_noise_model))
+        accept = run_auth(DB16, 0xA5A5, 0x1111, NO_ATTACK, auth_array(zero_noise_model))
         assert not accept
 
     def test_wrong_user_rejected(self, zero_noise_model):
-        accept, _ = run_auth(DB16, 0x1234, 0x5AC3, NO_ATTACK, auth_array(zero_noise_model))
+        accept = run_auth(DB16, 0x1234, 0x5AC3, NO_ATTACK, auth_array(zero_noise_model))
         assert not accept
 
     def test_forced_xnor_level_accepts_anything(self, zero_noise_model):
@@ -57,7 +57,7 @@ class TestAuthProtocol:
         for _ in range(50):
             u = int(rng.integers(0, 1 << 16))
             p = int(rng.integers(0, 1 << 16))
-            accept, _ = run_auth(DB16, u, p, scenario, auth_array(zero_noise_model))
+            accept = run_auth(DB16, u, p, scenario, auth_array(zero_noise_model))
             assert accept
 
     @pytest.mark.parametrize("u_ok", [True, False])
@@ -65,7 +65,7 @@ class TestAuthProtocol:
     def test_forced_gate_level_is_or_semantics(self, zero_noise_model, u_ok, p_ok):
         u = 0xA5A5 if u_ok else 0x0F0F
         p = 0x5AC3 if p_ok else 0x0F0F
-        accept, _ = run_auth(
+        accept = run_auth(
             DB16, u, p, forced(AttackVariant.GATE_LEVEL), auth_array(zero_noise_model)
         )
         assert accept == (u_ok or p_ok)
@@ -109,8 +109,8 @@ class TestAuthProtocol:
     def test_numpy_integer_words_accepted(self, zero_noise_model, db):
         u, p = np.uint64(db.username), np.uint64(db.password)
         array = auth_array(zero_noise_model, width=db.width)
-        assert run_auth(db, u, p, NO_ATTACK, array)[0]
-        assert not run_auth(db, u, p ^ np.uint64(1), NO_ATTACK, array)[0]
+        assert run_auth(db, u, p, NO_ATTACK, array)
+        assert not run_auth(db, u, p ^ np.uint64(1), NO_ATTACK, array)
 
     @pytest.mark.parametrize("u,p", [(1 << 16, 0x5AC3), (0xA5A5, 1 << 16)])
     def test_typed_word_wider_than_the_credential_rejected(self, zero_noise_model, u, p):
@@ -201,7 +201,7 @@ class TestSuccessRate:
         accepted = 0
         for u in range(16):
             for p in range(16):
-                got, _ = run_auth(db, u, p, NO_ATTACK, auth_array(zero_noise_model, width=4))
+                got = run_auth(db, u, p, NO_ATTACK, auth_array(zero_noise_model, width=4))
                 accepted += got
         assert accepted == 1
 
@@ -317,7 +317,9 @@ class TestSuccessRate:
         forced(AttackVariant.GATE_LEVEL), NO_ATTACK,
     ], ids=lambda s: s.variant.value)
     def test_standalone_run_records_as_the_public_senses(self, model, scenario):
-        _, trace = run_auth(DB16, 0xA5A5, 0x5AC3, scenario, auth_array(rng=trial_rng(0, 0)))
+        array = auth_array(rng=trial_rng(0, 0))
+        run_auth(DB16, 0xA5A5, 0x5AC3, scenario, array)
+        trace = array.recorder
         twin = CimArray(ArrayGeometry(cols_per_row=16), model, rng=trial_rng(0, 0),
                         recorder=ExecutionTrace())
         composed_auth(DB16, 0xA5A5, 0x5AC3, scenario, model, twin)

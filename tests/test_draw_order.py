@@ -22,6 +22,7 @@ from spincim.attack import (
     run_auth,
     run_trials,
 )
+from spincim.cost import ExecutionTrace
 from spincim.device import (
     Collapse,
     CurrentLevelModel,
@@ -32,7 +33,7 @@ from spincim.device import (
     trial_rng,
 )
 
-from _oracles import composed_auth
+from _oracles import composed_auth, trace_events
 from conftest import MASTER_SEED, auth_array
 
 A, B, DEST = RowAddress(0, 0), RowAddress(0, 1), RowAddress(0, 2)
@@ -175,7 +176,7 @@ def test_reused_arrays_count_as_fresh_ones(scenario):
 
     def fresh(rng) -> bool:
         u_t, p_t = policy.draw(db, rng)
-        return run_auth(db, u_t, p_t, scenario, auth_array(rng=rng))[0]
+        return run_auth(db, u_t, p_t, scenario, auth_array(rng=rng))
 
     report = attack_success_rate(db, policy, scenario, trials, MASTER_SEED)
     assert report.failures == run_trials(trials, MASTER_SEED, fresh)
@@ -211,6 +212,49 @@ def test_xnor_draws_as_its_and_sense_then_its_nor_sense(name, sigma):
         assert rng.rng.bit_generator.state == twin_rng.rng.bit_generator.state
 
 
+@pytest.mark.parametrize("sigma", [0.0, 0.485281])
+@pytest.mark.parametrize("name", list(_ATTACKS))
+def test_an_unplanned_xnor_senses_as_a_planned_and_nor_block(name, sigma):
+    """Unplanned, an XNOR's AND and NOR senses are blocks of one, two
+    ``column_draws`` calls; planned, one block and one call. Both leave the
+    same generator state, trace, scratch words and result."""
+    arr, rng = _attacked_array(sigma, _ATTACKS[name])
+    planned, planned_rng = _attacked_array(sigma, _ATTACKS[name])
+    arr.recorder, planned.recorder = ExecutionTrace(), ExecutionTrace()
+    for _ in range(4):
+        planned.plan([(CimOp.CIM_AND, (A, B)), (CimOp.CIM_NOR, (A, B))])
+        assert arr.cim_xnor(A, B, SCRATCH) == planned.cim_xnor(A, B, SCRATCH)
+        assert arr.snapshot() == planned.snapshot()
+        assert rng.rng.bit_generator.state == planned_rng.rng.bit_generator.state
+    assert trace_events(arr.recorder) == trace_events(planned.recorder)
+    assert arr.recorder.start_ns == planned.recorder.start_ns
+
+
+_PARTLY_SHIFTED_NOR = SenseDisturbance(disturbance=SHIFT, rows=frozenset({A}),
+                                       ops=frozenset({CimOp.CIM_NOR}))
+_SHIFT_REFUSED = "^a mean shift heats a pair sense only with both operand rows in the heated zone$"
+
+
+@pytest.mark.parametrize("sigma,attack,generator,message", [
+    (0.0, _PARTLY_SHIFTED_NOR, True, _SHIFT_REFUSED),
+    (0.485281, _PARTLY_SHIFTED_NOR, True, _SHIFT_REFUSED),
+    (0.0, SenseDisturbance(disturbance=HALF, ops=frozenset({CimOp.CIM_NOR})), False,
+     "^a random generator is required for stochastic sampling$"),
+], ids=["mean-shift-0", "mean-shift-noisy", "no-generator"])
+def test_a_refused_xnor_neither_draws_nor_records(sigma, attack, generator, message):
+    """An XNOR whose NOR sense is refused raises before its AND sense draws,
+    records or writes: a partly heated mean shift, or a NOR collapse on an
+    array without a generator, whose zero-noise AND needs no draw."""
+    arr, rng = _attacked_array(sigma, attack)
+    arr.rng = rng if generator else None
+    arr.recorder = ExecutionTrace()
+    stored, state = arr.snapshot(), rng.rng.bit_generator.state
+    with pytest.raises(ValueError, match=message):
+        arr.cim_xnor(A, B, SCRATCH)
+    assert rng.calls == [] and rng.rng.bit_generator.state == state
+    assert len(arr.recorder) == 0 and arr.snapshot() == stored
+
+
 def test_a_new_attack_or_model_never_reads_a_stale_law():
     """One array whose attack and model change between senses decodes and
     draws as a fresh array per sense on the same stream."""
@@ -238,7 +282,7 @@ def test_a_new_attack_or_model_never_reads_a_stale_law():
                 assert reused.rng.bit_generator.state == fresh_rng.bit_generator.state
 
 
-_ACTIVATIONS = [  # every sense kind, and the two senses of an XNOR drawn in one pass
+_ACTIVATIONS = [  # every sense kind, and the two senses of an XNOR drawn in one call
     ((CimOp.READ,), (A,)),
     ((CimOp.CIM_NOT,), (B,)),
     ((CimOp.CIM_AND,), (A, B)),
@@ -257,7 +301,7 @@ def test_apply_laws_maps_plain_copies_of_the_draws_of_column_draws(name, sigma):
     arr, _ = _attacked_array(sigma, _ATTACKS[name])
     stored = arr.snapshot()[0]
     for ops, addrs in _ACTIVATIONS:
-        laws, _ = arr.laws(ops, addrs)
+        laws = [arr.law(op, addrs)[0] for op in ops]
         bits = [unpack(stored[a.row], WIDTH) for a in addrs]
         rng, twin = trial_rng(MASTER_SEED, 3), trial_rng(MASTER_SEED, 3)
         uniforms, normals = column_draws(laws, WIDTH, sigma, rng)
@@ -298,7 +342,7 @@ def test_one_authentication_pass_senses_as_the_five_public_senses(scenario, sigm
         rng = trial_rng(MASTER_SEED, i)
         twin.rng = trial_rng(MASTER_SEED, i)
         reused.rng = rng
-        got, _ = run_auth(db, u, p, scenario, reused)
+        got = run_auth(db, u, p, scenario, reused)
         assert got == composed_auth(db, u, p, scenario, model, twin)
         assert reused.snapshot() == twin.snapshot()
         assert rng.bit_generator.state == twin.rng.bit_generator.state
@@ -336,7 +380,7 @@ def test_law_exceed_reads_the_array_law_as_the_kernel_draws_it(name, sigma):
     arr, _ = _attacked_array(sigma, _ATTACKS[name])
     n = 200_000
     for k, (op, addrs) in enumerate(_ONE_SIDED):
-        (law,), (decode_op,) = arr.laws((op,), addrs)
+        law, decode_op = arr.law(op, addrs)
         ref = min(arr.sense.window(decode_op), key=abs)
         uniforms, normals = column_draws([law], n, sigma, trial_rng(MASTER_SEED, 100 + k))
         noise = None if normals is None else normals[0]

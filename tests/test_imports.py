@@ -1,7 +1,7 @@
 """Every name a module imports is used in it, every private module-level name of
 the package is read somewhere in it, every public name and every record field is
 reached from the commands or the bench, every cross-reference in a docstring
-names something, and no command loads scipy."""
+and every call the README names resolves, and no command loads scipy."""
 import ast
 import os
 import re
@@ -10,6 +10,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -330,17 +331,12 @@ def _scope(tree) -> dict:
     return scope
 
 
-def unresolved_roles(package: dict[str, str]) -> list[str]:
-    """``module: :role:`target``` of each ``:func:``, ``:class:``, ``:meth:``
-    or ``:mod:`` role in a docstring of the package that names nothing.
-
-    ``package`` maps a module name to its text; a leading ``~`` and
-    ``spincim.`` are dropped from a target. A ``:mod:`` target is a module of
-    the package. Any other target resolves in the enclosing class first, then
-    in its module (a top-level name, or ``Class.member``; an imported name
-    resolves where it is defined), then as ``module.name`` of the package.
-    """
-    trees = {module: ast.parse(source) for module, source in package.items()}
+def _resolver(trees: dict):
+    """``(scopes, find)`` of the parsed package ``trees``: each module's
+    :func:`_scope`, and ``find(module, parts)``, whether the dotted name split
+    into ``parts`` names something from ``module``: a top-level name, or
+    ``Class.member``, an imported name resolving where it is defined, else
+    ``module.name`` of the package."""
     scopes = {module: _scope(tree) for module, tree in trees.items()}
 
     def find(module, parts) -> bool:
@@ -356,6 +352,22 @@ def unresolved_roles(package: dict[str, str]) -> list[str]:
             return not rest or find(origin, rest)
         return len(parts) == 1 or (isinstance(entry, set) and len(parts) == 2
                                    and parts[1] in entry)
+
+    return scopes, find
+
+
+def unresolved_roles(package: dict[str, str]) -> list[str]:
+    """``module: :role:`target``` of each ``:func:``, ``:class:``, ``:meth:``
+    or ``:mod:`` role in a docstring of the package that names nothing.
+
+    ``package`` maps a module name to its text; a leading ``~`` and
+    ``spincim.`` are dropped from a target. A ``:mod:`` target is a module of
+    the package. Any other target resolves in the enclosing class first, then
+    in its module (a top-level name, or ``Class.member``; an imported name
+    resolves where it is defined), then as ``module.name`` of the package.
+    """
+    trees = {module: ast.parse(source) for module, source in package.items()}
+    scopes, find = _resolver(trees)
 
     def resolves(role, target, module, members) -> bool:
         target = target.removeprefix("~").removeprefix("spincim.")
@@ -397,6 +409,42 @@ def test_checker_flags_unresolved_roles_only():
     }
     assert unresolved_roles(package) == [
         "a: :func:`gone`", "a: :meth:`Box.lost`", "b: :mod:`c`", "b: :meth:`size`",
+    ]
+
+
+_CALL = re.compile(r"`([A-Za-z_]\w*(?:\.\w+)+)\(")
+
+
+def _names_numpy(root: str) -> bool:
+    """``np``, ``numpy`` or a class of ``numpy.random`` (``Generator``)."""
+    return root in ("np", "numpy") or isinstance(getattr(np.random, root, None), type)
+
+
+def unresolved_calls(package: dict[str, str], text: str) -> list[str]:
+    """Each backticked ``module.name(`` or ``Class.member(`` in ``text`` that
+    names nothing in the package, as :func:`unresolved_roles` resolves a
+    dotted target from any module of ``package``; numpy roots are skipped."""
+    scopes, find = _resolver({module: ast.parse(source) for module, source in package.items()})
+    return [f"{target}(" for target in _CALL.findall(text)
+            if not _names_numpy(target.split(".")[0])
+            and not any(find(module, target.split(".")) for module in scopes)]
+
+
+def test_every_readme_call_names_something():
+    package = {p.stem: p.read_text() for p in PACKAGE}
+    assert unresolved_calls(package, (ROOT / "README.md").read_text()) == []
+
+
+def test_checker_flags_unresolved_calls_only():
+    package = {
+        "a": "from .b import Box\ndef helper():\n    return 0\n",
+        "b": "class Box:\n    def size(self):\n        return 0\n",
+    }
+    text = ("`a.helper()`, `Box.size(n)`, `b.Box.size()`, `a.Box.size()`, `np.zeros(3)`, "
+            "`Generator.random()`, `c.run()`, `a.gone()`, `Box.lost()`, `Crate.size()`, "
+            "`helper()` and `a.helper` without a call")
+    assert unresolved_calls(package, text) == [
+        "c.run(", "a.gone(", "Box.lost(", "Crate.size(",
     ]
 
 

@@ -591,6 +591,23 @@ class TestHammingWeight:
         with pytest.raises(MalformedTrace):
             hamming_weight_attack("not a trace", 16)
 
+    @pytest.mark.parametrize("word", [0x0000, 0xF0F0, 0xFFFF])
+    @pytest.mark.parametrize("enhanced", [False, True])
+    def test_a_write_charged_as_one_row_refused(self, word, enhanced):
+        # a PerWord write costs its majority row whatever its weight: on the
+        # standard rows 0, 8 and 16 ones would all read as weight 0
+        trace = ExecutionTrace()
+        trace.record(*word_write_cost(word, 16, TABLE, enhanced), Channel.BUS)
+        with pytest.raises(MalformedTrace, match="^a word write charged as one whole-word "
+                                                 "row hides its weight$"):
+            hamming_weight_attack(trace, 16, enhanced=enhanced)
+
+    @pytest.mark.parametrize("bit", [0, 1])
+    def test_a_one_column_write_is_its_own_row(self, bit):
+        trace = ExecutionTrace()
+        trace.record(*word_write_cost(bit, 1, TABLE, enhanced=False), Channel.BUS)
+        assert hamming_weight_attack(trace, 1) == bit
+
     @pytest.mark.parametrize("make", [
         lambda write: None,
         lambda write: write.event_rows,
