@@ -321,10 +321,12 @@ class CimArray:
     def plan(self, senses) -> None:
         """Expect ``senses``, ``(op, addrs)`` pairs in the order the public
         operations will sense them, and draw them :data:`SENSE_BLOCK` at a
-        time, as they are reached. Each public op takes the next planned
-        sense, which must be its own, else RuntimeError; with none left, a
-        sense is a block of one. ``plan(())`` drops what is left."""
-        self._plan = list(senses)
+        time, as they are reached. Each public op takes the next planned sense,
+        which must be its own, else RuntimeError; with none left, a sense is a
+        block of one. ``plan(())`` drops what is left; an op not a CimOp, ValueError."""
+        if bad := next(filter(lambda e: not isinstance(e[0], CimOp), senses := list(senses)), None):
+            raise ValueError(f"plan entry {bad!r} does not name a CimOp as its op")
+        self._plan = senses
         self._ahead.clear()
 
     def _read(self, op: CimOp, addrs) -> list[int]:

@@ -292,13 +292,12 @@ def run_sca(config, args):
     sig_d = sca_cfg["sigma_duration"]
     attackers = {"standard_4_class": (STANDARD_CLASSES, table, False),
                  "enhanced_11_class": (ENHANCED_CLASSES, table, True)}
-    rows = []
-    for idx, sig_e in enumerate(sca_cfg["sweep_sigma_energy"]):
-        # both attackers read one stream, and neither holds its training or test set
-        rng = np.random.default_rng((config["seed"], 1000 + idx))
-        scores = score_attackers(attackers.values(), n, sig_d, sig_e, rng)
-        rows.append({"sigma_duration": sig_d, "sigma_energy": sig_e,
-                     **{tag: accuracy for tag, (_, accuracy) in zip(attackers, scores)}})
+    # every level and both attackers read one stream, and no attacker holds its sets
+    rng, sweep = np.random.default_rng((config["seed"], 1000)), sca_cfg["sweep_sigma_energy"]
+    levels = score_attackers(attackers.values(), n, sig_d, sweep, rng)
+    rows = [{"sigma_duration": sig_d, "sigma_energy": sig_e,
+             **{tag: accuracy for tag, (_, accuracy) in zip(attackers, scores)}}
+            for sig_e, scores in zip(sweep, levels)]
     header = ["sigma_duration", "sigma_energy", *attackers]
     cells = [[repr(row[key]) for key in header] for row in rows]
     payload = {"samples_per_class": n, "rows": rows}

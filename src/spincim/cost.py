@@ -245,15 +245,15 @@ class ExecutionTrace:
         return reduce(add, map(energies.__getitem__, self.event_rows), 0.0)
 
     def to_csv(self, target) -> None:
-        """Write event rows as kind,start_ns,duration_ns,energy_fJ,channel: the
-        bytes of ``csv.writer`` with floats through ``repr``, which quotes no
-        cell here, so each row's cells around ``start_ns`` are formatted once."""
+        """Write event rows as kind,start_ns,duration_ns,energy_fJ,channel: the bytes of
+        ``csv.writer`` with floats through ``repr``, which quotes no cell here, so each
+        row's cells around ``start_ns`` are formatted once; rows stream, none is held."""
         cells = [(f"{kind.value},", f",{cost.delay_ns!r},{cost.energy_fj!r},{channel.value}\r\n")
                  for kind, cost, channel in self.rows]
         with open_target(target, "w", newline="") as handle:
             handle.write("kind,start_ns,duration_ns,energy_fJ,channel\r\n")
-            handle.writelines([before + repr(start) + after for (before, after), start
-                               in zip(map(cells.__getitem__, self.event_rows), self.start_ns)])
+            handle.writelines(before + repr(start) + after for (before, after), start
+                              in zip(map(cells.__getitem__, self.event_rows), self.start_ns))
 
 
 def count_bus_transfers(trace: ExecutionTrace) -> int:

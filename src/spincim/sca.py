@@ -6,9 +6,9 @@ enlarged operation set and composite op+write windows degrade classification,
 and to run the Hamming-weight write attack.
 
 Observations are drawn class by class, ``PREDICT_BLOCK`` rows at a time, as (rows, 2)
-normals handed on as (2, rows) columns: centring, the one-class fit buffer, class-major
-distances and ``predict`` all read contiguous columns. The sweep's attackers share one
-stream per noise level and fit one class at a time: its memory grows with one class.
+normals copied into a (2, n) class of unit normals, then scaled: fits, class-major distances
+and ``predict`` read contiguous columns. A sweep's levels and attackers read one stream
+(common random numbers) a class at a time: memory grows with neither levels nor classes.
 """
 from __future__ import annotations
 
@@ -71,24 +71,23 @@ def class_centroid(name: str, table: CostTable, enhanced: bool) -> tuple[float, 
     return (cost.delay_ns, cost.energy_fj)
 
 
-def _normals(segments, per_class, sigma_duration, sigma_energy, rng):
-    """(segment, first row, cols) over ``segments`` runs of ``per_class`` rows: (rows,
-    2) standard normals scaled into contiguous (2, rows) columns, at most PREDICT_BLOCK
-    rows a block. A stream's first rows do not depend on how many segments it has."""
-    sigmas = np.array([[sigma_duration], [sigma_energy]], dtype=float)
+def _normals(segments, per_class, rng):
+    """(segment, unit) over ``segments`` runs of ``per_class`` (rows, 2) standard normals,
+    drawn PREDICT_BLOCK rows at most a block into one reused contiguous (2, per_class)
+    ``unit``. A stream's first rows do not depend on how many segments it has."""
+    unit = np.empty((2, per_class))
     for segment in range(segments):
         for lo in range(0, per_class, PREDICT_BLOCK):
-            cols = np.empty((2, min(PREDICT_BLOCK, per_class - lo)))
-            with np.errstate(over="ignore"):
-                np.multiply(rng.standard_normal(cols.shape[::-1]).T, sigmas, out=cols)
-            yield segment, lo, cols
+            hi = min(lo + PREDICT_BLOCK, per_class)
+            unit[:, lo:hi] = rng.standard_normal((hi - lo, 2)).T
+        yield segment, unit
 
 
-def _centred(cols, centre, sigmas, out=None) -> np.ndarray:
-    """``cols + centre`` (into ``out``), the bits of ``centre + rng.normal(0,
+def _observed(unit, centre, sigmas, out) -> np.ndarray:
+    """``centre + sigmas * unit`` into ``out``, the bits of ``centre + rng.normal(0,
     sigma)``; ValueError for a non-finite observation."""
     with np.errstate(over="ignore"):
-        cols = np.add(cols, centre, out=out)
+        cols = np.add(np.multiply(unit, np.reshape(sigmas, (2, 1)), out=out), centre, out=out)
     if not np.isfinite(cols).all():
         raise ValueError("features must be finite; sigmas {!r}, {!r} overflow".format(*sigmas))
     return cols
@@ -102,8 +101,8 @@ def synthesize_dataset(
     sigmas = (sigma_duration, sigma_energy)
     centres = np.array([class_centroid(c, table, enhanced) for c in classes])[..., None]
     feats = np.empty((len(classes), samples_per_class, 2))
-    for code, lo, cols in _normals(len(classes), samples_per_class, *sigmas, rng):
-        _centred(cols, centres[code], sigmas, out=feats[code, lo:lo + cols.shape[1]].T)
+    for code, unit in _normals(len(classes), samples_per_class, rng):
+        _observed(unit, centres[code], sigmas, out=feats[code].T)
     return Dataset(feats.reshape(-1, 2), np.arange(len(classes)).repeat(samples_per_class), classes)
 
 
@@ -131,28 +130,26 @@ class CentroidClassifier:
         finite = np.isfinite(features).all(axis=1)
         if not finite.all():
             raise ValueError(f"features must be finite; row {int(finite.argmin())} is not")
-        out, scratch = np.empty(len(features), dtype=np.intp), self._scratch(len(features))
-        for lo in range(0, len(features), PREDICT_BLOCK):
-            self._nearest(features[lo:lo + PREDICT_BLOCK].T, scratch, out[lo:lo + PREDICT_BLOCK])
-        return out
+        block = min(len(features), PREDICT_BLOCK)
+        return self._nearest(features.T, np.empty((2, len(self.classes), block)))
 
-    def _scratch(self, rows: int) -> np.ndarray:
-        """Two (C, block) planes for ``_nearest`` of at most ``rows`` rows a block."""
-        return np.empty((2, len(self.classes), min(rows, PREDICT_BLOCK)))
-
-    def _nearest(self, cols: np.ndarray, scratch: np.ndarray, out=None) -> np.ndarray:
-        """``predict`` of one checked (2, rows) block, class-major in ``scratch``:
-        the subtract, divide, square and add of the row-major distances, bit for
-        bit, then the least distance and the lowest class index at it."""
-        dist, work = scratch[..., :cols.shape[1]]
+    def _nearest(self, cols: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        """``predict`` of checked (2, N) columns, PREDICT_BLOCK at a time, class-major in
+        ``scratch[:, :C]``: the subtract, divide, square and add of the row-major distances,
+        bit for bit, then the least distance and the lowest class index at it."""
+        out, n_classes = np.empty(cols.shape[1], dtype=np.intp), len(self.centroids)
         (c_d, c_e), (s_d, s_e) = self.centroids.T[..., None], self.sigma
-        np.square(np.divide(np.subtract(cols[0], c_d, out=dist), s_d, out=dist), out=dist)
-        np.square(np.divide(np.subtract(cols[1], c_e, out=work), s_e, out=work), out=work)
-        least = np.minimum.reduce(np.add(dist, work, out=dist), axis=0, out=work[0])
         # class k ranks C - k where its distance is least: the top rank is the lowest index
-        ranks = np.arange(len(dist), 0, -1, dtype=np.min_scalar_type(len(dist)))[:, None]
-        top = np.multiply(dist == least, ranks).max(axis=0)
-        return np.subtract(len(dist), top, out=out, dtype=np.intp)
+        ranks = np.arange(n_classes, 0, -1, dtype=np.min_scalar_type(n_classes))[:, None]
+        for lo in range(0, cols.shape[1], PREDICT_BLOCK):
+            block = cols[:, lo:lo + PREDICT_BLOCK]
+            dist, work = scratch[:, :n_classes, :block.shape[1]]
+            np.square(np.divide(np.subtract(block[0], c_d, out=dist), s_d, out=dist), out=dist)
+            np.square(np.divide(np.subtract(block[1], c_e, out=work), s_e, out=work), out=work)
+            least = np.minimum.reduce(np.add(dist, work, out=dist), axis=0, out=work[0])
+            top = np.multiply(dist == least, ranks).max(axis=0)
+            np.subtract(n_classes, top, out=out[lo:lo + PREDICT_BLOCK], dtype=np.intp)
+        return out
 
 
 def _codes_in(names: Sequence[str], codes: np.ndarray, classes: Sequence[str]) -> np.ndarray:
@@ -222,7 +219,7 @@ def train(dataset: Dataset, classes: Sequence[str] | None = None) -> CentroidCla
 
 
 def _rates(counts: np.ndarray, n_classes: int) -> tuple[np.ndarray, float]:
-    """Row-stochastic confusion matrix and accuracy of ``true * C + predicted`` counts."""
+    """Row-stochastic confusion matrix and accuracy of (true, predicted) counts."""
     matrix = counts.reshape(n_classes, n_classes).astype(float)
     row_sums = matrix.sum(axis=1, keepdims=True)
     accuracy = float(np.trace(matrix) / max(counts.sum(), 1))
@@ -230,9 +227,9 @@ def _rates(counts: np.ndarray, n_classes: int) -> tuple[np.ndarray, float]:
 
 
 class _Attacker:
-    """One attacker over a ``_normals`` stream of 2 C segments: it centres each
-    block on its class, fits on the first C one class at a time in one reused
-    (2, n) buffer, then counts its confusion over the next C."""
+    """One attacker at one noise level over a ``_normals`` stream of 2 C segments: it
+    observes each segment's class in a shared (2, n) buffer, fits on the first C one
+    class at a time, then counts its confusion over the next C."""
 
     def __init__(self, classes, table, enhanced, per_class: int, sigmas):
         self.expected = sorted(set(classes))
@@ -242,26 +239,22 @@ class _Attacker:
             raise MissingClass(f"no observations for classes: {self.expected}")
         self.centres = np.array([class_centroid(c, table, enhanced) for c in classes])[..., None]
         self.codes = [self.expected.index(name) for name in classes]
-        self.sigmas, self.cols = sigmas, np.empty((2, per_class))
-        self.fit, self.counts = _PooledFit(len(classes)), np.zeros(len(classes) ** 2, dtype=np.intp)
-        self.classifier = self.scratch = None   # once the last class is fitted
+        self.sigmas, self.counts = sigmas, np.zeros((len(classes),) * 2, dtype=np.intp)
+        self.fit, self.classifier = _PooledFit(len(classes)), None   # once the last class is fitted
 
-    def feed(self, segment: int, lo: int, cols: np.ndarray) -> None:
+    def feed(self, segment: int, unit: np.ndarray, cols: np.ndarray, scratch) -> None:
         n_classes = len(self.codes)
         if segment >= 2 * n_classes:   # past this attacker's stream
             return
-        code, hi, training = segment % n_classes, lo + cols.shape[1], segment < n_classes
-        cols = _centred(cols, self.centres[code], self.sigmas,
-                        out=self.cols[:, lo:hi] if training else None)
-        if not training:
-            nearest = self.classifier._nearest(cols, self.scratch)
-            self.counts += np.bincount(self.codes[code] * n_classes + nearest,
-                                       minlength=n_classes**2)
-        elif hi == self.cols.shape[1]:   # a whole class: fit it, and after the last, classify
-            self.fit.pool(self.cols, self.fit.centre(self.codes[code], self.cols))
-            if code == n_classes - 1:
-                self.classifier = self.fit.classifier(self.expected, hi * n_classes)
-                self.scratch = self.classifier._scratch(hi)
+        code = segment % n_classes
+        cols, k = _observed(unit, self.centres[code], self.sigmas, out=cols), self.codes[code]
+        if segment >= n_classes:
+            nearest = self.classifier._nearest(cols, scratch)
+            self.counts[k] += np.bincount(nearest, minlength=n_classes)
+            return
+        self.fit.pool(cols, self.fit.centre(k, cols))
+        if code == n_classes - 1:   # after the last class, classify
+            self.classifier = self.fit.classifier(self.expected, cols.shape[1] * n_classes)
 
 
 def streamed_train(*draw) -> CentroidClassifier:
@@ -269,24 +262,30 @@ def streamed_train(*draw) -> CentroidClassifier:
     are held at a time. ValueError for a class named twice."""
     classes, table, enhanced, per_class, *sigmas, rng = draw
     attacker = _Attacker(classes, table, enhanced, per_class, sigmas)
-    for block in _normals(len(classes), per_class, *sigmas, rng):
-        attacker.feed(*block)
+    for segment, unit in _normals(len(classes), per_class, rng):
+        attacker.feed(segment, unit, unit, None)   # the only reader: observe in place
     return attacker.classifier
 
 
-def score_attackers(attackers, samples_per_class: int, sigma_duration: float, sigma_energy: float,
-                    rng: np.random.Generator) -> list[tuple[np.ndarray, float]]:
-    """``confusion_matrix(train(tr), te)`` of each ``(classes, table, enhanced)``
-    attacker, where ``tr`` and ``te`` are its two ``synthesize_dataset`` draws from
-    ``rng``. Neither set is held: the longest train-then-test stream of normals is
-    drawn and scaled once, and each attacker reads its own prefix of it."""
-    sigmas = (sigma_duration, sigma_energy)
-    states = [_Attacker(*attacker, samples_per_class, sigmas) for attacker in attackers]
+def score_attackers(attackers, samples_per_class: int, sigma_duration: float,
+                    sweep_sigma_energy: Sequence[float], rng: np.random.Generator) -> list:
+    """Per level of ``sweep_sigma_energy``, ``confusion_matrix(train(tr), te)`` of each
+    ``(classes, table, enhanced)`` attacker, where ``tr`` and ``te`` are its two
+    ``synthesize_dataset`` draws from ``rng``. Neither set is held, and the levels share
+    their normals (common random numbers): the longest train-then-test stream of unit
+    normals is drawn once, a class at a time, each attacker reads its own prefix of it
+    and each level scales it, bit for bit as a one-level call on the same stream would.
+    One observed class and one distance scratch serve every attacker in turn."""
+    levels = [[_Attacker(*attacker, samples_per_class, (sigma_duration, sig_e))
+               for attacker in attackers] for sig_e in sweep_sigma_energy]
+    states = [state for level in levels for state in level]
     longest = max((2 * len(state.codes) for state in states), default=0)
-    for block in _normals(longest, samples_per_class, *sigmas, rng):
+    cols = np.empty((2, samples_per_class))
+    scratch = np.empty((2, longest // 2, min(samples_per_class, PREDICT_BLOCK)))
+    for segment, unit in _normals(longest, samples_per_class, rng):
         for state in states:
-            state.feed(*block)
-    return [_rates(state.counts, len(state.codes)) for state in states]
+            state.feed(segment, unit, cols, scratch)
+    return [[_rates(state.counts, len(state.codes)) for state in level] for level in levels]
 
 
 def confusion_matrix(

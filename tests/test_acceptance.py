@@ -301,16 +301,16 @@ def test_criterion_08_classification_and_hamming():
             ("enh", ENHANCED_CLASSES, True),
         ):
             # paired streams across class sets, scored as the sca report scores them
-            [(_, accs[tag])] = score_attackers([(classes, table, enhanced)], n, sig_d, sig_e,
-                                               trial_rng(SEED, 2000 + idx))
+            [[(_, accs[tag])]] = score_attackers([(classes, table, enhanced)], n, sig_d, [sig_e],
+                                                 trial_rng(SEED, 2000 + idx))
         crit.check(
             accs["enh"] <= accs["std"],
             f"sigma_E={sig_e}: 11-class {accs['enh']:.4f} > 4-class {accs['std']:.4f}",
         )
 
     for classes, enhanced in ((STANDARD_CLASSES, False), (ENHANCED_CLASSES, True)):
-        [(_, accuracy)] = score_attackers([(classes, table, enhanced)], 3, 0.0, 0.0,
-                                          trial_rng(SEED, 2100))
+        [[(_, accuracy)]] = score_attackers([(classes, table, enhanced)], 3, 0.0, [0.0],
+                                            trial_rng(SEED, 2100))
         crit.check(accuracy == 1.0, f"zero-noise accuracy {accuracy} for {len(classes)} classes")
 
     per_bit = CostTable(mode=CostMode.PER_BIT_WRITES)

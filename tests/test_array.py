@@ -112,6 +112,18 @@ class TestPlan:
         assert arr.cim_two_row(CimOp.CIM_AND, A, B) == 0
         assert arr.cim_not(B) == arr.geometry.word_mask
 
+    def test_an_entry_without_a_cimop_is_refused_before_any_change(self, zero_noise_model):
+        arr = make_array(zero_noise_model)
+        arr.write_word(A, 0b1100)
+        arr.plan([(CimOp.READ, (A,)), (CimOp.CIM_NOT, (B,))])
+        old_style = ((CimOp.READ,), (A,))
+        with pytest.raises(ValueError, match=r"^plan entry \(\(<CimOp\.READ"):
+            arr.plan(iter([(CimOp.READ, (A,)), old_style]))
+        # the plan before the refused one still holds
+        assert arr.read_word(A) == 0b1100
+        with pytest.raises(RuntimeError, match="Read sense taken where a planned CimNOT"):
+            arr.read_word(A)
+
 
 class TestTwoRowLogic:
     @pytest.fixture

@@ -616,8 +616,9 @@ class TestCli:
         assert (tmp_path / "sca.csv").exists()
 
     def test_sca_report_golden(self, capsys, tmp_path):
-        # captured before labels became integer codes: any change to the
-        # noise stream or the classifier arithmetic moves these digits
+        # recaptured when every noise level began to read one stream (the
+        # sigma_E = 0.5 row kept its digits): any change to the noise stream
+        # or the classifier arithmetic moves these digits
         config = tmp_path / "tiny.json"
         config.write_text('{"sca": {"samples_per_class": 200}}')
         code, report = run_cli(
@@ -628,18 +629,18 @@ class TestCli:
             {"sigma_duration": 0.05, "sigma_energy": 0.5,
              "standard_4_class": 0.92625, "enhanced_11_class": 0.7186363636363636},
             {"sigma_duration": 0.05, "sigma_energy": 1.0,
-             "standard_4_class": 0.83125, "enhanced_11_class": 0.6127272727272727},
+             "standard_4_class": 0.87, "enhanced_11_class": 0.6154545454545455},
             {"sigma_duration": 0.05, "sigma_energy": 2.0,
-             "standard_4_class": 0.79875, "enhanced_11_class": 0.5377272727272727},
+             "standard_4_class": 0.8, "enhanced_11_class": 0.5345454545454545},
             {"sigma_duration": 0.05, "sigma_energy": 5.0,
-             "standard_4_class": 0.78, "enhanced_11_class": 0.4622727272727273},
+             "standard_4_class": 0.7725, "enhanced_11_class": 0.46},
         ]}
         assert (tmp_path / "sca.csv").read_bytes().decode() == (
             'sigma_duration,sigma_energy,standard_4_class,enhanced_11_class\r\n'
             '0.05,0.5,0.92625,0.7186363636363636\r\n'
-            '0.05,1.0,0.83125,0.6127272727272727\r\n'
-            '0.05,2.0,0.79875,0.5377272727272727\r\n'
-            '0.05,5.0,0.78,0.4622727272727273\r\n'
+            '0.05,1.0,0.87,0.6154545454545455\r\n'
+            '0.05,2.0,0.8,0.5345454545454545\r\n'
+            '0.05,5.0,0.7725,0.46\r\n'
         )
 
     @pytest.mark.parametrize("sigma", [1e160, 1e308])
@@ -691,6 +692,15 @@ class TestCli:
         config = tmp_path / "large.json"
         config.write_text(json.dumps(
             {"sca": {"samples_per_class": 20000, "sweep_sigma_energy": [2.0]}}))
+        peak = self._traced_peak(capsys, "sca", "--config", str(config), "--out", str(tmp_path))
+        assert peak < 3 * 2**20, f"traced peak {peak / 2**20:.2f} MiB"
+
+    def test_sca_peak_does_not_grow_with_the_level_count(self, capsys, tmp_path):
+        # the levels share one class of unit normals, one observed class and one
+        # distance scratch, so four levels hold what one level holds
+        config = tmp_path / "large.json"
+        config.write_text(json.dumps(
+            {"sca": {"samples_per_class": 20000, "sweep_sigma_energy": [0.5, 1.0, 2.0, 5.0]}}))
         peak = self._traced_peak(capsys, "sca", "--config", str(config), "--out", str(tmp_path))
         assert peak < 3 * 2**20, f"traced peak {peak / 2**20:.2f} MiB"
 

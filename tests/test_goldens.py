@@ -5,7 +5,8 @@ path dropped its per-call setup: every sense must keep its draws, in the same
 order, so these payloads and trace files stay byte for byte what they were.
 The isa-run payload's input echo, the sha256 of each input file, was added
 later. The multi-block sca payload was captured before the classifier ran in
-row blocks, the default-size one before the sweep's observations became columns.
+row blocks, the default-size one before the sweep's observations became columns;
+both were recaptured when every noise level began to read one stream.
 """
 import hashlib
 import json
@@ -101,24 +102,25 @@ def test_noisy_isa_run_compare_lowered(capsys, tmp_path, monkeypatch):
 
 
 def test_default_size_sca_report(capsys, tmp_path):
-    # 10 000 rows a class, each drawn, fitted and scored as blocks of 4 096,
-    # 4 096 and 1 808 rows: every class spans two block edges
+    # 10 000 rows a class, each drawn and scored as blocks of 4 096, 4 096 and
+    # 1 808 rows: every class spans two block edges. Recaptured when the levels
+    # began to share one stream; the sigma_E = 0.5 row kept its digits
     report = run_cli(capsys, "sca", "--seed", "7", "--out", str(tmp_path))
     assert report == {"samples_per_class": 10000, "rows": [
         {"sigma_duration": 0.05, "sigma_energy": 0.5,
          "standard_4_class": 0.912225, "enhanced_11_class": 0.7141818181818181},
         {"sigma_duration": 0.05, "sigma_energy": 1.0,
-         "standard_4_class": 0.841125, "enhanced_11_class": 0.6188090909090909},
+         "standard_4_class": 0.84005, "enhanced_11_class": 0.6187090909090909},
         {"sigma_duration": 0.05, "sigma_energy": 2.0,
-         "standard_4_class": 0.793875, "enhanced_11_class": 0.5281181818181818},
+         "standard_4_class": 0.7956, "enhanced_11_class": 0.5263909090909091},
         {"sigma_duration": 0.05, "sigma_energy": 5.0,
-         "standard_4_class": 0.769125, "enhanced_11_class": 0.46186363636363637},
+         "standard_4_class": 0.7681, "enhanced_11_class": 0.4596636363636364},
     ]}
     assert hashlib.sha256((tmp_path / "sca.json").read_bytes()).hexdigest() == (
-        "4cfdba5eb5daecbb32ff7d007e730c6524997dd2e4d8fc945132c059e6cb5f8b"
+        "cbac8dfc3b96c7de7f4822bb017b2f13c4031c8df0571f5eac223c9dd4b0d65c"
     )
     assert hashlib.sha256((tmp_path / "sca.csv").read_bytes()).hexdigest() == (
-        "892edd925cde885dd09e3cf17533b01fecb1e43f03672395579156afea29428b"
+        "50342f90432d6c211a6ed0f8dc647397da7cfc63de09303390195ae646f2d880"
     )
 
 
@@ -134,14 +136,14 @@ def test_multi_block_sca_report(capsys, tmp_path):
         {"sigma_duration": 0.05, "sigma_energy": 0.5,
          "standard_4_class": 0.9095833333333333, "enhanced_11_class": 0.7154545454545455},
         {"sigma_duration": 0.05, "sigma_energy": 1.0,
-         "standard_4_class": 0.84175, "enhanced_11_class": 0.6176363636363637},
+         "standard_4_class": 0.8344166666666667, "enhanced_11_class": 0.6196969696969697},
         {"sigma_duration": 0.05, "sigma_energy": 2.0,
-         "standard_4_class": 0.7958333333333333, "enhanced_11_class": 0.5283636363636364},
+         "standard_4_class": 0.7924166666666667, "enhanced_11_class": 0.5294545454545454},
         {"sigma_duration": 0.05, "sigma_energy": 5.0,
-         "standard_4_class": 0.76425, "enhanced_11_class": 0.45815151515151514},
+         "standard_4_class": 0.7651666666666667, "enhanced_11_class": 0.4616969696969697},
     ]}
     assert hashlib.sha256((tmp_path / "sca.csv").read_bytes()).hexdigest() == (
-        "cd36e1b911c9d26e846cd68d8285a52aa542e18cdfe72aa29983f1c1e3a247d8"
+        "0d0bc3559a7703249e7a4663b007b45176a159c607fcb027f83039496d4a3268"
     )
 
 
@@ -173,9 +175,10 @@ def test_writer_bytes(capsys, tmp_path, monkeypatch):
     isa-run and sca files before each command became one run function, and the
     auth-attack report since its --temp 140 is attack.zone_temp in the hashed
     config (its payload kept its bytes), the isa-run report since it echoes
-    the sha256 of its input files instead of the --program path, and every
+    the sha256 of its input files instead of the --program path, every
     report since the unread device.metadata leaves left the hashed config (only
-    config_hash moved)."""
+    config_hash moved), and the sca files since every noise level reads one
+    stream (the sigma_E = 0.5 row kept its digits)."""
     monkeypatch.chdir(tmp_path)
     rng = np.random.default_rng(12)
     (tmp_path / "prog.cim").write_text(disassemble(random_cim_program(rng, rows=8)))
@@ -215,9 +218,9 @@ def test_writer_bytes(capsys, tmp_path, monkeypatch):
         "isa-run/isa-run-lowered-trace.csv":
             "0aee46b07b3e3202cf65115ffb3d285b917af62b7cd2597ba39ca41ab3704b13",
         "sca/sca.json":
-            "b2dbba4f48d84029b6a447207d6101818b76ae0e29e88fc093695b9825afc867",
+            "9d70d437c388e2dabc9b833cd38dc53286621666640be5b7303b25336e4aca38",
         "sca/sca.csv":
-            "483afcf4b7943056b1adfebcfc260b61604eab58a8908d79f02990bec76d18cf",
+            "187892c996b5a8b2f7c1730406609b318b55a1de8ad5da41e901e20552993917",
         "obscuring.json":
             "621f83c3cf4e86cdc4fec8f1b8b7addf589c8335d309b1d24a6a7cd77e002856",
     }

@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 from types import SimpleNamespace
@@ -394,8 +395,8 @@ class TestStreamedScoring:
         rng = trial_rng(MASTER_SEED, 70)
         matrix, accuracy = self._whole_sets(classes, enhanced, per_class, sigmas, rng)
         streamed_rng = trial_rng(MASTER_SEED, 70)
-        [(s_matrix, s_accuracy)] = score_attackers(
-            [(classes, TABLE, enhanced)], per_class, *sigmas, streamed_rng
+        [[(s_matrix, s_accuracy)]] = score_attackers(
+            [(classes, TABLE, enhanced)], per_class, sigmas[0], [sigmas[1]], streamed_rng
         )
         assert s_accuracy.hex() == accuracy.hex()
         assert np.array_equal(s_matrix, matrix)
@@ -410,16 +411,55 @@ class TestStreamedScoring:
                      (("CimADD", "Write0"), TABLE, True)]
         sig_d = DEFAULT_SCA["sigma_duration"]
         for idx, sig_e in enumerate(DEFAULT_SCA["sweep_sigma_energy"]):
-            shared = score_attackers(attackers, per_class, sig_d, sig_e,
-                                     trial_rng(MASTER_SEED, 1000 + idx))
+            [shared] = score_attackers(attackers, per_class, sig_d, [sig_e],
+                                       trial_rng(MASTER_SEED, 1000 + idx))
             for attacker, (matrix, accuracy) in zip(attackers, shared):
-                [(alone, alone_accuracy)] = score_attackers(
-                    [attacker], per_class, sig_d, sig_e, trial_rng(MASTER_SEED, 1000 + idx))
+                [[(alone, alone_accuracy)]] = score_attackers(
+                    [attacker], per_class, sig_d, [sig_e], trial_rng(MASTER_SEED, 1000 + idx))
                 whole, whole_accuracy = self._whole_sets(
                     attacker[0], attacker[2], per_class, (sig_d, sig_e),
                     trial_rng(MASTER_SEED, 1000 + idx))
                 assert accuracy.hex() == alone_accuracy.hex() == whole_accuracy.hex()
                 assert np.array_equal(matrix, alone) and np.array_equal(matrix, whole)
+
+    @pytest.mark.parametrize("per_class", [1, PREDICT_BLOCK + 1])
+    def test_each_level_equals_its_own_one_level_call(self, per_class):
+        # common random numbers: a level scales the sweep's one stream as it would alone
+        attackers = [(STANDARD_CLASSES, TABLE, False), (ENHANCED_CLASSES, TABLE, True)]
+        sig_d, sweep = DEFAULT_SCA["sigma_duration"], DEFAULT_SCA["sweep_sigma_energy"]
+        assert len(sweep) == 4
+        levels = score_attackers(attackers, per_class, sig_d, sweep, trial_rng(MASTER_SEED, 75))
+        assert len(levels) == len(sweep)
+        for sig_e, level in zip(sweep, levels):
+            [alone] = score_attackers(attackers, per_class, sig_d, [sig_e],
+                                      trial_rng(MASTER_SEED, 75))
+            assert [accuracy.hex() for _, accuracy in level] == [
+                accuracy.hex() for _, accuracy in alone]
+            assert all(np.array_equal(m, a) for (m, _), (a, _) in zip(level, alone))
+
+    def test_a_repeated_level_gives_identical_rows(self, tmp_path, capsys):
+        config = tmp_path / "twice.json"
+        config.write_text('{"sca": {"samples_per_class": 300, "sweep_sigma_energy": [1.0, 1.0]}}')
+        assert cli.main(["sca", "--config", str(config), "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        first, second = json.loads((tmp_path / "sca.json").read_text())["report"]["rows"]
+        assert first == second and first["sigma_energy"] == 1.0
+
+    def test_an_empty_sweep_reports_no_rows(self, tmp_path, capsys):
+        config = tmp_path / "empty.json"
+        config.write_text('{"sca": {"sweep_sigma_energy": []}}')
+        assert cli.main(["sca", "--config", str(config), "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert json.loads((tmp_path / "sca.json").read_text())["report"]["rows"] == []
+
+    def test_an_overflowing_level_refuses_the_whole_sweep(self, tmp_path, capsys):
+        # the levels share one stream, so the loud level fails before any row is written
+        config, out = tmp_path / "loud.json", tmp_path / "out"
+        config.write_text('{"sca": {"sweep_sigma_energy": [0.5, 1e308]}}')
+        assert cli.main(["sca", "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "experiment error: features must be finite; sigmas 0.05, 1e+308 overflow\n")
+        assert not out.exists() or not any(out.iterdir())
 
     def test_default_sweep_draws_the_longest_stream_once(self, monkeypatch, tmp_path, capsys):
         streams = []
@@ -441,40 +481,42 @@ class TestStreamedScoring:
         monkeypatch.setattr(np.random, "default_rng", counting_rng)
         assert cli.main(["sca", "--out", str(tmp_path)]) == 0
         capsys.readouterr()
-        # one stream of 2 x 11 x n rows per sigma, of which the 4-class
-        # attacker reads the first 2 x 4 x n: not one stream per attacker
+        # one stream of 2 x 11 x n rows a report, which every noise level scales
+        # and of which the 4-class attacker reads the first 2 x 4 x n: not one
+        # stream per level or per attacker
         n = DEFAULT_SCA["samples_per_class"]
-        assert [stream.rows for stream in streams] == (
-            [2 * len(ENHANCED_CLASSES) * n] * len(DEFAULT_SCA["sweep_sigma_energy"])
-        )
+        assert [stream.rows for stream in streams] == [2 * len(ENHANCED_CLASSES) * n]
 
     @pytest.mark.parametrize("sigmas", [(0.05, 2.0), (0.0, 0.0), (0.0, 1e308), (1e308, 0.5)])
     def test_normals_are_the_row_stream_as_contiguous_columns(self, sigmas):
         rng, twin = trial_rng(MASTER_SEED, 74), trial_rng(MASTER_SEED, 74)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            blocks = list(_normals(2, PREDICT_BLOCK + 1, *sigmas, rng))
-        assert [(segment, lo, cols.shape) for segment, lo, cols in blocks] == [
-            (segment, lo, (2, rows)) for segment in (0, 1)
-            for lo, rows in ((0, PREDICT_BLOCK), (PREDICT_BLOCK, 1))]
-        assert all(cols.flags.c_contiguous for _, _, cols in blocks)
+        units, scaled = [], []
+        for segment, unit in _normals(2, PREDICT_BLOCK + 1, rng):
+            # one class held: every segment reuses one contiguous (2, n) buffer
+            assert unit.shape == (2, PREDICT_BLOCK + 1) and unit.flags.c_contiguous
+            assert all(unit is held for _, held in units)
+            units.append((segment, unit))
+            with np.errstate(over="ignore"):   # the product each noise level takes of it
+                scaled.append(np.multiply(unit, np.reshape(sigmas, (2, 1))))
+        assert [segment for segment, _ in units] == [0, 1]
         with np.errstate(over="ignore"):
             want = (twin.standard_normal((2 * (PREDICT_BLOCK + 1), 2)) * sigmas).T
-        got = np.concatenate([cols for _, _, cols in blocks], axis=1)
+        got = np.concatenate(scaled, axis=1)
         assert got.tobytes() == want.tobytes()   # bit for bit, signed zeros and infinities too
         assert rng.bit_generator.state == twin.bit_generator.state
 
     def test_no_attackers_draw_nothing(self):
         rng = trial_rng(MASTER_SEED, 73)
         state = rng.bit_generator.state
-        assert score_attackers([], 50, 0.05, 1.0, rng) == []
+        assert score_attackers([], 50, 0.05, [1.0], rng) == [[]]
+        assert score_attackers([(STANDARD_CLASSES, TABLE, False)], 50, 0.05, [], rng) == []
         assert rng.bit_generator.state == state
 
     def test_overflowing_sigma_refused(self):
         for call in (
             lambda rng: synthesize_dataset(STANDARD_CLASSES, TABLE, False, 50, 0.05, 1e308, rng),
             lambda rng: score_attackers(
-                [(STANDARD_CLASSES, TABLE, False)], 50, 1e308, 1.0, rng),
+                [(STANDARD_CLASSES, TABLE, False)], 50, 1e308, [1.0], rng),
         ):
             with pytest.raises(ValueError, match="features must be finite"):
                 call(trial_rng(MASTER_SEED, 71))
