@@ -58,10 +58,11 @@ def binomial_stderr(p: float, n: int) -> float:
     return math.sqrt(max(p * (1.0 - p), 0.0) / n)
 
 
-def wilson_interval(failures: int, trials: int, z: float = 1.959963984540054):
+def wilson_interval(failures: int, trials: int):
     """Wilson 95% score interval for a binomial proportion, clamped to [0, 1]."""
     if trials <= 0:
         raise ValueError("trials must be positive")
+    z = 1.959963984540054
     phat = failures / trials
     denom = 1.0 + z * z / trials
     centre = phat + z * z / (2.0 * trials)

@@ -183,7 +183,7 @@ def exceedance_mc(
 
 
 def mc_failure_rate(
-    pair,
+    pair: str,
     temperature: float,
     trials: int,
     seed: int,
@@ -191,13 +191,12 @@ def mc_failure_rate(
     sense: SenseConfig | None = None,
     collapse: Collapse | None = None,
 ) -> McReport:
-    """Rate of sensing a pair above the AND reference at a zone temperature."""
+    """Rate of sensing the pair named ``pair`` (such as ``"AP,P"``) above the
+    AND reference at a zone temperature."""
     model = model or CurrentLevelModel()
     sense = sense or SenseConfig()
-    if isinstance(pair, str):
-        pair = parse_pair(pair)
     disturbance = heated(collapse or Collapse(), temperature, model)
-    return exceedance_mc(pair, disturbance, sense.i_ref_and, trials, seed, model)
+    return exceedance_mc(parse_pair(pair), disturbance, sense.i_ref_and, trials, seed, model)
 
 
 # -- authentication protocol -------------------------------------------------
@@ -222,8 +221,8 @@ _ZONES = {  # the rows whose CimAND senses each variant heats
 
 @functools.lru_cache(maxsize=64)
 def _auth_laws(scenario: AttackScenario, model: CurrentLevelModel):
-    """``(xnor_laws, xnor_ops, outer_law, outer_op)``: the laws of the AND and NOR
-    senses of either XNOR and of the outer AND, and the op each decodes as."""
+    """The AND and NOR senses of either XNOR and the outer AND sense, each as
+    ``(law, decode_op)``: its law and the op it decodes as."""
     # a cold zone raises, whatever the variant
     heat = heated(scenario.collapse or Collapse(), scenario.zone_temp, model)
     attack = None
@@ -240,9 +239,8 @@ def _auth_laws(scenario: AttackScenario, model: CurrentLevelModel):
         return attacked_law(attack, model, op, targeted)
 
     # the u pair's laws serve both XNORs: a zone holds both pairs' rows or neither
-    xnor_laws, xnor_ops = zip(*[law(op, "u_typed", "u_db")
-                                for op in (CimOp.CIM_AND, CimOp.CIM_NOR)])
-    return xnor_laws, xnor_ops, *law(CimOp.CIM_AND, "match_u", "match_p")
+    return (law(CimOp.CIM_AND, "u_typed", "u_db"), law(CimOp.CIM_NOR, "u_typed", "u_db"),
+            law(CimOp.CIM_AND, "match_u", "match_p"))
 
 
 def run_auth(
@@ -263,20 +261,20 @@ def run_auth(
         raise MappingViolation("array word width must equal the credential width")
     if array.attack is not None:
         raise ValueError("run_auth takes its attack from the scenario, not the array")
-    xnor_laws, xnor_ops, outer_law, outer_op = _auth_laws(scenario, array.model)
+    (and_law, and_op), (nor_law, nor_op), (outer_law, outer_op) = _auth_laws(scenario, array.model)
     rows, width = _ROWS, db.width
     words = [operator.index(w) for w in (db.username, db.password, u_typed, p_typed)]
     for key, word in zip(("u_db", "p_db", "u_typed", "p_typed"), words):
         array.write_word(rows[key], word)
 
     # the five senses in stream order: u-AND, u-NOR, p-AND, p-NOR, outer AND
-    laws = xnor_laws * 2 + (outer_law,)
+    laws = (and_law, nor_law) * 2 + (outer_law,)
     uniforms, normals = column_draws(laws, width, array.model.sigma, array.rng)
     # the typed row, then the stored row, of both XNORs: the u word and the p
     # word side by side as one double-width word, unpacked as (2, width)
     bits = [unpack(u | p << width, 2 * width).reshape(2, width) for u, p in (words[2:], words[:2])]
     xnor_bits = []
-    for k, (law, op) in enumerate(zip(xnor_laws, xnor_ops)):
+    for k, (law, op) in enumerate(((and_law, and_op), (nor_law, nor_op))):
         # sense k of the u XNOR and sense k + 2 of the p XNOR, mapped as one
         u = [np.array(pair) for pair in zip(uniforms[k], uniforms[k + 2])]
         z = None if normals is None else normals[k:k + 3:2]
@@ -317,7 +315,7 @@ def auth_accept_probability(
     """
     model = model or CurrentLevelModel()
     sense = sense or SenseConfig()
-    xnor_laws, xnor_ops, outer_law, outer_op = _auth_laws(scenario, model)
+    (and_law, and_op), (nor_law, nor_op), (outer_law, outer_op) = _auth_laws(scenario, model)
 
     def above(law, op, bits) -> float:
         """P(current > the finite bound of ``op``'s one-sided window): AND and
@@ -325,7 +323,6 @@ def auth_accept_probability(
         return analytic.law_exceed(law, bits, min(sense.window(op), key=abs), model.sigma)
 
     # XNOR = AND or NOR: the column reads 0 only when AND reads 0 and NOR reads 0
-    (and_law, nor_law), (and_op, nor_op) = xnor_laws, xnor_ops
     xnor_one = {
         (t, d): 1.0 - (1.0 - above(and_law, and_op, (t, d))) * above(nor_law, nor_op, (t, d))
         for t in (0, 1) for d in (0, 1)

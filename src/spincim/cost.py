@@ -103,10 +103,6 @@ class CostTable:
         for side in _SIDES:
             object.__setattr__(self, side, MappingProxyType(dict(getattr(self, side))))
 
-    def __reduce__(self):
-        # a read-only mapping does not pickle or deep-copy; its rows do
-        return type(self), (dict(self.standard), dict(self.enhanced), self.mode)
-
     def side(self, enhanced: bool) -> Mapping[OpClass, OpCost]:
         return self.enhanced if enhanced else self.standard
 

@@ -39,17 +39,13 @@ PREDICT_BLOCK = 4096  # rows per drawn or scored block: (C, block) distances sta
 
 
 class Dataset:
-    """Immutable (N, 2) feature matrix (duration, energy) with class labels.
+    """Immutable (N, 2) feature matrix (duration, energy) with one integer code
+    into ``classes`` per row; ValueError for codes of any other dtype."""
 
-    ``labels`` are names, or integer codes into ``classes`` when that is given.
-    """
-
-    def __init__(self, features: np.ndarray, labels, classes: Sequence[str] | None = None):
-        if classes is None:
-            classes = tuple(dict.fromkeys(labels))
-            labels = [classes.index(label) for label in labels]
-        features = np.asarray(features, dtype=float)
-        codes = np.asarray(labels, dtype=np.intp)
+    def __init__(self, features: np.ndarray, codes, classes: Sequence[str]):
+        features, codes = np.asarray(features, dtype=float), np.asarray(codes)
+        if codes.size and codes.dtype.kind not in "iu":
+            raise ValueError(f"label codes must be integers, not {codes.dtype}")
         if features.ndim != 2 or features.shape[1] != 2:
             raise ValueError("features must be an (N, 2) array")
         if codes.shape != (len(features),):
@@ -58,7 +54,7 @@ class Dataset:
             raise ValueError("label codes must index the class names")
         if not np.isfinite(features).all():
             raise ValueError("features must be finite")
-        self.features, self.codes, self.classes = features, codes, tuple(classes)
+        self.features, self.codes, self.classes = features, codes.astype(np.intp), tuple(classes)
         self.features.setflags(write=False)
         self.codes.setflags(write=False)
 
@@ -72,9 +68,9 @@ def class_centroid(name: str, table: CostTable, enhanced: bool) -> tuple[float, 
 
 
 def _normals(segments, per_class, rng):
-    """(segment, unit) over ``segments`` runs of ``per_class`` (rows, 2) standard normals,
-    drawn PREDICT_BLOCK rows at most a block into one reused contiguous (2, per_class)
-    ``unit``. A stream's first rows do not depend on how many segments it has."""
+    """(segment, unit) over ``segments`` runs of ``per_class`` (rows, 2) standard normals, in
+    PREDICT_BLOCK-row draws (a one-call transient raises peak RSS) into one reused contiguous
+    (2, per_class) ``unit``. A stream's first rows do not depend on how many segments it has."""
     unit = np.empty((2, per_class))
     for segment in range(segments):
         for lo in range(0, per_class, PREDICT_BLOCK):

@@ -1,7 +1,5 @@
-import copy
 import io
 import math
-import pickle
 
 import numpy as np
 import pytest
@@ -244,11 +242,3 @@ class TestCostTableReadOnly:
         assert [array.recorder.rows[i][1] for i in array.recorder.event_rows] == [
             OpCost(4.4, 233.3)] * 2
         assert table == CostTable(standard=STANDARD_COSTS, enhanced=STANDARD_COSTS)
-
-    @pytest.mark.parametrize("mode", list(CostMode))
-    def test_pickles_and_copies_to_an_equal_read_only_table(self, mode):
-        table = _odd_table(mode)
-        for twin in (copy.deepcopy(table), pickle.loads(pickle.dumps(table))):
-            assert twin == table and twin.as_dict() == table.as_dict()
-            with pytest.raises(TypeError):
-                twin.standard[OpClass.READ1] = OpCost(1.0, 1.0)

@@ -1,7 +1,8 @@
 """Every name a module imports is used in it, every private module-level name of
-the package is read somewhere in it, every public name and every record field is
-reached from the commands or the bench, every cross-reference in a docstring
-and every call the README names resolves, and no command loads scipy."""
+the package is read somewhere in it, every public name, every optional parameter
+and every record field is reached from the commands or the bench, every
+cross-reference in a docstring and every call the README names resolves, the CLI
+reaches numpy only through ``np`` and no command loads scipy."""
 import ast
 import os
 import re
@@ -223,6 +224,134 @@ def test_checker_flags_unreached_public_names_only():
     assert unreached_public_names(package, users, {"a.kept"}) == [
         "a.Box.size", "a.helper",
     ]
+
+
+def _defaulted(fn: ast.FunctionDef, bound: bool) -> list[tuple[int | None, str]]:
+    """``(position, name)`` of each parameter of ``fn`` with a default, as a call
+    passes it (``self`` dropped when ``bound``); keyword-only ones have no position."""
+    args = fn.args
+    positional = [*args.posonlyargs, *args.args][int(bound):]
+    first = len(positional) - len(args.defaults)
+    return [*((i, a.arg) for i, a in enumerate(positional) if i >= first),
+            *((None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None)]
+
+
+def unreached_parameters(package: dict[str, str], users: list[str]) -> list[str]:
+    """``module.function.param`` or ``module.Class.method.param`` of each parameter
+    with a default, of each public function and method, that no call passes.
+
+    ``package`` maps a module name to its text; its calls and the ``users``' count.
+    A call of the function's name (bare or as an attribute; a class's name for
+    ``__init__``), or of a name assigned from it (``f = g if c else h``), passes
+    a parameter by keyword, by position, or by ``*args`` or ``**kwargs``.
+    """
+    trees = [(module, ast.parse(source)) for module, source in package.items()]
+    knobs = []
+    for module, tree in trees:
+        for node in tree.body:
+            if isinstance(node, _DEFS[:2]):
+                knobs += [(f"{module}.{node.name}", node.name, node, False)]
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                knobs += [(f"{module}.{node.name}.{m.name}",
+                           node.name if m.name == "__init__" else m.name, m,
+                           not any(getattr(d, "id", None) == "staticmethod"
+                                   for d in m.decorator_list))
+                          for m in node.body if isinstance(m, _DEFS[:2])]
+    calls, aliases = {}, {}
+    for node in (n for tree in [*(t for _, t in trees), *map(ast.parse, users)]
+                 for n in ast.walk(tree)):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            calls.setdefault(name, []).append(node)
+        elif isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+            value = node.value
+            for named in (value.body, value.orelse) if isinstance(value, ast.IfExp) else (value,):
+                if isinstance(named, (ast.Name, ast.Attribute)):
+                    source = getattr(named, "id", None) or named.attr
+                    aliases.setdefault(source, set()).add(node.targets[0].id)
+
+    def passes(call, position, name) -> bool:
+        return (any(isinstance(a, ast.Starred) for a in call.args)
+                or position is not None and len(call.args) > position
+                or any(k.arg in (None, name) for k in call.keywords))
+
+    return [f"{label}.{name}" for label, called, fn, bound in knobs
+            if not fn.name.startswith("_") or fn.name == "__init__"
+            for position, name in _defaulted(fn, bound)
+            if not any(passes(call, position, name)
+                       for via in (called, *aliases.get(called, ()))
+                       for call in calls.get(via, ()))]
+
+
+# Optional parameters that no command, bench workload or other function passes:
+# what each is for, and the ROADMAP item or acceptance criterion that uses it.
+KEPT_KNOBS = {
+    "array.CimArray.__init__.recorder": (
+        "an array recorded from its first write, as the authentication tests build one",
+        "criterion 6"),
+    "device.calibrate.max_residual": (
+        "a fit judged without the residual gate, as the calibration tests run it",
+        "item 11"),
+    "device.sample_pair_current.disturbance": (_SCALAR, "item 18 deletes it"),
+    "device.sample_pair_current.rng": (_SCALAR, "item 18 deletes it"),
+    "device.sample_pair_current.size": (_SCALAR, "item 18 deletes it"),
+    "device.sample_single_current.disturbance": (_SCALAR, "item 18 deletes it"),
+    "device.sample_single_current.rng": (_SCALAR, "item 18 deletes it"),
+    "device.sample_single_current.size": (_SCALAR, "item 18 deletes it"),
+    "mitigation.evaluate_mitigation.below": (
+        "the false-zero rate: a reference move trades false ones for false zeros", "item 5"),
+    "mitigation.evaluate_mitigation.pair": (
+        "the P,P pair whose false zeros a moved reference raises", "item 5"),
+    "sca.hamming_weight_attack.enhanced": (
+        "the weight read from the enhanced cost rows", "criterion 8"),
+    "sca.hamming_weight_attack.table": (
+        "the weight read under the writer's own cost table", "criterion 8"),
+    "sca.obscuring_experiment.table": (
+        "the composite window under a given cost table", "items 4 and 13"),
+    "sca.train.classes": (_HELD_SETS, "item 18 deletes it"),
+}
+
+
+def test_every_optional_parameter_is_passed_or_kept():
+    """A new option that nothing passes fails here: it is a knob with no caller."""
+    package = {p.stem: p.read_text() for p in PACKAGE}
+    users = [p.read_text() for p in BENCH]
+    assert set(unreached_parameters(package, users)) == set(KEPT_KNOBS)
+
+
+def test_checker_flags_unreached_parameters_only():
+    package = {
+        "a": "class Box:\n    def __init__(self, size=1, *, tag=None):\n        pass\n"
+             "    def fill(self, level=0, spill=False):\n        return self\n"
+             "    def _hidden(self, x=0):\n        return x\n"
+             "    @staticmethod\n    def make(width=8):\n        return width\n"
+             "class _Inner:\n    def open(self, key=None):\n        return key\n"
+             "def run(n, fast=False, width=4, **extra):\n    return Box(3).fill(spill=True)\n"
+             "def kw(n, *, depth=2, limit=0):\n    return n\n"
+             "def spread(x=0, y=0):\n    return x\n"
+             "def picked(x=0):\n    return x\n",
+        "b": "import a\npick = a.picked if a else None\npick(1)\n",
+    }
+    users = ["import a\na.run(1, True)\na.kw(2, **{'depth': 3})\na.spread(*[1, 2])\n"
+             "a.Box.make()\n"]
+    assert unreached_parameters(package, users) == [
+        "a.Box.__init__.tag", "a.Box.fill.level", "a.Box.make.width", "a.run.width",
+    ]
+
+
+def test_cli_reaches_numpy_only_as_np():
+    """``import numpy as np`` with ``np.random.default_rng`` looked up when a
+    command runs keeps a bare ``import spincim.cli`` about 0.5 MB lower in peak
+    RSS than a ``from numpy.random import default_rng`` would."""
+    from spincim import cli
+
+    assert not hasattr(cli, "default_rng")
+    tree = ast.parse((ROOT / "src" / "spincim" / "cli.py").read_text())
+    numpy = [ast.dump(node) for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy"
+             or isinstance(node, ast.Import)
+             and any(alias.name.split(".")[0] == "numpy" for alias in node.names)]
+    assert numpy == [ast.dump(ast.parse("import numpy as np").body[0])]
 
 
 def _is_record(node: ast.ClassDef) -> bool:

@@ -70,7 +70,7 @@ class TestTrain:
             assert tuple(centroid) == (cost.delay_ns, cost.energy_fj)
 
     def test_single_observation_is_the_centroid(self):
-        data = Dataset([[1.0, 2.0], [3.0, 4.0]], ["a", "b"])
+        data = Dataset([[1.0, 2.0], [3.0, 4.0]], [0, 1], ("a", "b"))
         classifier = train(data)
         assert tuple(classifier.centroids[0]) == (1.0, 2.0)
         assert tuple(classifier.centroids[1]) == (3.0, 4.0)
@@ -114,7 +114,7 @@ class TestConfusion:
 
     def test_unknown_test_label_rejected(self):
         classifier = train(zero_noise_dataset(STANDARD_CLASSES, False), STANDARD_CLASSES)
-        bad = Dataset(np.zeros((1, 2)), ["Nonsense"])
+        bad = Dataset(np.zeros((1, 2)), [0], ("Nonsense",))
         with pytest.raises(ValueError):
             confusion_matrix(classifier, bad)
 
@@ -177,7 +177,8 @@ class TestIntegerCodes:
         # shuffled and interleaved test labels, with CimADD never tested
         names = [data.classes[k] for k in data.codes]
         kept = [i for i in rng.permutation(len(data)) if names[i] != "CimADD"]
-        test_set = Dataset(data.features[kept], [names[i] for i in kept])
+        classes = tuple(dict.fromkeys(names[i] for i in kept))
+        test_set = Dataset(data.features[kept], [classes.index(names[i]) for i in kept], classes)
         assert test_set.classes != data.classes
         matrix, accuracy = confusion_matrix(classifier, test_set)
 
@@ -208,17 +209,20 @@ class TestIntegerCodes:
         reference = np.argmin((diff**2).sum(axis=2), axis=1)
         assert np.array_equal(classifier.predict(queries), reference)
 
-    def test_labels_round_trip(self):
-        labels = ["b", "a", "b", "c", "a"]
-        data = Dataset(np.arange(10.0).reshape(5, 2), labels)
-        assert [data.classes[k] for k in data.codes] == labels
-        assert len(data) == 5
-        assert data.classes == ("b", "a", "c")
-        assert data.codes.tolist() == [0, 1, 0, 2, 1]
-        coded = Dataset(data.features, data.codes, data.classes)
-        assert coded.classes == data.classes and len(coded) == len(data)
-        assert coded.codes.tolist() == data.codes.tolist()
-        assert len(Dataset(np.zeros((0, 2)), [])) == 0
+    @pytest.mark.parametrize("codes", [
+        [0.7, 1.2], [0.0, 1.0], [True, False], ["Read1", "Write1"], np.array([0, 1], dtype=object),
+    ])
+    def test_codes_that_are_not_integers_refused(self, codes):
+        features = np.array([[0.6, 8.6], [4.4, 233.0]])
+        with pytest.raises(ValueError, match="must be integers"):
+            Dataset(features, codes, ("Read1", "Write1"))
+
+    @pytest.mark.parametrize("codes", [[1, 0], np.array([1, 0], dtype=np.uint8)])
+    def test_integer_codes_kept(self, codes):
+        data = Dataset(np.arange(4.0).reshape(2, 2), codes, ("a", "b"))
+        assert data.codes.dtype == np.intp and data.codes.tolist() == [1, 0]
+        assert len(data) == 2 and data.classes == ("a", "b")
+        assert len(Dataset(np.zeros((0, 2)), [], ("a",))) == 0
 
     @pytest.mark.parametrize("codes", [[0, 2], [-1, 0], [0]])
     def test_codes_must_index_the_classes(self, codes):
@@ -487,22 +491,26 @@ class TestStreamedScoring:
         n = DEFAULT_SCA["samples_per_class"]
         assert [stream.rows for stream in streams] == [2 * len(ENHANCED_CLASSES) * n]
 
+    @pytest.mark.parametrize("per_class", [
+        1, PREDICT_BLOCK - 1, PREDICT_BLOCK, PREDICT_BLOCK + 1, 10_000,
+    ])
     @pytest.mark.parametrize("sigmas", [(0.05, 2.0), (0.0, 0.0), (0.0, 1e308), (1e308, 0.5)])
-    def test_normals_are_the_row_stream_as_contiguous_columns(self, sigmas):
+    def test_normals_are_the_row_stream_as_contiguous_columns(self, sigmas, per_class):
         rng, twin = trial_rng(MASTER_SEED, 74), trial_rng(MASTER_SEED, 74)
-        units, scaled = [], []
-        for segment, unit in _normals(2, PREDICT_BLOCK + 1, rng):
+        units = []
+        for segment, unit in _normals(2, per_class, rng):
             # one class held: every segment reuses one contiguous (2, n) buffer
-            assert unit.shape == (2, PREDICT_BLOCK + 1) and unit.flags.c_contiguous
+            assert unit.shape == (2, per_class) and unit.flags.c_contiguous
             assert all(unit is held for _, held in units)
             units.append((segment, unit))
+            # each class is one (n, 2) draw of the stream, transposed
+            want = twin.standard_normal((per_class, 2))
+            assert unit.tobytes() == np.ascontiguousarray(want.T).tobytes()
             with np.errstate(over="ignore"):   # the product each noise level takes of it
-                scaled.append(np.multiply(unit, np.reshape(sigmas, (2, 1))))
+                got = np.multiply(unit, np.reshape(sigmas, (2, 1)))
+                want = (want * sigmas).T
+            assert got.tobytes() == want.tobytes()   # bit for bit, signed zeros and infinities too
         assert [segment for segment, _ in units] == [0, 1]
-        with np.errstate(over="ignore"):
-            want = (twin.standard_normal((2 * (PREDICT_BLOCK + 1), 2)) * sigmas).T
-        got = np.concatenate(scaled, axis=1)
-        assert got.tobytes() == want.tobytes()   # bit for bit, signed zeros and infinities too
         assert rng.bit_generator.state == twin.bit_generator.state
 
     def test_no_attackers_draw_nothing(self):
