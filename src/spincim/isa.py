@@ -17,7 +17,7 @@ grammar, one instruction per line, ';' or '#' comments:
 
 Row operands may name a bank explicitly as @bank:row (bank 0 otherwise).
 A program is a tuple of instructions. Execution ends at HALT or at its end;
-HALT does not count toward the instruction count. A program is
+HALT counts toward neither the instruction count nor the step budget. A program is
 straight-line, so :func:`run` plans its senses before it starts and the
 array draws them a block ahead.
 """
@@ -83,19 +83,28 @@ _REG_RE = re.compile(r"^R([0-9]+)$", re.IGNORECASE)
 _ADDR_RE = re.compile(r"^@(?:([0-9]+):)?([0-9]+)$")
 
 
-def _parse_reg(token: str, line: int, col: int) -> int:
+def _parse_reg(token: str) -> int | None:
     m = _REG_RE.match(token)
-    if not m or not 0 <= int(m.group(1)) < NUM_REGISTERS:
-        raise ParseError(f"expected register R0..R{NUM_REGISTERS - 1}, got {token!r}", line, col)
-    return int(m.group(1))
+    return int(m.group(1)) if m and int(m.group(1)) < NUM_REGISTERS else None
 
 
-def _parse_addr(token: str, line: int, col: int) -> RowAddress:
+def _parse_addr(token: str) -> RowAddress | None:
     m = _ADDR_RE.match(token)
-    if not m:
-        raise ParseError(f"expected row address @row or @bank:row, got {token!r}", line, col)
-    bank = int(m.group(1)) if m.group(1) is not None else 0
-    return RowAddress(bank=bank, row=int(m.group(2)))
+    return m and RowAddress(bank=int(m.group(1) or 0), row=int(m.group(2)))
+
+
+# per operand kind: its parser and what a token that fails it should have been
+_OPERANDS = {"r": (_parse_reg, f"register R0..R{NUM_REGISTERS - 1}"),
+             "a": (_parse_addr, "row address @row or @bank:row")}
+
+
+def _column(raw: str, mnemonic: str, tokens: list[str], index: int) -> int:
+    """1-based column of operand ``index`` in ``raw``: past the operands before it."""
+    end = raw.find(mnemonic) + len(mnemonic)
+    for token in tokens[:index + 1]:
+        col = raw.find(token, end) + 1
+        end = col - 1 + len(token)
+    return col
 
 
 _SHAPES: dict[Opcode | CimOp, str] = {
@@ -112,21 +121,21 @@ _SHAPES: dict[Opcode | CimOp, str] = {
 def assemble(text: str) -> Program:
     """Assemble source text; raises ParseError with line and column.
 
-    Operands are memoised per call by (kind, token), parsed at first use only.
+    Operands are memoised per call, one memo per operand kind, and parsed at
+    first use only; an operand's column is found only for its ParseError.
     """
     instructions = []
-    operands: dict[tuple[str, str], int | RowAddress] = {}
+    memos: dict[str, dict] = {kind: {} for kind in _OPERANDS}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _COMMENT_RE.split(raw, maxsplit=1)[0].strip()
-        if not line:
-            continue
+        line = _COMMENT_RE.split(raw, maxsplit=1)[0] if ";" in raw or "#" in raw else raw
         parts = line.split(None, 1)
+        if not parts:
+            continue
         mnemonic = parts[0]
         opcode = _MNEMONICS.get(mnemonic.upper())
         if opcode is None:
             raise ParseError(f"unknown mnemonic {mnemonic!r}", lineno, raw.find(mnemonic) + 1)
-        operand_text = parts[1] if len(parts) > 1 else ""
-        tokens = [t.strip() for t in operand_text.split(",")] if operand_text.strip() else []
+        tokens = [t.strip() for t in parts[1].split(",")] if len(parts) > 1 else []
         shape = _SHAPES[opcode]
         if len(tokens) != len(shape):
             raise ParseError(
@@ -135,14 +144,15 @@ def assemble(text: str) -> Program:
                 raw.find(mnemonic) + 1,
             )
         regs, addrs = [], []
-        end = raw.find(mnemonic) + len(mnemonic)  # each operand lies past the one before
-        for kind, token in zip(shape, tokens):
-            col = raw.find(token, end) + 1
-            end = col - 1 + len(token)
-            value = operands.get((kind, token))
+        for index, (kind, token) in enumerate(zip(shape, tokens)):
+            memo = memos[kind]
+            value = memo.get(token)
             if value is None:
-                parse = _parse_reg if kind == "r" else _parse_addr
-                value = operands[kind, token] = parse(token, lineno, col)
+                parse, expected = _OPERANDS[kind]
+                if (value := parse(token)) is None:
+                    raise ParseError(f"expected {expected}, got {token!r}", lineno,
+                                     _column(raw, mnemonic, tokens, index))
+                memo[token] = value
             (regs if kind == "r" else addrs).append(value)
         instructions.append(Instruction(opcode, tuple(regs), tuple(addrs)))
     return tuple(instructions)
@@ -198,45 +208,44 @@ def run(program: Program, machine: Machine) -> tuple[ExecStats, ExecutionTrace]:
     them and no plan; only the generator may have advanced past its draws.
     """
     trace = ExecutionTrace()
-    previous = machine.array.recorder
-    machine.array.recorder = trace
-    mask = machine.array.geometry.word_mask
-    regs = machine.registers
+    array, regs, budget = machine.array, machine.registers, machine.step_budget
+    previous, array.recorder = array.recorder, trace
+    mask = array.geometry.word_mask
+    read_word, write_word = array.read_word, array.write_word
+    cim_not, cim_add, cim_two_row = array.cim_not, array.cim_add, array.cim_two_row
+    LOAD, STORE, NOT, HALT = Opcode.LOAD, Opcode.STORE, Opcode.NOT, Opcode.HALT
+    CIM_NOT, CIM_ADD, alu = CimOp.CIM_NOT, CimOp.CIM_ADD, _ALU.get
     executed = 0
     try:
-        machine.array.plan(_senses(program, machine.step_budget))
-        for steps, instr in enumerate(program):
-            if steps >= machine.step_budget:
-                raise StepBudgetExceeded(
-                    f"program exceeded {machine.step_budget} steps"
-                )
+        array.plan(_senses(program, budget))
+        for instr in program:
             op = instr.opcode
-            if op is Opcode.HALT:
+            if op is HALT:
                 break
+            if executed >= budget:
+                raise StepBudgetExceeded(f"program exceeded {budget} steps")
             executed += 1
-            if op is Opcode.LOAD:
-                regs[instr.regs[0]] = machine.array.read_word(instr.addrs[0])
-            elif op is Opcode.STORE:
-                machine.array.write_word(instr.addrs[0], regs[instr.regs[0]] & mask)
-            elif op in _ALU:
+            if op is LOAD:
+                regs[instr.regs[0]] = read_word(instr.addrs[0])
+            elif op is STORE:
+                write_word(instr.addrs[0], regs[instr.regs[0]] & mask)
+            elif (compute := alu(op)) is not None:
                 rd, ra, rb = instr.regs
-                regs[rd] = _ALU[op](regs[ra], regs[rb]) & mask
-            elif op is Opcode.NOT:
+                regs[rd] = compute(regs[ra], regs[rb]) & mask
+            elif op is NOT:
                 rd, ra = instr.regs
                 regs[rd] = ~regs[ra] & mask
-            elif op is CimOp.CIM_NOT:
+            elif op is CIM_NOT:
                 a, dest = instr.addrs
-                machine.array.write_word(dest, machine.array.cim_not(a), record=False)
-            elif op is CimOp.CIM_ADD:
-                a, b, dest = instr.addrs
-                machine.array.cim_add(a, b, dest)
+                write_word(dest, cim_not(a), record=False)
+            elif op is CIM_ADD:
+                cim_add(*instr.addrs)
             else:
                 a, b, dest = instr.addrs
-                word = machine.array.cim_two_row(op, a, b)
-                machine.array.write_word(dest, word, record=False)
+                write_word(dest, cim_two_row(op, a, b), record=False)
     finally:
-        machine.array.recorder = previous
-        machine.array.plan(())
+        array.recorder = previous
+        array.plan(())
     stats = ExecStats(
         instruction_count=executed,
         memory_access_count=len(trace),
@@ -250,13 +259,14 @@ def run(program: Program, machine: Machine) -> tuple[ExecStats, ExecutionTrace]:
 _SCRATCH_A = NUM_REGISTERS - 2
 _SCRATCH_B = NUM_REGISTERS - 1
 
-_CIM_TO_ALU = {
-    CimOp.CIM_ADD: Opcode.ADD,
-    CimOp.CIM_AND: Opcode.AND,
-    CimOp.CIM_OR: Opcode.OR,
-    CimOp.CIM_XOR: Opcode.XOR,
-    CimOp.CIM_NAND: Opcode.AND,
-    CimOp.CIM_NOR: Opcode.OR,
+_CIM_TO_ALU = {CimOp.CIM_ADD: Opcode.ADD, CimOp.CIM_AND: Opcode.AND, CimOp.CIM_OR: Opcode.OR,
+               CimOp.CIM_XOR: Opcode.XOR, CimOp.CIM_NAND: Opcode.AND, CimOp.CIM_NOR: Opcode.OR}
+_NOT_STEP = Instruction(Opcode.NOT, (_SCRATCH_A, _SCRATCH_A))
+# the steps between the loads and the store of each lowered Cim op, shared by every lowering
+_COMPUTE = {
+    CimOp.CIM_NOT: (_NOT_STEP,),
+    **{op: (Instruction(alu, (_SCRATCH_A, _SCRATCH_A, _SCRATCH_B)),)
+       + (_NOT_STEP,) * (op in (CimOp.CIM_NAND, CimOp.CIM_NOR)) for op, alu in _CIM_TO_ALU.items()},
 }
 
 
@@ -265,6 +275,8 @@ def lower_to_conventional(program: Program) -> Program:
 
     The runs compute in R6 and R7, so a program with a Cim instruction may not
     name either register: ``ValueError`` names the first instruction that does.
+    The compute steps are shared, and one call builds one LOAD or STORE per
+    distinct register and row.
     """
     if any(instr.opcode in CIM_OPS for instr in program):
         for index, instr in enumerate(program):
@@ -274,27 +286,25 @@ def lower_to_conventional(program: Program) -> Program:
                         f"cannot lower instruction {index} ({instr.opcode.value}): R{reg} "
                         "is a scratch register of the lowered Cim instructions"
                     )
+    moves: dict[tuple, Instruction] = {}  # keyed by the row's fields: a RowAddress hashes in Python
+
+    def move(opcode: Opcode, reg: int, addr: RowAddress) -> Instruction:
+        step = moves.get(key := (opcode, reg, addr.bank, addr.row))
+        if step is None:
+            step = moves[key] = Instruction(opcode, (reg,), (addr,))
+        return step
+
     out: list[Instruction] = []
     for instr in program:
-        op = instr.opcode
-        if op not in CIM_OPS:
+        compute = _COMPUTE.get(instr.opcode)
+        if compute is None:
             out.append(instr)
             continue
-        if op is CimOp.CIM_NOT:
-            a, dest = instr.addrs
-            out.append(Instruction(Opcode.LOAD, (_SCRATCH_A,), (a,)))
-            out.append(Instruction(Opcode.NOT, (_SCRATCH_A, _SCRATCH_A)))
-            out.append(Instruction(Opcode.STORE, (_SCRATCH_A,), (dest,)))
-            continue
-        a, b, dest = instr.addrs
-        out.append(Instruction(Opcode.LOAD, (_SCRATCH_A,), (a,)))
-        out.append(Instruction(Opcode.LOAD, (_SCRATCH_B,), (b,)))
-        out.append(
-            Instruction(_CIM_TO_ALU[op], (_SCRATCH_A, _SCRATCH_A, _SCRATCH_B))
-        )
-        if op in (CimOp.CIM_NAND, CimOp.CIM_NOR):
-            out.append(Instruction(Opcode.NOT, (_SCRATCH_A, _SCRATCH_A)))
-        out.append(Instruction(Opcode.STORE, (_SCRATCH_A,), (dest,)))
+        *sources, dest = instr.addrs
+        for reg, addr in zip((_SCRATCH_A, _SCRATCH_B), sources):
+            out.append(move(Opcode.LOAD, reg, addr))
+        out += compute
+        out.append(move(Opcode.STORE, _SCRATCH_A, dest))
     return tuple(out)
 
 

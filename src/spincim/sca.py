@@ -39,11 +39,11 @@ PREDICT_BLOCK = 4096  # rows per drawn or scored block: (C, block) distances sta
 
 
 class Dataset:
-    """Immutable (N, 2) feature matrix (duration, energy) with one integer code
-    into ``classes`` per row; ValueError for codes of any other dtype."""
+    """Immutable copies of an (N, 2) feature matrix (duration, energy) and of one
+    integer code into ``classes`` per row; ValueError for codes of any other dtype."""
 
     def __init__(self, features: np.ndarray, codes, classes: Sequence[str]):
-        features, codes = np.asarray(features, dtype=float), np.asarray(codes)
+        features, codes = np.array(features, dtype=float), np.asarray(codes)
         if codes.size and codes.dtype.kind not in "iu":
             raise ValueError(f"label codes must be integers, not {codes.dtype}")
         if features.ndim != 2 or features.shape[1] != 2:

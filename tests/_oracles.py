@@ -276,6 +276,36 @@ def assemble(text):
     return tuple(instructions)
 
 
+def lower_to_conventional(program):
+    """``isa.lower_to_conventional`` as it stood before it shared its steps:
+    one new ``Instruction`` per step, the scratch-register check left out."""
+    from spincim.array import CimOp
+    from spincim.isa import CIM_OPS, Instruction, Opcode
+
+    alu = {CimOp.CIM_ADD: Opcode.ADD, CimOp.CIM_AND: Opcode.AND, CimOp.CIM_OR: Opcode.OR,
+           CimOp.CIM_XOR: Opcode.XOR, CimOp.CIM_NAND: Opcode.AND, CimOp.CIM_NOR: Opcode.OR}
+    out = []
+    for instr in program:
+        op = instr.opcode
+        if op not in CIM_OPS:
+            out.append(instr)
+            continue
+        if op is CimOp.CIM_NOT:
+            a, dest = instr.addrs
+            out.append(Instruction(Opcode.LOAD, (6,), (a,)))
+            out.append(Instruction(Opcode.NOT, (6, 6)))
+            out.append(Instruction(Opcode.STORE, (6,), (dest,)))
+            continue
+        a, b, dest = instr.addrs
+        out.append(Instruction(Opcode.LOAD, (6,), (a,)))
+        out.append(Instruction(Opcode.LOAD, (7,), (b,)))
+        out.append(Instruction(alu[op], (6, 6, 7)))
+        if op in (CimOp.CIM_NAND, CimOp.CIM_NOR):
+            out.append(Instruction(Opcode.NOT, (6, 6)))
+        out.append(Instruction(Opcode.STORE, (6,), (dest,)))
+    return tuple(out)
+
+
 # -- the execution trace as it stood before its columns: one csv.writer row
 # per event, each float through repr, each event starting where the last ended
 

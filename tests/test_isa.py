@@ -101,6 +101,29 @@ class TestAssembleAgainstOracle:
         )
 
 
+class TestLazyOperandColumns:
+    """A column is found only for a ParseError, and it is the oracle's column."""
+
+    @pytest.mark.parametrize("source", [
+        "CimAND @1, @1, @x\n",                  # bad third operand after a repeated token
+        "CimAND @1, @1, R1\n",
+        "ADD R1, R1, @1\n",
+        "STORE R1, R1\n",                        # bad second operand, the first's text
+        "CimOR @1, @11, 1\n",                    # bad text that lies inside earlier tokens
+        "ADD R1, R2, ADD\n",                     # bad text that is the mnemonic
+        "LOAD LO, @0\n",                         # bad text inside the mnemonic
+        "LOAD R1, @0\nCimNOT @0, @0:x ; @0:x\n",  # memo hit, then a bad token and a comment
+    ])
+    def test_parse_error_names_the_same_line_and_column(self, source):
+        with pytest.raises(ParseError) as new:
+            assemble(source)
+        with pytest.raises(ParseError) as old:
+            _oracles.assemble(source)
+        assert (new.value.line, new.value.column, str(new.value)) == (
+            old.value.line, old.value.column, str(old.value)
+        )
+
+
 @pytest.mark.parametrize("enum", [CimOp, OpClass, Opcode, Channel])
 def test_hot_enums_hash_by_identity(enum):
     assert enum.__hash__ is object.__hash__
@@ -291,6 +314,25 @@ class TestRun:
         with pytest.raises(StepBudgetExceeded):
             run(assemble("CimNOT @0, @1\n" * 5), machine)
 
+    @pytest.mark.parametrize("text,budget,count", [
+        ("STORE R0, @0\nSTORE R1, @1\nHALT\n", 2, 2),
+        ("STORE R0, @0\nSTORE R1, @1\n", 2, 2),
+        ("HALT\n", 0, 0),
+        ("HALT\nSTORE R0, @0\n", 0, 0),
+    ])
+    def test_halt_does_not_count_toward_the_step_budget(self, zero_noise_model, text, budget,
+                                                        count):
+        machine = machine_with_memory(zero_noise_model)
+        machine.step_budget = budget
+        stats, trace = run(assemble(text), machine)
+        assert stats.instruction_count == count == len(trace)
+
+    def test_one_instruction_past_the_budget_raises_before_a_halt(self, zero_noise_model):
+        machine = machine_with_memory(zero_noise_model)
+        machine.step_budget = 2
+        with pytest.raises(StepBudgetExceeded, match="exceeded 2 steps"):
+            run(assemble("STORE R0, @0\nSTORE R1, @1\nSTORE R2, @2\nHALT\n"), machine)
+
     def test_out_of_bounds_row_propagates(self, zero_noise_model):
         machine = machine_with_memory(zero_noise_model, rows=16)
         with pytest.raises(OutOfBounds):
@@ -425,6 +467,32 @@ class TestLowering:
         # with no Cim instruction, R6 and R7 are the program's own
         program = assemble("LOAD R6, @0\nADD R7, R6, R6\nSTORE R7, @1\n")
         assert lower_to_conventional(program) == program
+
+    def test_matches_one_new_step_per_instruction(self):
+        every_op = []
+        for bank in (0, 1):
+            a, b, dest = (RowAddress(bank, row) for row in (3, 5, 0))
+            every_op += [Instruction(op, (), (a, dest) if op is CimOp.CIM_NOT else (a, b, dest))
+                         for op in sorted(isa.CIM_OPS, key=lambda op: op.value)]
+        assert len(every_op) == 2 * len(isa.CIM_OPS) == 14
+        every_op += assemble("LOAD R1, @1:5\nNOT R2, R1\nSTORE R2, @0:3\nHALT\n")
+        for program in (*_test_programs(), tuple(every_op)):
+            assert lower_to_conventional(program) == _oracles.lower_to_conventional(program)
+
+    def test_steps_are_shared_within_one_lowering(self):
+        program = assemble("CimNOT @0, @1\nCimNOT @1, @0\nCimNAND @0, @2, @3\n"
+                           "CimAND @0:0, @4, @1:1\nCimAND @4, @0, @1:1\n")
+        lowered = lower_to_conventional(program)
+        assert lowered[1] is lowered[4] is lowered[9]  # every NOT step
+        assert lowered[0] is lowered[6] is lowered[11]  # LOAD R6, @0, however it is written
+        assert lowered[13] is lowered[17]  # CimAND's AND R6, R6, R7
+        assert lowered[12] is not lowered[15]  # LOAD R7, @4 and LOAD R6, @4
+        assert lowered[12] == Instruction(Opcode.LOAD, (7,), (RowAddress(0, 4),))
+        assert lowered[14] is lowered[18]  # STORE R6, @1:1
+        # the compute steps are module constants; each call builds its own moves
+        again = lower_to_conventional(program)
+        assert again[1] is lowered[1] and again[13] is lowered[13]
+        assert again[0] == lowered[0] and again[0] is not lowered[0]
 
     def test_cim_add_becomes_four_instructions(self):
         lowered = lower_to_conventional(assemble(ADD_CIM))

@@ -217,6 +217,13 @@ class TestIntegerCodes:
         with pytest.raises(ValueError, match="must be integers"):
             Dataset(features, codes, ("Read1", "Write1"))
 
+    def test_features_are_copied_and_the_callers_array_stays_writable(self):
+        features = np.zeros((2, 2))
+        data = Dataset(features, [0, 1], ("a", "b"))
+        features[0, 0] = 1.0
+        assert features.flags.writeable and data.features[0, 0] == 0.0
+        assert not data.features.flags.writeable and not data.codes.flags.writeable
+
     @pytest.mark.parametrize("codes", [[1, 0], np.array([1, 0], dtype=np.uint8)])
     def test_integer_codes_kept(self, codes):
         data = Dataset(np.arange(4.0).reshape(2, 2), codes, ("a", "b"))
